@@ -10,9 +10,9 @@ from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval,
                         matrix_function, operator_norm, power, spectral_bounds)
 from .functions import CATALOG, ScalarFunction, by_name, power_function
 from .means import connection, geometric_mean, riccati_residual
-from .maps import (Compression, DirectSum, Pinching, PositiveMap,
-                   UnitaryMixture, identity_map, induced_congruence,
-                   make_rotation_mixture)
+from .maps import (KrausMap, compression, direct_sum, identity_map,
+                   induced_congruence, make_rotation_mixture, pinching,
+                   scaled, unitary_mixture)
 from .constants import (alpha_constant, beta0_constant, beta_p_constant,
                         generalized_kantorovich, kantorovich_constant,
                         mond_pecaric_beta)
@@ -29,8 +29,9 @@ __all__ = [
     "operator_norm", "power", "spectral_bounds",
     "CATALOG", "ScalarFunction", "by_name", "power_function",
     "connection", "geometric_mean", "riccati_residual",
-    "Compression", "DirectSum", "Pinching", "PositiveMap", "UnitaryMixture",
-    "identity_map", "induced_congruence", "make_rotation_mixture",
+    "KrausMap", "compression", "direct_sum", "identity_map",
+    "induced_congruence", "make_rotation_mixture", "pinching", "scaled",
+    "unitary_mixture",
     "alpha_constant", "beta0_constant", "beta_p_constant",
     "generalized_kantorovich", "kantorovich_constant", "mond_pecaric_beta",
     "CheckInstance", "CheckResult",

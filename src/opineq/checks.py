@@ -23,8 +23,8 @@ from .constants import (alpha_constant, beta0_constant, beta_p_constant,
 from .functions import ScalarFunction
 from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval,
                         as_hermitian, inv_psd, loewner_leq, matrix_function,
-                        operator_norm, power, spectral_bounds, sqrtm_psd)
-from .maps import PositiveMap, vector_state_value
+                        power, spectral_bounds, sqrtm_psd, within_tolerance)
+from .maps import KrausMap, direct_sum, vector_state_value
 from .means import connection, geometric_mean
 
 
@@ -56,10 +56,7 @@ class CheckResult:
 
 def _operator(name: str, params: dict, lhs: np.ndarray, rhs: np.ndarray,
               tol: float) -> CheckResult:
-    diff = rhs - lhs
-    margin = float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0])
-    ln, rn = operator_norm(lhs), operator_norm(rhs)
-    holds = margin >= -tol * max(1.0, ln, rn)
+    holds, margin, ln, rn = loewner_leq(lhs, rhs, tol)
     return CheckResult(name, params, margin, holds, tol, ln, rn)
 
 
@@ -67,8 +64,8 @@ def _scalar(name: str, params: dict, lhs: float, rhs: float,
             tol: float) -> CheckResult:
     margin = float(rhs - lhs)
     ln, rn = abs(float(lhs)), abs(float(rhs))
-    holds = margin >= -tol * max(1.0, ln, rn)
-    return CheckResult(name, params, margin, holds, tol, ln, rn)
+    return CheckResult(name, params, margin, within_tolerance(margin, tol, ln, rn),
+                       tol, ln, rn)
 
 
 @dataclass
@@ -76,7 +73,7 @@ class CheckInstance:
     """Hypothesis bundle for one check: matrices, map, verified sandwich
     interval, and optional state/exponent/function."""
     a: np.ndarray
-    phi: PositiveMap
+    phi: KrausMap
     iv: Optional[SpectralInterval] = None
     b: Optional[np.ndarray] = None
     x: Optional[np.ndarray] = None
@@ -97,8 +94,8 @@ class CheckInstance:
             n = self.a.shape[0]
             eye = np.eye(n)
             for m in mats:
-                lo_ok, lo_margin = loewner_leq(self.iv.m * eye, m, self.tol)
-                hi_ok, hi_margin = loewner_leq(m, self.iv.M * eye, self.tol)
+                lo_ok, lo_margin, _, _ = loewner_leq(self.iv.m * eye, m, self.tol)
+                hi_ok, hi_margin, _, _ = loewner_leq(m, self.iv.M * eye, self.tol)
                 if not (lo_ok and hi_ok):
                     raise ValueError(
                         f"sandwich {self.iv.m} I <= X <= {self.iv.M} I violated "
@@ -208,14 +205,14 @@ def check_reverse_ando_convex(inst: CheckInstance,
 def _require_sandwich(a: np.ndarray, b: np.ndarray, lo: float, hi: float,
                       tol: float) -> None:
     # lo*A <= B <= hi*A, re-verified no matter how the pair was built
-    ok_lo, mlo = loewner_leq(lo * a, b, tol)
-    ok_hi, mhi = loewner_leq(b, hi * a, tol)
+    ok_lo, mlo, _, _ = loewner_leq(lo * a, b, tol)
+    ok_hi, mhi, _, _ = loewner_leq(b, hi * a, tol)
     if not (ok_lo and ok_hi):
         raise ValueError(f"hypothesis {lo}*A <= B <= {hi}*A fails "
                          f"(margins {mlo:.3e}, {mhi:.3e})")
 
 
-def check_reverse_ando_sandwich(a, b, phi: PositiveMap, iv: SpectralInterval,
+def check_reverse_ando_sandwich(a, b, phi: KrausMap, iv: SpectralInterval,
                                 tol: float = DEFAULT_TOL,
                                 name: str = "reverse_ando_sandwich") -> CheckResult:
     a, b = as_hermitian(a), as_hermitian(b)
@@ -244,7 +241,7 @@ def check_kantorovich_equivalents(inst: CheckInstance) -> list[CheckResult]:
     return results
 
 
-def check_reverse_choi_quadratic(a, b, phi: PositiveMap, iv: SpectralInterval,
+def check_reverse_choi_quadratic(a, b, phi: KrausMap, iv: SpectralInterval,
                                  tol: float = DEFAULT_TOL,
                                  name: str = "reverse_choi_quadratic") -> CheckResult:
     a, b = as_hermitian(a), as_hermitian(b)
@@ -314,7 +311,7 @@ def _f_range(f, iv: SpectralInterval) -> SpectralInterval:
     return SpectralInterval(float(fv.min()), float(fv.max()))
 
 
-def check_minkowski_general(a, b, phi: PositiveMap, iv: SpectralInterval,
+def check_minkowski_general(a, b, phi: KrausMap, iv: SpectralInterval,
                             f: ScalarFunction, tol: float = DEFAULT_TOL,
                             name: Optional[str] = None) -> tuple[CheckResult, CheckResult]:
     """Triangle-type bound through f: multiplicative form with the chord-ratio
@@ -340,7 +337,7 @@ def check_minkowski_general(a, b, phi: PositiveMap, iv: SpectralInterval,
     return mult, add
 
 
-def check_power_minkowski(a, b, phi: PositiveMap, iv: SpectralInterval,
+def check_power_minkowski(a, b, phi: KrausMap, iv: SpectralInterval,
                           p: float, tol: float = DEFAULT_TOL,
                           name: Optional[str] = None) -> tuple[CheckResult, CheckResult]:
     if not 1 <= p <= 2:
@@ -378,13 +375,12 @@ def check_tuple_minkowski(as_list, bs_list, phis, iv: SpectralInterval,
                           tol: float = DEFAULT_TOL) -> tuple[CheckResult, CheckResult]:
     """k-tuple version at p = 2, reduced to the two-term power check over the
     direct sum of the blocks and the summed map."""
-    from .maps import DirectSum
     k = len(as_list)
     if not (k == len(bs_list) == len(phis)):
         raise ValueError("need equally many A blocks, B blocks, and maps")
     a = block_diag(as_list)
     b = block_diag(bs_list)
-    ds = DirectSum(list(phis))
+    ds = direct_sum(phis)
     mult, add = check_power_minkowski(a, b, ds, iv, 2.0, tol,
                                       name=f"tuple_minkowski[k={k}]")
     for r in (mult, add):

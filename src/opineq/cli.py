@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -56,36 +55,19 @@ def _default_seed() -> int:
     return int(os.environ.get("OPINEQ_SEED", "42"))
 
 
-@dataclass
-class RunConfig:
-    command: str
-    names: list = field(default_factory=list)
-    dim: Optional[int] = None
-    trials: int = 200
-    seed: int = 42
-    tol: float = DEFAULT_TOL
-    m: Optional[float] = None
-    M: Optional[float] = None
-    p: Optional[float] = None
-    alpha: Optional[float] = None
-    alpha_rad: float = 0.0
-    beta_rad: float = 0.0
-    x_param: float = 2.0
-    output_path: Optional[str] = None
-    format: str = "json"
-    timestamp: bool = True
-
-    def validate(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
-        if self.dim is not None and self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if (self.m is None) != (self.M is None):
-            raise ValueError("give both -m and -M or neither")
-        if self.m is not None and not (0 < self.m <= self.M):
-            raise ValueError(f"need 0 < m <= M, got ({self.m}, {self.M})")
+def _validate_run_args(args) -> None:
+    """Checks on the options `check` and `suite` share; ValueError exits 2."""
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
+    if args.tol <= 0:
+        raise ValueError("tol must be > 0")
+    dim = getattr(args, "dim", None)
+    if dim is not None and dim < 1:
+        raise ValueError("dim must be >= 1")
+    if (args.m is None) != (args.M is None):
+        raise ValueError("give both -m and -M or neither")
+    if args.m is not None and not (0 < args.m <= args.M):
+        raise ValueError(f"need 0 < m <= M, got ({args.m}, {args.M})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,41 +163,37 @@ def _cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _suite_kwargs(cfg: RunConfig, dims, names=None, include_expected_fail=False):
-    intervals = None
-    if cfg.m is not None:
-        intervals = [SpectralInterval(cfg.m, cfg.M)]
-    kw = dict(seed=cfg.seed, trials=cfg.trials, names=names, dims=dims,
-              tol=cfg.tol, include_expected_fail=include_expected_fail,
-              timestamp=cfg.timestamp)
-    if intervals is not None:
-        kw["intervals"] = intervals
+def _suite_kwargs(args, dims, names=None, include_expected_fail=False):
+    kw = dict(seed=args.seed, trials=args.trials, names=names, dims=dims,
+              tol=args.tol, include_expected_fail=include_expected_fail,
+              timestamp=not args.no_timestamp)
+    if args.m is not None:
+        kw["intervals"] = [SpectralInterval(args.m, args.M)]
     return kw
 
 
 def _cmd_check(args, parser) -> int:
-    cfg = _config_from(args, names=list(dict.fromkeys(args.name)))
+    names = list(dict.fromkeys(args.name))
     known = set(registry.names())
-    for n in cfg.names:
+    for n in names:
         if n not in known:
             parser.error(f"unknown check name {n!r}; see `opineq list`")
-    dims = (cfg.dim,) if cfg.dim else (2, 4, 6)
-    report = run_suite(suite_name="check", **_suite_kwargs(cfg, dims, names=cfg.names,
+    dims = (args.dim,) if args.dim else (2, 4, 6)
+    report = run_suite(suite_name="check", **_suite_kwargs(args, dims, names=names,
                                                            include_expected_fail=True))
-    _emit(report.to_record(), cfg.format, cfg.output_path)
+    _emit(report.to_record(), args.format, args.output)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
 def _cmd_suite(args, parser) -> int:
-    cfg = _config_from(args)
     try:
         dims = tuple(int(d) for d in args.dims.split(","))
     except ValueError:
         parser.error(f"bad --dims {args.dims!r}")
     report = run_suite(suite_name="suite",
-                       **_suite_kwargs(cfg, dims,
+                       **_suite_kwargs(args, dims,
                                        include_expected_fail=args.include_expected_fail))
-    _emit(report.to_record(), cfg.format, cfg.output_path)
+    _emit(report.to_record(), args.format, args.output)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
@@ -301,24 +279,6 @@ def _cmd_falsify(args, parser) -> int:
     return EXIT_OK if as_expected else EXIT_CHECK_FAILED
 
 
-def _config_from(args, names=None) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        names=names or [],
-        dim=getattr(args, "dim", None),
-        trials=args.trials,
-        seed=args.seed,
-        tol=args.tol,
-        m=getattr(args, "m", None),
-        M=getattr(args, "M", None),
-        output_path=args.output,
-        format=args.format,
-        timestamp=not args.no_timestamp,
-    )
-    cfg.validate()
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -326,6 +286,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.command in ("check", "suite"):
+            _validate_run_args(args)
         if args.command == "list":
             return _cmd_list(args)
         if args.command == "check":

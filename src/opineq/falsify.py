@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import CheckResult
-from .hermitian import DEFAULT_TOL, operator_norm, power
+from .hermitian import DEFAULT_TOL, operator_norm, power, within_tolerance
 from .io import map_to_json, matrix_to_json
 from .maps import make_rotation_mixture
 from .rng import stream
@@ -70,7 +70,7 @@ def candidate_result(x: float, alpha: float, beta: float,
     rhs = t + lhs
     margin = float(w[0])
     ln, rn = operator_norm(lhs), operator_norm(rhs)
-    holds = margin >= -tol * max(1.0, ln, rn)
+    holds = within_tolerance(margin, tol, ln, rn)
     params = {"x": float(x), "alpha": float(alpha), "beta": float(beta),
               "dim": 2, "out_dim": 2,
               "m": float(min(1.0, x)), "M": float(max(1.0, x))}

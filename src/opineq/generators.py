@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hermitian import SpectralInterval, sqrtm_psd
-from .maps import Compression, Pinching, PositiveMap, UnitaryMixture
+from .maps import KrausMap, compression, pinching, unitary_mixture
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -58,13 +58,13 @@ def random_weights(k: int, rng: np.random.Generator) -> np.ndarray:
     return rng.dirichlet(np.ones(k))
 
 
-def random_mixture(dim: int, rng: np.random.Generator) -> UnitaryMixture:
+def random_mixture(dim: int, rng: np.random.Generator) -> KrausMap:
     terms = 2 + int(rng.integers(3))
     us = [random_unitary(dim, rng) for _ in range(terms)]
-    return UnitaryMixture(us, random_weights(terms, rng))
+    return unitary_mixture(us, random_weights(terms, rng))
 
 
-def random_pinching(dim: int, rng: np.random.Generator) -> Pinching:
+def random_pinching(dim: int, rng: np.random.Generator) -> KrausMap:
     perm = [int(i) for i in rng.permutation(dim)]
     nblocks = 1 + int(rng.integers(dim))
     if nblocks > 1:
@@ -76,10 +76,10 @@ def random_pinching(dim: int, rng: np.random.Generator) -> Pinching:
     for hi in cuts + [dim]:
         blocks.append(perm[lo:hi])
         lo = hi
-    return Pinching(blocks, dim)
+    return pinching(blocks, dim)
 
 
-def random_unital_map(out_dim: int, rng: np.random.Generator) -> tuple[PositiveMap, int]:
+def random_unital_map(out_dim: int, rng: np.random.Generator) -> tuple[KrausMap, int]:
     """A map with the given output dimension; for compressions the input side
     is 1 to 3 dimensions larger. Returns (map, input_dim)."""
     kind = int(rng.integers(3))
@@ -88,7 +88,7 @@ def random_unital_map(out_dim: int, rng: np.random.Generator) -> tuple[PositiveM
     if kind == 1:
         return random_pinching(out_dim, rng), out_dim
     n_in = out_dim + 1 + int(rng.integers(3))
-    return Compression(haar_isometry(n_in, out_dim, rng)), n_in
+    return compression(haar_isometry(n_in, out_dim, rng)), n_in
 
 
 def sandwiched_pair(dim: int, iv_a: SpectralInterval, bounds: SpectralInterval,

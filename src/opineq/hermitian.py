@@ -140,14 +140,21 @@ def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     return power(a, 0.5)
 
 
+def within_tolerance(margin: float, tol: float, lhs_norm: float,
+                     rhs_norm: float) -> bool:
+    """The verdict rule for LHS <= RHS with signed margin `margin`:
+    margin >= -tol * max(1, ||LHS||, ||RHS||)."""
+    return margin >= -tol * max(1.0, lhs_norm, rhs_norm)
+
+
 def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL):
     """Decide A <= B in the Loewner order.
 
     Returns
     -------
-    (holds, margin) : (bool, float)
-        margin = lambda_min(B - A); holds iff
-        margin >= -tol * max(1, ||A||_op, ||B||_op).
+    (holds, margin, lhs_norm, rhs_norm) : (bool, float, float, float)
+        margin = lambda_min(B - A); lhs_norm, rhs_norm = ||A||_op, ||B||_op;
+        holds by `within_tolerance`.
     """
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
@@ -156,13 +163,12 @@ def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL):
     diff = b - a
     diff = (diff + diff.conj().T) / 2
     margin = float(np.linalg.eigvalsh(diff)[0])
-    scale = max(1.0, operator_norm(a), operator_norm(b))
-    return margin >= -tol * scale, margin
+    ln, rn = operator_norm(a), operator_norm(b)
+    return within_tolerance(margin, tol, ln, rn), margin, ln, rn
 
 
 def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    holds, _ = loewner_leq(np.zeros_like(a), a, tol)
-    return holds
+    return loewner_leq(np.zeros_like(a), a, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -196,5 +202,6 @@ __all__ = [
     "HERMITIAN_ATOL", "DEFAULT_TOL", "DomainError", "EigenDecomposition",
     "SpectralInterval", "as_hermitian", "eig_hermitian", "eigenvalues",
     "frobenius", "operator_norm", "matrix_function", "power", "inv_psd",
-    "sqrtm_psd", "loewner_leq", "is_psd", "spectral_bounds",
+    "sqrtm_psd", "within_tolerance", "loewner_leq", "is_psd",
+    "spectral_bounds",
 ]

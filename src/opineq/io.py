@@ -1,9 +1,9 @@
 """JSON fixture formats.
 
 Matrices: { "n": int, "re": [[...]], "im": [[...]] } with "im" omitted for
-real matrices. Maps: { "variant": ..., variant fields }. All floats are
-emitted losslessly (round-trip exact), so fixtures reproduce bit-identical
-matrices.
+real matrices. Maps: { "weights": [...], "operators": [matrix, ...] }, the
+Kraus form sum_j w_j K_j* X K_j. All floats are emitted losslessly
+(round-trip exact), so fixtures reproduce bit-identical matrices.
 """
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .maps import (Compression, DirectSum, InducedCongruence, Pinching,
-                   PositiveMap, Scaled, UnitaryMixture)
+from .maps import KrausMap
 
 
 def matrix_to_json(a: np.ndarray) -> dict:
@@ -49,47 +48,16 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return re
 
 
-def map_to_json(phi: PositiveMap) -> dict:
-    if isinstance(phi, UnitaryMixture):
-        return {"variant": "unitary_mixture",
-                "weights": [float(w) for w in phi.weights],
-                "unitaries": [matrix_to_json(u) for u in phi.unitaries]}
-    if isinstance(phi, Pinching):
-        return {"variant": "pinching", "dim": phi.input_dim,
-                "blocks": [list(b) for b in phi.blocks]}
-    if isinstance(phi, Compression):
-        return {"variant": "compression", "isometry": matrix_to_json(phi.v)}
-    if isinstance(phi, Scaled):
-        return {"variant": "scaled", "weight": phi.weight,
-                "dim": phi.input_dim,
-                "inner": None if phi.inner is None else map_to_json(phi.inner)}
-    if isinstance(phi, DirectSum):
-        return {"variant": "direct_sum", "maps": [map_to_json(m) for m in phi.maps]}
-    if isinstance(phi, InducedCongruence):
-        return {"variant": "induced_congruence", "base": map_to_json(phi.base),
-                "anchor": matrix_to_json(phi.anchor)}
-    raise TypeError(f"no JSON form for map type {type(phi).__name__}")
+def map_to_json(phi: KrausMap) -> dict:
+    return {"weights": [float(w) for w in phi.weights],
+            "operators": [matrix_to_json(k) for k in phi.ops]}
 
 
-def map_from_json(obj: dict) -> PositiveMap:
-    variant = obj.get("variant")
-    if variant == "unitary_mixture":
-        return UnitaryMixture([matrix_from_json(u) for u in obj["unitaries"]],
-                              obj["weights"])
-    if variant == "pinching":
-        return Pinching(obj["blocks"], int(obj["dim"]))
-    if variant == "compression":
-        return Compression(matrix_from_json(obj["isometry"]))
-    if variant == "scaled":
-        inner = obj.get("inner")
-        return Scaled(float(obj["weight"]), int(obj["dim"]),
-                      None if inner is None else map_from_json(inner))
-    if variant == "direct_sum":
-        return DirectSum([map_from_json(m) for m in obj["maps"]])
-    if variant == "induced_congruence":
-        return InducedCongruence(map_from_json(obj["base"]),
-                                 matrix_from_json(obj["anchor"]))
-    raise ValueError(f"unknown map variant {variant!r}")
+def map_from_json(obj: dict) -> KrausMap:
+    try:
+        return KrausMap([matrix_from_json(k) for k in obj["operators"]], obj["weights"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed map record: {exc!r}") from None
 
 
 def dump_json(record: dict, path: Optional[str] = None, indent: int = 2) -> str:

@@ -1,15 +1,19 @@
-"""Unital positive linear maps, represented structurally.
+"""Unital positive linear maps in Kraus form.
 
-Every map the library uses is one of a handful of constructions that are
-positive (and, except for the ``Scaled`` building block, unital) by their
-very shape: mixtures of unitary conjugations, pinchings, compressions by an
-isometry, direct sums with unitality split across blocks, and the induced
+Every map the library uses is completely positive, so it has a Kraus form
+
+    Phi(X) = sum_j w_j K_j* X K_j,    w_j > 0,
+
+and is unital exactly when sum_j w_j K_j* K_j = I. ``KrausMap`` holds the
+operators stacked as ``ops[r, n_in, n_out]`` with ``weights[r]``; the
+factories below build the constructions the checks draw from (mixtures of
+unitary conjugations, pinchings, compressions by an isometry, scaled
+identities, direct sums with unitality split across blocks, and the induced
 congruence map
 
-    Psi(X) = Phi(A)^{-1/2} Phi(A^{1/2} X A^{1/2}) Phi(A)^{-1/2}.
+    Psi(X) = Phi(A)^{-1/2} Phi(A^{1/2} X A^{1/2}) Phi(A)^{-1/2}),
 
-Structure is kept (rather than flattening to an n^2 x n^2 matrix) so that
-unitality holds exactly and witnesses serialize compactly.
+each validating its own hypotheses.
 """
 from __future__ import annotations
 
@@ -21,189 +25,143 @@ UNITARY_FTOL = 1e-11
 UNITAL_FTOL = 1e-10
 
 
-class PositiveMap:
-    """Base class; subclasses implement apply() and are immutable in practice."""
+class KrausMap:
+    """Phi(X) = sum_j w_j K_j* X K_j for K_j = ops[j] (n_in x n_out)."""
 
-    input_dim: int
-    output_dim: int
+    def __init__(self, ops, weights):
+        ops = np.asarray(ops)
+        weights = np.asarray(weights, dtype=float)
+        if ops.ndim != 3 or len(ops) == 0 or weights.shape != (len(ops),):
+            raise ValueError("need equally many Kraus operators and weights, "
+                             "at least one, all of one matrix shape")
+        if not np.all(weights > 0):
+            raise ValueError("weights must be positive")
+        self.ops = ops
+        self.weights = weights
+        self._ops_h = ops.conj().transpose(0, 2, 1)
+        self.input_dim, self.output_dim = ops.shape[1], ops.shape[2]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        terms = self._ops_h @ x @ self.ops
+        out = self.weights[0] * terms[0]
+        for w, t in zip(self.weights[1:], terms[1:]):
+            out = out + w * t
+        return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
         if x.shape != (self.input_dim, self.input_dim):
             raise ValueError(
-                f"{type(self).__name__} expects a {self.input_dim}x{self.input_dim} "
-                f"input, got {x.shape}")
+                f"map expects a {self.input_dim}x{self.input_dim} input, got {x.shape}")
         out = self.apply(x)
         return (out + out.conj().T) / 2
 
-    def check_unital(self, ftol: float = UNITAL_FTOL) -> None:
-        image = self(np.eye(self.input_dim))
-        dev = np.linalg.norm(image - np.eye(self.output_dim))
-        if dev > ftol:
-            raise ValueError(f"{type(self).__name__} is not unital: ||Phi(I)-I||_F = {dev:.3e}")
+    def unital_defect(self) -> float:
+        """||sum_j w_j K_j* K_j - I||_F, the distance of Phi(I) from I."""
+        image = np.tensordot(self.weights, self._ops_h @ self.ops, axes=1)
+        return float(np.linalg.norm(image - np.eye(self.output_dim)))
 
     @property
     def is_unital(self) -> bool:
-        try:
-            self.check_unital()
-        except ValueError:
-            return False
-        return True
+        return self.unital_defect() <= UNITAL_FTOL
 
 
-class UnitaryMixture(PositiveMap):
+def _isometry_defect(v: np.ndarray) -> float:
+    return float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
+
+
+def unitary_mixture(unitaries, weights) -> KrausMap:
     """Phi(X) = sum_i w_i U_i* X U_i with w_i > 0 summing to 1."""
-
-    def __init__(self, unitaries, weights):
-        unitaries = [np.asarray(u) for u in unitaries]
-        weights = np.asarray(weights, dtype=float)
-        if len(unitaries) == 0 or len(unitaries) != len(weights):
-            raise ValueError("need equally many unitaries and weights, at least one")
-        n = unitaries[0].shape[0]
-        for u in unitaries:
-            if u.shape != (n, n):
-                raise ValueError("all unitaries must share one square shape")
-            dev = np.linalg.norm(u.conj().T @ u - np.eye(n))
-            if dev > UNITARY_FTOL:
-                raise ValueError(f"matrix is not unitary: ||U*U - I||_F = {dev:.3e}")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
-        self.unitaries = unitaries
-        self.weights = weights
-        self.input_dim = self.output_dim = n
-
-    def apply(self, x):
-        acc = np.zeros((self.output_dim, self.output_dim), dtype=complex)
-        for w, u in zip(self.weights, self.unitaries):
-            acc = acc + w * (u.conj().T @ x @ u)
-        if not np.iscomplexobj(x) and np.abs(acc.imag).max() < 1e-14:
-            return acc.real
-        return acc
-
-
-def identity_map(dim: int) -> UnitaryMixture:
-    return UnitaryMixture([np.eye(dim)], [1.0])
-
-
-class Pinching(PositiveMap):
-    """Block-diagonal restriction: entries outside the index blocks are zeroed."""
-
-    def __init__(self, blocks, dim: int):
-        seen = sorted(i for b in blocks for i in b)
-        if seen != list(range(dim)):
-            raise ValueError(f"blocks must partition range({dim})")
-        self.blocks = [tuple(b) for b in blocks]
-        self.input_dim = self.output_dim = dim
-
-    def apply(self, x):
-        out = np.zeros_like(np.asarray(x))
-        for b in self.blocks:
-            ix = np.ix_(b, b)
-            out[ix] = x[ix]
-        return out
-
-
-class Compression(PositiveMap):
-    """Phi(X) = V* X V for an isometry V (n x k, V*V = I_k)."""
-
-    def __init__(self, v):
-        v = np.asarray(v)
-        if v.ndim != 2 or v.shape[0] < v.shape[1]:
-            raise ValueError("isometry must be tall, n x k with k <= n")
-        dev = np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1]))
+    unitaries = [np.asarray(u) for u in unitaries]
+    weights = np.asarray(weights, dtype=float)
+    if len(unitaries) == 0 or len(unitaries) != len(weights):
+        raise ValueError("need equally many unitaries and weights, at least one")
+    n = unitaries[0].shape[0]
+    for u in unitaries:
+        if u.shape != (n, n):
+            raise ValueError("all unitaries must share one square shape")
+        dev = _isometry_defect(u)
         if dev > UNITARY_FTOL:
-            raise ValueError(f"not an isometry: ||V*V - I||_F = {dev:.3e}")
-        self.v = v
-        self.input_dim = v.shape[0]
-        self.output_dim = v.shape[1]
-
-    def apply(self, x):
-        return self.v.conj().T @ x @ self.v
-
-
-class Scaled(PositiveMap):
-    """w * inner(X): positive but NOT unital; a DirectSum building block."""
-
-    def __init__(self, weight: float, dim: int, inner: PositiveMap | None = None):
-        if weight <= 0:
-            raise ValueError("weight must be positive")
-        self.weight = float(weight)
-        self.inner = inner
-        self.input_dim = dim if inner is None else inner.input_dim
-        self.output_dim = dim if inner is None else inner.output_dim
-
-    def apply(self, x):
-        y = x if self.inner is None else self.inner(x)
-        return self.weight * y
+            raise ValueError(f"matrix is not unitary: ||U*U - I||_F = {dev:.3e}")
+    if np.any(weights <= 0):
+        raise ValueError("weights must be positive")
+    if abs(weights.sum() - 1.0) > 1e-12:
+        raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
+    return KrausMap(unitaries, weights)
 
 
-class DirectSum(PositiveMap):
+def identity_map(dim: int) -> KrausMap:
+    return unitary_mixture([np.eye(dim)], [1.0])
+
+
+def pinching(blocks, dim: int) -> KrausMap:
+    """Block-diagonal restriction: entries outside the index blocks are
+    zeroed. The Kraus operators are the 0/1 projectors onto the blocks."""
+    seen = sorted(i for b in blocks for i in b)
+    if seen != list(range(dim)):
+        raise ValueError(f"blocks must partition range({dim})")
+    ops = np.zeros((len(blocks), dim, dim))
+    for p, b in zip(ops, blocks):
+        p[list(b), list(b)] = 1.0
+    return KrausMap(ops, np.ones(len(blocks)))
+
+
+def compression(v) -> KrausMap:
+    """Phi(X) = V* X V for an isometry V (n x k, V*V = I_k)."""
+    v = np.asarray(v)
+    if v.ndim != 2 or v.shape[0] < v.shape[1]:
+        raise ValueError("isometry must be tall, n x k with k <= n")
+    dev = _isometry_defect(v)
+    if dev > UNITARY_FTOL:
+        raise ValueError(f"not an isometry: ||V*V - I||_F = {dev:.3e}")
+    return KrausMap([v], [1.0])
+
+
+def scaled(weight: float, dim: int) -> KrausMap:
+    """X -> w X: positive but NOT unital; a direct-sum building block."""
+    if weight <= 0:
+        raise ValueError("weight must be positive")
+    return KrausMap([np.eye(dim)], [weight])
+
+
+def direct_sum(maps) -> KrausMap:
     """Phi(A_1 + ... + A_k block diagonal) = sum_i Phi_i(A_ii).
 
-    The inner maps need not be unital individually; the constructor checks
-    that sum_i Phi_i(I) = I, the split-unitality hypothesis.
+    The block maps need not be unital individually, but sum_i Phi_i(I) = I
+    must hold (split unitality). Block i's operators K_ij become E_i K_ij,
+    where E_i embeds block i into the whole input space.
     """
-
-    def __init__(self, maps):
-        maps = list(maps)
-        if not maps:
-            raise ValueError("need at least one block map")
-        out = maps[0].output_dim
-        if any(m.output_dim != out for m in maps):
-            raise ValueError("all block maps must share one output dimension")
-        total = sum(m(np.eye(m.input_dim)) for m in maps)
-        dev = np.linalg.norm(total - np.eye(out))
-        if dev > UNITAL_FTOL:
-            raise ValueError(f"sum_i Phi_i(I) != I: deviation {dev:.3e}")
-        self.maps = maps
-        self.block_dims = [m.input_dim for m in maps]
-        self.input_dim = sum(self.block_dims)
-        self.output_dim = out
-
-    def apply(self, x):
-        acc = np.zeros((self.output_dim, self.output_dim), dtype=complex)
-        lo = 0
-        for m in self.maps:
-            hi = lo + m.input_dim
-            acc = acc + m(x[lo:hi, lo:hi])
-            lo = hi
-        if not np.iscomplexobj(x) and np.abs(acc.imag).max() < 1e-14:
-            return acc.real
-        return acc
+    maps = list(maps)
+    if not maps:
+        raise ValueError("need at least one block map")
+    out = maps[0].output_dim
+    if any(m.output_dim != out for m in maps):
+        raise ValueError("all block maps must share one output dimension")
+    n_in = sum(m.input_dim for m in maps)
+    dtype = np.result_type(*(m.ops for m in maps))
+    ops, lo = [], 0
+    for m in maps:
+        embedded = np.zeros((len(m.ops), n_in, out), dtype=dtype)
+        embedded[:, lo:lo + m.input_dim, :] = m.ops
+        ops.append(embedded)
+        lo += m.input_dim
+    phi = KrausMap(np.concatenate(ops), np.concatenate([m.weights for m in maps]))
+    dev = phi.unital_defect()
+    if dev > UNITAL_FTOL:
+        raise ValueError(f"sum_i Phi_i(I) != I: deviation {dev:.3e}")
+    return phi
 
 
-class InducedCongruence(PositiveMap):
-    """Psi(X) = Phi(A)^{-1/2} Phi(A^{1/2} X A^{1/2}) Phi(A)^{-1/2}.
-
-    Unital by construction (Psi(I) = I). The factors Phi(A)^{-1/2} and
-    A^{1/2} are computed once here; recomputing them per call would multiply
-    eigensolver noise across evaluations.
-    """
-
-    def __init__(self, base: PositiveMap, anchor: np.ndarray):
-        anchor = np.asarray(anchor)
-        w = np.linalg.eigvalsh(anchor)
-        if w[0] <= 0:
-            raise ValueError("anchor must be positive definite")
-        pa = base(anchor)
-        if np.linalg.eigvalsh(pa)[0] <= 0:
-            raise ValueError("base map sends the anchor to a non-positive matrix")
-        self.base = base
-        self.anchor = anchor
-        self._anchor_sqrt = power(anchor, 0.5)
-        self._image_invsqrt = power(pa, -0.5)
-        self.input_dim = base.input_dim
-        self.output_dim = base.output_dim
-
-    def apply(self, x):
-        ah = self._anchor_sqrt
-        r = self._image_invsqrt
-        return r @ self.base(ah @ x @ ah) @ r
+def induced_congruence(base: KrausMap, anchor: np.ndarray) -> KrausMap:
+    """Psi(X) = Phi(A)^{-1/2} Phi(A^{1/2} X A^{1/2}) Phi(A)^{-1/2}, with
+    Kraus operators A^{1/2} K_j Phi(A)^{-1/2}. Unital by construction."""
+    anchor = np.asarray(anchor)
+    if np.linalg.eigvalsh(anchor)[0] <= 0:
+        raise ValueError("anchor must be positive definite")
+    pa = base(anchor)
+    if np.linalg.eigvalsh(pa)[0] <= 0:
+        raise ValueError("base map sends the anchor to a non-positive matrix")
+    return KrausMap(power(anchor, 0.5) @ base.ops @ power(pa, -0.5), base.weights)
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -211,18 +169,10 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def make_rotation_mixture(alpha: float, beta: float) -> UnitaryMixture:
+def make_rotation_mixture(alpha: float, beta: float) -> KrausMap:
     """The 2x2 map X -> (1/2) U* X U + (1/2) V* X V with plane rotations
     U = rotation(alpha), V = rotation(beta)."""
-    return UnitaryMixture([rotation(alpha), rotation(beta)], [0.5, 0.5])
-
-
-def induced_congruence(base: PositiveMap, anchor: np.ndarray) -> InducedCongruence:
-    return InducedCongruence(base, anchor)
-
-
-def make_direct_sum(maps) -> DirectSum:
-    return DirectSum(maps)
+    return unitary_mixture([rotation(alpha), rotation(beta)], [0.5, 0.5])
 
 
 def unit_vector(x) -> np.ndarray:
@@ -244,8 +194,7 @@ def vector_state_value(x: np.ndarray, t: np.ndarray) -> float:
 
 
 __all__ = [
-    "PositiveMap", "UnitaryMixture", "Pinching", "Compression", "Scaled",
-    "DirectSum", "InducedCongruence", "identity_map", "rotation",
-    "make_rotation_mixture", "induced_congruence", "make_direct_sum",
+    "KrausMap", "unitary_mixture", "identity_map", "pinching", "compression", "scaled", "direct_sum",
+    "induced_congruence", "rotation", "make_rotation_mixture",
     "unit_vector", "vector_state_value",
 ]

@@ -30,7 +30,7 @@ from .functions import (identity_function, inverse_function, power_function,
 from .generators import (random_spd, random_state, random_unital_map,
                          random_weights, sandwiched_pair)
 from .hermitian import DEFAULT_TOL, SpectralInterval
-from .maps import Scaled, identity_map
+from .maps import identity_map, scaled
 
 DEFAULT_DIMS: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
 DEFAULT_INTERVALS: tuple[SpectralInterval, ...] = (
@@ -181,7 +181,7 @@ def _trial_tuple_minkowski(rng, tol, dims, intervals):
             phis = [random_unital_map(dim, rng)[0]]
         else:
             ws = random_weights(k, rng)
-            phis = [Scaled(float(w), dim) for w in ws]
+            phis = [scaled(float(w), dim) for w in ws]
         as_list = [random_spd(p.input_dim, iv, rng) for p in phis]
         bs_list = [random_spd(p.input_dim, iv, rng) for p in phis]
         out.extend(check_tuple_minkowski(as_list, bs_list, phis, iv, tol))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import zlib
 
-import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 
@@ -25,27 +24,4 @@ def stream(seed: int, label: str, index: int = 0) -> Generator:
     return Generator(Philox(ss))
 
 
-def substreams(seed: int, label: str, count: int) -> list[Generator]:
-    """Independent streams (seed, label, 0..count-1), one per trial."""
-    return [stream(seed, label, i) for i in range(count)]
-
-
-def spawn_key_of(label: str) -> int:
-    # exposed for report serialization; lets a witness record its own key
-    return zlib.crc32(label.encode("utf-8"))
-
-
-def default_rng_state(rng: Generator) -> dict:
-    """JSON-able summary of a stream's identity (not its full state)."""
-    bg = rng.bit_generator
-    st = bg.state
-    return {"bit_generator": st["bit_generator"], "counter_based": True}
-
-
-__all__ = ["stream", "substreams", "spawn_key_of", "default_rng_state"]
-
-
-def _self_test() -> None:  # pragma: no cover - manual sanity hook
-    a = stream(0, "x").standard_normal(4)
-    b = stream(0, "x").standard_normal(4)
-    assert np.allclose(a, b)
+__all__ = ["stream"]

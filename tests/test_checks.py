@@ -18,7 +18,7 @@ from opineq.functions import by_name, power_function
 from opineq.generators import (random_spd, random_state, random_unital_map,
                                sandwiched_pair)
 from opineq.hermitian import DomainError, SpectralInterval
-from opineq.maps import Scaled, identity_map, make_rotation_mixture
+from opineq.maps import identity_map, scaled
 
 IV = SpectralInterval(1.0, 2.0)
 
@@ -229,7 +229,7 @@ def test_power_minkowski(rng):
 
 def test_tuple_minkowski(rng):
     k, dim = 3, 3
-    phis = [Scaled(w, dim) for w in (0.2, 0.3, 0.5)]
+    phis = [scaled(w, dim) for w in (0.2, 0.3, 0.5)]
     as_list = [random_spd(dim, IV, rng) for _ in range(k)]
     bs_list = [random_spd(dim, IV, rng) for _ in range(k)]
     mult, add = check_tuple_minkowski(as_list, bs_list, phis, IV)

@@ -52,12 +52,16 @@ def test_check_unknown_name_is_usage_error(capsys):
     assert main(["check", "--name", "bogus"]) == EXIT_USAGE
 
 
-def test_check_rejects_bad_trials(capsys):
-    assert main(["check", "--name", "ando", "--trials", "0"]) == EXIT_USAGE
-
-
-def test_check_rejects_bad_interval(capsys):
-    assert main(["check", "--name", "ando", "-m", "3", "-M", "1"]) == EXIT_USAGE
+@pytest.mark.parametrize("argv,message", [
+    (["--trials", "0"], "trials must be >= 1"),
+    (["-m", "3", "-M", "1"], "need 0 < m <= M"),
+    (["--tol", "0"], "tol must be > 0"),
+    (["-m", "1"], "give both -m and -M or neither"),
+    (["--dim", "0"], "dim must be >= 1"),
+], ids=["trials-0", "m-above-M", "tol-0", "m-without-M", "dim-0"])
+def test_check_rejects_bad_input(capsys, argv, message):
+    assert main(["check", "--name", "ando", *argv]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_check_interval_override(capsys):

@@ -92,9 +92,10 @@ def test_matrix_function_domain_guard():
 
 
 def test_loewner_leq_basic():
-    holds, margin = loewner_leq(np.eye(2), 2 * np.eye(2))
+    holds, margin, lhs_norm, rhs_norm = loewner_leq(np.eye(2), 2 * np.eye(2))
     assert holds and abs(margin - 1.0) < 1e-12
-    holds, margin = loewner_leq(2 * np.eye(2), np.eye(2))
+    assert (lhs_norm, rhs_norm) == (1.0, 2.0)
+    holds, margin, _, _ = loewner_leq(2 * np.eye(2), np.eye(2))
     assert not holds and abs(margin + 1.0) < 1e-12
 
 
@@ -102,10 +103,12 @@ def test_loewner_tolerance_is_relative():
     # disturbance of 5e-8 on a norm-100 pair sits inside 1e-9 * 100
     a = 100.0 * np.eye(3)
     b = a - 5e-8 * np.eye(3)
-    holds, _ = loewner_leq(a, b, tol=1e-9)
+    holds = loewner_leq(a, b, tol=1e-9)[0]
     assert holds
-    holds, _ = loewner_leq(np.eye(3), (1 - 5e-8) * np.eye(3), tol=1e-9)
+    holds = loewner_leq(np.eye(3), (1 - 5e-8) * np.eye(3), tol=1e-9)[0]
     assert not holds
+    # the scale is the larger norm, here the right-hand side's
+    assert loewner_leq(np.diag([1.0, 0.0]), np.diag([1 - 5e-8, 100.0]), tol=1e-9)[0]
 
 
 def test_is_psd():
@@ -150,7 +153,7 @@ def test_power_additivity(n, seed):
 def test_loewner_order_reflexive_and_shift(n, seed):
     g = np.random.default_rng(seed)
     a = random_hermitian(g, n, complex_=False)
-    holds, margin = loewner_leq(a, a)
+    holds, margin, _, _ = loewner_leq(a, a)
     assert holds and margin >= -1e-12
-    holds, _ = loewner_leq(a, a + np.eye(n))
+    holds = loewner_leq(a, a + np.eye(n))[0]
     assert holds

@@ -5,13 +5,19 @@ import pytest
 from opineq.generators import (haar_isometry, random_spd, random_state,
                                random_unital_map, random_unitary,
                                random_weights, sandwiched_pair)
-from opineq.hermitian import SpectralInterval, eigenvalues, is_psd, loewner_leq
-from opineq.maps import (Compression, DirectSum, Pinching, Scaled,
-                         UnitaryMixture, identity_map, induced_congruence,
-                         make_rotation_mixture, rotation, unit_vector,
+from opineq.hermitian import (SpectralInterval, eigenvalues, is_psd,
+                              loewner_leq, power)
+from opineq.maps import (compression, direct_sum, identity_map,
+                         induced_congruence, make_rotation_mixture, pinching,
+                         rotation, scaled, unit_vector, unitary_mixture,
                          vector_state_value)
 
 IV = SpectralInterval(1.0, 2.0)
+
+
+def kraus_identity(phi):
+    """sum_j w_j K_j* K_j, which is Phi(I) for the Kraus form."""
+    return sum(w * (k.conj().T @ k) for w, k in zip(phi.weights, phi.ops))
 
 
 def test_identity_map():
@@ -19,6 +25,7 @@ def test_identity_map():
     a = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
     np.testing.assert_allclose(phi(a), a, atol=1e-14)
     assert phi.is_unital
+    np.testing.assert_allclose(kraus_identity(phi), np.eye(3), atol=0)
 
 
 def test_rotation_mixture_known_image():
@@ -27,6 +34,7 @@ def test_rotation_mixture_known_image():
     img = phi(np.diag([2.0, 1.0]))
     expected = np.array([[1.375, -0.46650635], [-0.46650635, 1.625]])
     np.testing.assert_allclose(img, expected, atol=1e-8)
+    assert img.dtype == np.float64  # real operators keep a real input real
     assert abs(np.trace(img) - 3.0) < 1e-12  # unitary mixtures preserve trace
 
 
@@ -37,20 +45,21 @@ def test_rotation_matrix():
 
 def test_mixture_rejects_non_unitary():
     with pytest.raises(ValueError):
-        UnitaryMixture([np.array([[1.0, 0.0], [1.0, 1.0]])], [1.0])
+        unitary_mixture([np.array([[1.0, 0.0], [1.0, 1.0]])], [1.0])
 
 
 def test_mixture_rejects_bad_weights():
     u = np.eye(2)
     with pytest.raises(ValueError):
-        UnitaryMixture([u, u], [0.7, 0.7])
+        unitary_mixture([u, u], [0.7, 0.7])
     with pytest.raises(ValueError):
-        UnitaryMixture([u, u], [1.2, -0.2])
+        unitary_mixture([u, u], [1.2, -0.2])
 
 
 def test_pinching_idempotent_and_unital():
-    phi = Pinching([[0, 2], [1, 3]], 4)
+    phi = pinching([[0, 2], [1, 3]], 4)
     assert phi.is_unital
+    np.testing.assert_allclose(kraus_identity(phi), np.eye(4), atol=0)
     a = np.arange(16.0).reshape(4, 4)
     a = (a + a.T) / 2
     once = phi(a)
@@ -61,26 +70,47 @@ def test_pinching_idempotent_and_unital():
 
 def test_pinching_blocks_must_partition():
     with pytest.raises(ValueError):
-        Pinching([[0, 1], [1, 2]], 3)
+        pinching([[0, 1], [1, 2]], 3)
     with pytest.raises(ValueError):
-        Pinching([[0]], 2)
+        pinching([[0]], 2)
 
 
 def test_compression_dims_and_unitality(rng):
     v = haar_isometry(5, 3, rng)
-    phi = Compression(v)
+    phi = compression(v)
     assert phi.input_dim == 5 and phi.output_dim == 3
     assert phi.is_unital
+    np.testing.assert_allclose(kraus_identity(phi), np.eye(3), atol=1e-14)
     a = random_spd(5, IV, rng)
     assert is_psd(phi(a), tol=1e-12)
 
 
 def test_direct_sum_weights_must_sum_to_identity(rng):
-    parts = [Scaled(0.25, 2), Scaled(0.75, 2)]
-    phi = DirectSum(parts)
+    parts = [scaled(0.25, 2), scaled(0.75, 2)]
+    assert not parts[0].is_unital
+    phi = direct_sum(parts)
     assert phi.is_unital
+    np.testing.assert_allclose(kraus_identity(phi), np.eye(2), atol=0)
+    # block i only sees the i-th diagonal block of its input
+    x = np.diag([1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_allclose(phi(x), np.diag([2.5, 3.5]), atol=1e-15)
     with pytest.raises(ValueError):
-        DirectSum([Scaled(0.25, 2), Scaled(0.25, 2)])
+        direct_sum([scaled(0.25, 2), scaled(0.25, 2)])
+
+
+def test_factories_reject_bad_input():
+    with pytest.raises(ValueError):
+        compression(np.eye(4)[:2, :])          # wide, not n x k with k <= n
+    with pytest.raises(ValueError):
+        compression(2.0 * np.eye(4)[:, :2])    # not an isometry
+    with pytest.raises(ValueError):
+        scaled(0.0, 2)
+    with pytest.raises(ValueError):
+        direct_sum([])
+    with pytest.raises(ValueError):
+        direct_sum([scaled(0.5, 2), scaled(0.5, 3)])  # output dims differ
+    with pytest.raises(ValueError):
+        induced_congruence(identity_map(2), np.diag([1.0, -1.0]))
 
 
 def test_induced_congruence_is_unital(rng):
@@ -88,6 +118,29 @@ def test_induced_congruence_is_unital(rng):
     anchor = random_spd(2, IV, rng)
     psi = induced_congruence(base, anchor)
     assert psi.is_unital
+    np.testing.assert_allclose(kraus_identity(psi), np.eye(2), atol=1e-12)
+    # Psi(X) = Phi(A)^-1/2 Phi(A^1/2 X A^1/2) Phi(A)^-1/2
+    x = random_spd(2, IV, rng)
+    r, ah = power(base(anchor), -0.5), power(anchor, 0.5)
+    np.testing.assert_allclose(psi(x), r @ base(ah @ x @ ah) @ r, atol=1e-12)
+
+
+def test_batched_apply_matches_term_loop(rng):
+    # reference: the per-term loop sum_j w_j K_j* X K_j, and for pinchings
+    # the block copy; the batched apply must agree bit for bit
+    for _ in range(30):
+        phi, in_dim = random_unital_map(int(rng.integers(2, 7)), rng)
+        x = random_spd(in_dim, IV, rng)
+        ref = np.zeros((phi.output_dim, phi.output_dim), dtype=complex)
+        for w, k in zip(phi.weights, phi.ops):
+            ref = ref + w * (k.conj().T @ x @ k)
+        np.testing.assert_array_equal(phi.apply(x), ref)
+    blocks = [[0, 3], [1], [2, 4]]
+    x = random_spd(5, IV, rng)
+    ref = np.zeros_like(x)
+    for b in blocks:
+        ref[np.ix_(b, b)] = x[np.ix_(b, b)]
+    np.testing.assert_array_equal(pinching(blocks, 5)(x), ref)
 
 
 def test_positivity_preserved(rng):
@@ -100,8 +153,11 @@ def test_positivity_preserved(rng):
 def test_unitality_across_generator(rng):
     for _ in range(50):
         phi, in_dim = random_unital_map(int(rng.integers(2, 7)), rng)
-        phi.check_unital()  # raises on defect
-        assert phi(np.eye(in_dim)).shape == (phi.output_dim, phi.output_dim)
+        assert phi.is_unital
+        np.testing.assert_allclose(kraus_identity(phi), np.eye(phi.output_dim),
+                                   atol=1e-12)
+        np.testing.assert_allclose(phi(np.eye(in_dim)), np.eye(phi.output_dim),
+                                   atol=1e-12)
 
 
 def test_unit_vector_and_state_value():

@@ -9,8 +9,10 @@ from opineq.checks import CheckResult
 from opineq.hermitian import SpectralInterval
 from opineq.io import (dump_json, load_json, map_from_json, map_to_json,
                        matrix_from_json, matrix_to_json)
-from opineq.maps import (Compression, DirectSum, Pinching, Scaled,
-                         UnitaryMixture, make_rotation_mixture)
+from opineq.generators import random_spd, random_unital_map
+from opineq.maps import (compression, direct_sum, identity_map,
+                         induced_congruence, make_rotation_mixture, pinching,
+                         scaled)
 from opineq.rng import stream
 from opineq.suite import run_suite
 
@@ -124,18 +126,44 @@ def test_matrix_json_roundtrip(rng):
     np.testing.assert_allclose(matrix_from_json(obj), real, atol=0)
 
 
+def _congruence():
+    anchor = random_spd(2, SpectralInterval(1.0, 3.0), stream(3, "anchor"))
+    return induced_congruence(make_rotation_mixture(0.3, 1.1), anchor)
+
+
+# seeds 0-5 of random_unital_map cover mixtures, pinchings and compressions
 @pytest.mark.parametrize("build", [
     lambda: make_rotation_mixture(0.4, 1.2),
-    lambda: Pinching([[0, 2], [1]], 3),
-    lambda: Compression(np.eye(4)[:, :2]),
-    lambda: DirectSum([Scaled(0.5, 2), Scaled(0.5, 2)]),
+    lambda: pinching([[0, 2], [1]], 3),
+    lambda: compression(np.eye(4)[:, :2]),
+    lambda: direct_sum([scaled(0.5, 2), scaled(0.5, 2)]),
+    lambda: identity_map(3),
+    lambda: scaled(0.3, 3),
+    lambda: direct_sum([random_unital_map(2, stream(3, "ds"))[0]]),
+    _congruence,
+    *[lambda i=i: random_unital_map(3, stream(i, "roundtrip"))[0] for i in range(6)],
 ])
 def test_map_json_roundtrip(build, rng):
     phi = build()
-    back = map_from_json(map_to_json(phi))
+    back = map_from_json(json.loads(json.dumps(map_to_json(phi))))
+    np.testing.assert_array_equal(back.ops, phi.ops)
+    np.testing.assert_array_equal(back.weights, phi.weights)
     a = rng.standard_normal((phi.input_dim, phi.input_dim))
     a = (a + a.T) / 2
-    np.testing.assert_allclose(back(a), phi(a), atol=1e-12)
+    np.testing.assert_allclose(back(a), phi(a), atol=0, rtol=0)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], {"weights": [1.0]}, {"weights": [1.0], "operators": []},
+    {"weights": [1.0, 1.0], "operators": [matrix_to_json(np.eye(2))]},
+    {"weights": [-1.0], "operators": [matrix_to_json(np.eye(2))]},
+    {"weights": [0.5, 0.5],
+     "operators": [matrix_to_json(np.eye(2)), matrix_to_json(np.eye(3))]},
+    {"weights": [1.0], "operators": [{"n": 2, "re": [[1.0]]}]},
+])
+def test_map_from_json_rejects_malformed(obj):
+    with pytest.raises(ValueError):
+        map_from_json(obj)
 
 
 def test_dump_and_load_json(tmp_path):

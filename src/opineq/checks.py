@@ -112,13 +112,13 @@ def _sharp_bound(iv: SpectralInterval) -> float:
     return (iv.M + iv.m) / (2.0 * np.sqrt(iv.M * iv.m))
 
 
-def check_choi_davis(inst: CheckInstance, name: str = "choi_davis") -> CheckResult:
+def check_choi_davis(inst: CheckInstance) -> CheckResult:
     f = inst.f
     if not f.operator_convex:
         raise DomainError(f"{f.name} is not flagged operator convex")
     lhs = matrix_function(inst.phi(inst.a), f)
     rhs = inst.phi(matrix_function(inst.a, f))
-    return _operator(name, inst.params(f=f.name), lhs, rhs, inst.tol)
+    return _operator("choi_davis", inst.params(f=f.name), lhs, rhs, inst.tol)
 
 
 def check_kantorovich(inst: CheckInstance, name: str = "kantorovich") -> CheckResult:
@@ -163,25 +163,23 @@ def check_refinement(inst: CheckInstance) -> tuple[CheckResult, CheckResult]:
     return left, right
 
 
-def check_power_inner_product(inst: CheckInstance, r: float,
-                              name: Optional[str] = None) -> CheckResult:
+def check_power_inner_product(inst: CheckInstance, r: float) -> CheckResult:
     if not (r >= 1 or r < 0):
         raise DomainError(f"exponent must satisfy r >= 1 or r < 0, got {r}")
-    name = name or f"power_inner_product[r={_fmt(r)}]"
     e = vector_state_value(inst.x, inst.a)
     lhs = e ** r
     rhs = vector_state_value(inst.x, power(inst.a, r))
-    return _scalar(name, inst.params(r=r), lhs, rhs, inst.tol)
+    return _scalar(f"power_inner_product[r={_fmt(r)}]", inst.params(r=r), lhs, rhs,
+                   inst.tol)
 
 
-def check_ando(inst: CheckInstance, name: str = "ando") -> CheckResult:
+def check_ando(inst: CheckInstance) -> CheckResult:
     lhs = inst.phi(geometric_mean(inst.a, inst.b))
     rhs = geometric_mean(inst.phi(inst.a), inst.phi(inst.b))
-    return _operator(name, inst.params(), lhs, rhs, inst.tol)
+    return _operator("ando", inst.params(), lhs, rhs, inst.tol)
 
 
-def check_ando_connection(inst: CheckInstance,
-                          name: str = "ando_connection") -> CheckResult:
+def check_ando_connection(inst: CheckInstance) -> CheckResult:
     f = inst.f
     if not f.operator_monotone_increasing:
         raise DomainError(f"{f.name} is not flagged operator monotone increasing")
@@ -189,17 +187,16 @@ def check_ando_connection(inst: CheckInstance,
         raise DomainError(f"{f.name} has f(1) != 1, not a mean-representing function")
     lhs = inst.phi(connection(inst.a, inst.b, f))
     rhs = connection(inst.phi(inst.a), inst.phi(inst.b), f)
-    return _operator(name, inst.params(f=f.name), lhs, rhs, inst.tol)
+    return _operator("ando_connection", inst.params(f=f.name), lhs, rhs, inst.tol)
 
 
-def check_reverse_ando_convex(inst: CheckInstance,
-                              name: str = "reverse_ando_convex") -> CheckResult:
+def check_reverse_ando_convex(inst: CheckInstance) -> CheckResult:
     f = inst.f
     if not f.operator_convex:
         raise DomainError(f"{f.name} is not flagged operator convex")
     lhs = connection(inst.phi(inst.a), inst.phi(inst.b), f)
     rhs = inst.phi(connection(inst.a, inst.b, f))
-    return _operator(name, inst.params(f=f.name), lhs, rhs, inst.tol)
+    return _operator("reverse_ando_convex", inst.params(f=f.name), lhs, rhs, inst.tol)
 
 
 def _require_sandwich(a: np.ndarray, b: np.ndarray, lo: float, hi: float,
@@ -213,8 +210,7 @@ def _require_sandwich(a: np.ndarray, b: np.ndarray, lo: float, hi: float,
 
 
 def check_reverse_ando_sandwich(a, b, phi: KrausMap, iv: SpectralInterval,
-                                tol: float = DEFAULT_TOL,
-                                name: str = "reverse_ando_sandwich") -> CheckResult:
+                                tol: float = DEFAULT_TOL) -> CheckResult:
     a, b = as_hermitian(a), as_hermitian(b)
     _require_sandwich(a, b, iv.m ** 2, iv.M ** 2, tol)
     c = _sharp_bound(iv)
@@ -222,7 +218,7 @@ def check_reverse_ando_sandwich(a, b, phi: KrausMap, iv: SpectralInterval,
     rhs = c * phi(geometric_mean(a, b))
     params = {"dim": int(a.shape[0]), "out_dim": int(phi.output_dim),
               "m": float(iv.m), "M": float(iv.M), "constant": c}
-    return _operator(name, params, lhs, rhs, tol)
+    return _operator("reverse_ando_sandwich", params, lhs, rhs, tol)
 
 
 def check_kantorovich_equivalents(inst: CheckInstance) -> list[CheckResult]:
@@ -242,8 +238,7 @@ def check_kantorovich_equivalents(inst: CheckInstance) -> list[CheckResult]:
 
 
 def check_reverse_choi_quadratic(a, b, phi: KrausMap, iv: SpectralInterval,
-                                 tol: float = DEFAULT_TOL,
-                                 name: str = "reverse_choi_quadratic") -> CheckResult:
+                                 tol: float = DEFAULT_TOL) -> CheckResult:
     a, b = as_hermitian(a), as_hermitian(b)
     _require_sandwich(a, b, iv.m, iv.M, tol)
     k = _sharp_bound(iv) ** 2
@@ -254,32 +249,30 @@ def check_reverse_choi_quadratic(a, b, phi: KrausMap, iv: SpectralInterval,
     rhs = k * (rhs + rhs.conj().T) / 2
     params = {"dim": int(a.shape[0]), "out_dim": int(phi.output_dim),
               "m": float(iv.m), "M": float(iv.M), "constant": k}
-    return _operator(name, params, lhs, rhs, tol)
+    return _operator("reverse_choi_quadratic", params, lhs, rhs, tol)
 
 
 def check_mond_pecaric(inst: CheckInstance, alpha: float,
-                       name: Optional[str] = None,
                        alpha_label: Optional[str] = None) -> CheckResult:
     f = inst.f
     if not f.scalar_convex:
         raise DomainError(f"{f.name} is not flagged convex")
     if alpha < 0:
         raise DomainError("alpha must be >= 0")
-    name = name or f"mond_pecaric[alpha={alpha_label or _fmt(alpha)}]"
     beta = mond_pecaric_beta(f, inst.iv, alpha)
     lhs = vector_state_value(inst.x, inst.phi(matrix_function(inst.a, f)))
     t0 = vector_state_value(inst.x, inst.phi(inst.a))
     rhs = beta + alpha * float(f(np.asarray(t0, dtype=float)))
-    return _scalar(name, inst.params(f=f.name, alpha=alpha, beta=beta), lhs, rhs, inst.tol)
+    return _scalar(f"mond_pecaric[alpha={alpha_label or _fmt(alpha)}]",
+                   inst.params(f=f.name, alpha=alpha, beta=beta), lhs, rhs, inst.tol)
 
 
-def check_generalized_kantorovich_operator(inst: CheckInstance, p: float,
-                                           name: Optional[str] = None) -> CheckResult:
-    name = name or f"generalized_kantorovich[p={_fmt(p)}]"
+def check_generalized_kantorovich_operator(inst: CheckInstance, p: float) -> CheckResult:
     k = generalized_kantorovich(p, inst.iv)
     lhs = inst.phi(power(inst.a, p))
     rhs = k * power(inst.phi(inst.a), p)
-    return _operator(name, inst.params(p=p, constant=k), lhs, rhs, inst.tol)
+    return _operator(f"generalized_kantorovich[p={_fmt(p)}]",
+                     inst.params(p=p, constant=k), lhs, rhs, inst.tol)
 
 
 def check_scalar_power_chain(inst: CheckInstance, p: float) -> tuple[CheckResult, CheckResult]:
@@ -296,13 +289,12 @@ def check_scalar_power_chain(inst: CheckInstance, p: float) -> tuple[CheckResult
     return lower, upper
 
 
-def check_additive_sqrt(inst: CheckInstance,
-                        name: str = "additive_sqrt") -> CheckResult:
+def check_additive_sqrt(inst: CheckInstance) -> CheckResult:
     m, M = inst.iv.m, inst.iv.M
     c = (M - m) ** 2 / (4.0 * (M + m))
     lhs = sqrtm_psd(inst.phi(inst.a @ inst.a))
     rhs = c * np.eye(inst.phi.output_dim) + inst.phi(inst.a)
-    return _operator(name, inst.params(constant=c), lhs, rhs, inst.tol)
+    return _operator("additive_sqrt", inst.params(constant=c), lhs, rhs, inst.tol)
 
 
 def _f_range(f, iv: SpectralInterval) -> SpectralInterval:
@@ -311,9 +303,8 @@ def _f_range(f, iv: SpectralInterval) -> SpectralInterval:
     return SpectralInterval(float(fv.min()), float(fv.max()))
 
 
-def check_minkowski_general(a, b, phi: KrausMap, iv: SpectralInterval,
-                            f: ScalarFunction, tol: float = DEFAULT_TOL,
-                            name: Optional[str] = None) -> tuple[CheckResult, CheckResult]:
+def check_minkowski_general(inst: CheckInstance,
+                            f: ScalarFunction) -> tuple[CheckResult, CheckResult]:
     """Triangle-type bound through f: multiplicative form with the chord-ratio
     constant alpha[f; m, M], additive form with 2*beta0[f^-1; f-range]."""
     if not (f.one_to_one and f.operator_convex):
@@ -321,19 +312,17 @@ def check_minkowski_general(a, b, phi: KrausMap, iv: SpectralInterval,
     finv = f.inverted()
     if not finv.operator_monotone_increasing:
         raise DomainError(f"inverse of {f.name} is not operator monotone")
-    a, b = as_hermitian(a), as_hermitian(b)
-    name = name or f"minkowski_general[f={f.name}]"
-    sa = matrix_function(phi(matrix_function(a, f)), finv)
-    sb = matrix_function(phi(matrix_function(b, f)), finv)
-    sab = matrix_function(phi(matrix_function(a + b, f)), finv)
+    phi, iv = inst.phi, inst.iv
+    name = f"minkowski_general[f={f.name}]"
+    sa = matrix_function(phi(matrix_function(inst.a, f)), finv)
+    sb = matrix_function(phi(matrix_function(inst.b, f)), finv)
+    sab = matrix_function(phi(matrix_function(inst.a + inst.b, f)), finv)
     al = alpha_constant(f, iv)
     be = 2.0 * beta0_constant(finv, _f_range(f, iv))
-    params = {"dim": int(a.shape[0]), "out_dim": int(phi.output_dim),
-              "m": float(iv.m), "M": float(iv.M), "f": f.name,
-              "alpha": al, "beta": be}
-    mult = _operator(name + ".mult", params, sa + sb, al * sab, tol)
+    params = inst.params(f=f.name, alpha=al, beta=be)
+    mult = _operator(name + ".mult", params, sa + sb, al * sab, inst.tol)
     add = _operator(name + ".add", params, sa + sb,
-                    be * np.eye(phi.output_dim) + sab, tol)
+                    be * np.eye(phi.output_dim) + sab, inst.tol)
     return mult, add
 
 

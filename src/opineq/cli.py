@@ -190,6 +190,8 @@ def _cmd_suite(args, parser) -> int:
         dims = tuple(int(d) for d in args.dims.split(","))
     except ValueError:
         parser.error(f"bad --dims {args.dims!r}")
+    if min(dims) < 1:
+        raise ValueError(f"--dims entries must be >= 1, got {args.dims!r}")
     report = run_suite(suite_name="suite",
                        **_suite_kwargs(args, dims,
                                        include_expected_fail=args.include_expected_fail))
@@ -201,6 +203,10 @@ def _cmd_constants(args, parser) -> int:
     iv = SpectralInterval(args.m, args.M)
     name = args.name
     need = lambda flag, val: parser.error(f"--{flag} is required for {name}") if val is None else None
+    try:
+        f = None if args.f is None else by_name(args.f)
+    except KeyError as exc:
+        raise ValueError(f"bad --f: {exc.args[0]}") from None
     if name == "kantorovich":
         value, oracle = kantorovich_constant(iv), oracle_kantorovich(iv.m, iv.M)
     elif name == "generalized_kantorovich":
@@ -209,11 +215,9 @@ def _cmd_constants(args, parser) -> int:
         oracle = oracle_generalized_kantorovich(args.p, iv.m, iv.M)
     elif name == "alpha":
         need("f", args.f)
-        f = by_name(args.f)
         value, oracle = alpha_constant(f, iv), oracle_alpha(f, iv.m, iv.M)
     elif name == "beta0":
         need("f", args.f)
-        f = by_name(args.f)
         value, oracle = beta0_constant(f, iv), oracle_beta0(f, iv.m, iv.M)
     elif name == "beta_p":
         need("p", args.p)
@@ -221,7 +225,6 @@ def _cmd_constants(args, parser) -> int:
     else:
         need("f", args.f)
         need("alpha", args.alpha)
-        f = by_name(args.f)
         value = mond_pecaric_beta(f, iv, args.alpha)
         oracle = oracle_mond_pecaric_beta(f, iv.m, iv.M, args.alpha)
     record = {"name": name, "m": iv.m, "M": iv.M, "value": value,
@@ -259,6 +262,8 @@ def _cmd_counterexample(args, parser) -> int:
 def _cmd_falsify(args, parser) -> int:
     if args.name not in set(registry.names()):
         parser.error(f"unknown check name {args.name!r}; see `opineq list`")
+    if args.budget is not None and args.budget < 1:
+        raise ValueError(f"--budget must be >= 1, got {args.budget}")
     spec = registry.get(args.name)
     reports = search_violations(args.name, budget=args.budget,
                                 seed=args.seed, tol=args.tol)

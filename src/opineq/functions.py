@@ -37,11 +37,6 @@ class ScalarFunction:
     def __call__(self, t):
         return self.evaluate(t)
 
-    def inverse(self, t):
-        if self.inverse_evaluate is None:
-            raise ValueError(f"{self.name} has no registered inverse")
-        return self.inverse_evaluate(t)
-
     def inverted(self) -> "ScalarFunction":
         """The inverse as a catalog function with its own curated flags.
 

@@ -44,11 +44,6 @@ def random_spd(dim: int, iv: SpectralInterval, rng: np.random.Generator) -> np.n
     return (a + a.conj().T) / 2
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (g + g.conj().T) / 2
-
-
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return x / np.linalg.norm(x)
@@ -104,7 +99,7 @@ def sandwiched_pair(dim: int, iv_a: SpectralInterval, bounds: SpectralInterval,
 
 
 __all__ = [
-    "random_unitary", "haar_isometry", "random_spd", "random_hermitian",
+    "random_unitary", "haar_isometry", "random_spd",
     "random_state", "random_weights", "random_mixture", "random_pinching",
     "random_unital_map", "sandwiched_pair",
 ]

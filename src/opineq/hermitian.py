@@ -181,14 +181,6 @@ class SpectralInterval:
         if not (0 < self.m <= self.M):
             raise DomainError(f"need 0 < m <= M, got ({self.m}, {self.M})")
 
-    @property
-    def width(self) -> float:
-        return self.M - self.m
-
-    def contains(self, t: float, rtol: float = 1e-12) -> bool:
-        pad = rtol * max(1.0, self.M)
-        return self.m - pad <= t <= self.M + pad
-
 
 def spectral_bounds(a: np.ndarray) -> SpectralInterval:
     """Tight sandwich interval (lambda_min, lambda_max) of a positive matrix."""

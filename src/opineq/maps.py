@@ -175,14 +175,6 @@ def make_rotation_mixture(alpha: float, beta: float) -> KrausMap:
     return unitary_mixture([rotation(alpha), rotation(beta)], [0.5, 0.5])
 
 
-def unit_vector(x) -> np.ndarray:
-    x = np.asarray(x, dtype=complex).ravel()
-    nrm = np.linalg.norm(x)
-    if nrm == 0:
-        raise ValueError("zero vector cannot be normalized")
-    return x / nrm
-
-
 def vector_state_value(x: np.ndarray, t: np.ndarray) -> float:
     """<T x, x> for a unit vector x; the rank-one unital positive functional."""
     x = np.asarray(x).ravel()
@@ -196,5 +188,5 @@ def vector_state_value(x: np.ndarray, t: np.ndarray) -> float:
 __all__ = [
     "KrausMap", "unitary_mixture", "identity_map", "pinching", "compression", "scaled", "direct_sum",
     "induced_congruence", "rotation", "make_rotation_mixture",
-    "unit_vector", "vector_state_value",
+    "vector_state_value",
 ]

@@ -57,11 +57,4 @@ def riccati_residual(a: np.ndarray, b: np.ndarray) -> float:
     return frobenius(g @ ainv @ g - b) / frobenius(b)
 
 
-def scalar_sharp(a: float, b: float) -> float:
-    """Geometric mean of two positive scalars, sqrt(a*b)."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"scalar_sharp needs positive arguments, got ({a}, {b})")
-    return float(np.sqrt(a * b))
-
-
-__all__ = ["geometric_mean", "connection", "riccati_residual", "scalar_sharp"]
+__all__ = ["geometric_mean", "connection", "riccati_residual"]

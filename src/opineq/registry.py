@@ -1,15 +1,17 @@
 """Named check registry.
 
-One entry per inequality statement. An entry knows how to draw a random
-instance (dimension, interval, map, matrices, state) from an explicit rng
-and evaluate its check(s), returning one CheckResult per parameter value or
-chain link. Entries marked expected_to_hold=False are known-false candidates
-kept for falsifier sensitivity runs.
+One entry per inequality statement, written as a row: a draw that builds a
+random instance (dimension, interval, map, matrices, state) from an explicit
+rng, the check that evaluates it, and the parameter values the check runs
+at. One trial returns one CheckResult per parameter value or chain link.
+Entries marked expected_to_hold=False are known-false candidates kept for
+falsifier sensitivity runs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .checks import (CheckInstance, CheckResult, check_additive_sqrt,
                      check_reverse_choi_quadratic, check_scalar_power_chain,
                      check_tuple_minkowski)
 from .constants import kantorovich_constant
+from .falsify import candidate_result
 from .functions import (identity_function, inverse_function, power_function,
                         square_function)
 from .generators import (random_spd, random_state, random_unital_map,
@@ -44,11 +47,28 @@ cube_root = power_function(1.0 / 3.0, name="t^(1/3)")
 
 @dataclass(frozen=True)
 class CheckSpec:
+    """One statement as a row. `draw(rng, tol, dims, intervals)` builds the
+    instance; `check(instance)` runs once, or `check(instance, param)` once
+    per entry of `params`, in order. A check returns one CheckResult or a
+    sequence of them; a trial returns them all in call order."""
     name: str
     statement: str
-    run_trial: Callable[..., list[CheckResult]]
+    draw: Callable[..., Any]
+    check: Callable[..., Any]
+    params: tuple = ()
     expected_to_hold: bool = True
     parameters: str = ""
+
+    def run_trial(self, rng, tol, dims, intervals) -> list[CheckResult]:
+        inst = self.draw(rng, tol, dims, intervals)
+        if self.params:
+            calls = [self.check(inst, param) for param in self.params]
+        else:
+            calls = [self.check(inst)]
+        out: list[CheckResult] = []
+        for res in calls:
+            out.extend([res] if isinstance(res, CheckResult) else res)
+        return out
 
 
 def _draw(rng, dims, intervals):
@@ -57,15 +77,24 @@ def _draw(rng, dims, intervals):
     return dim, iv
 
 
-def _single(rng, dims, intervals, tol, f=None, with_state=False) -> CheckInstance:
+def _single(rng, tol, dims, intervals, f=None, with_state=False,
+            identity=False) -> CheckInstance:
+    """A on the input side of a random unital map (or of the identity map),
+    with a unit vector state if asked."""
     dim, iv = _draw(rng, dims, intervals)
-    phi, n_in = random_unital_map(dim, rng)
+    phi, n_in = (identity_map(dim), dim) if identity else random_unital_map(dim, rng)
     a = random_spd(n_in, iv, rng)
     x = random_state(dim, rng) if with_state else None
     return CheckInstance(a=a, phi=phi, x=x, f=f, tol=tol)
 
 
-def _pair(rng, dims, intervals, tol, f=None) -> CheckInstance:
+def _drawn_f(rng, tol, dims, intervals) -> CheckInstance:
+    # the function is drawn before the dimension and the interval
+    f = (square_function, inverse_function)[int(rng.integers(2))]
+    return _single(rng, tol, dims, intervals, f=f)
+
+
+def _pair(rng, tol, dims, intervals, f=None) -> CheckInstance:
     dim, iv = _draw(rng, dims, intervals)
     phi, n_in = random_unital_map(dim, rng)
     a = random_spd(n_in, iv, rng)
@@ -73,200 +102,132 @@ def _pair(rng, dims, intervals, tol, f=None) -> CheckInstance:
     return CheckInstance(a=a, b=b, phi=phi, f=f, tol=tol)
 
 
-def _trial_choi_davis(rng, tol, dims, intervals):
-    f = (square_function, inverse_function)[int(rng.integers(2))]
-    return [check_choi_davis(_single(rng, dims, intervals, tol, f=f))]
-
-
-def _trial_kantorovich(rng, tol, dims, intervals):
-    return [check_kantorovich(_single(rng, dims, intervals, tol))]
-
-
-def _trial_kantorovich_squared(rng, tol, dims, intervals):
-    return [check_kantorovich_squared(_single(rng, dims, intervals, tol))]
-
-
-def _trial_kantorovich_sharp(rng, tol, dims, intervals):
-    return [check_kantorovich_sharp(_single(rng, dims, intervals, tol))]
-
-
-def _trial_refinement(rng, tol, dims, intervals):
-    return list(check_refinement(_single(rng, dims, intervals, tol)))
-
-
-def _trial_power_inner_product(rng, tol, dims, intervals):
-    dim, iv = _draw(rng, dims, intervals)
-    a = random_spd(dim, iv, rng)
-    inst = CheckInstance(a=a, phi=identity_map(dim), x=random_state(dim, rng), tol=tol)
-    return [check_power_inner_product(inst, r) for r in (1.0, 2.0, 3.0, -1.0)]
-
-
-def _trial_ando(rng, tol, dims, intervals):
-    return [check_ando(_pair(rng, dims, intervals, tol))]
-
-
-def _trial_ando_connection(rng, tol, dims, intervals):
-    return [check_ando_connection(_pair(rng, dims, intervals, tol, f=cube_root))]
-
-
-def _trial_reverse_ando_convex(rng, tol, dims, intervals):
-    return [check_reverse_ando_convex(_pair(rng, dims, intervals, tol, f=square_function))]
-
-
-def _trial_reverse_ando_sandwich(rng, tol, dims, intervals):
+def _sandwich(rng, tol, dims, intervals, squared=False):
+    """Arguments (A, B, Phi, [m, M], tol) of a sandwich check, with
+    m A <= B <= M A, or m^2 A <= B <= M^2 A if `squared`."""
     dim, iv = _draw(rng, dims, intervals)
     phi, n_in = random_unital_map(dim, rng)
-    bounds = SpectralInterval(iv.m ** 2, iv.M ** 2)
+    bounds = SpectralInterval(iv.m ** 2, iv.M ** 2) if squared else iv
     a, b = sandwiched_pair(n_in, iv, bounds, rng)
-    return [check_reverse_ando_sandwich(a, b, phi, iv, tol)]
+    return a, b, phi, iv, tol
 
 
-def _trial_kantorovich_equivalents(rng, tol, dims, intervals):
-    return check_kantorovich_equivalents(_single(rng, dims, intervals, tol, with_state=True))
-
-
-def _trial_reverse_choi_quadratic(rng, tol, dims, intervals):
+def _tuples(rng, tol, dims, intervals) -> dict:
+    """Arguments of `check_tuple_minkowski` by tuple size k: one random map
+    for k = 1, then three weighted identity maps for k = 3."""
     dim, iv = _draw(rng, dims, intervals)
-    phi, n_in = random_unital_map(dim, rng)
-    a, b = sandwiched_pair(n_in, iv, iv, rng)
-    return [check_reverse_choi_quadratic(a, b, phi, iv, tol)]
 
-
-def _trial_mond_pecaric(rng, tol, dims, intervals):
-    inst = _single(rng, dims, intervals, tol, f=square_function, with_state=True)
-    k = kantorovich_constant(inst.iv)
-    return [
-        check_mond_pecaric(inst, 0.0),
-        check_mond_pecaric(inst, 1.0),
-        check_mond_pecaric(inst, k, alpha_label="K"),
-    ]
-
-
-def _trial_generalized_kantorovich(rng, tol, dims, intervals):
-    inst = _single(rng, dims, intervals, tol)
-    return [check_generalized_kantorovich_operator(inst, p)
-            for p in (1.0, 1.5, 2.0, 3.0, -1.0)]
-
-
-def _trial_scalar_power_chain(rng, tol, dims, intervals):
-    inst = _single(rng, dims, intervals, tol, with_state=True)
-    return list(check_scalar_power_chain(inst, 2.0))
-
-
-def _trial_additive_sqrt(rng, tol, dims, intervals):
-    return [check_additive_sqrt(_single(rng, dims, intervals, tol))]
-
-
-def _trial_minkowski_general(rng, tol, dims, intervals):
-    inst = _pair(rng, dims, intervals, tol)
-    out = []
-    for f in (identity_function, power_function(1.5), square_function):
-        out.extend(check_minkowski_general(inst.a, inst.b, inst.phi, inst.iv, f, tol))
-    return out
-
-
-def _trial_power_minkowski(rng, tol, dims, intervals):
-    inst = _pair(rng, dims, intervals, tol)
-    out = []
-    for p in (1.0, 1.5, 2.0):
-        out.extend(check_power_minkowski(inst.a, inst.b, inst.phi, inst.iv, p, tol))
-    return out
-
-
-def _trial_tuple_minkowski(rng, tol, dims, intervals):
-    dim, iv = _draw(rng, dims, intervals)
-    out = []
-    for k in (1, 3):
-        if k == 1:
-            phis = [random_unital_map(dim, rng)[0]]
-        else:
-            ws = random_weights(k, rng)
-            phis = [scaled(float(w), dim) for w in ws]
+    def blocks(phis):
         as_list = [random_spd(p.input_dim, iv, rng) for p in phis]
         bs_list = [random_spd(p.input_dim, iv, rng) for p in phis]
-        out.extend(check_tuple_minkowski(as_list, bs_list, phis, iv, tol))
-    return out
+        return as_list, bs_list, phis, iv, tol
+
+    one = blocks([random_unital_map(dim, rng)[0]])
+    three = blocks([scaled(float(w), dim) for w in random_weights(3, rng)])
+    return {1: one, 3: three}
 
 
-def _trial_inverse_square_candidate(rng, tol, dims, intervals):
-    # the claimed-false 2x2 rotation-family statement; random point of the family
-    from .falsify import candidate_result
+def _candidate_point(rng, tol, dims, intervals):
+    """A random point (x, alpha, beta) of the 2x2 rotation-mixture family."""
     x = float(rng.uniform(0.5, 4.0))
     alpha = float(rng.uniform(0.0, np.pi))
     beta = float(rng.uniform(0.0, np.pi))
-    return [candidate_result(x, alpha, beta, tol)]
+    return x, alpha, beta, tol
+
+
+def _mond_pecaric(inst: CheckInstance, alpha) -> CheckResult:
+    # alpha "K" is the Kantorovich constant of the instance's interval
+    if alpha == "K":
+        return check_mond_pecaric(inst, kantorovich_constant(inst.iv), alpha_label="K")
+    return check_mond_pecaric(inst, alpha)
 
 
 REGISTRY: tuple[CheckSpec, ...] = (
     CheckSpec("choi_davis",
               "f(Phi(A)) <= Phi(f(A)) for operator convex f",
-              _trial_choi_davis, parameters="f in {t^2, t^-1} (drawn per trial)"),
+              _drawn_f, check_choi_davis,
+              parameters="f in {t^2, t^-1} (drawn per trial)"),
     CheckSpec("kantorovich",
               "Phi(A^-1) <= ((M+m)^2/(4Mm)) Phi(A)^-1",
-              _trial_kantorovich),
+              _single, check_kantorovich),
     CheckSpec("kantorovich_squared",
               "Phi(A^2) <= ((M+m)^2/(4Mm)) Phi(A)^2",
-              _trial_kantorovich_squared),
+              _single, check_kantorovich_squared),
     CheckSpec("kantorovich_sharp",
               "Phi(A^-1) # Phi(A) <= ((M+m)/(2 sqrt(Mm))) I",
-              _trial_kantorovich_sharp),
+              _single, check_kantorovich_sharp),
     CheckSpec("refinement",
               "Phi(A^-1) # Phi(A) <= ||(Phi(A)^(1/2) Phi(A^-1) Phi(A)^(1/2))^(1/2)|| I"
               " <= ((M+m)/(2 sqrt(Mm))) I",
-              _trial_refinement, parameters="links {left, right}"),
+              _single, check_refinement, parameters="links {left, right}"),
     CheckSpec("power_inner_product",
               "<Ax,x>^r <= <A^r x,x> for r >= 1 or r < 0",
-              _trial_power_inner_product, parameters="r in {1, 2, 3, -1}"),
+              partial(_single, with_state=True, identity=True),
+              check_power_inner_product, (1.0, 2.0, 3.0, -1.0),
+              parameters="r in {1, 2, 3, -1}"),
     CheckSpec("ando",
               "Phi(A # B) <= Phi(A) # Phi(B)",
-              _trial_ando),
+              _pair, check_ando),
     CheckSpec("ando_connection",
               "Phi(A s_f B) <= Phi(A) s_f Phi(B) for operator monotone f, f(1) = 1",
-              _trial_ando_connection, parameters="f = t^(1/3)"),
+              partial(_pair, f=cube_root), check_ando_connection,
+              parameters="f = t^(1/3)"),
     CheckSpec("reverse_ando_convex",
               "Phi(A) s_f Phi(B) <= Phi(A s_f B) for operator convex f",
-              _trial_reverse_ando_convex, parameters="f = t^2"),
+              partial(_pair, f=square_function), check_reverse_ando_convex,
+              parameters="f = t^2"),
     CheckSpec("reverse_ando_sandwich",
               "Phi(A) # Phi(B) <= ((M+m)/(2 sqrt(mM))) Phi(A # B) when m^2 A <= B <= M^2 A",
-              _trial_reverse_ando_sandwich),
+              partial(_sandwich, squared=True),
+              lambda args: check_reverse_ando_sandwich(*args)),
     CheckSpec("kantorovich_equivalents",
               "four forms of the inverse-reversal bound: operator, scalar state,"
               " sharp, squared",
-              _trial_kantorovich_equivalents,
+              partial(_single, with_state=True), check_kantorovich_equivalents,
               parameters="forms {operator, scalar, sharp, squared}"),
     CheckSpec("reverse_choi_quadratic",
               "Phi(B A^-1 B) <= ((M+m)/(2 sqrt(Mm)))^2 Phi(B) Phi(A)^-1 Phi(B)"
               " when m A <= B <= M A",
-              _trial_reverse_choi_quadratic),
+              _sandwich, lambda args: check_reverse_choi_quadratic(*args)),
     CheckSpec("mond_pecaric",
               "<Phi(f(A))x,x> <= beta(alpha) + alpha f(<Phi(A)x,x>) for convex f",
-              _trial_mond_pecaric, parameters="f = t^2, alpha in {0, 1, K}"),
+              partial(_single, f=square_function, with_state=True),
+              _mond_pecaric, (0.0, 1.0, "K"),
+              parameters="f = t^2, alpha in {0, 1, K}"),
     CheckSpec("generalized_kantorovich",
               "Phi(A^p) <= K(p,m,M) Phi(A)^p",
-              _trial_generalized_kantorovich, parameters="p in {1, 1.5, 2, 3, -1}"),
+              _single, check_generalized_kantorovich_operator,
+              (1.0, 1.5, 2.0, 3.0, -1.0), parameters="p in {1, 1.5, 2, 3, -1}"),
     CheckSpec("scalar_power_chain",
               "<Phi(A^p)x,x> <= K(p,m,M) <Phi(A)x,x>^p <= K(p,m,M) <Phi(A)^p x,x>",
-              _trial_scalar_power_chain, parameters="p = 2, links {lower, upper}"),
+              partial(_single, with_state=True), check_scalar_power_chain, (2.0,),
+              parameters="p = 2, links {lower, upper}"),
     CheckSpec("additive_sqrt",
               "Phi(A^2)^(1/2) <= (M-m)^2/(4(M+m)) + Phi(A)",
-              _trial_additive_sqrt),
+              _single, check_additive_sqrt),
     CheckSpec("minkowski_general",
               "f^-1(Phi(f(A))) + f^-1(Phi(f(B))) <= alpha[f;m,M] f^-1(Phi(f(A+B)))"
               " and <= 2 beta0[f^-1] + f^-1(Phi(f(A+B)))",
-              _trial_minkowski_general,
+              _pair, check_minkowski_general,
+              (identity_function, power_function(1.5), square_function),
               parameters="f in {t, t^1.5, t^2}, forms {mult, add}"),
     CheckSpec("power_minkowski",
               "Phi(A^p)^(1/p) + Phi(B^p)^(1/p) <= K(p)^(1/p) Phi((A+B)^p)^(1/p)"
               " and <= beta_p + Phi((A+B)^p)^(1/p)",
-              _trial_power_minkowski, parameters="p in {1, 1.5, 2}, forms {mult, add}"),
+              _pair,
+              lambda inst, p: check_power_minkowski(inst.a, inst.b, inst.phi,
+                                                    inst.iv, p, inst.tol),
+              (1.0, 1.5, 2.0), parameters="p in {1, 1.5, 2}, forms {mult, add}"),
     CheckSpec("tuple_minkowski",
               "(sum_i Phi_i(A_i^2))^(1/2) + (sum_i Phi_i(B_i^2))^(1/2)"
               " <= ((M+m)/(2 sqrt(Mm))) (sum_i Phi_i((A_i+B_i)^2))^(1/2)",
-              _trial_tuple_minkowski, parameters="k in {1, 3}, forms {mult, add}"),
+              _tuples, lambda sets, k: check_tuple_minkowski(*sets[k]), (1, 3),
+              parameters="k in {1, 3}, forms {mult, add}"),
     CheckSpec("inverse_square_candidate",
               "Phi(A^-1)^2 <= ((1+x)^2/(4x)) Phi(A)^-1/2 Phi(A^-1) Phi(A)^-1/2"
               " over the 2x2 rotation-mixture family (claimed false)",
-              _trial_inverse_square_candidate, expected_to_hold=False,
+              _candidate_point, lambda point: candidate_result(*point),
+              expected_to_hold=False,
               parameters="x in (0.5, 4), angles in (0, pi)"),
 )
 

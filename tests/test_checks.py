@@ -203,7 +203,8 @@ def test_additive_sqrt(rng):
 def test_minkowski_general_identity_function_is_equality(rng):
     phi, in_dim = random_unital_map(3, rng)
     a, b = random_spd(in_dim, IV, rng), random_spd(in_dim, IV, rng)
-    mult, add = check_minkowski_general(a, b, phi, IV, power_function(1.0))
+    inst = CheckInstance(a=a, b=b, phi=phi, iv=IV)
+    mult, add = check_minkowski_general(inst, power_function(1.0))
     assert mult.holds and add.holds
     assert abs(mult.margin) < 1e-10 and abs(add.margin) < 1e-10
 
@@ -211,8 +212,9 @@ def test_minkowski_general_identity_function_is_equality(rng):
 def test_minkowski_general_requires_invertible_convex(rng):
     phi, in_dim = random_unital_map(3, rng)
     a, b = random_spd(in_dim, IV, rng), random_spd(in_dim, IV, rng)
+    inst = CheckInstance(a=a, b=b, phi=phi, iv=IV)
     with pytest.raises(DomainError):
-        check_minkowski_general(a, b, phi, IV, by_name("t^0.5"))
+        check_minkowski_general(inst, by_name("t^0.5"))
 
 
 def test_power_minkowski(rng):

@@ -111,6 +111,21 @@ def test_constants_missing_parameter(capsys):
     assert main(["constants", "--name", "beta_p", "-m", "1", "-M", "2"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["constants", "--name", "alpha", "-m", "1", "-M", "2", "--f", "foo"], "bad --f"),
+    (["falsify", "--name", "kantorovich", "--budget", "-3"], "--budget must be >= 1"),
+    (["falsify", "--name", "kantorovich", "--budget", "0"], "--budget must be >= 1"),
+    (["suite", "--dims", "0"], "--dims entries must be >= 1"),
+    (["suite", "--dims", "2,0"], "--dims entries must be >= 1"),
+], ids=["constants-unknown-f", "falsify-budget-negative", "falsify-budget-0",
+        "suite-dims-0", "suite-dims-entry-0"])
+def test_bad_flag_value_is_usage_error(capsys, argv, message):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
 def test_counterexample_subcommand(capsys):
     code, out = run_cli(capsys, "counterexample", "--x", "2",
                         "--alpha", "pi/3", "--beta", "pi/4")

@@ -5,7 +5,7 @@ import pytest
 from opineq.functions import by_name, power_function
 from opineq.generators import random_spd
 from opineq.hermitian import SpectralInterval, inv_psd, operator_norm
-from opineq.means import connection, geometric_mean, riccati_residual, scalar_sharp
+from opineq.means import connection, geometric_mean, riccati_residual
 
 IV = SpectralInterval(0.5, 3.0)
 
@@ -20,12 +20,6 @@ def test_scalar_case():
     a = 3.0 * np.eye(2)
     b = 12.0 * np.eye(2)
     np.testing.assert_allclose(geometric_mean(a, b), 6 * np.eye(2), atol=1e-12)
-    assert abs(scalar_sharp(3.0, 12.0) - 6.0) < 1e-12
-
-
-def test_scalar_sharp_domain():
-    with pytest.raises(ValueError):
-        scalar_sharp(-1.0, 2.0)
 
 
 def test_riccati_residual_small(rng):

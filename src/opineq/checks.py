@@ -9,22 +9,31 @@ eps. "holds" applies the shared rule
 
 Operator checks never re-prove anything: they assemble both sides with the
 functional calculus and compare.
+
+A check evaluates a stack of instances of one shape at once: matrices
+carry a leading batch axis, maps come as a MapStack and intervals as a list,
+and the check returns a list with one result per instance. A single
+instance (2-D matrices, one map, one interval) runs as a stack of one and
+gets its result back alone.
 """
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .constants import (alpha_constant, beta0_constant, beta_p_constant,
-                        generalized_kantorovich, kantorovich_constant,
-                        mond_pecaric_beta)
+                        function_range, generalized_kantorovich,
+                        kantorovich_constant, mond_pecaric_beta)
 from .functions import ScalarFunction
-from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval,
-                        as_hermitian, inv_psd, loewner_leq, matrix_function,
-                        power, spectral_bounds, sqrtm_psd, within_tolerance)
-from .maps import KrausMap, direct_sum, vector_state_value
+from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval, adjoint,
+                        as_hermitian, hermitian_part, inv_psd, loewner_leq,
+                        matrix_function, power, spectral_bounds, sqrtm_psd,
+                        within_tolerance)
+from .maps import KrausMap, MapStack, direct_sum, vector_state_value
 from .means import connection, geometric_mean
 
 
@@ -54,24 +63,49 @@ class CheckResult:
         }
 
 
-def _operator(name: str, params: dict, lhs: np.ndarray, rhs: np.ndarray,
-              tol: float) -> CheckResult:
+def _operator(name: str, params: list, lhs: np.ndarray, rhs: np.ndarray,
+              tol: float) -> list:
     holds, margin, ln, rn = loewner_leq(lhs, rhs, tol)
-    return CheckResult(name, params, margin, holds, tol, ln, rn)
+    return [CheckResult(name, p, m, h, tol, l, r) for p, h, m, l, r in
+            zip(params, holds.tolist(), margin.tolist(), ln.tolist(), rn.tolist())]
 
 
-def _scalar(name: str, params: dict, lhs: float, rhs: float,
-            tol: float) -> CheckResult:
-    margin = float(rhs - lhs)
-    ln, rn = abs(float(lhs)), abs(float(rhs))
-    return CheckResult(name, params, margin, within_tolerance(margin, tol, ln, rn),
-                       tol, ln, rn)
+def _scalar(name: str, params: list, lhs, rhs, tol: float) -> list:
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    margin = rhs - lhs
+    ln, rn = np.abs(lhs), np.abs(rhs)
+    holds = within_tolerance(margin, tol, ln, rn)
+    return [CheckResult(name, p, m, h, tol, l, r) for p, h, m, l, r in
+            zip(params, holds.tolist(), margin.tolist(), ln.tolist(), rn.tolist())]
+
+
+def _col(values) -> np.ndarray:
+    """Per-instance scalars as a (b, 1, 1) column, to scale a stack."""
+    return np.asarray(values, dtype=float)[:, None, None]
+
+
+def _params(ivs, dim: int, out_dim: int, **extra) -> list:
+    """One params dict per instance; an `extra` value given as a list or an
+    array holds one entry per instance, any other value is shared."""
+    rows = []
+    for i, iv in enumerate(ivs):
+        row = {"dim": int(dim), "out_dim": int(out_dim), "m": float(iv.m), "M": float(iv.M)}
+        for key, v in extra.items():
+            row[key] = float(v[i]) if isinstance(v, (list, np.ndarray)) else v
+        rows.append(row)
+    return rows
+
+
+def _each(constant, ivs, *args) -> list:
+    """A closed-form constant per instance, as Python floats."""
+    return [constant(*args, iv) for iv in ivs]
 
 
 @dataclass
 class CheckInstance:
     """Hypothesis bundle for one check: matrices, map, verified sandwich
-    interval, and optional state/exponent/function."""
+    interval, and optional state/exponent/function. With a leading batch
+    axis on a, b and x, phi is a MapStack and iv a list, one per instance."""
     a: np.ndarray
     phi: KrausMap
     iv: Optional[SpectralInterval] = None
@@ -85,34 +119,87 @@ class CheckInstance:
         self.a = as_hermitian(self.a)
         if self.b is not None:
             self.b = as_hermitian(self.b)
-        mats = [self.a] if self.b is None else [self.a, self.b]
+        # validated as a stack; a single instance is a stack of one here
+        stacked = self.stacked
+        mats = [m if stacked else m[None] for m in (self.a, self.b) if m is not None]
         if self.iv is None:
-            bounds = [spectral_bounds(m) for m in mats]
-            self.iv = SpectralInterval(min(b.m for b in bounds),
-                                       max(b.M for b in bounds))
-        else:
-            n = self.a.shape[0]
-            eye = np.eye(n)
-            for m in mats:
-                lo_ok, lo_margin, _, _ = loewner_leq(self.iv.m * eye, m, self.tol)
-                hi_ok, hi_margin, _, _ = loewner_leq(m, self.iv.M * eye, self.tol)
-                if not (lo_ok and hi_ok):
-                    raise ValueError(
-                        f"sandwich {self.iv.m} I <= X <= {self.iv.M} I violated "
-                        f"(margins {lo_margin:.3e}, {hi_margin:.3e})")
+            ivs = [SpectralInterval(min(b.m for b in bs), max(b.M for b in bs))
+                   for bs in zip(*(spectral_bounds(m) for m in mats))]
+            self.iv = ivs if stacked else ivs[0]
+            return
+        ivs = self.iv if stacked else [self.iv]
+        eye = np.eye(self.a.shape[-1])
+        lo, hi = (_col([getattr(iv, end) for iv in ivs]) * eye for end in ("m", "M"))
+        for m in mats:
+            lo_ok, lo_margin, _, _ = loewner_leq(lo, m, self.tol)
+            hi_ok, hi_margin, _, _ = loewner_leq(m, hi, self.tol)
+            bad = ~(lo_ok & hi_ok)
+            if np.any(bad):
+                i = int(np.flatnonzero(bad)[0])
+                raise ValueError(f"sandwich {ivs[i].m} I <= X <= {ivs[i].M} I violated "
+                                 f"(margins {lo_margin[i]:.3e}, {hi_margin[i]:.3e})")
 
-    def params(self, **extra) -> dict:
-        out = {"dim": int(self.a.shape[0]), "out_dim": int(self.phi.output_dim),
-               "m": float(self.iv.m), "M": float(self.iv.M)}
-        out.update(extra)
+    @property
+    def stacked(self) -> bool:
+        return self.a.ndim == 3
+
+    def as_stack(self) -> "CheckInstance":
+        """This single instance as a stack of one; no re-validation."""
+        out = copy.copy(self)
+        out.a = self.a[None]
+        out.b = None if self.b is None else self.b[None]
+        out.x = None if self.x is None else np.asarray(self.x)[None]
+        out.phi, out.iv = MapStack([self.phi]), [self.iv]
         return out
+
+    def params(self, **extra) -> list:
+        return _params(self.iv, self.a.shape[-1], self.phi.output_dim, **extra)
+
+
+def _as_stack(arg):
+    """One argument of a single-instance check call, as a stack of one."""
+    if isinstance(arg, CheckInstance):
+        return arg.as_stack()
+    if isinstance(arg, np.ndarray):
+        return arg[None]
+    if isinstance(arg, KrausMap):
+        return MapStack([arg])
+    if isinstance(arg, SpectralInterval):
+        return [arg]
+    if isinstance(arg, list):   # the blocks of a tuple check
+        return [_as_stack(a) for a in arg]
+    return arg                  # shared: an exponent, a function, the tolerance
+
+
+def _is_stacked(arg) -> bool:
+    if isinstance(arg, CheckInstance):
+        return arg.stacked
+    if isinstance(arg, list):
+        return _is_stacked(arg[0])
+    return np.ndim(arg) == 3
+
+
+def _per_instance(check):
+    """Run `check`, written for stacks, on a single instance as a stack of
+    one and return its one result."""
+    @functools.wraps(check)
+    def run(first, *args, **kwargs):
+        if _is_stacked(first):
+            return check(first, *args, **kwargs)
+        return check(*map(_as_stack, (first,) + args), **kwargs)[0]
+    return run
 
 
 def _sharp_bound(iv: SpectralInterval) -> float:
     return (iv.M + iv.m) / (2.0 * np.sqrt(iv.M * iv.m))
 
 
-def check_choi_davis(inst: CheckInstance) -> CheckResult:
+def _eye(inst: CheckInstance) -> np.ndarray:
+    return np.eye(inst.phi.output_dim)
+
+
+@_per_instance
+def check_choi_davis(inst: CheckInstance) -> list:
     f = inst.f
     if not f.operator_convex:
         raise DomainError(f"{f.name} is not flagged operator convex")
@@ -121,65 +208,71 @@ def check_choi_davis(inst: CheckInstance) -> CheckResult:
     return _operator("choi_davis", inst.params(f=f.name), lhs, rhs, inst.tol)
 
 
-def check_kantorovich(inst: CheckInstance, name: str = "kantorovich") -> CheckResult:
-    k = kantorovich_constant(inst.iv)
+@_per_instance
+def check_kantorovich(inst: CheckInstance, name: str = "kantorovich") -> list:
+    k = _each(kantorovich_constant, inst.iv)
     lhs = inst.phi(inv_psd(inst.a))
-    rhs = k * inv_psd(inst.phi(inst.a))
+    rhs = _col(k) * inv_psd(inst.phi(inst.a))
     return _operator(name, inst.params(constant=k), lhs, rhs, inst.tol)
 
 
+@_per_instance
 def check_kantorovich_squared(inst: CheckInstance,
-                              name: str = "kantorovich_squared") -> CheckResult:
-    k = kantorovich_constant(inst.iv)
+                              name: str = "kantorovich_squared") -> list:
+    k = _each(kantorovich_constant, inst.iv)
     pa = inst.phi(inst.a)
     lhs = inst.phi(inst.a @ inst.a)
-    rhs = k * (pa @ pa)
+    rhs = _col(k) * (pa @ pa)
     return _operator(name, inst.params(constant=k), lhs, rhs, inst.tol)
 
 
+@_per_instance
 def check_kantorovich_sharp(inst: CheckInstance,
-                            name: str = "kantorovich_sharp") -> CheckResult:
-    c = _sharp_bound(inst.iv)
+                            name: str = "kantorovich_sharp") -> list:
+    c = _each(_sharp_bound, inst.iv)
     sharp = geometric_mean(inst.phi(inv_psd(inst.a)), inst.phi(inst.a))
-    rhs = c * np.eye(inst.phi.output_dim)
+    rhs = _col(c) * _eye(inst)
     return _operator(name, inst.params(constant=c), sharp, rhs, inst.tol)
 
 
-def check_refinement(inst: CheckInstance) -> tuple[CheckResult, CheckResult]:
+@_per_instance
+def check_refinement(inst: CheckInstance) -> list:
     """Two-link chain: the sharp of Phi(A^-1), Phi(A) is dominated by the
     scalar s = ||(Phi(A)^{1/2} Phi(A^-1) Phi(A)^{1/2})^{1/2}||, which in turn
-    is dominated by the sharp bound (M+m)/(2 sqrt(Mm))."""
+    is dominated by the sharp bound (M+m)/(2 sqrt(Mm)). One (left, right)
+    pair per instance."""
     pa = inst.phi(inst.a)
     pain = inst.phi(inv_psd(inst.a))
     ph = sqrtm_psd(pa)
-    w = ph @ pain @ ph
-    s = float(np.sqrt(np.linalg.eigvalsh((w + w.conj().T) / 2)[-1]))
-    c = _sharp_bound(inst.iv)
+    s = np.sqrt(np.linalg.eigvalsh(hermitian_part(ph @ pain @ ph))[:, -1])
+    c = _each(_sharp_bound, inst.iv)
     sharp = geometric_mean(pain, pa)
     left = _operator("refinement.left", inst.params(middle=s), sharp,
-                     s * np.eye(inst.phi.output_dim), inst.tol)
+                     _col(s) * _eye(inst), inst.tol)
     right = _scalar("refinement.right", inst.params(middle=s, constant=c),
                     s, c, inst.tol)
-    return left, right
+    return list(zip(left, right))
 
 
-def check_power_inner_product(inst: CheckInstance, r: float) -> CheckResult:
+@_per_instance
+def check_power_inner_product(inst: CheckInstance, r: float) -> list:
     if not (r >= 1 or r < 0):
         raise DomainError(f"exponent must satisfy r >= 1 or r < 0, got {r}")
-    e = vector_state_value(inst.x, inst.a)
-    lhs = e ** r
+    lhs = [e ** r for e in vector_state_value(inst.x, inst.a).tolist()]
     rhs = vector_state_value(inst.x, power(inst.a, r))
     return _scalar(f"power_inner_product[r={_fmt(r)}]", inst.params(r=r), lhs, rhs,
                    inst.tol)
 
 
-def check_ando(inst: CheckInstance) -> CheckResult:
+@_per_instance
+def check_ando(inst: CheckInstance) -> list:
     lhs = inst.phi(geometric_mean(inst.a, inst.b))
     rhs = geometric_mean(inst.phi(inst.a), inst.phi(inst.b))
     return _operator("ando", inst.params(), lhs, rhs, inst.tol)
 
 
-def check_ando_connection(inst: CheckInstance) -> CheckResult:
+@_per_instance
+def check_ando_connection(inst: CheckInstance) -> list:
     f = inst.f
     if not f.operator_monotone_increasing:
         raise DomainError(f"{f.name} is not flagged operator monotone increasing")
@@ -190,7 +283,8 @@ def check_ando_connection(inst: CheckInstance) -> CheckResult:
     return _operator("ando_connection", inst.params(f=f.name), lhs, rhs, inst.tol)
 
 
-def check_reverse_ando_convex(inst: CheckInstance) -> CheckResult:
+@_per_instance
+def check_reverse_ando_convex(inst: CheckInstance) -> list:
     f = inst.f
     if not f.operator_convex:
         raise DomainError(f"{f.name} is not flagged operator convex")
@@ -199,136 +293,150 @@ def check_reverse_ando_convex(inst: CheckInstance) -> CheckResult:
     return _operator("reverse_ando_convex", inst.params(f=f.name), lhs, rhs, inst.tol)
 
 
-def _require_sandwich(a: np.ndarray, b: np.ndarray, lo: float, hi: float,
-                      tol: float) -> None:
-    # lo*A <= B <= hi*A, re-verified no matter how the pair was built
-    ok_lo, mlo, _, _ = loewner_leq(lo * a, b, tol)
-    ok_hi, mhi, _, _ = loewner_leq(b, hi * a, tol)
-    if not (ok_lo and ok_hi):
-        raise ValueError(f"hypothesis {lo}*A <= B <= {hi}*A fails "
-                         f"(margins {mlo:.3e}, {mhi:.3e})")
+def _require_sandwich(a: np.ndarray, b: np.ndarray, lo, hi, tol: float) -> None:
+    # lo*A <= B <= hi*A for every pair, re-verified no matter how it was built
+    ok_lo, mlo, _, _ = loewner_leq(_col(lo) * a, b, tol)
+    ok_hi, mhi, _, _ = loewner_leq(b, _col(hi) * a, tol)
+    bad = ~(ok_lo & ok_hi)
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"hypothesis {lo[i]}*A <= B <= {hi[i]}*A fails "
+                         f"(margins {mlo[i]:.3e}, {mhi[i]:.3e})")
 
 
-def check_reverse_ando_sandwich(a, b, phi: KrausMap, iv: SpectralInterval,
-                                tol: float = DEFAULT_TOL) -> CheckResult:
+@_per_instance
+def check_reverse_ando_sandwich(a, b, phi: MapStack, iv: list,
+                                tol: float = DEFAULT_TOL) -> list:
     a, b = as_hermitian(a), as_hermitian(b)
-    _require_sandwich(a, b, iv.m ** 2, iv.M ** 2, tol)
-    c = _sharp_bound(iv)
+    _require_sandwich(a, b, [v.m ** 2 for v in iv], [v.M ** 2 for v in iv], tol)
+    c = _each(_sharp_bound, iv)
     lhs = geometric_mean(phi(a), phi(b))
-    rhs = c * phi(geometric_mean(a, b))
-    params = {"dim": int(a.shape[0]), "out_dim": int(phi.output_dim),
-              "m": float(iv.m), "M": float(iv.M), "constant": c}
-    return _operator("reverse_ando_sandwich", params, lhs, rhs, tol)
+    rhs = _col(c) * phi(geometric_mean(a, b))
+    return _operator("reverse_ando_sandwich",
+                     _params(iv, a.shape[-1], phi.output_dim, constant=c), lhs, rhs, tol)
 
 
-def check_kantorovich_equivalents(inst: CheckInstance) -> list[CheckResult]:
+@_per_instance
+def check_kantorovich_equivalents(inst: CheckInstance) -> list:
     """The four forms of the inverse-reversal bound, each checked as its own
     statement: operator, scalar (vector state), sharp, and squared."""
-    k = kantorovich_constant(inst.iv)
-    results = [
+    k = _each(kantorovich_constant, inst.iv)
+    forms = [
         check_kantorovich(inst, name="kantorovich_equivalents.operator"),
         _scalar("kantorovich_equivalents.scalar", inst.params(constant=k),
                 vector_state_value(inst.x, inst.phi(inv_psd(inst.a))),
-                k / vector_state_value(inst.x, inst.phi(inst.a)),
+                np.asarray(k) / vector_state_value(inst.x, inst.phi(inst.a)),
                 inst.tol),
         check_kantorovich_sharp(inst, name="kantorovich_equivalents.sharp"),
         check_kantorovich_squared(inst, name="kantorovich_equivalents.squared"),
     ]
-    return results
+    return [list(results) for results in zip(*forms)]
 
 
-def check_reverse_choi_quadratic(a, b, phi: KrausMap, iv: SpectralInterval,
-                                 tol: float = DEFAULT_TOL) -> CheckResult:
+@_per_instance
+def check_reverse_choi_quadratic(a, b, phi: MapStack, iv: list,
+                                 tol: float = DEFAULT_TOL) -> list:
     a, b = as_hermitian(a), as_hermitian(b)
-    _require_sandwich(a, b, iv.m, iv.M, tol)
-    k = _sharp_bound(iv) ** 2
-    q = b @ inv_psd(a) @ b
-    lhs = phi((q + q.conj().T) / 2)
+    _require_sandwich(a, b, [v.m for v in iv], [v.M for v in iv], tol)
+    k = [_sharp_bound(v) ** 2 for v in iv]
+    lhs = phi(hermitian_part(b @ inv_psd(a) @ b))
     pb = phi(b)
     rhs = pb @ inv_psd(phi(a)) @ pb
-    rhs = k * (rhs + rhs.conj().T) / 2
-    params = {"dim": int(a.shape[0]), "out_dim": int(phi.output_dim),
-              "m": float(iv.m), "M": float(iv.M), "constant": k}
-    return _operator("reverse_choi_quadratic", params, lhs, rhs, tol)
+    rhs = _col(k) * (rhs + adjoint(rhs)) / 2
+    return _operator("reverse_choi_quadratic",
+                     _params(iv, a.shape[-1], phi.output_dim, constant=k), lhs, rhs, tol)
 
 
-def check_mond_pecaric(inst: CheckInstance, alpha: float,
-                       alpha_label: Optional[str] = None) -> CheckResult:
+@_per_instance
+def check_mond_pecaric(inst: CheckInstance, alpha, alpha_label: Optional[str] = None,
+                       beta=None) -> list:
+    """`alpha` is one value or one per instance (then `alpha_label` names
+    it). `beta`, one per instance, is computed here unless given, so a
+    caller holding several stacks can compute it for all in one search."""
     f = inst.f
     if not f.scalar_convex:
         raise DomainError(f"{f.name} is not flagged convex")
-    if alpha < 0:
+    if np.any(np.asarray(alpha) < 0):
         raise DomainError("alpha must be >= 0")
-    beta = mond_pecaric_beta(f, inst.iv, alpha)
+    if beta is None:
+        beta = mond_pecaric_beta(f, inst.iv, alpha)
     lhs = vector_state_value(inst.x, inst.phi(matrix_function(inst.a, f)))
     t0 = vector_state_value(inst.x, inst.phi(inst.a))
-    rhs = beta + alpha * float(f(np.asarray(t0, dtype=float)))
+    rhs = np.asarray(beta) + np.asarray(alpha) * np.asarray(f(t0), dtype=float)
     return _scalar(f"mond_pecaric[alpha={alpha_label or _fmt(alpha)}]",
                    inst.params(f=f.name, alpha=alpha, beta=beta), lhs, rhs, inst.tol)
 
 
-def check_generalized_kantorovich_operator(inst: CheckInstance, p: float) -> CheckResult:
-    k = generalized_kantorovich(p, inst.iv)
+@_per_instance
+def check_generalized_kantorovich_operator(inst: CheckInstance, p: float) -> list:
+    k = _each(generalized_kantorovich, inst.iv, p)
     lhs = inst.phi(power(inst.a, p))
-    rhs = k * power(inst.phi(inst.a), p)
+    rhs = _col(k) * power(inst.phi(inst.a), p)
     return _operator(f"generalized_kantorovich[p={_fmt(p)}]",
                      inst.params(p=p, constant=k), lhs, rhs, inst.tol)
 
 
-def check_scalar_power_chain(inst: CheckInstance, p: float) -> tuple[CheckResult, CheckResult]:
+@_per_instance
+def check_scalar_power_chain(inst: CheckInstance, p: float) -> list:
     """<Phi(A^p)x,x> <= K <Phi(A)x,x>^p <= K <Phi(A)^p x,x>: the middle bound
-    is the tighter one, the chain certifies that."""
-    k = generalized_kantorovich(p, inst.iv)
+    is the tighter one, the chain certifies that. One (lower, upper) pair
+    per instance."""
+    k = _each(generalized_kantorovich, inst.iv, p)
     pa = inst.phi(inst.a)
     s_lhs = vector_state_value(inst.x, inst.phi(power(inst.a, p)))
-    mid = k * vector_state_value(inst.x, pa) ** p
-    s_rhs = k * vector_state_value(inst.x, power(pa, p))
+    mid = [kk * v ** p for kk, v in zip(k, vector_state_value(inst.x, pa).tolist())]
+    s_rhs = np.asarray(k) * vector_state_value(inst.x, power(pa, p))
     params = inst.params(p=p, constant=k)
     lower = _scalar(f"scalar_power_chain[p={_fmt(p)}].lower", params, s_lhs, mid, inst.tol)
     upper = _scalar(f"scalar_power_chain[p={_fmt(p)}].upper", params, mid, s_rhs, inst.tol)
-    return lower, upper
+    return list(zip(lower, upper))
 
 
-def check_additive_sqrt(inst: CheckInstance) -> CheckResult:
-    m, M = inst.iv.m, inst.iv.M
-    c = (M - m) ** 2 / (4.0 * (M + m))
+@_per_instance
+def check_additive_sqrt(inst: CheckInstance) -> list:
+    c = [(iv.M - iv.m) ** 2 / (4.0 * (iv.M + iv.m)) for iv in inst.iv]
     lhs = sqrtm_psd(inst.phi(inst.a @ inst.a))
-    rhs = c * np.eye(inst.phi.output_dim) + inst.phi(inst.a)
+    rhs = _col(c) * _eye(inst) + inst.phi(inst.a)
     return _operator("additive_sqrt", inst.params(constant=c), lhs, rhs, inst.tol)
 
 
-def _f_range(f, iv: SpectralInterval) -> SpectralInterval:
-    ts = np.linspace(iv.m, iv.M, 4097)
-    fv = np.asarray(f(ts), dtype=float)
-    return SpectralInterval(float(fv.min()), float(fv.max()))
+def minkowski_constants(f: ScalarFunction, ivs) -> dict:
+    """The constants of `check_minkowski_general` for each interval, searched
+    in lockstep: alpha[f; m, M] and 2*beta0[f^-1; f-range]."""
+    return {"alpha": alpha_constant(f, ivs),
+            "beta": 2.0 * beta0_constant(f.inverted(), function_range(f, ivs))}
 
 
-def check_minkowski_general(inst: CheckInstance,
-                            f: ScalarFunction) -> tuple[CheckResult, CheckResult]:
+@_per_instance
+def check_minkowski_general(inst: CheckInstance, f: ScalarFunction,
+                            alpha=None, beta=None) -> list:
     """Triangle-type bound through f: multiplicative form with the chord-ratio
-    constant alpha[f; m, M], additive form with 2*beta0[f^-1; f-range]."""
+    constant alpha[f; m, M], additive form with 2*beta0[f^-1; f-range].
+    `alpha` and `beta`, one per instance, come from `minkowski_constants`
+    unless given. One (mult, add) pair per instance."""
     if not (f.one_to_one and f.operator_convex):
         raise DomainError(f"{f.name} must be 1-1 and operator convex")
     finv = f.inverted()
     if not finv.operator_monotone_increasing:
         raise DomainError(f"inverse of {f.name} is not operator monotone")
-    phi, iv = inst.phi, inst.iv
+    phi = inst.phi
     name = f"minkowski_general[f={f.name}]"
     sa = matrix_function(phi(matrix_function(inst.a, f)), finv)
     sb = matrix_function(phi(matrix_function(inst.b, f)), finv)
     sab = matrix_function(phi(matrix_function(inst.a + inst.b, f)), finv)
-    al = alpha_constant(f, iv)
-    be = 2.0 * beta0_constant(finv, _f_range(f, iv))
-    params = inst.params(f=f.name, alpha=al, beta=be)
-    mult = _operator(name + ".mult", params, sa + sb, al * sab, inst.tol)
-    add = _operator(name + ".add", params, sa + sb,
-                    be * np.eye(phi.output_dim) + sab, inst.tol)
-    return mult, add
+    if alpha is None:
+        alpha, beta = minkowski_constants(f, inst.iv).values()
+    params = inst.params(f=f.name, alpha=alpha, beta=beta)
+    mult = _operator(name + ".mult", params, sa + sb, _col(alpha) * sab, inst.tol)
+    add = _operator(name + ".add", params, sa + sb, _col(beta) * _eye(inst) + sab, inst.tol)
+    return list(zip(mult, add))
 
 
-def check_power_minkowski(a, b, phi: KrausMap, iv: SpectralInterval,
-                          p: float, tol: float = DEFAULT_TOL,
-                          name: Optional[str] = None) -> tuple[CheckResult, CheckResult]:
+@_per_instance
+def check_power_minkowski(a, b, phi: MapStack, iv: list, p: float,
+                          tol: float = DEFAULT_TOL,
+                          name: Optional[str] = None) -> list:
+    """One (mult, add) pair per instance."""
     if not 1 <= p <= 2:
         raise DomainError(f"need 1 <= p <= 2, got {p}")
     a, b = as_hermitian(a), as_hermitian(b)
@@ -336,45 +444,45 @@ def check_power_minkowski(a, b, phi: KrausMap, iv: SpectralInterval,
     sa = power(phi(power(a, p)), 1.0 / p)
     sb = power(phi(power(b, p)), 1.0 / p)
     sab = power(phi(power(a + b, p)), 1.0 / p)
-    kp = generalized_kantorovich(p, iv) ** (1.0 / p)
-    bp = beta_p_constant(p, iv)
-    params = {"dim": int(a.shape[0]), "out_dim": int(phi.output_dim),
-              "m": float(iv.m), "M": float(iv.M), "p": p,
-              "factor": kp, "summand": bp}
-    mult = _operator(name + ".mult", params, sa + sb, kp * sab, tol)
+    kp = [generalized_kantorovich(p, v) ** (1.0 / p) for v in iv]
+    bp = _each(beta_p_constant, iv, p)
+    params = _params(iv, a.shape[-1], phi.output_dim, p=p, factor=kp, summand=bp)
+    mult = _operator(name + ".mult", params, sa + sb, _col(kp) * sab, tol)
     add = _operator(name + ".add", params, sa + sb,
-                    bp * np.eye(phi.output_dim) + sab, tol)
-    return mult, add
+                    _col(bp) * np.eye(phi.output_dim) + sab, tol)
+    return list(zip(mult, add))
 
 
 def block_diag(mats) -> np.ndarray:
+    """The block-diagonal matrix of the given blocks; for stacks of blocks,
+    the stack of block-diagonal matrices."""
     mats = [np.asarray(m) for m in mats]
-    n = sum(m.shape[0] for m in mats)
+    n = sum(m.shape[-1] for m in mats)
     dtype = complex if any(np.iscomplexobj(m) for m in mats) else float
-    out = np.zeros((n, n), dtype=dtype)
+    out = np.zeros(mats[0].shape[:-2] + (n, n), dtype=dtype)
     lo = 0
     for m in mats:
-        hi = lo + m.shape[0]
-        out[lo:hi, lo:hi] = m
+        hi = lo + m.shape[-1]
+        out[..., lo:hi, lo:hi] = m
         lo = hi
     return out
 
 
-def check_tuple_minkowski(as_list, bs_list, phis, iv: SpectralInterval,
-                          tol: float = DEFAULT_TOL) -> tuple[CheckResult, CheckResult]:
+@_per_instance
+def check_tuple_minkowski(as_list, bs_list, phis, iv: list,
+                          tol: float = DEFAULT_TOL) -> list:
     """k-tuple version at p = 2, reduced to the two-term power check over the
-    direct sum of the blocks and the summed map."""
+    direct sum of the blocks and the summed map. `as_list`, `bs_list` and
+    `phis` hold one stack per block position."""
     k = len(as_list)
     if not (k == len(bs_list) == len(phis)):
         raise ValueError("need equally many A blocks, B blocks, and maps")
-    a = block_diag(as_list)
-    b = block_diag(bs_list)
-    ds = direct_sum(phis)
-    mult, add = check_power_minkowski(a, b, ds, iv, 2.0, tol,
-                                      name=f"tuple_minkowski[k={k}]")
-    for r in (mult, add):
-        r.params["k"] = k
-    return mult, add
+    ds = MapStack([direct_sum(maps) for maps in zip(*(p.maps for p in phis))])
+    pairs = check_power_minkowski(block_diag(as_list), block_diag(bs_list), ds, iv,
+                                  2.0, tol, name=f"tuple_minkowski[k={k}]")
+    for mult, _ in pairs:
+        mult.params["k"] = k    # the pair shares one params dict
+    return pairs
 
 
 __all__ = [
@@ -384,7 +492,7 @@ __all__ = [
     "check_reverse_ando_convex", "check_reverse_ando_sandwich",
     "check_kantorovich_equivalents", "check_reverse_choi_quadratic",
     "check_mond_pecaric", "check_generalized_kantorovich_operator",
-    "check_scalar_power_chain", "check_additive_sqrt",
+    "check_scalar_power_chain", "check_additive_sqrt", "minkowski_constants",
     "check_minkowski_general", "check_power_minkowski",
     "check_tuple_minkowski", "block_diag",
 ]

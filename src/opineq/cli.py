@@ -55,6 +55,19 @@ def _default_seed() -> int:
     return int(os.environ.get("OPINEQ_SEED", "42"))
 
 
+# float flags that must hold a finite number, by parsed attribute
+_FINITE_FLAGS = {"tol": "--tol", "m": "-m", "M": "-M", "x": "--x", "p": "--p"}
+
+
+def _require_finite(args) -> None:
+    """inf and nan parse as floats but satisfy no tolerance or interval
+    check the way a number does; ValueError exits 2."""
+    for attr, flag in _FINITE_FLAGS.items():
+        value = getattr(args, attr, None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
+
+
 def _validate_run_args(args) -> None:
     """Checks on the options `check` and `suite` share; ValueError exits 2."""
     if args.trials < 1:
@@ -291,6 +304,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _require_finite(args)
         if args.command in ("check", "suite"):
             _validate_run_args(args)
         if args.command == "list":

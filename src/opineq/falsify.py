@@ -148,9 +148,10 @@ def search_violations(check_name: str, grid: dict | None = None,
     if spec.name == CANDIDATE_NAME and budget is None:
         return _grid_violations(grid or DEFAULT_GRID, tol)
     out: list[ViolationReport] = []
-    for trial in range(int(budget or 0)):
-        rng = stream(seed, spec.name, trial)
-        for res in registry.run_trial(spec.name, rng, tol):
+    rngs = [stream(seed, spec.name, trial) for trial in range(int(budget or 0))]
+    per_trial = spec.run_trial(rngs, tol, registry.DEFAULT_DIMS, registry.DEFAULT_INTERVALS)
+    for trial, results in enumerate(per_trial):
+        for res in results:
             if res.holds:
                 continue
             witness = {"seed": int(seed), "label": spec.name, "trial": trial}

@@ -13,13 +13,14 @@ congruence map
 
     Psi(X) = Phi(A)^{-1/2} Phi(A^{1/2} X A^{1/2}) Phi(A)^{-1/2}),
 
-each validating its own hypotheses.
+each validating its own hypotheses. ``MapStack`` applies one map per
+matrix of a stack.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import power
+from .hermitian import adjoint, hermitian_part, power
 
 UNITARY_FTOL = 1e-11
 UNITAL_FTOL = 1e-10
@@ -38,32 +39,71 @@ class KrausMap:
             raise ValueError("weights must be positive")
         self.ops = ops
         self.weights = weights
-        self._ops_h = ops.conj().transpose(0, 2, 1)
         self.input_dim, self.output_dim = ops.shape[1], ops.shape[2]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        terms = self._ops_h @ x @ self.ops
-        out = self.weights[0] * terms[0]
-        for w, t in zip(self.weights[1:], terms[1:]):
-            out = out + w * t
-        return out
+        """sum_j w_j K_j* X K_j for X, or for each matrix of a stack X."""
+        return _weighted_sum(self.weights, adjoint(self.ops) @ x[..., None, :, :] @ self.ops)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        if x.shape != (self.input_dim, self.input_dim):
+        if x.ndim < 2 or x.shape[-2:] != (self.input_dim, self.input_dim):
             raise ValueError(
                 f"map expects a {self.input_dim}x{self.input_dim} input, got {x.shape}")
-        out = self.apply(x)
-        return (out + out.conj().T) / 2
+        return hermitian_part(self.apply(x))
 
     def unital_defect(self) -> float:
         """||sum_j w_j K_j* K_j - I||_F, the distance of Phi(I) from I."""
-        image = np.tensordot(self.weights, self._ops_h @ self.ops, axes=1)
+        image = np.tensordot(self.weights, adjoint(self.ops) @ self.ops, axes=1)
         return float(np.linalg.norm(image - np.eye(self.output_dim)))
 
     @property
     def is_unital(self) -> bool:
         return self.unital_defect() <= UNITAL_FTOL
+
+
+def _weighted_sum(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] * terms[..., j, :, :], added in term order; weights[j]
+    is a number, or a (b, 1, 1) column for a stack of b term lists."""
+    out = weights[0] * terms[..., 0, :, :]
+    for j in range(1, len(weights)):
+        out = out + weights[j] * terms[..., j, :, :]
+    return out
+
+
+class MapStack:
+    """Phi_i(X_i) for a stack X of shape (b, n_in, n_in) and one map per
+    matrix, all with the same input and output dimensions. Maps with one
+    Kraus-operator shape and dtype are applied together, as one batched
+    product, so each image has the bits its own map gives it."""
+
+    def __init__(self, maps):
+        self.maps = list(maps)
+        if not self.maps:
+            raise ValueError("need at least one map")
+        self.input_dim, self.output_dim = self.maps[0].input_dim, self.maps[0].output_dim
+        groups: dict = {}
+        for i, m in enumerate(self.maps):
+            if (m.input_dim, m.output_dim) != (self.input_dim, self.output_dim):
+                raise ValueError("all maps of a stack must share their dimensions")
+            groups.setdefault((m.ops.shape, m.ops.dtype), []).append(i)
+        self._groups = []
+        for idx in groups.values():
+            ops = np.stack([self.maps[i].ops for i in idx])
+            # weights[j] is the column of the j-th weights of the group's maps
+            weights = np.stack([self.maps[i].weights for i in idx]).T[..., None, None]
+            self._groups.append((np.array(idx), adjoint(ops), ops, weights))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        if x.shape != (len(self.maps), self.input_dim, self.input_dim):
+            raise ValueError(f"map stack expects {len(self.maps)} inputs of size "
+                             f"{self.input_dim}x{self.input_dim}, got {x.shape}")
+        out = np.empty((len(x), self.output_dim, self.output_dim),
+                       dtype=np.result_type(x, *(ops for _, _, ops, _ in self._groups)))
+        for idx, ops_h, ops, weights in self._groups:
+            out[idx] = _weighted_sum(weights, ops_h @ x[idx][:, None] @ ops)
+        return hermitian_part(out)
 
 
 def _isometry_defect(v: np.ndarray) -> float:
@@ -175,18 +215,20 @@ def make_rotation_mixture(alpha: float, beta: float) -> KrausMap:
     return unitary_mixture([rotation(alpha), rotation(beta)], [0.5, 0.5])
 
 
-def vector_state_value(x: np.ndarray, t: np.ndarray) -> float:
-    """<T x, x> for a unit vector x; the rank-one unital positive functional."""
-    x = np.asarray(x).ravel()
-    if abs(np.linalg.norm(x) - 1.0) > 1e-12:
+def vector_state_value(x: np.ndarray, t: np.ndarray):
+    """<T x, x> for a unit vector x; the rank-one unital positive functional.
+    For stacks x (b, n) and t (b, n, n), the array of the b values."""
+    x = np.asarray(x)
+    if np.any(np.abs(np.linalg.norm(x, axis=-1) - 1.0) > 1e-12):
         raise ValueError("state vector must have unit norm")
-    if t.shape != (x.size, x.size):
-        raise ValueError(f"dimension mismatch: {t.shape} vs vector of size {x.size}")
-    return float(np.real(x.conj() @ t @ x))
+    if t.shape != x.shape + x.shape[-1:]:
+        raise ValueError(f"dimension mismatch: {t.shape} vs vector of size {x.shape[-1]}")
+    value = np.real(x.conj()[..., None, :] @ t @ x[..., :, None])[..., 0, 0]
+    return value.item() if value.ndim == 0 else value
 
 
 __all__ = [
-    "KrausMap", "unitary_mixture", "identity_map", "pinching", "compression", "scaled", "direct_sum",
+    "KrausMap", "MapStack", "unitary_mixture", "identity_map", "pinching", "compression", "scaled", "direct_sum",
     "induced_congruence", "rotation", "make_rotation_mixture",
     "vector_state_value",
 ]

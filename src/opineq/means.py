@@ -7,19 +7,21 @@ The connection induced by a representing function f is
 which collapses to the geometric mean at f = sqrt and to A^{-1} at
 f(t) = t^2, B = I. The Riccati residual quantifies the defining property of
 the geometric mean: X = A # B is the positive solution of X A^{-1} X = B.
+The means take stacks of operand pairs as well, one mean per pair.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .functions import ScalarFunction
-from .hermitian import frobenius, matrix_function, power
+from .hermitian import frobenius, hermitian_part, matrix_function, power
 
 
 def _check_pd(a: np.ndarray, who: str) -> None:
-    w = np.linalg.eigvalsh(a)
-    if w[0] <= 0:
-        raise ValueError(f"{who} must be positive definite, lambda_min = {w[0]:.3e}")
+    lam = np.linalg.eigvalsh(a)[..., 0]
+    if np.any(lam <= 0):
+        raise ValueError(f"{who} must be positive definite, "
+                         f"lambda_min = {lam[lam <= 0].flat[0]:.3e}")
 
 
 def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -29,8 +31,7 @@ def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ah = power(a, 0.5)
     ami = power(a, -0.5)
     mid = power(ami @ b @ ami, 0.5)
-    g = ah @ mid @ ah
-    return (g + g.conj().T) / 2
+    return hermitian_part(ah @ mid @ ah)
 
 
 def connection(a: np.ndarray, b: np.ndarray, f: ScalarFunction) -> np.ndarray:
@@ -43,11 +44,8 @@ def connection(a: np.ndarray, b: np.ndarray, f: ScalarFunction) -> np.ndarray:
     _check_pd(a, "left operand")
     ah = power(a, 0.5)
     ami = power(a, -0.5)
-    inner = ami @ b @ ami
-    inner = (inner + inner.conj().T) / 2
-    mid = matrix_function(inner, f)
-    out = ah @ mid @ ah
-    return (out + out.conj().T) / 2
+    mid = matrix_function(hermitian_part(ami @ b @ ami), f)
+    return hermitian_part(ah @ mid @ ah)
 
 
 def riccati_residual(a: np.ndarray, b: np.ndarray) -> float:

@@ -117,8 +117,22 @@ def test_constants_missing_parameter(capsys):
     (["falsify", "--name", "kantorovich", "--budget", "0"], "--budget must be >= 1"),
     (["suite", "--dims", "0"], "--dims entries must be >= 1"),
     (["suite", "--dims", "2,0"], "--dims entries must be >= 1"),
+    (["check", "--name", "kantorovich", "--trials", "2", "--tol", "inf"],
+     "--tol must be finite"),
+    (["suite", "--tol", "nan"], "--tol must be finite"),
+    (["constants", "--name", "kantorovich", "-m", "1", "-M", "inf"], "-M must be finite"),
+    (["constants", "--name", "beta_p", "-m", "1", "-M", "2", "--p", "nan"],
+     "--p must be finite"),
+    (["counterexample", "--x", "nan"], "--x must be finite"),
+    (["counterexample", "--x", "inf"], "--x must be finite"),
+    (["counterexample", "--tol", "nan"], "--tol must be finite"),
+    (["constants", "--name", "generalized_kantorovich", "-m", "1", "-M", "1.000000001",
+      "--p", "1.0000001"], "cancels to 0"),
 ], ids=["constants-unknown-f", "falsify-budget-negative", "falsify-budget-0",
-        "suite-dims-0", "suite-dims-entry-0"])
+        "suite-dims-0", "suite-dims-entry-0", "check-tol-inf", "suite-tol-nan",
+        "constants-M-inf", "constants-p-nan", "counterexample-x-nan",
+        "counterexample-x-inf", "counterexample-tol-nan",
+        "constants-generalized-kantorovich-cancellation"])
 def test_bad_flag_value_is_usage_error(capsys, argv, message):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()

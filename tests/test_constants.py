@@ -7,6 +7,7 @@ the cross-check the acceptance gate leans on.
 import numpy as np
 import pytest
 
+from opineq import constants
 from opineq.constants import (alpha_constant, beta0_constant, beta_p_constant,
                               chord_coefficients, generalized_kantorovich,
                               golden_max, kantorovich_constant,
@@ -57,6 +58,13 @@ def test_generalized_kantorovich_special_points():
 def test_generalized_kantorovich_interior_p_rejected():
     with pytest.raises(DomainError):
         generalized_kantorovich(0.5, (1.0, 2.0))
+
+
+def test_generalized_kantorovich_cancellation_is_domain_error():
+    # m*M^p - M*m^p rounds to exactly 0 here; the ratio form that avoids it
+    # is not in place, so the constant refuses rather than divide by zero
+    with pytest.raises(DomainError, match="cancels to 0"):
+        generalized_kantorovich(1.0000001, (1.0, 1.000000001))
 
 
 @pytest.mark.parametrize("m,M", INTERVALS)
@@ -169,3 +177,107 @@ def test_chord_dominates_convex_function():
     chord = chord_coefficients(f, 0.5, 3.0)
     ts = np.linspace(0.5, 3.0, 501)
     assert (chord(ts) - ts**2 >= -1e-12).all()
+
+
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _scalar_golden_max(f, lo, hi, xtol=1e-12, scan_points=4096):
+    """One bracket at a time: 4096-point scan, then golden section in the
+    best bracket, on Python floats. Returns (argmax, value, steps, refined),
+    `refined` telling whether the golden-section point beat the scan."""
+    if hi == lo:
+        return lo, float(f(np.asarray(lo, dtype=float))), 0, False
+    xs = np.linspace(lo, hi, scan_points)
+    vals = np.asarray(f(xs), dtype=float)
+    k = int(np.argmax(vals))
+    best = float(vals[k])
+    a, b = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, scan_points - 1)])
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = float(f(np.asarray(c))), float(f(np.asarray(d)))
+    steps = 0
+    while (b - a) > xtol:
+        steps += 1
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = float(f(np.asarray(c)))
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = float(f(np.asarray(d)))
+    x = (a + b) / 2.0
+    fx = float(f(np.asarray(x)))
+    if fx >= best:
+        return x, fx, steps, True
+    return float(xs[k]), best, steps, False
+
+
+def _lane_objective(t, s, c, al):
+    # concave, with its maximum at t* = (s / (1.5 al))^2
+    return (s * t + c) - al * np.asarray(t, dtype=float) ** 1.5
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 37])
+@pytest.mark.parametrize("budget", ["default", "one-chunk"])
+def test_golden_max_lockstep_matches_scalar_search(lanes, budget, monkeypatch):
+    if budget == "one-chunk":   # every lane's scan grid in one linspace call
+        monkeypatch.setattr(constants, "BATCH_BYTES", 1 << 30)
+    g = np.random.default_rng(lanes)
+    s, c, al = g.uniform(0.5, 3.0, lanes), g.uniform(-1.0, 1.0, lanes), g.uniform(0.5, 2.0, lanes)
+    top = (s / (1.5 * al)) ** 2
+    # brackets around the maximum, of widths from 1e-9 t* to t*/2, so the
+    # lanes take different numbers of steps; every fifth is a single point
+    width = top * 10.0 ** g.uniform(-9.0, -0.3, lanes)
+    lo = top - width * g.uniform(0.1, 0.9, lanes)
+    hi = lo + width
+    hi[::5] = lo[::5]
+    arg, value = golden_max(_lane_objective, lo, hi, s, c, al)
+    steps, refined = set(), 0
+    for i in range(lanes):
+        ref = _scalar_golden_max(lambda t: _lane_objective(t, s[i], c[i], al[i]),
+                                 float(lo[i]), float(hi[i]))
+        assert ((repr(float(arg[i])), repr(float(value[i])))
+                == (repr(float(ref[0])), repr(float(ref[1]))))
+        steps.add(ref[2])
+        refined += ref[3]
+    if lanes > 2:
+        assert len(steps) > 5 and refined > 5
+
+
+def test_scan_grid_is_linspace_per_lane():
+    # np.linspace over many lanes switches every lane to another formula
+    # once one lane has a zero step; the lockstep scan must not
+    g = np.random.default_rng(3)
+    lo = g.uniform(0.2, 3.0, 23)
+    hi = lo + 10.0 ** g.uniform(-9.0, 1.0, 23)
+    hi[::4] = lo[::4]
+    grid = constants._grid(lo, hi, 4096)
+    for i in range(23):
+        np.testing.assert_array_equal(grid[:, i], np.linspace(lo[i], hi[i], 4096))
+
+
+def test_golden_max_single_lane_returns_floats():
+    f = lambda t: 3.0 - (t - 1.0) ** 2
+    arg, value = golden_max(f, 0.0, 2.0)
+    assert type(arg) is float and type(value) is float
+    assert (arg, value) == _scalar_golden_max(f, 0.0, 2.0)[:2]
+    assert golden_max(f, 1.5, 1.5) == (1.5, 2.75)
+
+
+def test_golden_max_rejects_empty_bracket():
+    with pytest.raises(ValueError, match="empty interval"):
+        golden_max(lambda t: t, np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+
+
+def test_searched_constants_take_interval_lists():
+    # one lockstep search over many intervals gives each interval's constant
+    ivs = [(1.0, 2.0), (1.0, 4.0), (0.5, 3.0), (2.0, 2.0)]
+    f = by_name("t^2")
+    for lanes, one in ((alpha_constant(f, ivs), lambda iv: alpha_constant(f, iv)),
+                       (beta0_constant(by_name("t^0.5"), ivs),
+                        lambda iv: beta0_constant(by_name("t^0.5"), iv)),
+                       (mond_pecaric_beta(f, ivs, [0.0, 1.0, 1.7, 0.5]), None)):
+        expected = ([one(iv) for iv in ivs] if one else
+                    [mond_pecaric_beta(f, iv, a) for iv, a in zip(ivs, [0.0, 1.0, 1.7, 0.5])])
+        assert [repr(v) for v in lanes.tolist()] == [repr(v) for v in expected]

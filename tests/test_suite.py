@@ -1,4 +1,5 @@
 """Registry coverage, suite determinism, report serialization."""
+import dataclasses
 import json
 
 import numpy as np
@@ -70,10 +71,52 @@ RESULT_NAMES = {
 
 @pytest.mark.parametrize("spec", registry.REGISTRY, ids=lambda spec: spec.name)
 def test_every_entry_produces_results(spec):
-    rng = stream(7, spec.name)
-    results = spec.run_trial(rng, 1e-9, (2, 3), registry.DEFAULT_INTERVALS)
+    (results,) = spec.run_trial([stream(7, spec.name)], 1e-9, (2, 3),
+                                registry.DEFAULT_INTERVALS)
     assert all(isinstance(r, CheckResult) for r in results)
     assert [r.check_name for r in results] == RESULT_NAMES[spec.name]
+
+
+def _fingerprint(per_trial):
+    return [[(r.to_record(), repr(r.margin)) for r in results] for results in per_trial]
+
+
+# dims 2, 3, 5, 8 draw all three map kinds, compressions onto several input
+# sizes and pinchings of several ranks, so buckets mix Kraus shapes
+@pytest.mark.parametrize("spec", registry.REGISTRY, ids=lambda spec: spec.name)
+def test_batch_equals_trials_run_alone(spec):
+    dims, trials = (2, 3, 5, 8), 40
+    streams = lambda: [stream(13, spec.name, t) for t in range(trials)]
+    batch = spec.run_trial(streams(), 1e-9, dims, registry.DEFAULT_INTERVALS)
+    alone = [spec.run_trial([rng], 1e-9, dims, registry.DEFAULT_INTERVALS)[0]
+             for rng in streams()]
+    assert len(batch) == trials
+    assert _fingerprint(batch) == _fingerprint(alone)
+
+
+# tuple draws at dim 32 hold ~180 kB each, more than a bucket takes, and
+# fill the batch budget in a few trials; with 2 kB buckets, small draws of
+# one key fill several buckets
+@pytest.mark.parametrize("name,dims,stack_bytes", [
+    ("tuple_minkowski", (32,), None),
+    ("minkowski_general", (2, 3), 2048),
+], ids=["large-draws", "small-buckets"])
+def test_batch_split_by_byte_budget_equals_trials_run_alone(name, dims, stack_bytes,
+                                                            monkeypatch):
+    if stack_bytes is not None:
+        monkeypatch.setattr(registry, "STACK_BYTES", stack_bytes)
+    spec = registry.get(name)
+    streams = lambda: [stream(5, spec.name, t) for t in range(12)]
+    keys = {registry._key(spec.draw(rng, 1e-9, dims, registry.DEFAULT_INTERVALS))
+            for rng in streams()}
+    stacks = []
+    counted = dataclasses.replace(
+        spec, check=lambda stack, *args, **kw: stacks.append(stack) or spec.check(stack, *args, **kw))
+    batch = counted.run_trial(streams(), 1e-9, dims, registry.DEFAULT_INTERVALS)
+    assert len(stacks) // len(spec.params) > len(keys)
+    alone = [spec.run_trial([rng], 1e-9, dims, registry.DEFAULT_INTERVALS)[0]
+             for rng in streams()]
+    assert _fingerprint(batch) == _fingerprint(alone)
 
 
 def test_statements_are_plain_text():

@@ -5,9 +5,9 @@ inequalities, and Minkowski-type determinant-free bounds on randomly
 generated instances, and ships a falsification engine for a claimed
 counterexample family built from 2x2 rotation mixtures.
 """
-from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval,
-                        eig_hermitian, eigenvalues, is_psd, loewner_leq,
-                        matrix_function, operator_norm, power, spectral_bounds)
+from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval, is_psd,
+                        loewner_leq, matrix_function, operator_norm, power,
+                        spectral_bounds)
 from .functions import CATALOG, ScalarFunction, by_name, power_function
 from .means import connection, geometric_mean, riccati_residual
 from .maps import (KrausMap, compression, direct_sum, identity_map,
@@ -24,8 +24,8 @@ from .falsify import ViolationReport, counterexample_T, search_violations
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL", "DomainError", "SpectralInterval", "eig_hermitian",
-    "eigenvalues", "is_psd", "loewner_leq", "matrix_function",
+    "DEFAULT_TOL", "DomainError", "SpectralInterval", "is_psd",
+    "loewner_leq", "matrix_function",
     "operator_norm", "power", "spectral_bounds",
     "CATALOG", "ScalarFunction", "by_name", "power_function",
     "connection", "geometric_mean", "riccati_residual",

@@ -185,6 +185,10 @@ def generalized_kantorovich(p: float, iv) -> float:
                           "cancels to 0 in double precision")
     lead = gap / ((p - 1.0) * (M - m))
     inner = (p - 1.0) / p * (M ** p - m ** p) / gap
+    if inner <= 0:
+        raise DomainError(f"K(p, m, M) at p={p!r} on [{m!r}, {M!r}]: the factor "
+                          f"(p-1)/p (M^p - m^p)/(m*M^p - M*m^p), positive in exact "
+                          f"arithmetic, is {inner!r} in double precision")
     return lead * inner ** p
 
 

@@ -3,24 +3,155 @@ Haar unitaries, unital maps, and sandwiched pairs.
 
 Everything draws from an explicit numpy Generator so that any instance can be
 reproduced from (seed, label, index) alone.
+
+A draw runs in two phases. The random-number phase, the methods of
+``DrawBatch``, makes every rng call of the draw, in order, and returns the
+draw's arrays and maps already shaped; an array whose value needs linear
+algebra holds its random input until then. The linear-algebra phase,
+``DrawBatch.finish``, runs that algebra for every draw of the batch at once,
+one stacked call per matrix shape, and overwrites each array with its value.
+No random number depends on a linear-algebra result, and a stacked call
+gives each matrix the bits it gets alone, so a draw is the same in any
+batch. The functions below are a batch of one.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import SpectralInterval, sqrtm_psd
-from .maps import KrausMap, compression, pinching, unitary_mixture
+from .hermitian import SpectralInterval, adjoint, hermitian_part, sqrtm_psd
+from .maps import (KrausMap, mixture_of, pinching, require_isometry,
+                   require_unitary)
+
+
+def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The complex Gaussian matrix a Haar unitary is made from."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _groups(arrays: list):
+    """The indices of the arrays, grouped by shape."""
+    groups: dict = {}
+    for i, a in enumerate(arrays):
+        groups.setdefault(a.shape, []).append(i)
+    return groups.values()
+
+
+def _stack(arrays: list, idx: list) -> np.ndarray:
+    return np.stack([arrays[i] for i in idx])
+
+
+def _put(arrays: list, idx: list, values: np.ndarray) -> None:
+    for i, v in zip(idx, values):
+        arrays[i][...] = v
+
+
+class DrawBatch:
+    """The draws of one batch, with their linear algebra pending until
+    `finish`. Each method takes the arguments of the function below that it
+    serves (`spd` for `random_spd`, and so on) and makes the same rng calls;
+    the arrays it returns hold their values only after `finish`."""
+
+    def __init__(self):
+        self._haar: list = []        # complex Gaussians, to become Haar unitaries
+        self._spd: list = []         # Haar unitaries U, to become U diag(w) U*
+        self._evals: list = []       # the w of each of _spd
+        self._sandwich_a: list = []  # A of each sandwiched pair
+        self._sandwich_b: list = []  # D, to become A^1/2 D A^1/2
+        self._isometry: list = []    # Kraus operators of compressions, to
+        self._isometry_u: list = []  # become the first columns of these
+        self._unitary: list = []     # Kraus operators of mixtures, to check
+        # bytes held here that the draws' own arrays do not count
+        self.nbytes = 0
+
+    def unitary(self, dim: int, rng: np.random.Generator) -> np.ndarray:
+        g = _gaussian(dim, rng)
+        self._haar.append(g)
+        return g
+
+    def spd(self, dim: int, iv: SpectralInterval, rng: np.random.Generator) -> np.ndarray:
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
+        m, M = iv.m, iv.M
+        if dim == 1:
+            return np.array([[rng.uniform(m, M)]])
+        evals = np.concatenate(([m, M], rng.uniform(m, M, size=dim - 2)))
+        rng.shuffle(evals)
+        a = self.unitary(dim, rng)
+        self._spd.append(a)
+        self._evals.append(evals)
+        self.nbytes += evals.nbytes
+        return a
+
+    def mixture(self, dim: int, rng: np.random.Generator) -> KrausMap:
+        terms = 2 + int(rng.integers(3))
+        # the Gaussians are held as the rows of the map's operators
+        ops = np.stack([_gaussian(dim, rng) for _ in range(terms)])
+        self._haar += list(ops)
+        self._unitary += list(ops)
+        return mixture_of(ops, random_weights(terms, rng))
+
+    def unital_map(self, out_dim: int, rng: np.random.Generator) -> tuple[KrausMap, int]:
+        kind = int(rng.integers(3))
+        if kind == 0:
+            return self.mixture(out_dim, rng), out_dim
+        if kind == 1:
+            return random_pinching(out_dim, rng), out_dim
+        n_in = out_dim + 1 + int(rng.integers(3))
+        u = self.unitary(n_in, rng)
+        phi = KrausMap(np.empty((1, n_in, out_dim), dtype=u.dtype), [1.0])
+        self._isometry.append(phi.ops[0])
+        self._isometry_u.append(u)
+        self.nbytes += u.nbytes
+        return phi, n_in
+
+    def sandwiched_pair(self, dim: int, iv_a: SpectralInterval, bounds: SpectralInterval,
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        a = self.spd(dim, iv_a, rng)
+        d = self.spd(dim, bounds, rng)
+        self._sandwich_a.append(a)
+        self._sandwich_b.append(d)
+        return a, d
+
+    def finish(self) -> None:
+        """The linear-algebra phase of every draw so far, in place, each step
+        after the one it needs: Haar unitaries (QR with the R-diagonal
+        phases folded into Q), SPD matrices, sandwiched pairs, compressions,
+        and the unitarity checks of the maps. Then the batch lets go of the
+        draws and takes the next ones."""
+        for idx in _groups(self._haar):
+            q, r = np.linalg.qr(_stack(self._haar, idx))
+            d = np.diagonal(r, axis1=-2, axis2=-1)
+            _put(self._haar, idx, q * (d / np.abs(d))[..., None, :])
+        for idx in _groups(self._spd):
+            u, w = _stack(self._spd, idx), _stack(self._evals, idx)
+            _put(self._spd, idx, hermitian_part((u * w[:, None, :]) @ adjoint(u)))
+        for idx in _groups(self._sandwich_b):
+            ah = sqrtm_psd(_stack(self._sandwich_a, idx))
+            _put(self._sandwich_b, idx,
+                 hermitian_part(ah @ _stack(self._sandwich_b, idx) @ ah))
+        for v, u in zip(self._isometry, self._isometry_u):
+            v[...] = u[:, :v.shape[1]]
+        for idx in _groups(self._isometry):
+            require_isometry(_stack(self._isometry, idx))
+        for idx in _groups(self._unitary):
+            require_unitary(_stack(self._unitary, idx))
+        self.__init__()
+
+
+def _alone(method, *args):
+    """One draw as a batch of one."""
+    batch = DrawBatch()
+    out = method(batch, *args)
+    batch.finish()
+    return out
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian matrix with the
     R-diagonal phases folded into Q."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _alone(DrawBatch.unitary, dim, rng)
 
 
 def haar_isometry(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -32,19 +163,12 @@ def haar_isometry(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
 def random_spd(dim: int, iv: SpectralInterval, rng: np.random.Generator) -> np.ndarray:
     """SPD matrix with spectrum in [m, M] and, for dim >= 2, the endpoints m
     and M hit exactly, so the sandwich m I <= A <= M I is tight."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    m, M = iv.m, iv.M
-    if dim == 1:
-        return np.array([[rng.uniform(m, M)]])
-    evals = np.concatenate(([m, M], rng.uniform(m, M, size=dim - 2)))
-    rng.shuffle(evals)
-    u = random_unitary(dim, rng)
-    a = (u * evals) @ u.conj().T
-    return (a + a.conj().T) / 2
+    return _alone(DrawBatch.spd, dim, iv, rng)
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+    # normalized per draw: a stacked norm(x, axis=-1) differs from this one
+    # in the last bit for about a fifth of vectors
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return x / np.linalg.norm(x)
 
@@ -54,9 +178,7 @@ def random_weights(k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_mixture(dim: int, rng: np.random.Generator) -> KrausMap:
-    terms = 2 + int(rng.integers(3))
-    us = [random_unitary(dim, rng) for _ in range(terms)]
-    return unitary_mixture(us, random_weights(terms, rng))
+    return _alone(DrawBatch.mixture, dim, rng)
 
 
 def random_pinching(dim: int, rng: np.random.Generator) -> KrausMap:
@@ -77,13 +199,7 @@ def random_pinching(dim: int, rng: np.random.Generator) -> KrausMap:
 def random_unital_map(out_dim: int, rng: np.random.Generator) -> tuple[KrausMap, int]:
     """A map with the given output dimension; for compressions the input side
     is 1 to 3 dimensions larger. Returns (map, input_dim)."""
-    kind = int(rng.integers(3))
-    if kind == 0:
-        return random_mixture(out_dim, rng), out_dim
-    if kind == 1:
-        return random_pinching(out_dim, rng), out_dim
-    n_in = out_dim + 1 + int(rng.integers(3))
-    return compression(haar_isometry(n_in, out_dim, rng)), n_in
+    return _alone(DrawBatch.unital_map, out_dim, rng)
 
 
 def sandwiched_pair(dim: int, iv_a: SpectralInterval, bounds: SpectralInterval,
@@ -91,15 +207,11 @@ def sandwiched_pair(dim: int, iv_a: SpectralInterval, bounds: SpectralInterval,
     """(A, B) with lo*A <= B <= hi*A exact by construction: B = A^{1/2} D A^{1/2}
     with spectrum(D) in [lo, hi] (endpoints forced), so the ordering transports
     through the congruence."""
-    a = random_spd(dim, iv_a, rng)
-    d = random_spd(dim, bounds, rng)
-    ah = sqrtm_psd(a)
-    b = ah @ d @ ah
-    return a, (b + b.conj().T) / 2
+    return _alone(DrawBatch.sandwiched_pair, dim, iv_a, bounds, rng)
 
 
 __all__ = [
-    "random_unitary", "haar_isometry", "random_spd",
+    "DrawBatch", "random_unitary", "haar_isometry", "random_spd",
     "random_state", "random_weights", "random_mixture", "random_pinching",
     "random_unital_map", "sandwiched_pair",
 ]

@@ -14,7 +14,7 @@ over the stack, and as Python scalars for a single matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -72,33 +72,6 @@ def as_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     if dev > atol:
         raise DomainError(f"matrix is not Hermitian: max |A - A*| = {dev:.3e} > {atol:.1e}")
     return hermitian_part(a)
-
-
-class EigenDecomposition(NamedTuple):
-    eigenvalues: np.ndarray   # ascending, real
-    eigenvectors: np.ndarray  # unitary; column i pairs with eigenvalues[i]
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition with ascending eigenvalues and unitary eigenvectors.
-
-    Deterministic for identical input. Raises np.linalg.LinAlgError on the
-    (practically unreachable for Hermitian input) non-convergence path.
-    """
-    w, v = np.linalg.eigh(a)
-    return EigenDecomposition(w, v)
-
-
-def eigenvalues(a: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(a)
-
-
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
 
 
 def _per_matrix(v):
@@ -246,9 +219,9 @@ def spectral_bounds(a: np.ndarray):
 
 
 __all__ = [
-    "HERMITIAN_ATOL", "DEFAULT_TOL", "BATCH_BYTES", "DomainError", "EigenDecomposition",
-    "SpectralInterval", "adjoint", "hermitian_part", "as_hermitian", "eig_hermitian", "eigenvalues",
-    "frobenius", "operator_norm", "matrix_function", "power", "inv_psd",
+    "HERMITIAN_ATOL", "DEFAULT_TOL", "BATCH_BYTES", "DomainError",
+    "SpectralInterval", "adjoint", "hermitian_part", "as_hermitian",
+    "operator_norm", "matrix_function", "power", "inv_psd",
     "sqrtm_psd", "within_tolerance", "loewner_leq", "is_psd",
     "spectral_bounds",
 ]

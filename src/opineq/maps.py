@@ -106,28 +106,47 @@ class MapStack:
         return hermitian_part(out)
 
 
-def _isometry_defect(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v.conj().T @ v - np.eye(v.shape[1])))
-
-
-def unitary_mixture(unitaries, weights) -> KrausMap:
-    """Phi(X) = sum_i w_i U_i* X U_i with w_i > 0 summing to 1."""
-    unitaries = [np.asarray(u) for u in unitaries]
-    weights = np.asarray(weights, dtype=float)
-    if len(unitaries) == 0 or len(unitaries) != len(weights):
-        raise ValueError("need equally many unitaries and weights, at least one")
-    n = unitaries[0].shape[0]
-    for u in unitaries:
-        if u.shape != (n, n):
-            raise ValueError("all unitaries must share one square shape")
-        dev = _isometry_defect(u)
+def _require_isometric(v: np.ndarray, message: str) -> None:
+    """Raise ValueError(message with the defect) for the first matrix V of
+    the stack v with ||V*V - I||_F > UNITARY_FTOL; a 2-D v is one matrix.
+    The stack's products and norms take one call each."""
+    devs = np.linalg.norm(adjoint(v) @ v - np.eye(v.shape[-1]), axis=(-2, -1))
+    for dev in devs.ravel().tolist():
         if dev > UNITARY_FTOL:
-            raise ValueError(f"matrix is not unitary: ||U*U - I||_F = {dev:.3e}")
+            raise ValueError(message.format(dev))
+
+
+def require_unitary(u: np.ndarray) -> None:
+    """Reject a matrix, or a stack of them, with one matrix not unitary."""
+    _require_isometric(u, "matrix is not unitary: ||U*U - I||_F = {:.3e}")
+
+
+def require_isometry(v: np.ndarray) -> None:
+    """Reject an isometry, or a stack of them, with one matrix not isometric."""
+    _require_isometric(v, "not an isometry: ||V*V - I||_F = {:.3e}")
+
+
+def mixture_of(ops, weights) -> KrausMap:
+    """The map sum_i w_i U_i* X U_i for ops[i] = U_i, with its shapes and
+    weights checked; the caller checks that the U_i are unitary."""
+    weights = np.asarray(weights, dtype=float)
+    if len(ops) == 0 or len(ops) != len(weights):
+        raise ValueError("need equally many unitaries and weights, at least one")
+    n = ops[0].shape[0]
+    if any(u.shape != (n, n) for u in ops):
+        raise ValueError("all unitaries must share one square shape")
     if np.any(weights <= 0):
         raise ValueError("weights must be positive")
     if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
-    return KrausMap(unitaries, weights)
+    return KrausMap(ops, weights)
+
+
+def unitary_mixture(unitaries, weights) -> KrausMap:
+    """Phi(X) = sum_i w_i U_i* X U_i with w_i > 0 summing to 1."""
+    phi = mixture_of([np.asarray(u) for u in unitaries], weights)
+    require_unitary(phi.ops)
+    return phi
 
 
 def identity_map(dim: int) -> KrausMap:
@@ -151,9 +170,7 @@ def compression(v) -> KrausMap:
     v = np.asarray(v)
     if v.ndim != 2 or v.shape[0] < v.shape[1]:
         raise ValueError("isometry must be tall, n x k with k <= n")
-    dev = _isometry_defect(v)
-    if dev > UNITARY_FTOL:
-        raise ValueError(f"not an isometry: ||V*V - I||_F = {dev:.3e}")
+    require_isometry(v)
     return KrausMap([v], [1.0])
 
 
@@ -228,7 +245,8 @@ def vector_state_value(x: np.ndarray, t: np.ndarray):
 
 
 __all__ = [
-    "KrausMap", "MapStack", "unitary_mixture", "identity_map", "pinching", "compression", "scaled", "direct_sum",
+    "KrausMap", "MapStack", "mixture_of", "require_unitary", "require_isometry",
+    "unitary_mixture", "identity_map", "pinching", "compression", "scaled", "direct_sum",
     "induced_congruence", "rotation", "make_rotation_mixture",
     "vector_state_value",
 ]

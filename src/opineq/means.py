@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import ScalarFunction
-from .hermitian import frobenius, hermitian_part, matrix_function, power
+from .hermitian import hermitian_part, matrix_function, power
 
 
 def _check_pd(a: np.ndarray, who: str) -> None:
@@ -52,7 +52,7 @@ def riccati_residual(a: np.ndarray, b: np.ndarray) -> float:
     """Relative residual ||(A#B) A^{-1} (A#B) - B||_F / ||B||_F."""
     g = geometric_mean(a, b)
     ainv = power(a, -1.0)
-    return frobenius(g @ ainv @ g - b) / frobenius(b)
+    return float(np.linalg.norm(g @ ainv @ g - b)) / float(np.linalg.norm(b))
 
 
 __all__ = ["geometric_mean", "connection", "riccati_residual"]

@@ -8,8 +8,9 @@ Entries marked expected_to_hold=False are known-false candidates kept for
 falsifier sensitivity runs.
 
 Trials are evaluated together: each draws its instance from its own stream,
-in stream order, and the drawn instances are grouped into buckets of one
-shape, stacked, and checked one bucket at a time. A single trial is a batch
+in stream order, with the linear algebra of the draws run afterwards,
+stacked, for all of them at once; the drawn instances are then grouped into
+buckets of one shape, stacked, and checked one bucket at a time. A single trial is a batch
 of one through the same path.
 """
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .constants import kantorovich_constant, mond_pecaric_beta
 from .falsify import candidate_result
 from .functions import (identity_function, inverse_function, power_function,
                         square_function)
-from .generators import (random_spd, random_state, random_unital_map,
-                         random_weights, sandwiched_pair)
+from .generators import DrawBatch, random_state, random_weights
 from .hermitian import BATCH_BYTES, DEFAULT_TOL, SpectralInterval
 from .maps import KrausMap, MapStack, identity_map, scaled
 
@@ -112,11 +112,12 @@ def _nbytes(part) -> int:
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """One statement as a row. `draw(rng, tol, dims, intervals)` builds one
-    instance; `check(stack)` runs once, or `check(stack, param)` once per
-    entry of `params`, in order, on a stack of instances of one shape, and
-    returns per instance one CheckResult or a sequence of them. A trial
-    returns them all in call order. `constants(intervals, param)`, if set,
+    """One statement as a row. `draw(rng, tol, dims, intervals, batch)`
+    makes the rng calls of one instance and leaves its linear algebra to
+    `batch` (a `generators.DrawBatch`); `check(stack)` runs once, or
+    `check(stack, param)` once per entry of `params`, in order, on a stack
+    of instances of one shape, and returns per instance one CheckResult or
+    a sequence of them. A trial returns them all in call order. `constants(intervals, param)`, if set,
     computes keyword arguments of the check for every instance of the
     batch at once (one lockstep search instead of one per bucket); each
     value holds one entry per interval."""
@@ -131,17 +132,21 @@ class CheckSpec:
 
     def run_trial(self, rngs: Iterable, tol, dims, intervals) -> list[list[CheckResult]]:
         """Draw one instance from each stream, in order, and return the
-        results of each, in stream order. Draws are held until they reach
-        BATCH_BYTES, then evaluated together, stacked in buckets of one key
-        (see `_key`) and at most STACK_BYTES."""
+        results of each, in stream order. Draws are held until they and the
+        inputs of their pending linear algebra reach BATCH_BYTES; then that
+        algebra runs for all of them at once, and they are evaluated
+        together, stacked in buckets of one key (see `_key`) and at most
+        STACK_BYTES."""
         out: list[list[CheckResult]] = []
-        held, sizes = [], []
+        held, sizes, batch = [], [], DrawBatch()
         for rng in rngs:
-            held.append(self.draw(rng, tol, dims, intervals))
+            held.append(self.draw(rng, tol, dims, intervals, batch))
             sizes.append(_nbytes(held[-1]))
-            if sum(sizes) >= BATCH_BYTES:
+            if sum(sizes) + batch.nbytes >= BATCH_BYTES:
+                batch.finish()
                 out += self._evaluate(held, sizes)
         if held:
+            batch.finish()
             out += self._evaluate(held, sizes)
         return out
 
@@ -182,57 +187,57 @@ def _draw(rng, dims, intervals):
     return dim, iv
 
 
-def _single(rng, tol, dims, intervals, f=None, with_state=False,
+def _single(rng, tol, dims, intervals, batch, f=None, with_state=False,
             identity=False) -> _Fields:
     """A on the input side of a random unital map (or of the identity map),
     with a unit vector state if asked."""
     dim, iv = _draw(rng, dims, intervals)
-    phi, n_in = (identity_map(dim), dim) if identity else random_unital_map(dim, rng)
-    a = random_spd(n_in, iv, rng)
+    phi, n_in = (identity_map(dim), dim) if identity else batch.unital_map(dim, rng)
+    a = batch.spd(n_in, iv, rng)
     x = random_state(dim, rng) if with_state else None
     return _Fields(a=a, phi=phi, x=x, f=f, tol=tol)
 
 
-def _drawn_f(rng, tol, dims, intervals) -> _Fields:
+def _drawn_f(rng, tol, dims, intervals, batch) -> _Fields:
     # the function is drawn before the dimension and the interval
     f = (square_function, inverse_function)[int(rng.integers(2))]
-    return _single(rng, tol, dims, intervals, f=f)
+    return _single(rng, tol, dims, intervals, batch, f=f)
 
 
-def _pair(rng, tol, dims, intervals, f=None) -> _Fields:
+def _pair(rng, tol, dims, intervals, batch, f=None) -> _Fields:
     dim, iv = _draw(rng, dims, intervals)
-    phi, n_in = random_unital_map(dim, rng)
-    a = random_spd(n_in, iv, rng)
-    b = random_spd(n_in, iv, rng)
+    phi, n_in = batch.unital_map(dim, rng)
+    a = batch.spd(n_in, iv, rng)
+    b = batch.spd(n_in, iv, rng)
     return _Fields(a=a, b=b, phi=phi, f=f, tol=tol)
 
 
-def _sandwich(rng, tol, dims, intervals, squared=False):
+def _sandwich(rng, tol, dims, intervals, batch, squared=False):
     """Arguments (A, B, Phi, [m, M], tol) of a sandwich check, with
     m A <= B <= M A, or m^2 A <= B <= M^2 A if `squared`."""
     dim, iv = _draw(rng, dims, intervals)
-    phi, n_in = random_unital_map(dim, rng)
+    phi, n_in = batch.unital_map(dim, rng)
     bounds = SpectralInterval(iv.m ** 2, iv.M ** 2) if squared else iv
-    a, b = sandwiched_pair(n_in, iv, bounds, rng)
+    a, b = batch.sandwiched_pair(n_in, iv, bounds, rng)
     return a, b, phi, iv, tol
 
 
-def _tuples(rng, tol, dims, intervals) -> dict:
+def _tuples(rng, tol, dims, intervals, batch) -> dict:
     """Arguments of `check_tuple_minkowski` by tuple size k: one random map
     for k = 1, then three weighted identity maps for k = 3."""
     dim, iv = _draw(rng, dims, intervals)
 
     def blocks(phis):
-        as_list = [random_spd(p.input_dim, iv, rng) for p in phis]
-        bs_list = [random_spd(p.input_dim, iv, rng) for p in phis]
+        as_list = [batch.spd(p.input_dim, iv, rng) for p in phis]
+        bs_list = [batch.spd(p.input_dim, iv, rng) for p in phis]
         return as_list, bs_list, phis, iv, tol
 
-    one = blocks([random_unital_map(dim, rng)[0]])
+    one = blocks([batch.unital_map(dim, rng)[0]])
     three = blocks([scaled(float(w), dim) for w in random_weights(3, rng)])
     return {1: one, 3: three}
 
 
-def _candidate_point(rng, tol, dims, intervals):
+def _candidate_point(rng, tol, dims, intervals, batch):
     """A random point (x, alpha, beta) of the 2x2 rotation-mixture family."""
     x = float(rng.uniform(0.5, 4.0))
     alpha = float(rng.uniform(0.0, np.pi))

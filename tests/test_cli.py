@@ -128,11 +128,15 @@ def test_constants_missing_parameter(capsys):
     (["counterexample", "--tol", "nan"], "--tol must be finite"),
     (["constants", "--name", "generalized_kantorovich", "-m", "1", "-M", "1.000000001",
       "--p", "1.0000001"], "cancels to 0"),
+    (["constants", "--name", "generalized_kantorovich", "-m", "6.103617184218336",
+      "-M", "6.103617184225374", "--p=-2.636559007040525e-05"],
+     "positive in exact arithmetic"),
 ], ids=["constants-unknown-f", "falsify-budget-negative", "falsify-budget-0",
         "suite-dims-0", "suite-dims-entry-0", "check-tol-inf", "suite-tol-nan",
         "constants-M-inf", "constants-p-nan", "counterexample-x-nan",
         "counterexample-x-inf", "counterexample-tol-nan",
-        "constants-generalized-kantorovich-cancellation"])
+        "constants-generalized-kantorovich-cancellation",
+        "constants-generalized-kantorovich-inner-zero"])
 def test_bad_flag_value_is_usage_error(capsys, argv, message):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()

@@ -67,6 +67,14 @@ def test_generalized_kantorovich_cancellation_is_domain_error():
         generalized_kantorovich(1.0000001, (1.0, 1.000000001))
 
 
+def test_generalized_kantorovich_inner_cancellation_is_domain_error():
+    # for p just below 0 the inner factor rounds to -0.0, and Python's
+    # 0.0 ** p with p < 0 would raise ZeroDivisionError
+    with pytest.raises(DomainError, match="positive in exact arithmetic"):
+        generalized_kantorovich(-2.636559007040525e-05,
+                                (6.103617184218336, 6.103617184225374))
+
+
 @pytest.mark.parametrize("m,M", INTERVALS)
 def test_k2_closed_form(m, M):
     ref = (M + m) ** 2 / (4 * M * m)

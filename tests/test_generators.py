@@ -1,0 +1,207 @@
+"""The two-phase generators against per-matrix reference code, bit for bit.
+
+The reference functions below are the per-matrix generators as they were
+before the draws were split into a random-number phase and a stacked
+linear-algebra phase: one QR per unitary with its phase fix,
+(U * evals) @ U* symmetrized per SPD matrix, and per pair the eigh square
+root of A and A^1/2 D A^1/2. Each generator must return the same arrays,
+Kraus operators and weights, bit for bit, and leave its stream in the same
+state.
+"""
+import json
+
+import numpy as np
+import pytest
+
+from opineq import registry
+from opineq.generators import (DrawBatch, haar_isometry, random_mixture,
+                               random_spd, random_unital_map, random_unitary,
+                               sandwiched_pair)
+from opineq.hermitian import SpectralInterval
+from opineq.rng import stream
+from opineq.suite import run_suite
+
+DIMS = range(1, 13)
+IV = SpectralInterval(0.5, 3.0)
+BOUNDS = SpectralInterval(0.25, 9.0)
+
+
+def ref_unitary(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def ref_spd(dim, iv, rng):
+    m, M = iv.m, iv.M
+    if dim == 1:
+        return np.array([[rng.uniform(m, M)]])
+    evals = np.concatenate(([m, M], rng.uniform(m, M, size=dim - 2)))
+    rng.shuffle(evals)
+    u = ref_unitary(dim, rng)
+    a = (u * evals) @ u.conj().T
+    return (a + a.conj().T) / 2
+
+
+def ref_mixture(dim, rng):
+    terms = 2 + int(rng.integers(3))
+    us = [ref_unitary(dim, rng) for _ in range(terms)]
+    return np.array(us), rng.dirichlet(np.ones(terms))
+
+
+def ref_pinching(dim, rng):
+    perm = [int(i) for i in rng.permutation(dim)]
+    nblocks = 1 + int(rng.integers(dim))
+    cuts = []
+    if nblocks > 1:
+        cuts = sorted(int(c) for c in
+                      rng.choice(np.arange(1, dim), size=nblocks - 1, replace=False))
+    ops, lo = np.zeros((nblocks, dim, dim)), 0
+    for p, hi in zip(ops, cuts + [dim]):
+        p[perm[lo:hi], perm[lo:hi]] = 1.0
+        lo = hi
+    return ops, np.ones(nblocks)
+
+
+def ref_unital_map(out_dim, rng):
+    """(kind, (ops, weights), input dim)."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return kind, ref_mixture(out_dim, rng), out_dim
+    if kind == 1:
+        return kind, ref_pinching(out_dim, rng), out_dim
+    n_in = out_dim + 1 + int(rng.integers(3))
+    v = ref_unitary(n_in, rng)[:, :out_dim]
+    return kind, (np.array([v]), np.array([1.0])), n_in
+
+
+def ref_sandwiched_pair(dim, iv_a, bounds, rng):
+    a = ref_spd(dim, iv_a, rng)
+    d = ref_spd(dim, bounds, rng)
+    w, v = np.linalg.eigh(a)
+    ah = (v * w ** 0.5) @ v.conj().T
+    ah = (ah + ah.conj().T) / 2
+    b = ah @ d @ ah
+    return a, (b + b.conj().T) / 2
+
+
+def assert_same_bits(got, want):
+    __tracebackhide__ = True
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def state(rng):
+    return json.dumps(rng.bit_generator.state, sort_keys=True,
+                      default=lambda a: a.tolist())
+
+
+def streams(label, i):
+    """Two copies of one stream: for the generator and for the reference."""
+    return stream(3, label, i), stream(3, label, i)
+
+
+def assert_same_map(phi, ref):
+    __tracebackhide__ = True
+    assert_same_bits(phi.ops, ref[0])
+    assert_same_bits(phi.weights, ref[1])
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_unitary_isometry_and_spd_match_reference(dim):
+    for i in range(3):
+        rng, ref = streams("unitary", 100 * dim + i)
+        assert_same_bits(random_unitary(dim, rng), ref_unitary(dim, ref))
+        assert state(rng) == state(ref)
+        k = 1 + i % dim
+        assert_same_bits(haar_isometry(dim, k, rng), ref_unitary(dim, ref)[:, :k])
+        assert state(rng) == state(ref)
+        assert_same_bits(random_spd(dim, IV, rng), ref_spd(dim, IV, ref))
+        assert state(rng) == state(ref)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_sandwiched_pair_matches_reference(dim):
+    for i in range(3):
+        rng, ref = streams("pair", 100 * dim + i)
+        for got, want in zip(sandwiched_pair(dim, IV, BOUNDS, rng),
+                             ref_sandwiched_pair(dim, IV, BOUNDS, ref)):
+            assert_same_bits(got, want)
+        assert state(rng) == state(ref)
+
+
+@pytest.mark.parametrize("dim", [d for d in DIMS if d >= 2])
+def test_unital_maps_match_reference(dim):
+    kinds = set()
+    for i in range(40):
+        rng, ref = streams("map", 100 * dim + i)
+        phi, n_in = random_unital_map(dim, rng)
+        kind, want, ref_n_in = ref_unital_map(dim, ref)
+        assert n_in == ref_n_in
+        assert_same_map(phi, want)
+        assert state(rng) == state(ref)
+        kinds.add(kind)
+        rng, ref = streams("mixture", 100 * dim + i)
+        assert_same_map(random_mixture(dim, rng), ref_mixture(dim, ref))
+        assert state(rng) == state(ref)
+    assert kinds == {0, 1, 2}
+
+
+def test_one_flush_of_mixed_draws_matches_reference():
+    # unitaries, SPD matrices, mixtures, maps of all three kinds and
+    # sandwiched pairs of dims 2-11 share one linear-algebra phase, so
+    # their matrices meet in the same stacked calls
+    batch, pending, kinds = DrawBatch(), [], set()
+    for i in range(120):
+        dim = 2 + i % 10
+        rng, ref = streams("flush", i)
+        shape = i % 5
+        if shape == 0:
+            pending.append((batch.unitary(dim, rng), ref_unitary(dim, ref)))
+        elif shape == 1:
+            pending.append((batch.spd(dim, IV, rng), ref_spd(dim, IV, ref)))
+        elif shape == 2:
+            phi = batch.mixture(dim, rng)
+            ops, weights = ref_mixture(dim, ref)
+            pending += [(phi.ops, ops), (phi.weights, weights)]
+        elif shape == 3:
+            phi, n_in = batch.unital_map(dim, rng)
+            kind, (ops, weights), ref_n_in = ref_unital_map(dim, ref)
+            assert n_in == ref_n_in
+            pending += [(phi.ops, ops), (phi.weights, weights)]
+            kinds.add(kind)
+        else:
+            pending += zip(batch.sandwiched_pair(dim, IV, BOUNDS, rng),
+                           ref_sandwiched_pair(dim, IV, BOUNDS, ref))
+        assert state(rng) == state(ref)
+    batch.finish()
+    assert kinds == {0, 1, 2}
+    for got, want in pending:
+        assert_same_bits(got, want)
+
+
+def test_draws_run_one_qr_per_matrix_size_per_flush(monkeypatch):
+    # 200 kantorovich trials at dims 2-8 draw unitaries of sizes 2-11 (a
+    # compression's input side is up to 3 larger) and fit in two flushes;
+    # QR per matrix, as the generators once ran it, made 469 calls
+    calls, flushes = [], []
+    qr, finish = np.linalg.qr, DrawBatch.finish
+
+    def counted_qr(a, *args, **kwargs):
+        calls[-1].append(a.shape[-2:])
+        return qr(a, *args, **kwargs)
+
+    def counted_finish(self):
+        calls.append([])
+        finish(self)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(DrawBatch, "finish", counted_finish)
+    report = run_suite(seed=42, trials=200, dims=registry.DEFAULT_DIMS,
+                       names=["kantorovich"], timestamp=False)
+    assert report.ok
+    for shapes in calls:
+        assert len(shapes) == len(set(shapes))
+    assert 0 < sum(map(len, calls)) <= 20

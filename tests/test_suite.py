@@ -10,7 +10,7 @@ from opineq.checks import CheckResult
 from opineq.hermitian import SpectralInterval
 from opineq.io import (dump_json, load_json, map_from_json, map_to_json,
                        matrix_from_json, matrix_to_json)
-from opineq.generators import random_spd, random_unital_map
+from opineq.generators import DrawBatch, random_spd, random_unital_map
 from opineq.maps import (compression, direct_sum, identity_map,
                          induced_congruence, make_rotation_mixture, pinching,
                          scaled)
@@ -107,7 +107,7 @@ def test_batch_split_by_byte_budget_equals_trials_run_alone(name, dims, stack_by
         monkeypatch.setattr(registry, "STACK_BYTES", stack_bytes)
     spec = registry.get(name)
     streams = lambda: [stream(5, spec.name, t) for t in range(12)]
-    keys = {registry._key(spec.draw(rng, 1e-9, dims, registry.DEFAULT_INTERVALS))
+    keys = {registry._key(spec.draw(rng, 1e-9, dims, registry.DEFAULT_INTERVALS, DrawBatch()))
             for rng in streams()}
     stacks = []
     counted = dataclasses.replace(

@@ -189,7 +189,8 @@ def generalized_kantorovich(p: float, iv) -> float:
         raise DomainError(f"K(p, m, M) at p={p!r} on [{m!r}, {M!r}]: the factor "
                           f"(p-1)/p (M^p - m^p)/(m*M^p - M*m^p), positive in exact "
                           f"arithmetic, is {inner!r} in double precision")
-    return lead * inner ** p
+    # K >= 1 in exact arithmetic; max() leaves any K >= 1 as it is
+    return max(lead * inner ** p, 1.0)
 
 
 def alpha_constant(f, iv):
@@ -242,7 +243,8 @@ def beta_p_constant(p: float, iv) -> float:
     s_star = (p * a) ** (p / (1.0 - p))
     s_star = min(max(s_star, mp), Mp)
     gap = s_star ** (1.0 / p) - a * s_star - b
-    return 2.0 * gap
+    # beta_p >= 0 in exact arithmetic, but rounding as m -> M can make gap < 0
+    return 2.0 * max(gap, 0.0)
 
 
 def mond_pecaric_beta(f, iv, alpha):

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import CheckResult
-from .hermitian import DEFAULT_TOL, operator_norm, power, within_tolerance
+from .hermitian import (BATCH_BYTES, DEFAULT_TOL, adjoint, hermitian_part,
+                        operator_norm, power, within_tolerance)
 from .io import map_to_json, matrix_to_json
-from .maps import make_rotation_mixture
+from .maps import make_rotation_mixture, require_unitary, rotation
 from .rng import stream
 
 CANDIDATE_NAME = "inverse_square_candidate"
@@ -36,8 +37,15 @@ DEFAULT_GRID = {
 }
 
 
-def counterexample_T(x: float, alpha: float, beta: float,
-                     tol: float = DEFAULT_TOL):
+def _mixture_image(ops: np.ndarray, d) -> np.ndarray:
+    """Phi(diag(d, 1)) = (U* D U + V* D V)/2 at each point, U and V its ops."""
+    a = np.zeros(np.shape(d) + (2, 2))
+    a[..., 0, 0], a[..., 1, 1] = d, 1.0
+    terms = adjoint(ops) @ a[..., None, :, :] @ ops
+    return hermitian_part(0.5 * terms[..., 0, :, :] + 0.5 * terms[..., 1, :, :])
+
+
+def counterexample_T(x, alpha, beta, tol: float = DEFAULT_TOL):
     """Assemble T(x, alpha, beta) = ((1+x)^2/4x) Phi(A)^{-1/2} Phi(A^{-1})
     Phi(A)^{-1/2} - Phi(A^{-1})^2 for A = diag(x, 1).
 
@@ -46,35 +54,49 @@ def counterexample_T(x: float, alpha: float, beta: float,
     Phi(A^-1) = ((1+x) I - Phi(A))/x by Cayley-Hamilton, so it commutes
     with Phi(A), and T = Phi(A^-1) (K Phi(A)^-1 - Phi(A^-1)) >= 0 by
     Kantorovich. Only rounding makes lambda_min negative.
+
+    Equal-shape arrays of points give T (..., 2, 2), the eigenvalues
+    (..., 2) and psd (...), each point with the bits it gets alone.
     """
-    if x <= 0:
-        raise ValueError(f"x must be positive, got {x}")
-    a = np.diag([float(x), 1.0])
-    phi = make_rotation_mixture(alpha, beta)
-    pa_invroot = power(phi(a), -0.5)
-    pain = phi(np.diag([1.0 / x, 1.0]))
-    k = (1.0 + x) ** 2 / (4.0 * x)
-    t = k * (pa_invroot @ pain @ pa_invroot) - pain @ pain
-    t = (t + t.conj().T) / 2
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0):
+        raise ValueError(f"x must be positive, got {x[x <= 0].flat[0]}")
+    ops = rotation(np.stack([alpha, beta], axis=-1))   # Kraus operators (..., 2, 2, 2)
+    require_unitary(ops)
+    pa_invroot = power(_mixture_image(ops, x), -0.5)
+    pain = _mixture_image(ops, 1.0 / x)
+    k = ((1.0 + x) ** 2 / (4.0 * x))[..., None, None]
+    t = hermitian_part(k * (pa_invroot @ pain @ pa_invroot) - pain @ pain)
     w = np.linalg.eigvalsh(t)
-    return t, (float(w[0]), float(w[1])), bool(w[0] >= -tol)
+    if w.ndim == 1:
+        return t, (float(w[0]), float(w[1])), bool(w[0] >= -tol)
+    return t, w, w[..., 0] >= -tol
 
 
-def candidate_result(x: float, alpha: float, beta: float,
-                     tol: float = DEFAULT_TOL) -> CheckResult:
-    """The candidate statement as a CheckResult (margin = lambda_min(T))."""
+def _evaluate(x, alpha, beta, tol: float):
+    """(T, eigenvalues of T, holds, ||LHS||, ||RHS||) at each point, with
+    LHS = Phi(A^-1)^2, RHS = T + LHS, and T from the module's `counterexample_T`."""
     t, w, _ = counterexample_T(x, alpha, beta, tol)
-    phi = make_rotation_mixture(alpha, beta)
-    pain = phi(np.diag([1.0 / x, 1.0]))
+    w = np.asarray(w)
+    ops = rotation(np.stack([alpha, beta], axis=-1))
+    pain = _mixture_image(ops, 1.0 / np.asarray(x, dtype=float))
     lhs = pain @ pain
-    rhs = t + lhs
-    margin = float(w[0])
-    ln, rn = operator_norm(lhs), operator_norm(rhs)
-    holds = within_tolerance(margin, tol, ln, rn)
-    params = {"x": float(x), "alpha": float(alpha), "beta": float(beta),
-              "dim": 2, "out_dim": 2,
-              "m": float(min(1.0, x)), "M": float(max(1.0, x))}
-    return CheckResult(CANDIDATE_NAME, params, margin, holds, tol, ln, rn)
+    ln, rn = operator_norm(np.stack([lhs, t + lhs]))
+    return t, w, within_tolerance(w[..., 0], tol, ln, rn), ln, rn
+
+
+def candidate_result(x, alpha, beta, tol: float = DEFAULT_TOL):
+    """The candidate statement as a CheckResult (margin = lambda_min(T));
+    for arrays of points, the list of them in point order."""
+    _, w, holds, ln, rn = _evaluate(x, alpha, beta, tol)
+    cols = [np.asarray(v, dtype=float).ravel().tolist() for v in (x, alpha, beta)]
+    cols += [np.ravel(v).tolist() for v in (w[..., 0], holds, ln, rn)]
+    out = []
+    for xi, a, b, margin, h, l, r in zip(*cols):
+        params = {"x": xi, "alpha": a, "beta": b, "dim": 2, "out_dim": 2,
+                  "m": min(1.0, xi), "M": max(1.0, xi)}
+        out.append(CheckResult(CANDIDATE_NAME, params, margin, h, tol, l, r))
+    return out if w.ndim > 1 else out[0]
 
 
 @dataclass
@@ -114,22 +136,22 @@ def _rerun_witness(report: ViolationReport):
 
 
 def _grid_violations(grid: dict, tol: float) -> list[ViolationReport]:
+    """The grid's failing points in search order, evaluated chunk by chunk."""
+    axes = [np.asarray(grid[k], dtype=float) for k in ("x", "alpha", "beta")]
+    points = [p.ravel() for p in np.meshgrid(*axes, indexing="ij")]
+    step = max(1, BATCH_BYTES // 64)   # a point's Kraus operators take 64 bytes
     out = []
-    for x in grid["x"]:
-        for alpha in grid["alpha"]:
-            for beta in grid["beta"]:
-                res = candidate_result(x, alpha, beta, tol)
-                if res.holds:
-                    continue
-                t, w, _ = counterexample_T(x, alpha, beta, tol)
-                witness = {
-                    "x": float(x), "alpha": float(alpha), "beta": float(beta),
-                    "a": matrix_to_json(np.diag([float(x), 1.0])),
-                    "phi": map_to_json(make_rotation_mixture(alpha, beta)),
-                    "deficit": matrix_to_json(t),
-                }
-                out.append(ViolationReport(CANDIDATE_NAME, witness, res.margin,
-                                           [w[0], w[1]], tol))
+    for lo in range(0, points[0].size, step):
+        chunk = [p[lo:lo + step] for p in points]
+        t, w, holds, _, _ = _evaluate(*chunk, tol)
+        for i in np.flatnonzero(~holds).tolist():
+            x, alpha, beta = (p[i].item() for p in chunk)
+            witness = {"x": x, "alpha": alpha, "beta": beta,
+                       "a": matrix_to_json(np.diag([x, 1.0])),
+                       "phi": map_to_json(make_rotation_mixture(alpha, beta)),
+                       "deficit": matrix_to_json(t[i])}
+            out.append(ViolationReport(CANDIDATE_NAME, witness, w[i, 0].item(),
+                                       w[i].tolist(), tol))
     return out
 
 

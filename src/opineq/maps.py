@@ -221,9 +221,10 @@ def induced_congruence(base: KrausMap, anchor: np.ndarray) -> KrausMap:
     return KrausMap(power(anchor, 0.5) @ base.ops @ power(pa, -0.5), base.weights)
 
 
-def rotation(theta: float) -> np.ndarray:
+def rotation(theta) -> np.ndarray:
+    """The plane rotation by theta; for an array of angles, their stack."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
 def make_rotation_mixture(alpha: float, beta: float) -> KrausMap:

@@ -247,7 +247,7 @@ def _candidate_point(rng, tol, dims, intervals, batch):
 
 def _candidates(points) -> list[CheckResult]:
     xab, tol = points
-    return [candidate_result(x, alpha, beta, tol) for x, alpha, beta in xab.tolist()]
+    return candidate_result(xab[:, 0], xab[:, 1], xab[:, 2], tol)
 
 
 def _mond_pecaric_alpha(ivs, alpha):

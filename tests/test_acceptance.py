@@ -87,6 +87,21 @@ def _unit_constant_deficit(x, alpha, beta, tol=DEFAULT_TOL):
     return t, (float(w[0]), float(w[1])), bool(w[0] >= -tol)
 
 
+def _per_point(deficit):
+    """`deficit` with the call shape of `counterexample_T`: a single point
+    passes through; equal-shape arrays of points are run point by point and
+    their (T, eigenvalues, psd) come back stacked."""
+    def stacked(x, alpha, beta, tol=DEFAULT_TOL):
+        if np.ndim(x) == 0:
+            return deficit(x, alpha, beta, tol)
+        points = zip(*(np.ravel(v).tolist() for v in (x, alpha, beta)))
+        ts, ws, psds = zip(*(deficit(*p, tol) for p in points))
+        shape = np.shape(x)
+        return (np.reshape(ts, shape + (2, 2)), np.reshape(ws, shape + (2,)),
+                np.reshape(psds, shape))
+    return stacked
+
+
 def test_criterion_1_pinned_counterexample_matrix():
     t0 = time.monotonic()
     t, eigs, psd = counterexample_T(2.0, np.pi / 3, np.pi / 4)
@@ -122,7 +137,7 @@ def test_criterion_2_internal_consistency():
 def test_criterion_3_falsifier_sensitivity(monkeypatch):
     t0 = time.monotonic()
     honest = search_violations("inverse_square_candidate")
-    monkeypatch.setattr(falsify, "counterexample_T", _unit_constant_deficit)
+    monkeypatch.setattr(falsify, "counterexample_T", _per_point(_unit_constant_deficit))
     planted = search_violations("inverse_square_candidate")
     elapsed = time.monotonic() - t0
     expected = _reference_T(2.0, np.pi / 3, np.pi / 4, k=1.0)[1][0]

@@ -6,6 +6,8 @@ the cross-check the acceptance gate leans on.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opineq import constants
 from opineq.constants import (alpha_constant, beta0_constant, beta_p_constant,
@@ -110,6 +112,25 @@ def test_beta_p_closed_forms():
     assert beta_p_constant(1.0, (1.0, 2.0)) == 0.0
     with pytest.raises(DomainError):
         beta_p_constant(0.5, (1.0, 2.0))
+
+
+def test_beta_p_near_coincident_endpoints_is_nonnegative():
+    # the closed form loses every digit here and once returned -1.4e-3
+    iv = (63.36578001821514, 63.365780018239555)
+    assert beta_p_constant(1.0000728291824297, iv) >= 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.floats(1e-3, 1e3), ratio=st.floats(1.0, 1.0 + 1e-6),
+       p=st.floats(1.0, 1.0 + 1e-3))
+def test_constants_keep_their_range_near_the_edges(m, ratio, p):
+    iv = (m, m * ratio)
+    assert beta_p_constant(p, iv) >= 0.0
+    try:
+        k = generalized_kantorovich(p, iv)
+    except DomainError:   # m*M^p - M*m^p cancels to 0; the ratio form is open
+        return
+    assert k >= 1.0
 
 
 def test_mond_pecaric_hand_values():

@@ -3,13 +3,213 @@
 The anchors here are derived from the deficit formula itself (degenerate
 collapses plus a regression pin of the general point); independent
 trace/determinant identities guard the regression values.
+
+The stacked evaluation is checked bit for bit against the per-point code
+it replaced, copied below as `ref_counterexample_T`, `ref_candidate_result`
+and `ref_grid_violations`: one pair of KrausMaps and one LAPACK call per
+matrix at every point.
 """
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from opineq import falsify, registry
+from opineq.checks import CheckResult
+from opineq.cli import main
 from opineq.falsify import (CANDIDATE_NAME, DEFAULT_GRID, ViolationReport,
                             candidate_result, counterexample_T,
                             search_violations)
+from opineq.hermitian import DEFAULT_TOL, operator_norm, power, within_tolerance
+from opineq.io import map_to_json, matrix_to_json
+from opineq.maps import make_rotation_mixture
+from opineq.rng import stream
+
+
+def ref_counterexample_T(x, alpha, beta, tol=DEFAULT_TOL):
+    if x <= 0:
+        raise ValueError(f"x must be positive, got {x}")
+    a = np.diag([float(x), 1.0])
+    phi = make_rotation_mixture(alpha, beta)
+    pa_invroot = power(phi(a), -0.5)
+    pain = phi(np.diag([1.0 / x, 1.0]))
+    k = (1.0 + x) ** 2 / (4.0 * x)
+    t = k * (pa_invroot @ pain @ pa_invroot) - pain @ pain
+    t = (t + t.conj().T) / 2
+    w = np.linalg.eigvalsh(t)
+    return t, (float(w[0]), float(w[1])), bool(w[0] >= -tol)
+
+
+def ref_candidate_result(x, alpha, beta, tol=DEFAULT_TOL):
+    t, w, _ = ref_counterexample_T(x, alpha, beta, tol)
+    phi = make_rotation_mixture(alpha, beta)
+    pain = phi(np.diag([1.0 / x, 1.0]))
+    lhs = pain @ pain
+    rhs = t + lhs
+    margin = float(w[0])
+    ln, rn = operator_norm(lhs), operator_norm(rhs)
+    holds = within_tolerance(margin, tol, ln, rn)
+    params = {"x": float(x), "alpha": float(alpha), "beta": float(beta),
+              "dim": 2, "out_dim": 2,
+              "m": float(min(1.0, x)), "M": float(max(1.0, x))}
+    return CheckResult(CANDIDATE_NAME, params, margin, holds, tol, ln, rn)
+
+
+def ref_grid_violations(grid, tol):
+    out = []
+    for x in grid["x"]:
+        for alpha in grid["alpha"]:
+            for beta in grid["beta"]:
+                res = ref_candidate_result(x, alpha, beta, tol)
+                if res.holds:
+                    continue
+                t, w, _ = ref_counterexample_T(x, alpha, beta, tol)
+                witness = {
+                    "x": float(x), "alpha": float(alpha), "beta": float(beta),
+                    "a": matrix_to_json(np.diag([float(x), 1.0])),
+                    "phi": map_to_json(make_rotation_mixture(alpha, beta)),
+                    "deficit": matrix_to_json(t),
+                }
+                out.append(ViolationReport(CANDIDATE_NAME, witness, res.margin,
+                                           [w[0], w[1]], tol))
+    return out
+
+
+def shifted_grid(seed):
+    """The default grid shifted by a seeded fraction of a step on each axis."""
+    dx, da, db = np.random.default_rng(seed).random(3).tolist()
+    return {"x": [0.5 * (i + 1 + dx) for i in range(8)],
+            "alpha": [(i + da) * np.pi / 12.0 for i in range(12)],
+            "beta": [(i + db) * np.pi / 12.0 for i in range(12)]}
+
+
+GRIDS = [DEFAULT_GRID] + [shifted_grid(seed) for seed in range(5)]
+
+
+def grid_points(grid):
+    """The grid's points as three flat arrays, in search order."""
+    return [p.ravel() for p in np.meshgrid(grid["x"], grid["alpha"], grid["beta"],
+                                           indexing="ij")]
+
+
+def random_points(n=200, seed=11):
+    g = np.random.default_rng(seed)
+    return [g.uniform(0.05, 20.0, n), g.uniform(-np.pi, 2 * np.pi, n),
+            g.uniform(-np.pi, 2 * np.pi, n)]
+
+
+def bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def records(reports):
+    return json.dumps([r.to_record() for r in reports])
+
+
+@pytest.mark.parametrize("points", [grid_points(g) for g in GRIDS] + [random_points()],
+                         ids=["default"] + [f"shifted{i}" for i in range(5)] + ["random"])
+def test_stacked_points_match_per_point_reference(points):
+    t, w, psd = counterexample_T(*points)
+    results = candidate_result(*points)
+    assert t.shape == (len(points[0]), 2, 2) and len(results) == len(points[0])
+    for i, (x, a, b) in enumerate(zip(*(p.tolist() for p in points))):
+        ref_t, ref_w, ref_psd = ref_counterexample_T(x, a, b)
+        ref = ref_candidate_result(x, a, b)
+        assert t[i].tobytes() == ref_t.tobytes()
+        assert bits(*w[i]) == bits(*ref_w) and bool(psd[i]) == ref_psd
+        res = results[i]
+        assert (bits(res.margin, res.lhs_norm, res.rhs_norm)
+                == bits(ref.margin, ref.lhs_norm, ref.rhs_norm))
+        assert res.holds is ref.holds and res.params == ref.params
+
+
+def test_single_point_keeps_its_return_types():
+    x, a, b = 2.5, 1.1, 0.2
+    t, w, psd = counterexample_T(x, a, b)
+    ref_t, ref_w, _ = ref_counterexample_T(x, a, b)
+    assert t.shape == (2, 2) and t.tobytes() == ref_t.tobytes()
+    assert type(w) is tuple and all(type(v) is float for v in w) and w == ref_w
+    assert type(psd) is bool
+    res = candidate_result(x, a, b)
+    assert isinstance(res, CheckResult)
+    assert res.to_record() == ref_candidate_result(x, a, b).to_record()
+    assert all(type(v) is float for v in (res.margin, res.lhs_norm, res.rhs_norm))
+    assert type(res.holds) is bool
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["default"] + [f"shifted{i}" for i in range(5)])
+def test_noise_floor_search_matches_per_point_reference(grid):
+    # at tol 1e-18 rounding makes failures, so witnesses are compared too
+    got = search_violations(CANDIDATE_NAME, grid=grid, tol=1e-18)
+    assert records(got) == records(ref_grid_violations(grid, 1e-18))
+
+
+def test_candidate_row_matches_per_point_reference():
+    spec = registry.get(CANDIDATE_NAME)
+    rngs = [stream(42, CANDIDATE_NAME, trial) for trial in range(50)]
+    got = spec.run_trial(rngs, DEFAULT_TOL, registry.DEFAULT_DIMS, registry.DEFAULT_INTERVALS)
+    for trial, results in enumerate(got):
+        rng = stream(42, CANDIDATE_NAME, trial)
+        x, a, b = (float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.0, np.pi)),
+                   float(rng.uniform(0.0, np.pi)))
+        assert [r.to_record() for r in results] == [ref_candidate_result(x, a, b).to_record()]
+
+
+@pytest.mark.parametrize("axis", ["x", "alpha", "beta"])
+def test_grid_with_an_empty_axis_has_no_violations(axis):
+    assert search_violations(CANDIDATE_NAME, grid={**DEFAULT_GRID, axis: []}) == []
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_nonpositive_x_anywhere_is_rejected(bad):
+    x = np.array([0.5, 1.0, bad, 2.0])
+    with pytest.raises(ValueError, match="x must be positive"):
+        counterexample_T(x, np.zeros(4), np.ones(4))
+    with pytest.raises(ValueError, match="x must be positive"):
+        candidate_result(x, np.zeros(4), np.ones(4))
+    with pytest.raises(ValueError, match="x must be positive"):
+        search_violations(CANDIDATE_NAME, grid={**DEFAULT_GRID, "x": [1.0, 2.0, bad]})
+
+
+def test_chunked_grid_equals_one_chunk(monkeypatch):
+    one = search_violations(CANDIDATE_NAME, tol=1e-18)
+    monkeypatch.setattr(falsify, "BATCH_BYTES", 64 * 100)   # 100 points a chunk
+    assert records(search_violations(CANDIDATE_NAME, tol=1e-18)) == records(one)
+
+
+def test_grid_search_makes_a_constant_number_of_linalg_calls_per_chunk(monkeypatch):
+    # the per-point search made 6 LAPACK calls per point, 6,912 on the grid
+    calls, chunks = [], []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "norm", "qr", "inv",
+                 "solve", "det", "svd", "cholesky"):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append(len(chunks))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    evaluate = falsify._evaluate
+
+    def counted_evaluate(*args):
+        chunks.append(len(calls))
+        return evaluate(*args)
+    monkeypatch.setattr(falsify, "_evaluate", counted_evaluate)
+    assert search_violations(CANDIDATE_NAME) == []
+    assert 0 < len(calls) <= 16
+    per_chunk = [calls.count(k + 1) for k in range(len(chunks))]
+    monkeypatch.setattr(falsify, "BATCH_BYTES", 64 * 300)   # 4 chunks of <= 300
+    calls.clear()
+    chunks.clear()
+    assert search_violations(CANDIDATE_NAME) == []
+    assert len(chunks) == 4
+    assert [calls.count(k + 1) for k in range(4)] == per_chunk * 4
+
+
+def test_random_candidate_falsify_report_is_pinned(capsys):
+    main(["falsify", "--name", CANDIDATE_NAME, "--budget", "50", "--no-timestamp"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "d96121ebb83e451620b4f467bf926819e8832552bc8308ad73b971991d1d8842"
 
 
 def test_x_equal_one_collapses_to_zero():

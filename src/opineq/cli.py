@@ -259,14 +259,18 @@ def _cmd_counterexample(args, parser) -> int:
         parser.error(str(exc))
     if args.x <= 0:
         parser.error("--x must be positive")
-    t, eigs, psd = counterexample_T(args.x, alpha, beta, args.tol)
+    with np.errstate(all="ignore"):     # a T out of float range is rejected below
+        t, eigs, psd = counterexample_T(args.x, alpha, beta, args.tol)
+        trace, det = float(np.trace(t).real), float(np.linalg.det(t).real)
+    if not np.all(np.isfinite([*t.ravel(), *eigs, trace, det])):
+        raise ValueError(f"T is out of float range at --x {args.x!r}")
     record = {
         "x": args.x, "alpha": alpha, "beta": beta,
         "T": matrix_to_json(t),
         "eigenvalues": list(eigs),
         "psd": psd,
-        "trace": float(np.trace(t).real),
-        "determinant": float(np.linalg.det(t).real),
+        "trace": trace,
+        "determinant": det,
     }
     _emit(record, args.format, args.output)
     return EXIT_OK
@@ -323,6 +327,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:    # a constant beyond float range
+        print(f"error: an input is out of range: {exc.args[-1]}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

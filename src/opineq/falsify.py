@@ -58,6 +58,8 @@ def counterexample_T(x, alpha, beta, tol: float = DEFAULT_TOL):
     Equal-shape arrays of points give T (..., 2, 2), the eigenvalues
     (..., 2) and psd (...), each point with the bits it gets alone.
     """
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError(f"x must be positive, got {x[x <= 0].flat[0]}")

@@ -10,9 +10,11 @@ Every matrix function here also takes a stack of matrices, shape
 covers the stack and gives each matrix the bits it would get alone.
 Scalars computed per matrix (norms, margins, verdicts) come back as arrays
 over the stack, and as Python scalars for a single matrix.
+Inside a ``spectral_scope``, A^p for several p comes from one ``eigh`` of A.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -102,6 +104,33 @@ def _below_floor(w: np.ndarray):
     return None
 
 
+_eigh_memo: dict | None = None     # the open scope's eigh by (shape, dtype, bytes)
+
+
+@contextmanager
+def spectral_scope():
+    """Within the block, `power` and `matrix_function` decompose each stack
+    once; scopes nest, and the memo goes when the outermost one exits."""
+    global _eigh_memo
+    outer, _eigh_memo = _eigh_memo, {} if _eigh_memo is None else _eigh_memo
+    try:
+        yield
+    finally:
+        _eigh_memo = outer
+
+
+def _eigh(a: np.ndarray):
+    """np.linalg.eigh(a), shared read-only by every caller in the open scope."""
+    if _eigh_memo is None:
+        return np.linalg.eigh(a)
+    key = (a.shape, a.dtype.str, a.tobytes())
+    if key not in _eigh_memo:
+        w, v = np.linalg.eigh(a)
+        w.flags.writeable = v.flags.writeable = False
+        _eigh_memo[key] = w, v
+    return _eigh_memo[key]
+
+
 def _from_spectrum(fw: np.ndarray, v: np.ndarray) -> np.ndarray:
     """V diag(fw) V*, symmetrized, for each matrix of the stack."""
     return hermitian_part((v * fw[..., None, :]) @ adjoint(v))
@@ -119,7 +148,7 @@ def matrix_function(a: np.ndarray, f: Union[Callable, "object"],
     fn = getattr(f, "evaluate", f)
     if requires_positive is None:
         requires_positive = bool(getattr(f, "requires_positive", False))
-    w, v = np.linalg.eigh(a)
+    w, v = _eigh(a)
     lam = _below_floor(w) if requires_positive else None
     if lam is not None:
         raise DomainError(f"matrix function {getattr(f, 'name', fn)!r} needs a positive "
@@ -137,7 +166,7 @@ def power(a: np.ndarray, p: float) -> np.ndarray:
         return np.broadcast_to(np.eye(a.shape[-1], dtype=a.dtype), a.shape).copy()
     if p == 1:
         return hermitian_part(a)
-    w, v = np.linalg.eigh(a)
+    w, v = _eigh(a)
     lam = _below_floor(w) if not float(p).is_integer() or p < 0 else None
     if lam is not None:
         raise DomainError(f"power {p} needs a positive definite matrix; lambda_min = {lam:.3e}")
@@ -222,7 +251,7 @@ def spectral_bounds(a: np.ndarray):
 __all__ = [
     "HERMITIAN_ATOL", "DEFAULT_TOL", "BATCH_BYTES", "DomainError",
     "SpectralInterval", "adjoint", "hermitian_part", "as_hermitian",
-    "operator_norm", "matrix_function", "power", "inv_psd",
+    "operator_norm", "spectral_scope", "matrix_function", "power", "inv_psd",
     "sqrtm_psd", "within_tolerance", "loewner_leq", "is_psd",
     "spectral_bounds",
 ]

@@ -62,8 +62,8 @@ def map_from_json(obj: dict) -> KrausMap:
 
 def dump_json(record: dict, path: Optional[str] = None, indent: int = 2) -> str:
     """Serialize a record; write to `path` ('-' or None means stdout-ready
-    string only)."""
-    text = json.dumps(record, indent=indent, sort_keys=False)
+    string only). A NaN or infinite float is not JSON: ValueError."""
+    text = json.dumps(record, indent=indent, sort_keys=False, allow_nan=False)
     if path and path != "-":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -71,11 +71,23 @@ def _weighted_sum(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pinching_mask(ops: np.ndarray, weights: np.ndarray):
+    """The (b, n, n) mask of kept entries if every map of the stack is a pinching
+    (real diagonal 0/1 Kraus operators of weight 1 summing to I), else None."""
+    diag = np.diagonal(ops, axis1=-2, axis2=-1)         # (b, r, n)
+    if (ops.dtype.kind != "f" or ops.shape[-1] != ops.shape[-2] or np.any(weights != 1.0)
+            or np.count_nonzero(ops) != np.count_nonzero(diag)
+            or np.any((diag != 0) & (diag != 1)) or np.any(diag.sum(axis=1) != 1)):
+        return None
+    return (diag.swapaxes(-1, -2) @ diag) > 0
+
+
 class MapStack:
     """Phi_i(X_i) for a stack X of shape (b, n_in, n_in) and one map per
     matrix, all with the same input and output dimensions. Maps with one
     Kraus-operator shape and dtype are applied together, as one batched
-    product, so each image has the bits its own map gives it."""
+    product, so each image has the bits its own map gives it; pinchings as
+    a masked copy, the bits of their Kraus sum on finite input without -0.0."""
 
     def __init__(self, maps):
         self.maps = list(maps)
@@ -92,7 +104,8 @@ class MapStack:
             ops = np.stack([self.maps[i].ops for i in idx])
             # weights[j] is the column of the j-th weights of the group's maps
             weights = np.stack([self.maps[i].weights for i in idx]).T[..., None, None]
-            self._groups.append((np.array(idx), adjoint(ops), ops, weights))
+            self._groups.append((np.array(idx), _pinching_mask(ops, weights),
+                                 adjoint(ops), ops, weights))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -100,9 +113,12 @@ class MapStack:
             raise ValueError(f"map stack expects {len(self.maps)} inputs of size "
                              f"{self.input_dim}x{self.input_dim}, got {x.shape}")
         out = np.empty((len(x), self.output_dim, self.output_dim),
-                       dtype=np.result_type(x, *(ops for _, _, ops, _ in self._groups)))
-        for idx, ops_h, ops, weights in self._groups:
-            out[idx] = _weighted_sum(weights, ops_h @ x[idx][:, None] @ ops)
+                       dtype=np.result_type(x, *(ops for _, _, _, ops, _ in self._groups)))
+        for idx, mask, ops_h, ops, weights in self._groups:
+            if mask is None:
+                out[idx] = _weighted_sum(weights, ops_h @ x[idx][:, None] @ ops)
+            else:
+                out[idx] = np.where(mask, x[idx], 0)
         return hermitian_part(out)
 
 
@@ -155,7 +171,8 @@ def identity_map(dim: int) -> KrausMap:
 
 def pinching(blocks, dim: int) -> KrausMap:
     """Block-diagonal restriction: entries outside the index blocks are
-    zeroed. The Kraus operators are the 0/1 projectors onto the blocks."""
+    zeroed. The Kraus operators are the diagonal 0/1 projectors onto the
+    blocks, of weight 1; a MapStack applies them as one masked copy."""
     seen = sorted(i for b in blocks for i in b)
     if seen != list(range(dim)):
         raise ValueError(f"blocks must partition range({dim})")

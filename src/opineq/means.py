@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import ScalarFunction
-from .hermitian import hermitian_part, matrix_function, power
+from .hermitian import hermitian_part, matrix_function, power, spectral_scope
 
 
 def _check_pd(a: np.ndarray, who: str) -> None:
@@ -28,9 +28,10 @@ def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A # B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2} for SPD A, B."""
     _check_pd(a, "first operand")
     _check_pd(b, "second operand")
-    ah = power(a, 0.5)
-    ami = power(a, -0.5)
-    mid = power(ami @ b @ ami, 0.5)
+    with spectral_scope():
+        ah = power(a, 0.5)
+        ami = power(a, -0.5)
+        mid = power(ami @ b @ ami, 0.5)
     return hermitian_part(ah @ mid @ ah)
 
 
@@ -42,9 +43,10 @@ def connection(a: np.ndarray, b: np.ndarray, f: ScalarFunction) -> np.ndarray:
     ``f.mean_normalized`` when a genuine operator mean is required.
     """
     _check_pd(a, "left operand")
-    ah = power(a, 0.5)
-    ami = power(a, -0.5)
-    mid = matrix_function(hermitian_part(ami @ b @ ami), f)
+    with spectral_scope():
+        ah = power(a, 0.5)
+        ami = power(a, -0.5)
+        mid = matrix_function(hermitian_part(ami @ b @ ami), f)
     return hermitian_part(ah @ mid @ ah)
 
 

@@ -10,8 +10,9 @@ falsifier sensitivity runs.
 Trials are evaluated together: each draws its instance from its own stream,
 in stream order, with the linear algebra of the draws run afterwards,
 stacked, for all of them at once; the drawn instances are then grouped into
-buckets of one shape, stacked, and checked one bucket at a time. A single trial is a batch
-of one through the same path.
+buckets of one shape, stacked, and checked one bucket at a time, all its
+parameter values in one spectral scope. A single trial is a batch of one
+through the same path.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .falsify import candidate_result
 from .functions import (identity_function, inverse_function, power_function,
                         square_function)
 from .generators import DrawBatch, random_state, random_weights
-from .hermitian import BATCH_BYTES, DEFAULT_TOL, SpectralInterval
+from .hermitian import BATCH_BYTES, DEFAULT_TOL, SpectralInterval, spectral_scope
 from .maps import KrausMap, MapStack, identity_map, scaled
 
 DEFAULT_DIMS: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
@@ -153,7 +154,8 @@ class CheckSpec:
     def _evaluate(self, draws: list, sizes: list) -> list[list[CheckResult]]:
         """The results of each draw, in order. Draws of one key fill a
         bucket until it holds STACK_BYTES; empties `draws` and `sizes` once
-        they are stacked, so the draws and their stacks are not both held."""
+        they are stacked, so the draws and their stacks are not both held.
+        Each param's constants are computed for all draws, before the buckets."""
         buckets: list[list[int]] = []
         filling: dict = {}   # key -> (index, bytes) of its bucket still filling
         for i, (draw, size) in enumerate(zip(draws, sizes)):
@@ -168,16 +170,17 @@ class CheckSpec:
         out: list[list[CheckResult]] = [[] for _ in draws]
         draws.clear()
         sizes.clear()
-        for args in [(p,) for p in self.params] or [()]:
-            extra = {}
-            if self.constants is not None:
-                extra = self.constants([iv for s in stacks for iv in s.iv], *args)
-            lo = 0
-            for idx, stack in zip(buckets, stacks):
-                kwargs = {k: v[lo:lo + len(idx)] for k, v in extra.items()}
-                lo += len(idx)
-                for i, res in zip(idx, self.check(stack, *args, **kwargs)):
-                    out[i].extend([res] if isinstance(res, CheckResult) else res)
+        calls = [(p,) for p in self.params] or [()]
+        extras = [{} if self.constants is None else
+                  self.constants([iv for s in stacks for iv in s.iv], *args) for args in calls]
+        lo = 0
+        for idx, stack in zip(buckets, stacks):
+            with spectral_scope():
+                for args, extra in zip(calls, extras):
+                    kwargs = {k: v[lo:lo + len(idx)] for k, v in extra.items()}
+                    for i, res in zip(idx, self.check(stack, *args, **kwargs)):
+                        out[i].extend([res] if isinstance(res, CheckResult) else res)
+            lo += len(idx)
         return out
 
 

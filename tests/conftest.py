@@ -18,6 +18,18 @@ def spd_pair(rng):
     return random_spd(4, iv, rng), random_spd(4, iv, rng)
 
 
+@pytest.fixture
+def eigh_inputs(monkeypatch):
+    """The bytes of every stack np.linalg.eigh decomposes during the test."""
+    seen, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        seen.append(np.asarray(a).tobytes())
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return seen
+
+
 def assert_close(a, b, tol=1e-10):
     __tracebackhide__ = True
     np.testing.assert_allclose(a, b, rtol=0, atol=tol)

@@ -1,11 +1,13 @@
 """CLI surface: angle parsing, exit codes, report plumbing."""
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from opineq.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main,
                         parse_angle)
+from opineq.io import dump_json
 
 
 @pytest.mark.parametrize("text,value", [
@@ -183,3 +185,53 @@ def test_module_entrypoint():
                           capture_output=True, text=True)
     assert proc.returncode == EXIT_OK
     assert "ando" in proc.stdout
+
+
+def _strict_json(text: str):
+    """json.loads that rejects NaN and the infinities, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+# degenerate inputs: out-of-range intervals and points, a negative
+# tolerance, m = M, and dimension 1; each gives a result or a usage error
+@pytest.mark.parametrize("argv,code", [
+    (["constants", "--name", "kantorovich", "-m", "1e-300", "-M", "1e300"], EXIT_USAGE),
+    (["constants", "--name", "generalized_kantorovich", "-m", "1", "-M", "1e300",
+      "--p", "3"], EXIT_USAGE),
+    (["constants", "--name", "beta_p", "-m", "1", "-M", "1e300", "--p", "2"], EXIT_USAGE),
+    (["counterexample", "--x", "1e-300"], EXIT_USAGE),
+    (["counterexample", "--x", "1e300"], EXIT_USAGE),
+    (["counterexample", "--tol", "-1"], EXIT_USAGE),
+    (["falsify", "--tol", "-1"], EXIT_USAGE),
+    (["constants", "--name", "generalized_kantorovich", "-m", "6.103617184218336",
+      "-M", "6.103617184225374", "--p=-2.636559007040525e-05"], EXIT_USAGE),
+    (["constants", "--name", "beta_p", "-m", "63.36578001821514",
+      "-M", "63.365780018239555", "--p", "1.0000728291824297"], EXIT_OK),
+    (["constants", "--name", "alpha", "-m", "1", "-M", "1", "--f", "t^2"], EXIT_OK),
+    (["suite", "--dims", "1", "--trials", "1"], EXIT_OK),
+    (["check", "--name", "kantorovich", "-m", "1", "-M", "1", "--trials", "2"], EXIT_OK),
+], ids=["kantorovich-overflow", "generalized-kantorovich-overflow", "beta-p-overflow",
+        "counterexample-x-tiny", "counterexample-x-huge", "counterexample-tol-negative",
+        "falsify-grid-tol-negative",
+        "generalized-kantorovich-inner-zero", "beta-p-clamped", "alpha-m-equals-M",
+        "suite-dim-1", "check-m-equals-M"])
+def test_degenerate_input_gives_result_or_usage_error(capsys, argv, code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    if code == EXIT_OK:
+        _strict_json(captured.out)
+    else:
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_reports_reject_non_finite_floats():
+    with pytest.raises(ValueError):
+        dump_json({"margin": float("nan")})
+    with pytest.raises(ValueError):
+        dump_json({"margin": [1.0, float("-inf")]})

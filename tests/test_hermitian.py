@@ -8,7 +8,7 @@ from opineq.functions import by_name
 from opineq.hermitian import (DomainError, SpectralInterval, as_hermitian,
                               inv_psd, is_psd, loewner_leq, matrix_function,
                               operator_norm, power, spectral_bounds,
-                              sqrtm_psd)
+                              spectral_scope, sqrtm_psd)
 
 A22 = np.array([[2.0, 1.0], [1.0, 2.0]])
 
@@ -154,3 +154,22 @@ def test_loewner_order_reflexive_and_shift(n, seed):
     assert holds and margin >= -1e-12
     holds = loewner_leq(a, a + np.eye(n))[0]
     assert holds
+
+
+def test_spectral_scope_reuses_eigh_with_the_same_bits(eigh_inputs, rng):
+    a = random_hermitian(rng, 6) + 8.0 * np.eye(6)
+    fresh = [power(a, p) for p in (0.5, -0.5, 3.0)] + [matrix_function(a, np.log)]
+    eigh_inputs.clear()
+    with spectral_scope():
+        with spectral_scope():      # a nested scope shares the outer memo
+            assert power(a, 0.5).tobytes() == fresh[0].tobytes()
+        reused = [power(a, p) for p in (-0.5, 3.0)] + [matrix_function(a, np.log)]
+        assert power(a.copy(order="F"), 0.5).tobytes() == fresh[0].tobytes()
+        negative = a - 100.0 * np.eye(6)
+        power(negative, 2.0)
+        with pytest.raises(DomainError):    # a reused spectrum is still checked
+            power(negative, -0.5)
+    assert [r.tobytes() for r in reused] == [f.tobytes() for f in fresh[1:]]
+    assert len(eigh_inputs) == 2
+    power(a, 0.5)                    # outside a scope: decomposed again
+    assert len(eigh_inputs) == 3

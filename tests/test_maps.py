@@ -2,14 +2,15 @@
 import numpy as np
 import pytest
 
-from opineq.generators import (haar_isometry, random_spd, random_state,
-                               random_unital_map, random_unitary,
-                               random_weights, sandwiched_pair)
+from opineq.generators import (haar_isometry, random_mixture, random_spd,
+                               random_state, random_unital_map,
+                               random_unitary, random_weights,
+                               sandwiched_pair)
 from opineq.hermitian import SpectralInterval, is_psd, loewner_leq, power
-from opineq.maps import (compression, direct_sum, identity_map,
-                         induced_congruence, make_rotation_mixture, pinching,
-                         rotation, scaled, unitary_mixture,
-                         vector_state_value)
+from opineq.maps import (KrausMap, MapStack, compression, direct_sum,
+                         identity_map, induced_congruence,
+                         make_rotation_mixture, pinching, rotation, scaled,
+                         unitary_mixture, vector_state_value)
 
 IV = SpectralInterval(1.0, 2.0)
 
@@ -214,3 +215,68 @@ def test_sandwiched_pair_obeys_sandwich(rng):
         a, b = sandwiched_pair(n, iv_a, bounds, rng)
         assert loewner_leq(bounds.m * a, b, tol=1e-10)[0]
         assert loewner_leq(b, bounds.M * a, tol=1e-10)[0]
+
+
+def _kraus_loop(phi, x):
+    """(Phi(X) + Phi(X)*)/2 from the Kraus sum, one term at a time."""
+    terms = [w * (k.conj().T @ x @ k) for w, k in zip(phi.weights, phi.ops)]
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return (out + out.conj().T) / 2
+
+
+def _random_blocks(n, rng):
+    perm = [int(i) for i in rng.permutation(n)]
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), size=int(rng.integers(n)),
+                                             replace=False))
+    return [perm[lo:hi] for lo, hi in zip([0] + cuts, cuts + [n]) if hi > lo]
+
+
+def _masked_groups(stack):
+    return [mask is not None for _, mask, *_ in stack._groups]
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_pinchings_apply_as_masked_copy_bit_for_bit(n, rng):
+    phis = [pinching(_random_blocks(n, rng), n) for _ in range(3)] + [identity_map(n)]
+    stack = MapStack(phis)
+    assert all(_masked_groups(stack))
+    for x in (rng.standard_normal((4, n, n)),                                # real
+              rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n)),
+              np.stack([random_spd(n, IV, rng) for _ in range(4)])):         # Hermitian
+        ref = np.stack([_kraus_loop(phi, xi) for phi, xi in zip(phis, x)])
+        assert stack(x).tobytes() == ref.tobytes()
+
+
+def test_map_stack_mixing_pinchings_with_other_maps(rng):
+    n = 6
+    phis = [pinching([[0, 3], [1, 2, 4, 5]], n), random_mixture(n, rng),
+            pinching([[0], [1, 2], [3, 4, 5]], n), compression(haar_isometry(n, n, rng)),
+            identity_map(n), pinching([[5, 1], [0, 2, 3, 4]], n),
+            unitary_mixture([random_unitary(n, rng) for _ in range(3)], [0.2, 0.3, 0.5]),
+            pinching([[i] for i in range(n)], n)]
+    stack = MapStack(phis)
+    assert True in _masked_groups(stack) and False in _masked_groups(stack)
+    x = np.stack([random_spd(n, IV, rng) for _ in phis])
+    ref = np.stack([_kraus_loop(phi, xi) for phi, xi in zip(phis, x)])
+    assert stack(x).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("phi", [
+    scaled(0.5, 4),                                           # weight != 1
+    direct_sum([scaled(0.5, 2), scaled(0.5, 2)]),             # rectangular embeddings
+    direct_sum([KrausMap([np.diag([1.0, 0.0])], [1.0]),       # weight 1, 0/1,
+                KrausMap([np.diag([0.0, 1.0])], [1.0])]),     # rectangular
+    KrausMap([np.diag([1.0, 0.0, 1.0, 1.0])], [1.0]),         # does not sum to I
+    KrausMap([np.eye(4), np.diag([1.0, 0.0, 0.0, 0.0])], [1.0, 1.0]),   # overlap
+    KrausMap([np.eye(4)[[1, 0, 2, 3]]], [1.0]),               # 0/1, not diagonal
+    KrausMap([2.0 * np.eye(4)], [0.25]),                      # diagonal, not 0/1
+], ids=["scaled", "direct-sum-scaled", "direct-sum-weight-1", "partial-projector",
+        "overlapping-projectors", "permutation", "scaled-operator"])
+def test_other_zero_one_maps_take_the_kraus_path(phi, rng):
+    stack = MapStack([phi, phi])
+    assert not any(_masked_groups(stack))
+    x = np.stack([random_spd(phi.input_dim, IV, rng) for _ in range(2)])
+    ref = np.stack([_kraus_loop(phi, xi) for xi in x])
+    assert stack(x).tobytes() == ref.tobytes()

@@ -4,7 +4,8 @@ import pytest
 
 from opineq.functions import by_name, power_function
 from opineq.generators import random_spd
-from opineq.hermitian import SpectralInterval, inv_psd, operator_norm
+from opineq.hermitian import (SpectralInterval, hermitian_part, inv_psd,
+                              operator_norm, power)
 from opineq.means import connection, geometric_mean, riccati_residual
 
 IV = SpectralInterval(0.5, 3.0)
@@ -76,3 +77,12 @@ def test_connection_identity_function_returns_b(rng):
 def test_rejects_indefinite_left_operand():
     with pytest.raises(ValueError):
         geometric_mean(np.diag([1.0, -1.0]), np.eye(2))
+
+
+def test_geometric_mean_decomposes_a_once(eigh_inputs, rng):
+    a, b = random_spd(5, IV, rng), random_spd(5, IV, rng)
+    ah, ami = power(a, 0.5), power(a, -0.5)
+    ref = hermitian_part(ah @ power(ami @ b @ ami, 0.5) @ ah)
+    eigh_inputs.clear()
+    assert geometric_mean(a, b).tobytes() == ref.tobytes()
+    assert eigh_inputs.count(a.tobytes()) == 1 and len(eigh_inputs) == 2

@@ -1,13 +1,14 @@
 """Registry coverage, suite determinism, report serialization."""
+import contextlib
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from opineq import registry
+from opineq import hermitian, means, registry
 from opineq.checks import CheckResult
-from opineq.hermitian import SpectralInterval
+from opineq.hermitian import DomainError, SpectralInterval, power
 from opineq.io import (dump_json, load_json, map_from_json, map_to_json,
                        matrix_from_json, matrix_to_json)
 from opineq.generators import DrawBatch, random_spd, random_unital_map
@@ -244,3 +245,43 @@ def test_dump_and_load_json(tmp_path):
     text = dump_json(rec, str(path))
     assert json.loads(text) == rec
     assert load_json(str(path)) == rec
+
+
+def test_bucket_decomposes_each_operand_once_over_its_params(eigh_inputs):
+    # p in {1, 1.5, 2, 3, -1}: without reuse, A and Phi(A) would each be
+    # decomposed once per p != 1
+    spec = registry.get("generalized_kantorovich")
+    assert len(spec.params) == 5
+    stacks = {}
+    counted = dataclasses.replace(
+        spec, check=lambda stack, *args: stacks.setdefault(id(stack), stack)
+        and spec.check(stack, *args))
+    counted.run_trial([stream(3, spec.name, t) for t in range(8)], 1e-9, (5,),
+                      registry.DEFAULT_INTERVALS)
+    for stack in stacks.values():
+        assert eigh_inputs.count(stack.a.tobytes()) == 1
+    assert len(eigh_inputs) == 2 * len(stacks)
+
+
+def test_spectral_reuse_keeps_report_bytes(monkeypatch, eigh_inputs):
+    kwargs = dict(seed=11, trials=3, dims=(16, 24, 32), timestamp=False)
+    reused = json.dumps(run_suite(**kwargs).to_record())
+    calls = len(eigh_inputs)
+    eigh_inputs.clear()
+    for module in (registry, means):
+        monkeypatch.setattr(module, "spectral_scope", contextlib.nullcontext)
+    assert json.dumps(run_suite(**kwargs).to_record()) == reused
+    assert calls < len(eigh_inputs)
+
+
+def test_no_spectral_scope_left_open_after_a_domain_error():
+    spec = registry.get("generalized_kantorovich")
+
+    def failing(stack, p):
+        power(stack.a, 0.5)         # fills the bucket's memo
+        power(-stack.a, 0.5)        # not positive definite: DomainError
+
+    with pytest.raises(DomainError):
+        dataclasses.replace(spec, check=failing).run_trial(
+            [stream(1, spec.name, 0)], 1e-9, (3,), registry.DEFAULT_INTERVALS)
+    assert hermitian._eigh_memo is None

@@ -257,6 +257,9 @@ def _cmd_counterexample(args, parser) -> int:
         alpha, beta = parse_angle(args.alpha), parse_angle(args.beta)
     except ValueError as exc:
         parser.error(str(exc))
+    for flag, value in (("--alpha", alpha), ("--beta", beta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
     if args.x <= 0:
         parser.error("--x must be positive")
     with np.errstate(all="ignore"):     # a T out of float range is rejected below

@@ -60,7 +60,11 @@ def counterexample_T(x, alpha, beta, tol: float = DEFAULT_TOL):
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    x = np.asarray(x, dtype=float)
+    x, alpha, beta = (np.asarray(v, dtype=float) for v in (x, alpha, beta))
+    for name, v in (("x", x), ("alpha", alpha), ("beta", beta)):
+        finite = np.isfinite(v)
+        if not finite.all():
+            raise ValueError(f"{name} must be finite, got {v[~finite].flat[0]}")
     if np.any(x <= 0):
         raise ValueError(f"x must be positive, got {x[x <= 0].flat[0]}")
     ops = rotation(np.stack([alpha, beta], axis=-1))   # Kraus operators (..., 2, 2, 2)
@@ -75,15 +79,20 @@ def counterexample_T(x, alpha, beta, tol: float = DEFAULT_TOL):
     return t, w, w[..., 0] >= -tol
 
 
-def _evaluate(x, alpha, beta, tol: float):
-    """(T, eigenvalues of T, holds, ||LHS||, ||RHS||) at each point, with
-    LHS = Phi(A^-1)^2, RHS = T + LHS, and T from the module's `counterexample_T`."""
-    t, w, _ = counterexample_T(x, alpha, beta, tol)
-    w = np.asarray(w)
+def _norms(t, x, alpha, beta):
+    """(||LHS||, ||RHS||) at each point, LHS = Phi(A^-1)^2 and RHS = T + LHS."""
     ops = rotation(np.stack([alpha, beta], axis=-1))
     pain = _mixture_image(ops, 1.0 / np.asarray(x, dtype=float))
     lhs = pain @ pain
-    ln, rn = operator_norm(np.stack([lhs, t + lhs]))
+    return operator_norm(np.stack([lhs, t + lhs]))
+
+
+def _evaluate(x, alpha, beta, tol: float):
+    """(T, eigenvalues of T, holds, ||LHS||, ||RHS||) at each point, with
+    T from the module's `counterexample_T`."""
+    t, w, _ = counterexample_T(x, alpha, beta, tol)
+    w = np.asarray(w)
+    ln, rn = _norms(t, x, alpha, beta)
     return t, w, within_tolerance(w[..., 0], tol, ln, rn), ln, rn
 
 
@@ -138,15 +147,24 @@ def _rerun_witness(report: ViolationReport):
 
 
 def _grid_violations(grid: dict, tol: float) -> list[ViolationReport]:
-    """The grid's failing points in search order, evaluated chunk by chunk."""
+    """The grid's failing points in search order, evaluated chunk by chunk.
+
+    A margin >= 0 holds at any tolerance scale max(1, ||LHS||, ||RHS||), so
+    the norms are computed only for the points whose margin is negative (or
+    NaN); they are judged by `within_tolerance`, as `candidate_result` does.
+    """
     axes = [np.asarray(grid[k], dtype=float) for k in ("x", "alpha", "beta")]
     points = [p.ravel() for p in np.meshgrid(*axes, indexing="ij")]
     step = max(1, BATCH_BYTES // 64)   # a point's Kraus operators take 64 bytes
     out = []
     for lo in range(0, points[0].size, step):
         chunk = [p[lo:lo + step] for p in points]
-        t, w, holds, _, _ = _evaluate(*chunk, tol)
-        for i in np.flatnonzero(~holds).tolist():
+        t, w, _ = counterexample_T(*chunk, tol)
+        low = np.flatnonzero(~(w[:, 0] >= 0))
+        if low.size:
+            ln, rn = _norms(t[low], *(p[low] for p in chunk))
+            low = low[~within_tolerance(w[low, 0], tol, ln, rn)]
+        for i in low.tolist():
             x, alpha, beta = (p[i].item() for p in chunk)
             witness = {"x": x, "alpha": alpha, "beta": beta,
                        "a": matrix_to_json(np.diag([x, 1.0])),

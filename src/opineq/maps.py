@@ -124,12 +124,12 @@ class MapStack:
 
 def _require_isometric(v: np.ndarray, message: str) -> None:
     """Raise ValueError(message with the defect) for the first matrix V of
-    the stack v with ||V*V - I||_F > UNITARY_FTOL; a 2-D v is one matrix.
-    The stack's products and norms take one call each."""
+    the stack v with ||V*V - I||_F > UNITARY_FTOL (a NaN defect passes); a
+    2-D v is one matrix. The stack's products, norms and test take one call each."""
     devs = np.linalg.norm(adjoint(v) @ v - np.eye(v.shape[-1]), axis=(-2, -1))
-    for dev in devs.ravel().tolist():
-        if dev > UNITARY_FTOL:
-            raise ValueError(message.format(dev))
+    bad = devs[devs > UNITARY_FTOL]
+    if bad.size:
+        raise ValueError(message.format(bad[0]))
 
 
 def require_unitary(u: np.ndarray) -> None:

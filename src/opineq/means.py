@@ -14,11 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import ScalarFunction
-from .hermitian import hermitian_part, matrix_function, power, spectral_scope
+from .hermitian import _eigh, hermitian_part, matrix_function, power, spectral_scope
 
 
-def _check_pd(a: np.ndarray, who: str) -> None:
-    lam = np.linalg.eigvalsh(a)[..., 0]
+def _check_pd(w: np.ndarray, who: str) -> None:
+    """Raise unless lambda_min > 0 in each ascending spectrum w[..., :]."""
+    lam = w[..., 0]
     if np.any(lam <= 0):
         raise ValueError(f"{who} must be positive definite, "
                          f"lambda_min = {lam[lam <= 0].flat[0]:.3e}")
@@ -26,9 +27,9 @@ def _check_pd(a: np.ndarray, who: str) -> None:
 
 def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A # B = A^{1/2} (A^{-1/2} B A^{-1/2})^{1/2} A^{1/2} for SPD A, B."""
-    _check_pd(a, "first operand")
-    _check_pd(b, "second operand")
     with spectral_scope():
+        _check_pd(_eigh(a)[0], "first operand")     # the eigh power(a, +-0.5) reads
+        _check_pd(np.linalg.eigvalsh(b), "second operand")
         ah = power(a, 0.5)
         ami = power(a, -0.5)
         mid = power(ami @ b @ ami, 0.5)
@@ -42,8 +43,8 @@ def connection(a: np.ndarray, b: np.ndarray, f: ScalarFunction) -> np.ndarray:
     Non-normalized representers (f(1) != 1, e.g. f = t^2) are accepted; use
     ``f.mean_normalized`` when a genuine operator mean is required.
     """
-    _check_pd(a, "left operand")
     with spectral_scope():
+        _check_pd(_eigh(a)[0], "left operand")
         ah = power(a, 0.5)
         ami = power(a, -0.5)
         mid = matrix_function(hermitian_part(ami @ b @ ami), f)

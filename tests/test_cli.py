@@ -204,6 +204,8 @@ def _strict_json(text: str):
     (["counterexample", "--x", "1e-300"], EXIT_USAGE),
     (["counterexample", "--x", "1e300"], EXIT_USAGE),
     (["counterexample", "--tol", "-1"], EXIT_USAGE),
+    (["counterexample", "--alpha", "nan"], EXIT_USAGE),
+    (["counterexample", "--beta", "inf"], EXIT_USAGE),
     (["falsify", "--tol", "-1"], EXIT_USAGE),
     (["constants", "--name", "generalized_kantorovich", "-m", "6.103617184218336",
       "-M", "6.103617184225374", "--p=-2.636559007040525e-05"], EXIT_USAGE),
@@ -214,6 +216,7 @@ def _strict_json(text: str):
     (["check", "--name", "kantorovich", "-m", "1", "-M", "1", "--trials", "2"], EXIT_OK),
 ], ids=["kantorovich-overflow", "generalized-kantorovich-overflow", "beta-p-overflow",
         "counterexample-x-tiny", "counterexample-x-huge", "counterexample-tol-negative",
+        "counterexample-alpha-nan", "counterexample-beta-inf",
         "falsify-grid-tol-negative",
         "generalized-kantorovich-inner-zero", "beta-p-clamped", "alpha-m-equals-M",
         "suite-dim-1", "check-m-equals-M"])
@@ -228,6 +231,13 @@ def test_degenerate_input_gives_result_or_usage_error(capsys, argv, code):
     else:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--beta", "-inf"),
+                                        ("--alpha", "1e400")])
+def test_counterexample_names_the_non_finite_angle(capsys, flag, value):
+    assert main(["counterexample", f"{flag}={value}"]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)!r}\n"
 
 
 def test_reports_reject_non_finite_floats():

@@ -21,9 +21,10 @@ from opineq.cli import main
 from opineq.falsify import (CANDIDATE_NAME, DEFAULT_GRID, ViolationReport,
                             candidate_result, counterexample_T,
                             search_violations)
-from opineq.hermitian import DEFAULT_TOL, operator_norm, power, within_tolerance
+from opineq.hermitian import (DEFAULT_TOL, hermitian_part, operator_norm, power,
+                              within_tolerance)
 from opineq.io import map_to_json, matrix_to_json
-from opineq.maps import make_rotation_mixture
+from opineq.maps import make_rotation_mixture, rotation
 from opineq.rng import stream
 
 
@@ -74,6 +75,36 @@ def ref_grid_violations(grid, tol):
                 out.append(ViolationReport(CANDIDATE_NAME, witness, res.margin,
                                            [w[0], w[1]], tol))
     return out
+
+
+def all_norms_grid_violations(grid, tol):
+    """The grid's failing points as `candidate_result` judges them, with the
+    tolerance scale computed at every point, in one stacked call; T comes
+    from the module's `counterexample_T`, so a monkeypatched one is used."""
+    points = grid_points(grid)
+    t, w, _ = falsify.counterexample_T(*points, tol)
+    out = []
+    for i, res in enumerate(candidate_result(*points, tol)):
+        if res.holds:
+            continue
+        x, alpha, beta = (res.params[k] for k in ("x", "alpha", "beta"))
+        witness = {"x": x, "alpha": alpha, "beta": beta,
+                   "a": matrix_to_json(np.diag([x, 1.0])),
+                   "phi": map_to_json(make_rotation_mixture(alpha, beta)),
+                   "deficit": matrix_to_json(t[i])}
+        out.append(ViolationReport(CANDIDATE_NAME, witness, res.margin, w[i].tolist(), tol))
+    return out
+
+
+def unit_constant_deficit(x, alpha, beta, tol=DEFAULT_TOL):
+    """`counterexample_T` for arrays of points with K replaced by 1, a
+    planted false statement (acceptance criterion 3's mutant)."""
+    ops = rotation(np.stack([alpha, beta], axis=-1))
+    pa_invroot = power(falsify._mixture_image(ops, x), -0.5)
+    pain = falsify._mixture_image(ops, 1.0 / np.asarray(x))
+    t = hermitian_part(pa_invroot @ pain @ pa_invroot - pain @ pain)
+    w = np.linalg.eigvalsh(t)
+    return t, w, w[..., 0] >= -tol
 
 
 def shifted_grid(seed):
@@ -145,6 +176,20 @@ def test_noise_floor_search_matches_per_point_reference(grid):
     assert records(got) == records(ref_grid_violations(grid, 1e-18))
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-18, 0.0])
+@pytest.mark.parametrize("grid", GRIDS, ids=["default"] + [f"shifted{i}" for i in range(5)])
+def test_grid_search_matches_norms_at_every_point(grid, tol):
+    got = search_violations(CANDIDATE_NAME, grid=grid, tol=tol)
+    assert records(got) == records(all_norms_grid_violations(grid, tol))
+
+
+def test_planted_mutant_search_matches_norms_at_every_point(monkeypatch):
+    monkeypatch.setattr(falsify, "counterexample_T", unit_constant_deficit)
+    got = search_violations(CANDIDATE_NAME)
+    assert len(got) == 924
+    assert records(got) == records(all_norms_grid_violations(DEFAULT_GRID, DEFAULT_TOL))
+
+
 def test_candidate_row_matches_per_point_reference():
     spec = registry.get(CANDIDATE_NAME)
     rngs = [stream(42, CANDIDATE_NAME, trial) for trial in range(50)]
@@ -172,6 +217,20 @@ def test_nonpositive_x_anywhere_is_rejected(bad):
         search_violations(CANDIDATE_NAME, grid={**DEFAULT_GRID, "x": [1.0, 2.0, bad]})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", ["x", "alpha", "beta"])
+def test_non_finite_point_anywhere_is_rejected(axis, bad):
+    point = {"x": np.array([0.5, 1.0, 2.0]), "alpha": np.zeros(3), "beta": np.ones(3)}
+    point[axis][1] = bad
+    match = f"{axis} must be finite"
+    with pytest.raises(ValueError, match=match):
+        counterexample_T(*point.values())
+    with pytest.raises(ValueError, match=match):
+        candidate_result(*point.values())
+    with pytest.raises(ValueError, match=match):
+        search_violations(CANDIDATE_NAME, grid={**DEFAULT_GRID, axis: [1.0, bad]})
+
+
 def test_chunked_grid_equals_one_chunk(monkeypatch):
     one = search_violations(CANDIDATE_NAME, tol=1e-18)
     monkeypatch.setattr(falsify, "BATCH_BYTES", 64 * 100)   # 100 points a chunk
@@ -179,31 +238,59 @@ def test_chunked_grid_equals_one_chunk(monkeypatch):
 
 
 def test_grid_search_makes_a_constant_number_of_linalg_calls_per_chunk(monkeypatch):
-    # the per-point search made 6 LAPACK calls per point, 6,912 on the grid
-    calls, chunks = [], []
+    # the per-point search made 6 LAPACK calls per point, 6,912 on the grid;
+    # a chunk makes norm, eigh and eigvalsh for T, and one eigvalsh more for
+    # the tolerance scale only when one of its margins is negative
+    calls, negative = [], []
     for name in ("eigh", "eigvalsh", "eig", "eigvals", "norm", "qr", "inv",
                  "solve", "det", "svd", "cholesky"):
         fn = getattr(np.linalg, name)
 
-        def counted(*args, _fn=fn, **kwargs):
-            calls.append(len(chunks))
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append((len(negative), _name))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    evaluate = falsify._evaluate
+    deficit = falsify.counterexample_T
 
-    def counted_evaluate(*args):
-        chunks.append(len(calls))
-        return evaluate(*args)
-    monkeypatch.setattr(falsify, "_evaluate", counted_evaluate)
+    def counted_deficit(*args):
+        negative.append(None)
+        out = deficit(*args)
+        negative[-1] = bool(np.any(out[1][:, 0] < 0))
+        return out
+    monkeypatch.setattr(falsify, "counterexample_T", counted_deficit)
+
+    def assert_calls_per_chunk():
+        for c, neg in enumerate(negative, start=1):
+            got = sorted(name for k, name in calls if k == c)
+            assert got == sorted(["norm", "eigh", "eigvalsh"] + ["eigvalsh"] * neg)
+        assert len(calls) == 3 * len(negative) + sum(negative)
+
     assert search_violations(CANDIDATE_NAME) == []
-    assert 0 < len(calls) <= 16
-    per_chunk = [calls.count(k + 1) for k in range(len(chunks))]
+    assert 0 < len(calls) <= 16 and negative == [True]
+    assert_calls_per_chunk()
     monkeypatch.setattr(falsify, "BATCH_BYTES", 64 * 300)   # 4 chunks of <= 300
-    calls.clear()
-    chunks.clear()
-    assert search_violations(CANDIDATE_NAME) == []
-    assert len(chunks) == 4
-    assert [calls.count(k + 1) for k in range(4)] == per_chunk * 4
+    seen = set()
+    for grid in GRIDS:
+        calls.clear()
+        negative.clear()
+        assert search_violations(CANDIDATE_NAME, grid=grid) == []
+        assert len(negative) == 4
+        assert_calls_per_chunk()
+        seen.update(negative)
+    assert seen == {True, False}    # chunks with and without a negative margin
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["falsify", "--no-timestamp"],
+     "820489b855f45caeb5271401b57126d7b25ca8c1cd8a553e2c3802636b6ae251"),
+    (["falsify", "--no-timestamp", "--tol", "1e-18"],
+     "c6bfe3fdf009cfa6ca1a5c589c9bdcd296ec929fda5675c1a08410a356e13b12"),
+    (["counterexample"],
+     "2948e632cd857e1b4928440a359ca50a46a1ac9e2eadcd8949b79de9835975e1"),
+], ids=["grid", "grid-noise-floor", "counterexample"])
+def test_grid_reports_are_pinned(capsys, argv, digest):
+    main(argv)
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
 def test_random_candidate_falsify_report_is_pinned(capsys):

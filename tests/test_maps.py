@@ -1,4 +1,6 @@
 """Unital positive maps and the random instance generators."""
+import re
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,11 @@ from opineq.generators import (haar_isometry, random_mixture, random_spd,
                                random_unitary, random_weights,
                                sandwiched_pair)
 from opineq.hermitian import SpectralInterval, is_psd, loewner_leq, power
-from opineq.maps import (KrausMap, MapStack, compression, direct_sum,
+from opineq.maps import (UNITARY_FTOL, KrausMap, MapStack, compression, direct_sum,
                          identity_map, induced_congruence,
-                         make_rotation_mixture, pinching, rotation, scaled,
-                         unitary_mixture, vector_state_value)
+                         make_rotation_mixture, pinching, require_isometry,
+                         require_unitary, rotation, scaled, unitary_mixture,
+                         vector_state_value)
 
 IV = SpectralInterval(1.0, 2.0)
 
@@ -46,6 +49,45 @@ def test_rotation_matrix():
 def test_mixture_rejects_non_unitary():
     with pytest.raises(ValueError):
         unitary_mixture([np.array([[1.0, 0.0], [1.0, 1.0]])], [1.0])
+
+
+def first_defect(v):
+    """||V*V - I||_F of the first matrix of the stack above UNITARY_FTOL, or
+    None, by a loop over the matrices."""
+    for m in np.reshape(v, (-1,) + v.shape[-2:]):
+        dev = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[-1])))
+        if dev > UNITARY_FTOL:
+            return dev
+    return None
+
+
+def rotation_stack(scale_at=()):
+    """A (3, 4, 2, 2, 2) stack of rotations, the matrices at `scale_at`
+    multiplied by (index key, factor) pairs."""
+    ops = rotation(np.linspace(0.0, 3.0, 24).reshape(3, 4, 2))
+    for key, factor in scale_at:
+        ops[key] = factor * ops[key]
+    return ops
+
+
+@pytest.mark.parametrize("stack", [
+    rotation_stack(),
+    rotation_stack([((0, 1, 0), 1.0 + 1e-13)]),
+    rotation_stack([((0, 2, 1), np.nan), ((1, 2, 0), 2.0), ((2, 0, 1), 3.0)]),
+    rotation_stack([((0, 0, 0), 1.0 + 1e-9), ((0, 0, 1), 2.0)]),
+    rotation_stack([((k, j, i), np.nan) for k in range(3) for j in range(4) for i in range(2)]),
+    2.0 * np.eye(3),
+    np.eye(3) + 1j * 1e-14,
+], ids=["unitary", "below-ftol", "nan-then-bad", "first-of-two", "all-nan", "single", "complex"])
+def test_stacked_unitarity_check_raises_for_the_first_bad_matrix(stack):
+    dev = first_defect(stack)
+    if dev is None:
+        require_unitary(stack)
+        return
+    with pytest.raises(ValueError, match=re.escape(f"not unitary: ||U*U - I||_F = {dev:.3e}")):
+        require_unitary(stack)
+    with pytest.raises(ValueError, match=re.escape(f"not an isometry: ||V*V - I||_F = {dev:.3e}")):
+        require_isometry(stack)
 
 
 def test_mixture_rejects_bad_weights():

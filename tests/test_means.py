@@ -79,6 +79,38 @@ def test_rejects_indefinite_left_operand():
         geometric_mean(np.diag([1.0, -1.0]), np.eye(2))
 
 
+@pytest.mark.parametrize("mean,a,b,message", [
+    (geometric_mean, np.diag([1.0, -1.0]), np.eye(2),
+     "first operand must be positive definite, lambda_min = -1.000e+00"),
+    (geometric_mean, np.eye(2), np.diag([0.0, 2.0]),
+     "second operand must be positive definite, lambda_min = 0.000e+00"),
+    (geometric_mean, np.diag([-2.0, -1.0]), np.diag([-1.0, 1.0]),
+     "first operand must be positive definite, lambda_min = -2.000e+00"),
+    (lambda a, b: connection(a, b, by_name("t^2")), np.diag([-3.0, 1.0]), np.eye(2),
+     "left operand must be positive definite, lambda_min = -3.000e+00"),
+], ids=["first", "second", "both", "connection"])
+def test_non_positive_definite_operand_message(mean, a, b, message):
+    with pytest.raises(ValueError) as info:
+        mean(np.stack([np.eye(2), a]), np.stack([np.eye(2), b]))
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_means_test_a_on_the_eigh_that_power_reuses(monkeypatch, rng):
+    # only the geometric mean's second operand needs an eigvalsh of its own
+    counts, eigvalsh = [], np.linalg.eigvalsh
+
+    def counted(x, *args, **kwargs):
+        counts.append(np.shape(x))
+        return eigvalsh(x, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    a, b = random_spd(4, IV, rng), random_spd(4, IV, rng)
+    geometric_mean(a, b)
+    assert len(counts) == 1
+    counts.clear()
+    connection(a, b, by_name("t^2"))
+    assert counts == []
+
+
 def test_geometric_mean_decomposes_a_once(eigh_inputs, rng):
     a, b = random_spd(5, IV, rng), random_spd(5, IV, rng)
     ah, ami = power(a, 0.5), power(a, -0.5)

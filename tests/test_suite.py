@@ -1,6 +1,7 @@
 """Registry coverage, suite determinism, report serialization."""
 import contextlib
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from opineq import hermitian, means, registry
 from opineq.checks import CheckResult
+from opineq.cli import main
 from opineq.hermitian import DomainError, SpectralInterval, power
 from opineq.io import (dump_json, load_json, map_from_json, map_to_json,
                        matrix_from_json, matrix_to_json)
@@ -118,6 +120,34 @@ def test_batch_split_by_byte_budget_equals_trials_run_alone(name, dims, stack_by
     alone = [spec.run_trial([rng], 1e-9, dims, registry.DEFAULT_INTERVALS)[0]
              for rng in streams()]
     assert _fingerprint(batch) == _fingerprint(alone)
+
+
+# sha256 of the stdout of `opineq <argv>`: the reports a refactor of the
+# registry, the checks or the generators keeps byte-identical
+@pytest.mark.parametrize("argv,digest", [
+    (["suite", "--seed", "42", "--no-timestamp", "--dims", "2,3,4,5,6,7,8", "--trials", "200"],
+     "20ebc2091ceafad89753c1a55394860a5aacb97febf9bac07fbea4963c522d70"),
+    (["suite", "--seed", "42", "--no-timestamp", "--dims", "16,24,32", "--trials", "60"],
+     "4934177eb3571a98cb8fd10e9277381a64ab99cafaeb8c834454ea3af1b9f89f"),
+    (["suite", "--seed", "1", "--no-timestamp", "--dims", "2,3,4,5,6,7,8", "--trials", "200",
+      "--include-expected-fail"],
+     "abcf29cf14f00d06e0824f1a9bf8e62eed211caf77b79896a7edf03e63c67f23"),
+    (["falsify", "--name", "kantorovich", "--budget", "50", "--no-timestamp"],
+     "4917c02d8fb4b27cd3d3719cd1bc9fc587322245477c1b1c66b2876559a39ef9"),
+    (["list"],
+     "87a768ebf0a491efad3f3664f5cd649c6320b501e504a304310a9601b4222c28"),
+    (["suite", "--seed", "5", "--no-timestamp", "--dims", "9,12,16,20", "--trials", "40"],
+     "0f0e09a010764cf2f9a9ca3f5ef9ecf332f7aa6f7d6ba64a175483b3ee3a908a"),
+    (["check", "--name", "mond_pecaric", "--name", "tuple_minkowski", "--name",
+      "minkowski_general", "--no-timestamp", "--trials", "30"],
+     "5f4b43676d2dbdd997763e14715a6f293cf10f8f85c2da9123bda411000da953"),
+    (["suite", "--seed", "3", "--no-timestamp", "--dims", "1,2,11", "--trials", "40"],
+     "d2d315beb140ddbff15491099d76f41eabcf1c06545763c7525c3915514cb9c7"),
+], ids=["suite-small", "suite-wide", "suite-with-candidate", "falsify-random", "list",
+        "suite-mid", "check-tuple-minkowski", "suite-dims-1-and-11"])
+def test_contract_reports_are_pinned(capsys, argv, digest):
+    main(argv)
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
 def test_statements_are_plain_text():

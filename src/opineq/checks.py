@@ -10,16 +10,18 @@ eps. "holds" applies the shared rule
 Operator checks never re-prove anything: they assemble both sides with the
 functional calculus and compare.
 
-A check evaluates a stack of instances of one shape at once: matrices
-carry a leading batch axis, maps come as a MapStack and intervals as a list,
-and the check returns a list with one result per instance. A single
-instance (2-D matrices, one map, one interval) runs as a stack of one and
-gets its result back alone.
+Every check takes a CheckInstance, the hypothesis bundle validated once,
+and evaluates a stack of instances of one shape at once: matrices carry a
+leading batch axis, maps come as a MapStack and intervals as a list, and
+the check returns a list with one result per instance. A single instance
+(2-D matrices, one map, one interval) runs as a stack of one and gets its
+result back alone.
 """
 from __future__ import annotations
 
 import copy
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,9 +33,8 @@ from .constants import (alpha_constant, beta0_constant, beta_p_constant,
 from .functions import ScalarFunction
 from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval, adjoint,
                         as_hermitian, hermitian_part, inv_psd, loewner_leq,
-                        matrix_function, power, spectral_bounds, sqrtm_psd,
-                        within_tolerance)
-from .maps import KrausMap, MapStack, direct_sum, vector_state_value
+                        matrix_function, power, sqrtm_psd, within_tolerance)
+from .maps import KrausMap, MapStack, vector_state_value
 from .means import connection, geometric_mean
 
 
@@ -84,60 +85,70 @@ def _col(values) -> np.ndarray:
     return np.asarray(values, dtype=float)[:, None, None]
 
 
-def _params(ivs, dim: int, out_dim: int, **extra) -> list:
-    """One params dict per instance; an `extra` value given as a list or an
-    array holds one entry per instance, any other value is shared."""
-    rows = []
-    for i, iv in enumerate(ivs):
-        row = {"dim": int(dim), "out_dim": int(out_dim), "m": float(iv.m), "M": float(iv.M)}
-        for key, v in extra.items():
-            row[key] = float(v[i]) if isinstance(v, (list, np.ndarray)) else v
-        rows.append(row)
-    return rows
-
-
 def _each(constant, ivs, *args) -> list:
     """A closed-form constant per instance, as Python floats."""
     return [constant(*args, iv) for iv in ivs]
 
 
+def _require_sandwich(a: np.ndarray, b: np.ndarray, lo, hi, tol: float) -> None:
+    # lo*A <= B <= hi*A for every pair, re-verified no matter how it was built
+    ok_lo, mlo, _, _ = loewner_leq(_col(lo) * a, b, tol)
+    ok_hi, mhi, _, _ = loewner_leq(b, _col(hi) * a, tol)
+    bad = ~(ok_lo & ok_hi)
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"hypothesis {lo[i]}*A <= B <= {hi[i]}*A fails "
+                         f"(margins {mlo[i]:.3e}, {mhi[i]:.3e})")
+
+
 @dataclass
 class CheckInstance:
     """Hypothesis bundle for one check: matrices, map, verified sandwich
-    interval, and optional state/exponent/function. With a leading batch
-    axis on a, b and x, phi is a MapStack and iv a list, one per instance."""
+    interval mI <= A <= MI, and an optional state and function. B lies in
+    the same interval, unless `bounds` = [lo, hi] states its hypothesis
+    lo*A <= B <= hi*A instead. With a leading batch axis on a, b and x, phi
+    is a MapStack and iv and bounds are lists, one entry per instance.
+
+    Each matrix's spectrum is read once: it gives the tight interval when
+    iv is not given, and the containment margins lambda_min - m and
+    M - lambda_max, judged by `within_tolerance`, when it is."""
     a: np.ndarray
     phi: KrausMap
     iv: Optional[SpectralInterval] = None
     b: Optional[np.ndarray] = None
+    bounds: Optional[SpectralInterval] = None
     x: Optional[np.ndarray] = None
-    p: Optional[float] = None
     f: Optional[ScalarFunction] = None
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        if self.tol < 0:
+            raise ValueError("tol must be >= 0")
         self.a = as_hermitian(self.a)
         if self.b is not None:
             self.b = as_hermitian(self.b)
         # validated as a stack; a single instance is a stack of one here
-        stacked = self.stacked
-        mats = [m if stacked else m[None] for m in (self.a, self.b) if m is not None]
-        if self.iv is None:
-            ivs = [SpectralInterval(min(b.m for b in bs), max(b.M for b in bs))
-                   for bs in zip(*(spectral_bounds(m) for m in mats))]
-            self.iv = ivs if stacked else ivs[0]
-            return
-        ivs = self.iv if stacked else [self.iv]
-        eye = np.eye(self.a.shape[-1])
-        lo, hi = (_col([getattr(iv, end) for iv in ivs]) * eye for end in ("m", "M"))
-        for m in mats:
-            lo_ok, lo_margin, _, _ = loewner_leq(lo, m, self.tol)
-            hi_ok, hi_margin, _, _ = loewner_leq(m, hi, self.tol)
-            bad = ~(lo_ok & hi_ok)
+        st = self if self.stacked else self.as_stack()
+        in_iv = [st.a] if st.b is None or st.bounds is not None else [st.a, st.b]
+        spectra = [np.linalg.eigvalsh(m) for m in in_iv]
+        if self.iv is None:     # the tight interval; it rejects a lambda_min <= 0
+            lo = np.min([w[:, 0] for w in spectra], axis=0).tolist()
+            hi = np.max([w[:, -1] for w in spectra], axis=0).tolist()
+            st.iv = [SpectralInterval(m, M) for m, M in zip(lo, hi)]
+            self.iv = st.iv if self.stacked else st.iv[0]
+        m, M = (np.array([getattr(iv, end) for iv in st.iv]) for end in ("m", "M"))
+        for w in spectra:
+            norm = np.abs(w).max(axis=-1)
+            lo_margin, hi_margin = w[:, 0] - m, M - w[:, -1]
+            bad = ~(within_tolerance(lo_margin, self.tol, m, norm)
+                    & within_tolerance(hi_margin, self.tol, norm, M))
             if np.any(bad):
                 i = int(np.flatnonzero(bad)[0])
-                raise ValueError(f"sandwich {ivs[i].m} I <= X <= {ivs[i].M} I violated "
+                raise ValueError(f"sandwich {st.iv[i].m} I <= X <= {st.iv[i].M} I violated "
                                  f"(margins {lo_margin[i]:.3e}, {hi_margin[i]:.3e})")
+        if st.bounds is not None:
+            _require_sandwich(st.a, st.b, [v.m for v in st.bounds], [v.M for v in st.bounds],
+                              self.tol)
 
     @property
     def stacked(self) -> bool:
@@ -150,43 +161,30 @@ class CheckInstance:
         out.b = None if self.b is None else self.b[None]
         out.x = None if self.x is None else np.asarray(self.x)[None]
         out.phi, out.iv = MapStack([self.phi]), [self.iv]
+        out.bounds = None if self.bounds is None else [self.bounds]
         return out
 
     def params(self, **extra) -> list:
-        return _params(self.iv, self.a.shape[-1], self.phi.output_dim, **extra)
-
-
-def _as_stack(arg):
-    """One argument of a single-instance check call, as a stack of one."""
-    if isinstance(arg, CheckInstance):
-        return arg.as_stack()
-    if isinstance(arg, np.ndarray):
-        return arg[None]
-    if isinstance(arg, KrausMap):
-        return MapStack([arg])
-    if isinstance(arg, SpectralInterval):
-        return [arg]
-    if isinstance(arg, list):   # the blocks of a tuple check
-        return [_as_stack(a) for a in arg]
-    return arg                  # shared: an exponent, a function, the tolerance
-
-
-def _is_stacked(arg) -> bool:
-    if isinstance(arg, CheckInstance):
-        return arg.stacked
-    if isinstance(arg, list):
-        return _is_stacked(arg[0])
-    return np.ndim(arg) == 3
+        """One params dict per instance; an `extra` value given as a list or
+        an array holds one entry per instance, any other value is shared."""
+        rows = []
+        for i, iv in enumerate(self.iv):
+            row = {"dim": int(self.a.shape[-1]), "out_dim": int(self.phi.output_dim),
+                   "m": float(iv.m), "M": float(iv.M)}
+            for key, v in extra.items():
+                row[key] = float(v[i]) if isinstance(v, (list, np.ndarray)) else v
+            rows.append(row)
+        return rows
 
 
 def _per_instance(check):
     """Run `check`, written for stacks, on a single instance as a stack of
     one and return its one result."""
     @functools.wraps(check)
-    def run(first, *args, **kwargs):
-        if _is_stacked(first):
-            return check(first, *args, **kwargs)
-        return check(*map(_as_stack, (first,) + args), **kwargs)[0]
+    def run(inst: CheckInstance, *args, **kwargs):
+        if inst.stacked:
+            return check(inst, *args, **kwargs)
+        return check(inst.as_stack(), *args, **kwargs)[0]
     return run
 
 
@@ -293,27 +291,14 @@ def check_reverse_ando_convex(inst: CheckInstance) -> list:
     return _operator("reverse_ando_convex", inst.params(f=f.name), lhs, rhs, inst.tol)
 
 
-def _require_sandwich(a: np.ndarray, b: np.ndarray, lo, hi, tol: float) -> None:
-    # lo*A <= B <= hi*A for every pair, re-verified no matter how it was built
-    ok_lo, mlo, _, _ = loewner_leq(_col(lo) * a, b, tol)
-    ok_hi, mhi, _, _ = loewner_leq(b, _col(hi) * a, tol)
-    bad = ~(ok_lo & ok_hi)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"hypothesis {lo[i]}*A <= B <= {hi[i]}*A fails "
-                         f"(margins {mlo[i]:.3e}, {mhi[i]:.3e})")
-
-
 @_per_instance
-def check_reverse_ando_sandwich(a, b, phi: MapStack, iv: list,
-                                tol: float = DEFAULT_TOL) -> list:
-    a, b = as_hermitian(a), as_hermitian(b)
-    _require_sandwich(a, b, [v.m ** 2 for v in iv], [v.M ** 2 for v in iv], tol)
-    c = _each(_sharp_bound, iv)
-    lhs = geometric_mean(phi(a), phi(b))
-    rhs = _col(c) * phi(geometric_mean(a, b))
-    return _operator("reverse_ando_sandwich",
-                     _params(iv, a.shape[-1], phi.output_dim, constant=c), lhs, rhs, tol)
+def check_reverse_ando_sandwich(inst: CheckInstance) -> list:
+    """Under m^2 A <= B <= M^2 A, given as `inst.bounds` = [m^2, M^2]."""
+    c = [_sharp_bound(SpectralInterval(math.sqrt(v.m), math.sqrt(v.M))) for v in inst.bounds]
+    phi = inst.phi
+    lhs = geometric_mean(phi(inst.a), phi(inst.b))
+    rhs = _col(c) * phi(geometric_mean(inst.a, inst.b))
+    return _operator("reverse_ando_sandwich", inst.params(constant=c), lhs, rhs, inst.tol)
 
 
 @_per_instance
@@ -334,17 +319,15 @@ def check_kantorovich_equivalents(inst: CheckInstance) -> list:
 
 
 @_per_instance
-def check_reverse_choi_quadratic(a, b, phi: MapStack, iv: list,
-                                 tol: float = DEFAULT_TOL) -> list:
-    a, b = as_hermitian(a), as_hermitian(b)
-    _require_sandwich(a, b, [v.m for v in iv], [v.M for v in iv], tol)
-    k = [_sharp_bound(v) ** 2 for v in iv]
+def check_reverse_choi_quadratic(inst: CheckInstance) -> list:
+    """Under m A <= B <= M A, given as `inst.bounds` = [m, M]."""
+    k = [_sharp_bound(v) ** 2 for v in inst.bounds]
+    a, b, phi = inst.a, inst.b, inst.phi
     lhs = phi(hermitian_part(b @ inv_psd(a) @ b))
     pb = phi(b)
     rhs = pb @ inv_psd(phi(a)) @ pb
     rhs = _col(k) * (rhs + adjoint(rhs)) / 2
-    return _operator("reverse_choi_quadratic",
-                     _params(iv, a.shape[-1], phi.output_dim, constant=k), lhs, rhs, tol)
+    return _operator("reverse_choi_quadratic", inst.params(constant=k), lhs, rhs, inst.tol)
 
 
 @_per_instance
@@ -400,7 +383,7 @@ def check_additive_sqrt(inst: CheckInstance) -> list:
     return _operator("additive_sqrt", inst.params(constant=c), lhs, rhs, inst.tol)
 
 
-def minkowski_constants(f: ScalarFunction, ivs) -> dict:
+def minkowski_constants(ivs, f: ScalarFunction) -> dict:
     """The constants of `check_minkowski_general` for each interval, searched
     in lockstep: alpha[f; m, M] and 2*beta0[f^-1; f-range]."""
     return {"alpha": alpha_constant(f, ivs),
@@ -425,7 +408,7 @@ def check_minkowski_general(inst: CheckInstance, f: ScalarFunction,
     sb = matrix_function(phi(matrix_function(inst.b, f)), finv)
     sab = matrix_function(phi(matrix_function(inst.a + inst.b, f)), finv)
     if alpha is None:
-        alpha, beta = minkowski_constants(f, inst.iv).values()
+        alpha, beta = minkowski_constants(inst.iv, f).values()
     params = inst.params(f=f.name, alpha=alpha, beta=beta)
     mult = _operator(name + ".mult", params, sa + sb, _col(alpha) * sab, inst.tol)
     add = _operator(name + ".add", params, sa + sb, _col(beta) * _eye(inst) + sab, inst.tol)
@@ -433,53 +416,29 @@ def check_minkowski_general(inst: CheckInstance, f: ScalarFunction,
 
 
 @_per_instance
-def check_power_minkowski(a, b, phi: MapStack, iv: list, p: float,
-                          tol: float = DEFAULT_TOL,
-                          name: Optional[str] = None) -> list:
+def check_power_minkowski(inst: CheckInstance, p: float, name: Optional[str] = None) -> list:
     """One (mult, add) pair per instance."""
     if not 1 <= p <= 2:
         raise DomainError(f"need 1 <= p <= 2, got {p}")
-    a, b = as_hermitian(a), as_hermitian(b)
     name = name or f"power_minkowski[p={_fmt(p)}]"
-    sa = power(phi(power(a, p)), 1.0 / p)
-    sb = power(phi(power(b, p)), 1.0 / p)
-    sab = power(phi(power(a + b, p)), 1.0 / p)
-    kp = [generalized_kantorovich(p, v) ** (1.0 / p) for v in iv]
-    bp = _each(beta_p_constant, iv, p)
-    params = _params(iv, a.shape[-1], phi.output_dim, p=p, factor=kp, summand=bp)
-    mult = _operator(name + ".mult", params, sa + sb, _col(kp) * sab, tol)
-    add = _operator(name + ".add", params, sa + sb,
-                    _col(bp) * np.eye(phi.output_dim) + sab, tol)
+    phi = inst.phi
+    sa = power(phi(power(inst.a, p)), 1.0 / p)
+    sb = power(phi(power(inst.b, p)), 1.0 / p)
+    sab = power(phi(power(inst.a + inst.b, p)), 1.0 / p)
+    kp = [generalized_kantorovich(p, v) ** (1.0 / p) for v in inst.iv]
+    bp = _each(beta_p_constant, inst.iv, p)
+    params = inst.params(p=p, factor=kp, summand=bp)
+    mult = _operator(name + ".mult", params, sa + sb, _col(kp) * sab, inst.tol)
+    add = _operator(name + ".add", params, sa + sb, _col(bp) * _eye(inst) + sab, inst.tol)
     return list(zip(mult, add))
 
 
-def block_diag(mats) -> np.ndarray:
-    """The block-diagonal matrix of the given blocks; for stacks of blocks,
-    the stack of block-diagonal matrices."""
-    mats = [np.asarray(m) for m in mats]
-    n = sum(m.shape[-1] for m in mats)
-    dtype = complex if any(np.iscomplexobj(m) for m in mats) else float
-    out = np.zeros(mats[0].shape[:-2] + (n, n), dtype=dtype)
-    lo = 0
-    for m in mats:
-        hi = lo + m.shape[-1]
-        out[..., lo:hi, lo:hi] = m
-        lo = hi
-    return out
-
-
 @_per_instance
-def check_tuple_minkowski(as_list, bs_list, phis, iv: list,
-                          tol: float = DEFAULT_TOL) -> list:
-    """k-tuple version at p = 2, reduced to the two-term power check over the
-    direct sum of the blocks and the summed map. `as_list`, `bs_list` and
-    `phis` hold one stack per block position."""
-    k = len(as_list)
-    if not (k == len(bs_list) == len(phis)):
-        raise ValueError("need equally many A blocks, B blocks, and maps")
-    ds = MapStack([direct_sum(maps) for maps in zip(*(p.maps for p in phis))])
-    pairs = check_power_minkowski(block_diag(as_list), block_diag(bs_list), ds, iv,
-                                  2.0, tol, name=f"tuple_minkowski[k={k}]")
+def check_tuple_minkowski(inst: CheckInstance, k: int) -> list:
+    """k-tuple version at p = 2, reduced to the two-term power check: A and
+    B are the block-diagonal matrices of the k blocks A_i and B_i, and phi
+    is the direct sum of the k maps Phi_i (see `generators.DrawBatch`)."""
+    pairs = check_power_minkowski(inst, 2.0, name=f"tuple_minkowski[k={k}]")
     for mult, _ in pairs:
         mult.params["k"] = k    # the pair shares one params dict
     return pairs
@@ -494,5 +453,5 @@ __all__ = [
     "check_mond_pecaric", "check_generalized_kantorovich_operator",
     "check_scalar_power_chain", "check_additive_sqrt", "minkowski_constants",
     "check_minkowski_general", "check_power_minkowski",
-    "check_tuple_minkowski", "block_diag",
+    "check_tuple_minkowski",
 ]

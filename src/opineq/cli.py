@@ -55,8 +55,10 @@ def _default_seed() -> int:
     return int(os.environ.get("OPINEQ_SEED", "42"))
 
 
-# float flags that must hold a finite number, by parsed attribute
-_FINITE_FLAGS = {"tol": "--tol", "m": "-m", "M": "-M", "x": "--x", "p": "--p"}
+# float flags that must hold a finite number, by parsed attribute; an
+# attribute parsed as text (counterexample's angles) is checked once parsed
+_FINITE_FLAGS = {"tol": "--tol", "m": "-m", "M": "-M", "x": "--x", "p": "--p",
+                 "alpha": "--alpha"}
 
 
 def _require_finite(args) -> None:
@@ -64,7 +66,7 @@ def _require_finite(args) -> None:
     check the way a number does; ValueError exits 2."""
     for attr, flag in _FINITE_FLAGS.items():
         value = getattr(args, attr, None)
-        if value is not None and not math.isfinite(value):
+        if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value!r}")
 
 

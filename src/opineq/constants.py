@@ -88,7 +88,8 @@ def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args,
     top, best, a, b = (np.empty(len(lo)) for _ in range(4))
     for part in _lane_chunks(len(lo), scan_points):
         xs = _grid(lo[part], hi[part], scan_points)
-        vals = np.asarray(f(xs, *(v[part] for v in lane_args)), dtype=float)
+        with np.errstate(all="ignore"):     # a value out of float range is rejected below
+            vals = np.asarray(f(xs, *(v[part] for v in lane_args)), dtype=float)
         # a point bracket is its own maximum, whatever f is worth there
         if not np.all(np.isfinite(vals[:, hi[part] > lo[part]])):
             raise ValueError("objective is not finite on the interval")

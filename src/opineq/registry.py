@@ -4,6 +4,9 @@ One entry per inequality statement, written as a row: a draw that builds a
 random instance (dimension, interval, map, matrices, state) from an explicit
 rng, the check that evaluates it, and the parameter values the check runs
 at. One trial returns one CheckResult per parameter value or chain link.
+A draw returns a flat record, the fields of a CheckInstance by name; each
+field is a leaf: an array, a map, an interval, or a value (the tolerance, a
+function) that the instances of one bucket share.
 Entries marked expected_to_hold=False are known-false candidates kept for
 falsifier sensitivity runs.
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,79 +60,67 @@ cube_root = power_function(1.0 / 3.0, name="t^(1/3)")
 STACK_BYTES = BATCH_BYTES // 4
 
 
-class _Fields(dict):
-    """The keyword arguments of a CheckInstance; a bucket of them is stacked
-    into one instance."""
-
-
-def _key(part):
+def _key(record: dict) -> tuple:
     """What the instances of one bucket share: the shape and dtype of every
     array, the dimensions of every map, and every other value (the
     tolerance, a drawn function), except the per-instance intervals."""
-    if isinstance(part, np.ndarray):
-        return part.shape, part.dtype.str
-    if isinstance(part, KrausMap):
-        return part.input_dim, part.output_dim
-    if isinstance(part, SpectralInterval):
-        return None
-    if isinstance(part, dict):
-        return tuple((k, _key(v)) for k, v in part.items())
-    if isinstance(part, (tuple, list)):
-        return tuple(_key(v) for v in part)
-    return part
+    key = []
+    for name, v in record.items():
+        if isinstance(v, np.ndarray):
+            v = v.shape, v.dtype.str
+        elif isinstance(v, KrausMap):
+            v = v.input_dim, v.output_dim
+        elif isinstance(v, SpectralInterval):
+            v = None
+        key.append((name, v))
+    return tuple(key)
 
 
-def _stack(parts: list):
-    """One bucket of draws as one draw of stacks: arrays stacked on a new
-    leading axis, maps as a MapStack, intervals as a list, _Fields as a
-    validated CheckInstance; other values are the same in every draw."""
-    first = parts[0]
-    if isinstance(first, _Fields):
-        return CheckInstance(**_stack([dict(p) for p in parts]))
-    if isinstance(first, dict):
-        return {k: _stack([p[k] for p in parts]) for k in first}
-    if isinstance(first, (tuple, list)):
-        return type(first)(_stack(list(col)) for col in zip(*parts))
-    if isinstance(first, np.ndarray):
-        return np.stack(parts)
-    if isinstance(first, KrausMap):
-        return MapStack(parts)
-    if isinstance(first, SpectralInterval):
-        return list(parts)
-    return first
+def _stack(records: list) -> dict:
+    """One bucket of records as one record of stacks: arrays stacked on a
+    new leading axis, maps as a MapStack, intervals as a list; other values
+    are the same in every record."""
+    out = {}
+    for name, v in records[0].items():
+        column = [r[name] for r in records]
+        if isinstance(v, np.ndarray):
+            v = np.stack(column)
+        elif isinstance(v, KrausMap):
+            v = MapStack(column)
+        elif isinstance(v, SpectralInterval):
+            v = column
+        out[name] = v
+    return out
 
 
-def _nbytes(part) -> int:
-    if isinstance(part, np.ndarray):
-        return part.nbytes
-    if isinstance(part, KrausMap):
-        return part.ops.nbytes
-    if isinstance(part, dict):
-        part = list(part.values())
-    if isinstance(part, (tuple, list)):
-        return sum(_nbytes(p) for p in part)
-    return 0
+def _nbytes(record: dict) -> int:
+    return sum(v.nbytes if isinstance(v, np.ndarray) else v.ops.nbytes
+               for v in record.values() if isinstance(v, (np.ndarray, KrausMap)))
 
 
 @dataclass(frozen=True)
 class CheckSpec:
     """One statement as a row. `draw(rng, tol, dims, intervals, batch)`
     makes the rng calls of one instance and leaves its linear algebra to
-    `batch` (a `generators.DrawBatch`); `check(stack)` runs once, or
-    `check(stack, param)` once per entry of `params`, in order, on a stack
-    of instances of one shape, and returns per instance one CheckResult or
-    a sequence of them. A trial returns them all in call order. `constants(intervals, param)`, if set,
-    computes keyword arguments of the check for every instance of the
-    batch at once (one lockstep search instead of one per bucket); each
-    value holds one entry per interval."""
+    `batch` (a `generators.DrawBatch`); it returns one record, or a list of
+    them, one per entry of `params`. A bucket of records of one key, stacked,
+    becomes one `instance(**fields)`, a validated CheckInstance unless the
+    row says otherwise; `check(stack)` runs once, or `check(stack, param)`
+    once per entry of `params`, in order, and returns per instance one
+    CheckResult or a sequence of them. A trial returns them all in call
+    order. `constants(intervals, param)`, if set, computes keyword
+    arguments of the check for every instance of the batch at once (one
+    lockstep search instead of one per bucket); each value holds one entry
+    per interval."""
     name: str
     statement: str
-    draw: Callable[..., Any]
+    draw: Callable[..., Union[dict, list]]
     check: Callable[..., Any]
     params: tuple = ()
     expected_to_hold: bool = True
     parameters: str = ""
     constants: Optional[Callable[..., dict]] = None
+    instance: Callable[..., Any] = CheckInstance
 
     def run_trial(self, rngs: Iterable, tol, dims, intervals) -> list[list[CheckResult]]:
         """Draw one instance from each stream, in order, and return the
@@ -139,13 +130,16 @@ class CheckSpec:
         together, stacked in buckets of one key (see `_key`) and at most
         STACK_BYTES."""
         out: list[list[CheckResult]] = []
-        held, sizes, batch = [], [], DrawBatch()
+        held, sizes, total, batch = [], [], 0, DrawBatch()
         for rng in rngs:
-            held.append(self.draw(rng, tol, dims, intervals, batch))
-            sizes.append(_nbytes(held[-1]))
-            if sum(sizes) + batch.nbytes >= BATCH_BYTES:
+            records = self.draw(rng, tol, dims, intervals, batch)
+            held.append(records if isinstance(records, list) else [records])
+            sizes.append(sum(map(_nbytes, held[-1])))
+            total += sizes[-1]
+            if total + batch.nbytes >= BATCH_BYTES:
                 batch.finish()
                 out += self._evaluate(held, sizes)
+                total = 0
         if held:
             batch.finish()
             out += self._evaluate(held, sizes)
@@ -158,26 +152,29 @@ class CheckSpec:
         Each param's constants are computed for all draws, before the buckets."""
         buckets: list[list[int]] = []
         filling: dict = {}   # key -> (index, bytes) of its bucket still filling
-        for i, (draw, size) in enumerate(zip(draws, sizes)):
-            key = _key(draw)
+        for i, (records, size) in enumerate(zip(draws, sizes)):
+            key = tuple(map(_key, records))
             b, held = filling.get(key, (None, 0))
             if b is None or held + size > STACK_BYTES:
                 b, held = len(buckets), 0
                 buckets.append([])
             buckets[b].append(i)
             filling[key] = (b, held + size)
-        stacks = [_stack([draws[i] for i in idx]) for idx in buckets]
+        # per bucket, one stack per record of a draw
+        stacks = [[self.instance(**_stack([draws[i][j] for i in idx]))
+                   for j in range(len(draws[idx[0]]))] for idx in buckets]
         out: list[list[CheckResult]] = [[] for _ in draws]
         draws.clear()
         sizes.clear()
         calls = [(p,) for p in self.params] or [()]
         extras = [{} if self.constants is None else
-                  self.constants([iv for s in stacks for iv in s.iv], *args) for args in calls]
+                  self.constants([iv for s in stacks for iv in s[0].iv], *args) for args in calls]
         lo = 0
-        for idx, stack in zip(buckets, stacks):
+        for idx, insts in zip(buckets, stacks):
             with spectral_scope():
-                for args, extra in zip(calls, extras):
+                for j, (args, extra) in enumerate(zip(calls, extras)):
                     kwargs = {k: v[lo:lo + len(idx)] for k, v in extra.items()}
+                    stack = insts[j] if len(insts) > 1 else insts[0]
                     for i, res in zip(idx, self.check(stack, *args, **kwargs)):
                         out[i].extend([res] if isinstance(res, CheckResult) else res)
             lo += len(idx)
@@ -191,66 +188,67 @@ def _draw(rng, dims, intervals):
 
 
 def _single(rng, tol, dims, intervals, batch, f=None, with_state=False,
-            identity=False) -> _Fields:
+            identity=False) -> dict:
     """A on the input side of a random unital map (or of the identity map),
     with a unit vector state if asked."""
     dim, iv = _draw(rng, dims, intervals)
     phi, n_in = (identity_map(dim), dim) if identity else batch.unital_map(dim, rng)
     a = batch.spd(n_in, iv, rng)
     x = random_state(dim, rng) if with_state else None
-    return _Fields(a=a, phi=phi, x=x, f=f, tol=tol)
+    return dict(a=a, phi=phi, x=x, f=f, tol=tol)
 
 
-def _drawn_f(rng, tol, dims, intervals, batch) -> _Fields:
+def _drawn_f(rng, tol, dims, intervals, batch) -> dict:
     # the function is drawn before the dimension and the interval
     f = (square_function, inverse_function)[int(rng.integers(2))]
     return _single(rng, tol, dims, intervals, batch, f=f)
 
 
-def _pair(rng, tol, dims, intervals, batch, f=None) -> _Fields:
+def _pair(rng, tol, dims, intervals, batch, f=None) -> dict:
     dim, iv = _draw(rng, dims, intervals)
     phi, n_in = batch.unital_map(dim, rng)
     a = batch.spd(n_in, iv, rng)
     b = batch.spd(n_in, iv, rng)
-    return _Fields(a=a, b=b, phi=phi, f=f, tol=tol)
+    return dict(a=a, b=b, phi=phi, f=f, tol=tol)
 
 
-def _sandwich(rng, tol, dims, intervals, batch, squared=False):
-    """Arguments (A, B, Phi, [m, M], tol) of a sandwich check, with
-    m A <= B <= M A, or m^2 A <= B <= M^2 A if `squared`."""
+def _sandwich(rng, tol, dims, intervals, batch, squared=False) -> dict:
+    """A in [m, M] and B with m A <= B <= M A, or m^2 A <= B <= M^2 A if
+    `squared`."""
     dim, iv = _draw(rng, dims, intervals)
     phi, n_in = batch.unital_map(dim, rng)
     bounds = SpectralInterval(iv.m ** 2, iv.M ** 2) if squared else iv
     a, b = batch.sandwiched_pair(n_in, iv, bounds, rng)
-    return a, b, phi, iv, tol
+    return dict(a=a, b=b, phi=phi, iv=iv, bounds=bounds, tol=tol)
 
 
-def _tuples(rng, tol, dims, intervals, batch) -> dict:
-    """Arguments of `check_tuple_minkowski` by tuple size k: one random map
-    for k = 1, then three weighted identity maps for k = 3."""
+def _tuples(rng, tol, dims, intervals, batch) -> list:
+    """One record per tuple size k, in params order: one random map for
+    k = 1, then three weighted identity maps for k = 3. A and B are the
+    block-diagonal matrices of the k blocks, phi the direct sum of the maps."""
     dim, iv = _draw(rng, dims, intervals)
 
     def blocks(phis):
-        as_list = [batch.spd(p.input_dim, iv, rng) for p in phis]
-        bs_list = [batch.spd(p.input_dim, iv, rng) for p in phis]
-        return as_list, bs_list, phis, iv, tol
+        a = batch.block_diag([batch.spd(p.input_dim, iv, rng) for p in phis])
+        b = batch.block_diag([batch.spd(p.input_dim, iv, rng) for p in phis])
+        return dict(a=a, b=b, phi=batch.direct_sum(phis), iv=iv, tol=tol)
 
     one = blocks([batch.unital_map(dim, rng)[0]])
     three = blocks([scaled(float(w), dim) for w in random_weights(3, rng)])
-    return {1: one, 3: three}
+    return [one, three]
 
 
-def _candidate_point(rng, tol, dims, intervals, batch):
+def _candidate_point(rng, tol, dims, intervals, batch) -> dict:
     """A random point (x, alpha, beta) of the 2x2 rotation-mixture family."""
     x = float(rng.uniform(0.5, 4.0))
     alpha = float(rng.uniform(0.0, np.pi))
     beta = float(rng.uniform(0.0, np.pi))
-    return np.array([x, alpha, beta]), tol
+    return dict(xab=np.array([x, alpha, beta]), tol=tol)
 
 
-def _candidates(points) -> list[CheckResult]:
-    xab, tol = points
-    return candidate_result(xab[:, 0], xab[:, 1], xab[:, 2], tol)
+def _candidates(points: dict) -> list[CheckResult]:
+    xab = points["xab"]
+    return candidate_result(xab[:, 0], xab[:, 1], xab[:, 2], points["tol"])
 
 
 def _mond_pecaric_alpha(ivs, alpha):
@@ -303,8 +301,7 @@ REGISTRY: tuple[CheckSpec, ...] = (
               parameters="f = t^2"),
     CheckSpec("reverse_ando_sandwich",
               "Phi(A) # Phi(B) <= ((M+m)/(2 sqrt(mM))) Phi(A # B) when m^2 A <= B <= M^2 A",
-              partial(_sandwich, squared=True),
-              lambda args: check_reverse_ando_sandwich(*args)),
+              partial(_sandwich, squared=True), check_reverse_ando_sandwich),
     CheckSpec("kantorovich_equivalents",
               "four forms of the inverse-reversal bound: operator, scalar state,"
               " sharp, squared",
@@ -313,7 +310,7 @@ REGISTRY: tuple[CheckSpec, ...] = (
     CheckSpec("reverse_choi_quadratic",
               "Phi(B A^-1 B) <= ((M+m)/(2 sqrt(Mm)))^2 Phi(B) Phi(A)^-1 Phi(B)"
               " when m A <= B <= M A",
-              _sandwich, lambda args: check_reverse_choi_quadratic(*args)),
+              _sandwich, check_reverse_choi_quadratic),
     CheckSpec("mond_pecaric",
               "<Phi(f(A))x,x> <= beta(alpha) + alpha f(<Phi(A)x,x>) for convex f",
               partial(_single, f=square_function, with_state=True),
@@ -337,25 +334,22 @@ REGISTRY: tuple[CheckSpec, ...] = (
               _pair, check_minkowski_general,
               (identity_function, power_function(1.5), square_function),
               parameters="f in {t, t^1.5, t^2}, forms {mult, add}",
-              constants=lambda ivs, f: minkowski_constants(f, ivs)),
+              constants=minkowski_constants),
     CheckSpec("power_minkowski",
               "Phi(A^p)^(1/p) + Phi(B^p)^(1/p) <= K(p)^(1/p) Phi((A+B)^p)^(1/p)"
               " and <= beta_p + Phi((A+B)^p)^(1/p)",
-              _pair,
-              lambda inst, p: check_power_minkowski(inst.a, inst.b, inst.phi,
-                                                    inst.iv, p, inst.tol),
-              (1.0, 1.5, 2.0), parameters="p in {1, 1.5, 2}, forms {mult, add}"),
+              _pair, check_power_minkowski, (1.0, 1.5, 2.0), parameters="p in {1, 1.5, 2}, forms {mult, add}"),
     CheckSpec("tuple_minkowski",
               "(sum_i Phi_i(A_i^2))^(1/2) + (sum_i Phi_i(B_i^2))^(1/2)"
               " <= ((M+m)/(2 sqrt(Mm))) (sum_i Phi_i((A_i+B_i)^2))^(1/2)",
-              _tuples, lambda sets, k: check_tuple_minkowski(*sets[k]), (1, 3),
+              _tuples, check_tuple_minkowski, (1, 3),
               parameters="k in {1, 3}, forms {mult, add}"),
     CheckSpec("inverse_square_candidate",
               "Phi(A^-1)^2 <= ((1+x)^2/(4x)) Phi(A)^-1/2 Phi(A^-1) Phi(A)^-1/2"
               " over the 2x2 rotation-mixture family (claimed false)",
               _candidate_point, _candidates,
               expected_to_hold=False,
-              parameters="x in (0.5, 4), angles in (0, pi)"),
+              parameters="x in (0.5, 4), angles in (0, pi)", instance=dict),
 )
 
 _BY_NAME = {spec.name: spec for spec in REGISTRY}

@@ -15,10 +15,10 @@ from opineq.checks import (CheckInstance, check_additive_sqrt, check_ando,
                            check_scalar_power_chain, check_tuple_minkowski)
 from opineq.constants import kantorovich_constant
 from opineq.functions import by_name, power_function
-from opineq.generators import (random_spd, random_state, random_unital_map,
-                               sandwiched_pair)
+from opineq.generators import (DrawBatch, random_spd, random_state,
+                               random_unital_map, sandwiched_pair)
 from opineq.hermitian import DomainError, SpectralInterval
-from opineq.maps import identity_map, scaled
+from opineq.maps import MapStack, identity_map, scaled
 
 IV = SpectralInterval(1.0, 2.0)
 
@@ -40,6 +40,55 @@ def test_instance_rejects_interval_missing_spectrum(rng):
     a = random_spd(3, SpectralInterval(1.0, 4.0), rng)
     with pytest.raises(ValueError):
         CheckInstance(a=a, phi=identity_map(3), iv=SpectralInterval(2.0, 4.0))
+
+
+# A = diag(lo, hi) against [1, 2] at tol 1e-9: the band is 1e-9 times
+# max(1, ||A||, the interval's end), about 2e-9 on either side
+@pytest.mark.parametrize("lo,hi,inside", [
+    (1.0 - 1e-9, 2.0, True), (1.0 - 3e-9, 2.0, False),
+    (1.0, 2.0 + 1e-9, True), (1.0, 2.0 + 5e-9, False),
+], ids=["below-m-inside", "below-m-outside", "above-M-inside", "above-M-outside"])
+def test_instance_containment_tolerance_band(lo, hi, inside):
+    make = lambda: CheckInstance(a=np.diag([lo, hi]), phi=identity_map(2),
+                                 iv=SpectralInterval(1.0, 2.0), tol=1e-9)
+    if inside:
+        make()
+    else:
+        with pytest.raises(ValueError, match=r"sandwich 1\.0 I <= X <= 2\.0 I violated"):
+            make()
+
+
+def _first_error(make, cases):
+    for case in cases:
+        try:
+            make(*case)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("broken", ["bounds", "interval"])
+def test_stacked_instance_rejects_the_first_bad_instance(rng, broken):
+    # a stack of sandwiched pairs with instances 2 and 4 broken: B = 10 A
+    # breaks B's bounds, a wider A breaks A's interval; the stack names the
+    # instance a per-instance loop meets first
+    bounds = SpectralInterval(0.8, 1.6)
+    cases = []
+    for i in range(6):
+        phi, in_dim = random_unital_map(3, rng)
+        a, b = sandwiched_pair(3, IV, bounds, rng)
+        if i in (2, 4) and broken == "bounds":
+            b = (10.0 + i) * a
+        if i in (2, 4) and broken == "interval":
+            a = random_spd(3, SpectralInterval(1.0, 3.0 + i), rng)
+        cases.append((a, b, identity_map(3), IV, bounds))
+    make = lambda a, b, phi, iv, bounds: CheckInstance(a=a, b=b, phi=phi, iv=iv, bounds=bounds)
+    expected = _first_error(make, cases)
+    assert expected is not None and ("10.0" not in expected or broken == "interval")
+    a, b, phis, ivs, bs = map(list, zip(*cases))
+    with pytest.raises(ValueError) as exc:
+        make(np.stack(a), np.stack(b), MapStack(phis), ivs, bs)
+    assert str(exc.value) == expected
 
 
 def test_kantorovich_identity_map_margin_formula():
@@ -139,20 +188,25 @@ def test_reverse_ando_convex(rng):
 
 def test_reverse_ando_sandwich(rng):
     iv = SpectralInterval(0.9, 1.4)  # bounds on B relative to A
+    bounds = SpectralInterval(iv.m**2, iv.M**2)
     for _ in range(15):
         dim = int(rng.integers(2, 6))
         phi, in_dim = random_unital_map(dim, rng)
-        a, b = sandwiched_pair(in_dim, IV, SpectralInterval(iv.m**2, iv.M**2), rng)
-        res = check_reverse_ando_sandwich(a, b, phi, iv)
+        a, b = sandwiched_pair(in_dim, IV, bounds, rng)
+        res = check_reverse_ando_sandwich(CheckInstance(a=a, b=b, phi=phi, iv=IV,
+                                                        bounds=bounds))
         assert res.holds
+        # the constant comes from B's bounds, the reported interval is A's
+        assert res.params["constant"] == pytest.approx((iv.M + iv.m) / (2 * np.sqrt(iv.M * iv.m)))
+        assert (res.params["m"], res.params["M"]) == (IV.m, IV.M)
 
 
 def test_reverse_ando_sandwich_rejects_broken_hypothesis(rng):
     phi, in_dim = random_unital_map(3, rng)
     a = random_spd(in_dim, IV, rng)
     b = 10.0 * a  # way outside [m^2 A, M^2 A]
-    with pytest.raises(ValueError):
-        check_reverse_ando_sandwich(a, b, phi, SpectralInterval(0.9, 1.4))
+    with pytest.raises(ValueError, match=r"hypothesis 0\.81\*A <= B <= 1\.96\*A fails"):
+        CheckInstance(a=a, b=b, phi=phi, iv=IV, bounds=SpectralInterval(0.81, 1.96))
 
 
 def test_kantorovich_equivalents_all_four(rng):
@@ -167,8 +221,10 @@ def test_reverse_choi_quadratic(rng):
     for _ in range(10):
         dim = int(rng.integers(2, 6))
         phi, in_dim = random_unital_map(dim, rng)
-        a, b = sandwiched_pair(in_dim, IV, SpectralInterval(0.8, 1.6), rng)
-        res = check_reverse_choi_quadratic(a, b, phi, SpectralInterval(0.8, 1.6))
+        bounds = SpectralInterval(0.8, 1.6)
+        a, b = sandwiched_pair(in_dim, IV, bounds, rng)
+        res = check_reverse_choi_quadratic(CheckInstance(a=a, b=b, phi=phi, iv=IV,
+                                                         bounds=bounds))
         assert res.holds
 
 
@@ -223,20 +279,23 @@ def test_power_minkowski(rng):
             dim = int(rng.integers(2, 5))
             phi, in_dim = random_unital_map(dim, rng)
             a, b = random_spd(in_dim, IV, rng), random_spd(in_dim, IV, rng)
-            mult, add = check_power_minkowski(a, b, phi, IV, p)
+            inst = CheckInstance(a=a, b=b, phi=phi, iv=IV)
+            mult, add = check_power_minkowski(inst, p)
             assert mult.holds and add.holds
     with pytest.raises(DomainError):
-        check_power_minkowski(a, b, phi, IV, 3.0)  # needs 1 <= p <= 2
+        check_power_minkowski(inst, 3.0)  # needs 1 <= p <= 2
 
 
 def test_tuple_minkowski(rng):
     k, dim = 3, 3
-    phis = [scaled(w, dim) for w in (0.2, 0.3, 0.5)]
-    as_list = [random_spd(dim, IV, rng) for _ in range(k)]
-    bs_list = [random_spd(dim, IV, rng) for _ in range(k)]
-    mult, add = check_tuple_minkowski(as_list, bs_list, phis, IV)
+    batch = DrawBatch()
+    a = batch.block_diag([random_spd(dim, IV, rng) for _ in range(k)])
+    b = batch.block_diag([random_spd(dim, IV, rng) for _ in range(k)])
+    phi = batch.direct_sum([scaled(w, dim) for w in (0.2, 0.3, 0.5)])
+    batch.finish()
+    mult, add = check_tuple_minkowski(CheckInstance(a=a, b=b, phi=phi, iv=IV), k)
     assert mult.holds and add.holds
-    assert mult.params["k"] == k
+    assert mult.params["k"] == k and mult.params["dim"] == k * dim
 
 
 def test_result_record_fields(rng):

@@ -128,6 +128,10 @@ def test_constants_missing_parameter(capsys):
     (["counterexample", "--x", "nan"], "--x must be finite"),
     (["counterexample", "--x", "inf"], "--x must be finite"),
     (["counterexample", "--tol", "nan"], "--tol must be finite"),
+    (["constants", "--name", "mond_pecaric_beta", "-m", "1", "-M", "2", "--f", "t^2",
+      "--alpha", "nan"], "--alpha must be finite"),
+    (["constants", "--name", "mond_pecaric_beta", "-m", "1", "-M", "2", "--f", "t^2",
+      "--alpha", "1e308"], "objective is not finite"),
     (["constants", "--name", "generalized_kantorovich", "-m", "1", "-M", "1.000000001",
       "--p", "1.0000001"], "cancels to 0"),
     (["constants", "--name", "generalized_kantorovich", "-m", "6.103617184218336",
@@ -136,11 +140,14 @@ def test_constants_missing_parameter(capsys):
 ], ids=["constants-unknown-f", "falsify-budget-negative", "falsify-budget-0",
         "suite-dims-0", "suite-dims-entry-0", "check-tol-inf", "suite-tol-nan",
         "constants-M-inf", "constants-p-nan", "counterexample-x-nan",
-        "counterexample-x-inf", "counterexample-tol-nan",
+        "counterexample-x-inf", "counterexample-tol-nan", "constants-alpha-nan",
+        "constants-alpha-overflow",
         "constants-generalized-kantorovich-cancellation",
         "constants-generalized-kantorovich-inner-zero"])
 def test_bad_flag_value_is_usage_error(capsys, argv, message):
-    assert main(argv) == EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and message in captured.err

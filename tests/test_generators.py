@@ -16,8 +16,9 @@ import pytest
 from opineq import registry
 from opineq.generators import (DrawBatch, haar_isometry, random_mixture,
                                random_spd, random_unital_map, random_unitary,
-                               sandwiched_pair)
+                               random_weights, sandwiched_pair)
 from opineq.hermitian import SpectralInterval
+from opineq.maps import direct_sum, scaled
 from opineq.rng import stream
 from opineq.suite import run_suite
 
@@ -180,6 +181,29 @@ def test_one_flush_of_mixed_draws_matches_reference():
     assert kinds == {0, 1, 2}
     for got, want in pending:
         assert_same_bits(got, want)
+
+
+def test_block_diagonals_and_direct_sums_are_assembled_at_finish():
+    # blocks and maps drawn in the same batch hold their values only after
+    # finish; the assembled matrices and maps copy those values
+    batch, pending = DrawBatch(), []
+    for i in range(30):
+        rng = stream(3, "blocks", i)
+        dim = 2 + i % 4
+        phis = ([batch.unital_map(dim, rng)[0]] if i % 2 else
+                [scaled(float(w), dim) for w in random_weights(3, rng)])
+        blocks = [batch.spd(p.input_dim, IV, rng) for p in phis]
+        pending.append((batch.block_diag(blocks), blocks, batch.direct_sum(phis), phis))
+    batch.finish()
+    for a, blocks, phi, phis in pending:
+        want = np.zeros_like(a)
+        lo = 0
+        for block in blocks:
+            hi = lo + len(block)
+            want[lo:hi, lo:hi] = block
+            lo = hi
+        assert_same_bits(a, want)
+        assert_same_map(phi, (direct_sum(phis).ops, direct_sum(phis).weights))
 
 
 def test_draws_run_one_qr_per_matrix_size_per_flush(monkeypatch):

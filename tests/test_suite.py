@@ -14,7 +14,7 @@ from opineq.hermitian import DomainError, SpectralInterval, power
 from opineq.io import (dump_json, load_json, map_from_json, map_to_json,
                        matrix_from_json, matrix_to_json)
 from opineq.generators import DrawBatch, random_spd, random_unital_map
-from opineq.maps import (compression, direct_sum, identity_map,
+from opineq.maps import (KrausMap, compression, direct_sum, identity_map,
                          induced_congruence, make_rotation_mixture, pinching,
                          scaled)
 from opineq.rng import stream
@@ -80,6 +80,26 @@ def test_every_entry_produces_results(spec):
     assert [r.check_name for r in results] == RESULT_NAMES[spec.name]
 
 
+@pytest.mark.parametrize("spec", registry.REGISTRY, ids=lambda spec: spec.name)
+def test_every_draw_returns_flat_records(spec):
+    # a record maps field names to leaves: arrays, maps, intervals, or
+    # values shared by a bucket; a draw of several records has one per param
+    batch = DrawBatch()
+    records = spec.draw(stream(7, spec.name), 1e-9, (2, 3), registry.DEFAULT_INTERVALS, batch)
+    batch.finish()
+    if isinstance(records, list):
+        assert len(records) == len(spec.params) > 1
+    else:
+        records = [records]
+    for record in records:
+        assert type(record) is dict and record
+        for value in record.values():
+            if not isinstance(value, (np.ndarray, KrausMap, SpectralInterval)):
+                assert not isinstance(value, (dict, list, tuple, set))
+                hash(value)
+        spec.instance(**registry._stack([record]))
+
+
 def _fingerprint(per_trial):
     return [[(r.to_record(), repr(r.margin)) for r in results] for results in per_trial]
 
@@ -110,8 +130,10 @@ def test_batch_split_by_byte_budget_equals_trials_run_alone(name, dims, stack_by
         monkeypatch.setattr(registry, "STACK_BYTES", stack_bytes)
     spec = registry.get(name)
     streams = lambda: [stream(5, spec.name, t) for t in range(12)]
-    keys = {registry._key(spec.draw(rng, 1e-9, dims, registry.DEFAULT_INTERVALS, DrawBatch()))
-            for rng in streams()}
+    keys = set()
+    for rng in streams():
+        records = spec.draw(rng, 1e-9, dims, registry.DEFAULT_INTERVALS, DrawBatch())
+        keys.add(tuple(map(registry._key, records if isinstance(records, list) else [records])))
     stacks = []
     counted = dataclasses.replace(
         spec, check=lambda stack, *args, **kw: stacks.append(stack) or spec.check(stack, *args, **kw))

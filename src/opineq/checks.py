@@ -90,17 +90,6 @@ def _each(constant, ivs, *args) -> list:
     return [constant(*args, iv) for iv in ivs]
 
 
-def _require_sandwich(a: np.ndarray, b: np.ndarray, lo, hi, tol: float) -> None:
-    # lo*A <= B <= hi*A for every pair, re-verified no matter how it was built
-    ok_lo, mlo, _, _ = loewner_leq(_col(lo) * a, b, tol)
-    ok_hi, mhi, _, _ = loewner_leq(b, _col(hi) * a, tol)
-    bad = ~(ok_lo & ok_hi)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(f"hypothesis {lo[i]}*A <= B <= {hi[i]}*A fails "
-                         f"(margins {mlo[i]:.3e}, {mhi[i]:.3e})")
-
-
 @dataclass
 class CheckInstance:
     """Hypothesis bundle for one check: matrices, map, verified sandwich
@@ -131,24 +120,33 @@ class CheckInstance:
         st = self if self.stacked else self.as_stack()
         in_iv = [st.a] if st.b is None or st.bounds is not None else [st.a, st.b]
         spectra = [np.linalg.eigvalsh(m) for m in in_iv]
+        # per rule, in the order a single instance meets them: which
+        # instances break it, and the message for instance i
+        rules = []
         if self.iv is None:     # the tight interval; it rejects a lambda_min <= 0
             lo = np.min([w[:, 0] for w in spectra], axis=0).tolist()
             hi = np.max([w[:, -1] for w in spectra], axis=0).tolist()
             st.iv = [SpectralInterval(m, M) for m, M in zip(lo, hi)]
             self.iv = st.iv if self.stacked else st.iv[0]
+            spectra = []        # a tight interval contains every spectrum
         m, M = (np.array([getattr(iv, end) for iv in st.iv]) for end in ("m", "M"))
         for w in spectra:
             norm = np.abs(w).max(axis=-1)
-            lo_margin, hi_margin = w[:, 0] - m, M - w[:, -1]
-            bad = ~(within_tolerance(lo_margin, self.tol, m, norm)
-                    & within_tolerance(hi_margin, self.tol, norm, M))
-            if np.any(bad):
-                i = int(np.flatnonzero(bad)[0])
-                raise ValueError(f"sandwich {st.iv[i].m} I <= X <= {st.iv[i].M} I violated "
-                                 f"(margins {lo_margin[i]:.3e}, {hi_margin[i]:.3e})")
-        if st.bounds is not None:
-            _require_sandwich(st.a, st.b, [v.m for v in st.bounds], [v.M for v in st.bounds],
-                              self.tol)
+            below, above = w[:, 0] - m, M - w[:, -1]
+            rules.append((~(within_tolerance(below, self.tol, m, norm)
+                            & within_tolerance(above, self.tol, norm, M)),
+                          lambda i, below=below, above=above: f"sandwich {st.iv[i].m} I <= X"
+                          f" <= {st.iv[i].M} I violated (margins {below[i]:.3e}, {above[i]:.3e})"))
+        if st.bounds is not None:   # re-verified no matter how B was built
+            lo, hi = ([getattr(v, end) for v in st.bounds] for end in ("m", "M"))
+            lo_ok, lo_margin, _, _ = loewner_leq(_col(lo) * st.a, st.b, self.tol)
+            hi_ok, hi_margin, _, _ = loewner_leq(st.b, _col(hi) * st.a, self.tol)
+            rules.append((~(lo_ok & hi_ok), lambda i: f"hypothesis {lo[i]}*A <= B <= {hi[i]}*A "
+                          f"fails (margins {lo_margin[i]:.3e}, {hi_margin[i]:.3e})"))
+        bad = np.any([broken for broken, _ in rules], axis=0)
+        if np.any(bad):
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(next(message(i) for broken, message in rules if broken[i]))
 
     @property
     def stacked(self) -> bool:

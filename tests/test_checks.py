@@ -67,24 +67,26 @@ def _first_error(make, cases):
     return None
 
 
-@pytest.mark.parametrize("broken", ["bounds", "interval"])
+@pytest.mark.parametrize("broken", [
+    {2: "bounds", 4: "bounds"}, {2: "interval", 4: "interval"},
+    {2: "bounds", 4: "interval"}, {2: "interval", 4: "bounds"},
+], ids=["bounds", "interval", "bounds-then-interval", "interval-then-bounds"])
 def test_stacked_instance_rejects_the_first_bad_instance(rng, broken):
-    # a stack of sandwiched pairs with instances 2 and 4 broken: B = 10 A
+    # a stack of sandwiched pairs with two instances broken: B = (10 + i) A
     # breaks B's bounds, a wider A breaks A's interval; the stack names the
-    # instance a per-instance loop meets first
+    # instance a per-instance loop meets first, with the loop's message
     bounds = SpectralInterval(0.8, 1.6)
     cases = []
     for i in range(6):
-        phi, in_dim = random_unital_map(3, rng)
         a, b = sandwiched_pair(3, IV, bounds, rng)
-        if i in (2, 4) and broken == "bounds":
+        if broken.get(i) == "bounds":
             b = (10.0 + i) * a
-        if i in (2, 4) and broken == "interval":
+        if broken.get(i) == "interval":
             a = random_spd(3, SpectralInterval(1.0, 3.0 + i), rng)
         cases.append((a, b, identity_map(3), IV, bounds))
     make = lambda a, b, phi, iv, bounds: CheckInstance(a=a, b=b, phi=phi, iv=iv, bounds=bounds)
     expected = _first_error(make, cases)
-    assert expected is not None and ("10.0" not in expected or broken == "interval")
+    assert expected is not None
     a, b, phis, ivs, bs = map(list, zip(*cases))
     with pytest.raises(ValueError) as exc:
         make(np.stack(a), np.stack(b), MapStack(phis), ivs, bs)

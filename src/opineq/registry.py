@@ -4,9 +4,9 @@ One entry per inequality statement, written as a row: a draw that builds a
 random instance (dimension, interval, map, matrices, state) from an explicit
 rng, the check that evaluates it, and the parameter values the check runs
 at. One trial returns one CheckResult per parameter value or chain link.
-A draw returns a flat record, the fields of a CheckInstance by name; each
-field is a leaf: an array, a map, an interval, or a value (the tolerance, a
-function) that the instances of one bucket share.
+A draw returns a flat record (the fields of a CheckInstance by name, or a
+grid point): each field is a leaf, an array, a map, an interval, or a value
+(the tolerance, a function) that the instances of one bucket share.
 Entries marked expected_to_hold=False are known-false candidates kept for
 falsifier sensitivity runs.
 

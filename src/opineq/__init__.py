@@ -6,8 +6,7 @@ generated instances, and ships a falsification engine for a claimed
 counterexample family built from 2x2 rotation mixtures.
 """
 from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval, is_psd,
-                        loewner_leq, matrix_function, operator_norm, power,
-                        spectral_bounds)
+                        loewner_leq, matrix_function, operator_norm, power)
 from .functions import CATALOG, ScalarFunction, by_name, power_function
 from .means import connection, geometric_mean, riccati_residual
 from .maps import (KrausMap, compression, direct_sum, identity_map,
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TOL", "DomainError", "SpectralInterval", "is_psd",
     "loewner_leq", "matrix_function",
-    "operator_norm", "power", "spectral_bounds",
+    "operator_norm", "power",
     "CATALOG", "ScalarFunction", "by_name", "power_function",
     "connection", "geometric_mean", "riccati_residual",
     "KrausMap", "compression", "direct_sum", "identity_map",

@@ -240,16 +240,15 @@ def _cmd_constants(args, parser) -> int:
     else:
         need("f", args.f)
         need("alpha", args.alpha)
-        value = mond_pecaric_beta(f, iv, args.alpha)
+        try:
+            value = mond_pecaric_beta(f, iv, args.alpha)
+        except ValueError as exc:   # --alpha is at fault if alpha = 0 gives a value
+            mond_pecaric_beta(f, iv, 0.0)
+            raise ValueError(f"{exc} at --alpha {args.alpha!r}") from None
         oracle = oracle_mond_pecaric_beta(f, iv.m, iv.M, args.alpha)
     record = {"name": name, "m": iv.m, "M": iv.M, "value": value,
               "oracle_value": oracle, "abs_diff": abs(value - oracle)}
-    if args.p is not None:
-        record["p"] = args.p
-    if args.alpha is not None:
-        record["alpha"] = args.alpha
-    if args.f is not None:
-        record["f"] = args.f
+    record.update((k, v) for k in ("p", "alpha", "f") if (v := getattr(args, k)) is not None)
     print(dump_json(record, args.output))
     return EXIT_OK
 

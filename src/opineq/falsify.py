@@ -45,6 +45,18 @@ def _mixture_image(ops: np.ndarray, d) -> np.ndarray:
     return hermitian_part(0.5 * terms[..., 0, :, :] + 0.5 * terms[..., 1, :, :])
 
 
+def _rotation_pairs(alpha, beta, check: bool = False) -> np.ndarray:
+    """rotation(stack([alpha, beta], -1)), built once per distinct angle (by
+    bits: -0.0 is not 0.0), checked unitary with `check`, and gathered back
+    to the points by a copy, so each point keeps the bits it gets alone."""
+    angles = np.stack([alpha, beta], axis=-1).astype(float, copy=False)
+    keys, inverse = np.unique(angles.ravel().view(np.int64), return_inverse=True)
+    ops = rotation(keys.view(float))
+    if check:
+        require_unitary(ops)
+    return ops[inverse.reshape(angles.shape)]   # its shape varies by numpy release
+
+
 def counterexample_T(x, alpha, beta, tol: float = DEFAULT_TOL):
     """Assemble T(x, alpha, beta) = ((1+x)^2/4x) Phi(A)^{-1/2} Phi(A^{-1})
     Phi(A)^{-1/2} - Phi(A^{-1})^2 for A = diag(x, 1).
@@ -57,6 +69,8 @@ def counterexample_T(x, alpha, beta, tol: float = DEFAULT_TOL):
 
     Equal-shape arrays of points give T (..., 2, 2), the eigenvalues
     (..., 2) and psd (...), each point with the bits it gets alone.
+    Each distinct angle's rotation is checked once, so a rotation that is
+    not unitary is reported in distinct-angle order, not in point order.
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
@@ -67,8 +81,7 @@ def counterexample_T(x, alpha, beta, tol: float = DEFAULT_TOL):
             raise ValueError(f"{name} must be finite, got {v[~finite].flat[0]}")
     if np.any(x <= 0):
         raise ValueError(f"x must be positive, got {x[x <= 0].flat[0]}")
-    ops = rotation(np.stack([alpha, beta], axis=-1))   # Kraus operators (..., 2, 2, 2)
-    require_unitary(ops)
+    ops = _rotation_pairs(alpha, beta, check=True)
     pa_invroot = power(_mixture_image(ops, x), -0.5)
     pain = _mixture_image(ops, 1.0 / x)
     k = ((1.0 + x) ** 2 / (4.0 * x))[..., None, None]
@@ -81,25 +94,19 @@ def counterexample_T(x, alpha, beta, tol: float = DEFAULT_TOL):
 
 def _norms(t, x, alpha, beta):
     """(||LHS||, ||RHS||) at each point, LHS = Phi(A^-1)^2 and RHS = T + LHS."""
-    ops = rotation(np.stack([alpha, beta], axis=-1))
-    pain = _mixture_image(ops, 1.0 / np.asarray(x, dtype=float))
+    pain = _mixture_image(_rotation_pairs(alpha, beta), 1.0 / np.asarray(x, dtype=float))
     lhs = pain @ pain
     return operator_norm(np.stack([lhs, t + lhs]))
 
 
-def _evaluate(x, alpha, beta, tol: float):
-    """(T, eigenvalues of T, holds, ||LHS||, ||RHS||) at each point, with
-    T from the module's `counterexample_T`."""
+def candidate_result(x, alpha, beta, tol: float = DEFAULT_TOL):
+    """The candidate statement as a CheckResult (margin = lambda_min(T)), with
+    T from the module's `counterexample_T`; for arrays of points, the list
+    of them in point order."""
     t, w, _ = counterexample_T(x, alpha, beta, tol)
     w = np.asarray(w)
     ln, rn = _norms(t, x, alpha, beta)
-    return t, w, within_tolerance(w[..., 0], tol, ln, rn), ln, rn
-
-
-def candidate_result(x, alpha, beta, tol: float = DEFAULT_TOL):
-    """The candidate statement as a CheckResult (margin = lambda_min(T));
-    for arrays of points, the list of them in point order."""
-    _, w, holds, ln, rn = _evaluate(x, alpha, beta, tol)
+    holds = within_tolerance(w[..., 0], tol, ln, rn)
     cols = [np.asarray(v, dtype=float).ravel().tolist() for v in (x, alpha, beta)]
     cols += [np.ravel(v).tolist() for v in (w[..., 0], holds, ln, rn)]
     out = []

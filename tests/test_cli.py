@@ -202,32 +202,36 @@ def _strict_json(text: str):
 
 
 # degenerate inputs: out-of-range intervals and points, a negative
-# tolerance, m = M, and dimension 1; each gives a result or a usage error
-@pytest.mark.parametrize("argv,code", [
-    (["constants", "--name", "kantorovich", "-m", "1e-300", "-M", "1e300"], EXIT_USAGE),
+# tolerance, m = M, and dimension 1; each gives a result or a usage error,
+# which names the flag at fault where one is given
+@pytest.mark.parametrize("argv,code,flag", [
+    (["constants", "--name", "kantorovich", "-m", "1e-300", "-M", "1e300"], EXIT_USAGE, None),
     (["constants", "--name", "generalized_kantorovich", "-m", "1", "-M", "1e300",
-      "--p", "3"], EXIT_USAGE),
-    (["constants", "--name", "beta_p", "-m", "1", "-M", "1e300", "--p", "2"], EXIT_USAGE),
-    (["counterexample", "--x", "1e-300"], EXIT_USAGE),
-    (["counterexample", "--x", "1e300"], EXIT_USAGE),
-    (["counterexample", "--tol", "-1"], EXIT_USAGE),
-    (["counterexample", "--alpha", "nan"], EXIT_USAGE),
-    (["counterexample", "--beta", "inf"], EXIT_USAGE),
-    (["falsify", "--tol", "-1"], EXIT_USAGE),
+      "--p", "3"], EXIT_USAGE, None),
+    (["constants", "--name", "beta_p", "-m", "1", "-M", "1e300", "--p", "2"], EXIT_USAGE, None),
+    (["constants", "--name", "mond_pecaric_beta", "-m", "1", "-M", "2", "--f", "t^2",
+      "--alpha", "1e308"], EXIT_USAGE, "--alpha 1e+308"),
+    (["counterexample", "--x", "1e-300"], EXIT_USAGE, None),
+    (["counterexample", "--x", "1e300"], EXIT_USAGE, None),
+    (["counterexample", "--tol", "-1"], EXIT_USAGE, None),
+    (["counterexample", "--alpha", "nan"], EXIT_USAGE, "--alpha"),
+    (["counterexample", "--beta", "inf"], EXIT_USAGE, "--beta"),
+    (["falsify", "--tol", "-1"], EXIT_USAGE, None),
     (["constants", "--name", "generalized_kantorovich", "-m", "6.103617184218336",
-      "-M", "6.103617184225374", "--p=-2.636559007040525e-05"], EXIT_USAGE),
+      "-M", "6.103617184225374", "--p=-2.636559007040525e-05"], EXIT_USAGE, None),
     (["constants", "--name", "beta_p", "-m", "63.36578001821514",
-      "-M", "63.365780018239555", "--p", "1.0000728291824297"], EXIT_OK),
-    (["constants", "--name", "alpha", "-m", "1", "-M", "1", "--f", "t^2"], EXIT_OK),
-    (["suite", "--dims", "1", "--trials", "1"], EXIT_OK),
-    (["check", "--name", "kantorovich", "-m", "1", "-M", "1", "--trials", "2"], EXIT_OK),
+      "-M", "63.365780018239555", "--p", "1.0000728291824297"], EXIT_OK, None),
+    (["constants", "--name", "alpha", "-m", "1", "-M", "1", "--f", "t^2"], EXIT_OK, None),
+    (["suite", "--dims", "1", "--trials", "1"], EXIT_OK, None),
+    (["check", "--name", "kantorovich", "-m", "1", "-M", "1", "--trials", "2"], EXIT_OK, None),
 ], ids=["kantorovich-overflow", "generalized-kantorovich-overflow", "beta-p-overflow",
+        "mond-pecaric-alpha-overflow",
         "counterexample-x-tiny", "counterexample-x-huge", "counterexample-tol-negative",
         "counterexample-alpha-nan", "counterexample-beta-inf",
         "falsify-grid-tol-negative",
         "generalized-kantorovich-inner-zero", "beta-p-clamped", "alpha-m-equals-M",
         "suite-dim-1", "check-m-equals-M"])
-def test_degenerate_input_gives_result_or_usage_error(capsys, argv, code):
+def test_degenerate_input_gives_result_or_usage_error(capsys, argv, code, flag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == code
@@ -238,6 +242,7 @@ def test_degenerate_input_gives_result_or_usage_error(capsys, argv, code):
     else:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert flag is None or flag in captured.err
 
 
 @pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--beta", "-inf"),

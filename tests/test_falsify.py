@@ -24,7 +24,7 @@ from opineq.falsify import (CANDIDATE_NAME, DEFAULT_GRID, ViolationReport,
 from opineq.hermitian import (DEFAULT_TOL, hermitian_part, operator_norm, power,
                               within_tolerance)
 from opineq.io import map_to_json, matrix_to_json
-from opineq.maps import make_rotation_mixture, rotation
+from opineq.maps import make_rotation_mixture, require_unitary, rotation
 from opineq.rng import stream
 
 
@@ -278,6 +278,45 @@ def test_grid_search_makes_a_constant_number_of_linalg_calls_per_chunk(monkeypat
         assert_calls_per_chunk()
         seen.update(negative)
     assert seen == {True, False}    # chunks with and without a negative margin
+
+
+def test_unitarity_is_checked_once_per_distinct_angle(monkeypatch):
+    checked = []
+
+    def counted(u):
+        checked.append(int(np.prod(u.shape[:-2])))
+        return require_unitary(u)
+    monkeypatch.setattr(falsify, "require_unitary", counted)
+    assert search_violations(CANDIDATE_NAME) == []
+    distinct = len(set(DEFAULT_GRID["alpha"]) | set(DEFAULT_GRID["beta"]))
+    assert checked and sum(checked) <= distinct
+
+
+def test_a_planted_non_unitary_rotation_is_still_rejected(monkeypatch):
+    bad_angle = DEFAULT_GRID["beta"][7]
+
+    def planted(theta):
+        u = rotation(theta)
+        u[np.asarray(theta) == bad_angle] *= 1.1
+        return u
+    monkeypatch.setattr(falsify, "rotation", planted)
+    with pytest.raises(ValueError, match="matrix is not unitary"):
+        counterexample_T(*grid_points(DEFAULT_GRID))
+    with pytest.raises(ValueError, match="matrix is not unitary"):
+        search_violations(CANDIDATE_NAME)
+
+
+@pytest.mark.parametrize("shape", [(300,), (6, 25)])
+def test_repeated_and_shuffled_angles_keep_per_point_bits(shape):
+    g = np.random.default_rng(5)
+    pool = np.array([0.0, -0.0, np.pi / 3, -np.pi / 3, 2.0, 1e-300, 7 * np.pi / 12])
+    x = g.uniform(0.05, 20.0, shape)
+    alpha, beta = g.choice(pool, shape), g.choice(pool, shape)    # repeats in no order
+    t, w, psd = counterexample_T(x, alpha, beta)
+    for i in np.ndindex(shape):
+        ref_t, ref_w, ref_psd = ref_counterexample_T(x[i], alpha[i], beta[i])
+        assert t[i].tobytes() == ref_t.tobytes() and bits(*w[i]) == bits(*ref_w)
+        assert bool(psd[i]) == ref_psd
 
 
 @pytest.mark.parametrize("argv,digest", [

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opineq import hermitian
 from opineq.functions import by_name
-from opineq.hermitian import (DomainError, SpectralInterval, as_hermitian,
-                              inv_psd, is_psd, loewner_leq, matrix_function,
-                              operator_norm, power, spectral_bounds,
+from opineq.hermitian import (POSITIVITY_RTOL, DomainError, SpectralInterval,
+                              as_hermitian, inv_psd, is_psd, loewner_leq,
+                              matrix_function, operator_norm, power,
                               spectral_scope, sqrtm_psd)
 
 A22 = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -89,6 +90,64 @@ def test_matrix_function_domain_guard():
         matrix_function(np.diag([1.0, 0.0]), f)
 
 
+def floor_on_both_paths(monkeypatch, w):
+    """`_below_floor(w)` through the array pass, then through the loop."""
+    out = []
+    for limit in (0, w.size + 1):
+        monkeypatch.setattr(hermitian, "_FLOOR_LOOP_MAX", limit)
+        out.append(repr(hermitian._below_floor(w)))
+    return out
+
+
+def ascending_spectra(rng, n, d=4):
+    return np.sort(rng.uniform(0.5, 8.0, (n, d)), axis=-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 13, 14, 30, 31, 200, 2000])
+def test_floor_paths_agree(monkeypatch, rng, n):
+    w = ascending_spectra(rng, n)
+    assert floor_on_both_paths(monkeypatch, w) == ["None", "None"]
+    # NaN lanes: a NaN lambda_min never offends; a NaN lambda_max floors at 1
+    w[rng.integers(n, size=3), 0] = np.nan
+    assert floor_on_both_paths(monkeypatch, w) == ["None", "None"]
+    tiny = rng.integers(n)
+    w[tiny, 0], w[tiny, -1] = 0.5 * POSITIVITY_RTOL, np.nan
+    assert floor_on_both_paths(monkeypatch, w) == [repr(0.5 * POSITIVITY_RTOL)] * 2
+    # lambda_min exactly at the floor offends, one ulp above it does not
+    w = ascending_spectra(rng, n)
+    at, top = rng.integers(n), float(w[-1, -1])
+    floor = POSITIVITY_RTOL * max(1.0, top)
+    w[at, 0], w[at, -1] = np.nextafter(floor, np.inf), top
+    assert floor_on_both_paths(monkeypatch, w) == ["None", "None"]
+    w[at, 0] = floor
+    assert floor_on_both_paths(monkeypatch, w) == [repr(floor)] * 2
+    # lambda_min <= 0 at several positions: the first in ravel order
+    picks = rng.choice(n, size=min(n, 4), replace=False)
+    w[picks, 0] = [-0.0, -1.5, 0.0, -3.0][:len(picks)]
+    first = repr(float(w[min(picks.min(), at), 0]))
+    assert floor_on_both_paths(monkeypatch, w) == [first] * 2
+    # a stack of stacks is read in ravel order
+    if n % 2 == 0:
+        assert floor_on_both_paths(monkeypatch, w.reshape(2, n // 2, -1)) == [first] * 2
+    assert floor_on_both_paths(monkeypatch, np.empty((n, 0))) == ["None", "None"]
+
+
+@pytest.mark.parametrize("n", [1, 30, 2000])
+def test_domain_errors_are_the_same_on_both_floor_paths(monkeypatch, n):
+    a = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
+    a[n // 2] = np.diag([1.0, -0.25])
+    for limit in (0, n + 1):
+        monkeypatch.setattr(hermitian, "_FLOOR_LOOP_MAX", limit)
+        with pytest.raises(DomainError) as exc:
+            power(a, -0.5)
+        assert str(exc.value) == ("power -0.5 needs a positive definite matrix; "
+                                  "lambda_min = -2.500e-01")
+        with pytest.raises(DomainError) as exc:
+            matrix_function(a, by_name("log"))
+        assert str(exc.value) == ("matrix function 'log' needs a positive spectrum; "
+                                  "lambda_min = -2.500e-01")
+
+
 def test_loewner_leq_basic():
     holds, margin, lhs_norm, rhs_norm = loewner_leq(np.eye(2), 2 * np.eye(2))
     assert holds and abs(margin - 1.0) < 1e-12
@@ -112,12 +171,6 @@ def test_loewner_tolerance_is_relative():
 def test_is_psd():
     assert is_psd(np.diag([0.0, 1.0]))
     assert not is_psd(np.diag([-1e-3, 1.0]))
-
-
-def test_spectral_bounds_known():
-    iv = spectral_bounds(A22)
-    assert iv == SpectralInterval(1.0, 3.0) or (
-        abs(iv.m - 1) < 1e-12 and abs(iv.M - 3) < 1e-12)
 
 
 def test_spectral_interval_validation():

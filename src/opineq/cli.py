@@ -248,7 +248,12 @@ def _cmd_constants(args, parser) -> int:
         oracle = oracle_mond_pecaric_beta(f, iv.m, iv.M, args.alpha)
     record = {"name": name, "m": iv.m, "M": iv.M, "value": value,
               "oracle_value": oracle, "abs_diff": abs(value - oracle)}
-    record.update((k, v) for k in ("p", "alpha", "f") if (v := getattr(args, k)) is not None)
+    if args.p is not None:
+        record["p"] = args.p
+    if args.alpha is not None:
+        record["alpha"] = args.alpha
+    if args.f is not None:
+        record["f"] = args.f
     print(dump_json(record, args.output))
     return EXIT_OK
 

@@ -94,19 +94,25 @@ def counterexample_T(x, alpha, beta, tol: float = DEFAULT_TOL):
 
 def _norms(t, x, alpha, beta):
     """(||LHS||, ||RHS||) at each point, LHS = Phi(A^-1)^2 and RHS = T + LHS."""
-    pain = _mixture_image(_rotation_pairs(alpha, beta), 1.0 / np.asarray(x, dtype=float))
+    ops = _rotation_pairs(alpha, beta)
+    pain = _mixture_image(ops, 1.0 / np.asarray(x, dtype=float))
     lhs = pain @ pain
     return operator_norm(np.stack([lhs, t + lhs]))
 
 
-def candidate_result(x, alpha, beta, tol: float = DEFAULT_TOL):
-    """The candidate statement as a CheckResult (margin = lambda_min(T)), with
-    T from the module's `counterexample_T`; for arrays of points, the list
-    of them in point order."""
+def _evaluate(x, alpha, beta, tol: float):
+    """(T, eigenvalues of T, holds, ||LHS||, ||RHS||) at each point, with
+    T from the module's `counterexample_T`."""
     t, w, _ = counterexample_T(x, alpha, beta, tol)
     w = np.asarray(w)
     ln, rn = _norms(t, x, alpha, beta)
-    holds = within_tolerance(w[..., 0], tol, ln, rn)
+    return t, w, within_tolerance(w[..., 0], tol, ln, rn), ln, rn
+
+
+def candidate_result(x, alpha, beta, tol: float = DEFAULT_TOL):
+    """The candidate statement as a CheckResult (margin = lambda_min(T));
+    for arrays of points, the list of them in point order."""
+    _, w, holds, ln, rn = _evaluate(x, alpha, beta, tol)
     cols = [np.asarray(v, dtype=float).ravel().tolist() for v in (x, alpha, beta)]
     cols += [np.ravel(v).tolist() for v in (w[..., 0], holds, ln, rn)]
     out = []

@@ -32,9 +32,6 @@ POSITIVITY_RTOL = 1e-12
 # lockstep search builds at once, and the Kraus operators of one chunk of
 # the falsifier's grid; temporaries are a small multiple of it
 BATCH_BYTES = 384 << 10
-# the largest stack of spectra `_below_floor` tests in a Python loop; an
-# array pass is faster past 12-14 spectra (dims 2-8, 2-vCPU x86-64 host)
-_FLOOR_LOOP_MAX = 12
 
 
 class DomainError(ValueError):
@@ -98,18 +95,13 @@ def _below_floor(w: np.ndarray):
     """lambda_min of the first spectrum w[..., :] (ascending, ravel order) at
     or below the relative positivity floor POSITIVITY_RTOL * max(1, max |lambda|),
     or None. lambda_max stands in for max |lambda|: the two agree when
-    lambda_min > 0, and a lambda_min <= 0 is below either floor. Stacks of
-    more than _FLOOR_LOOP_MAX spectra take one array pass instead of the
-    loop, with the loop's answer: like max(1.0, x), fmax takes 1 over a NaN."""
+    lambda_min > 0, and a lambda_min <= 0 is below either floor. One array
+    pass in float64: like max(1.0, x), fmax takes 1 over a NaN."""
     if w.shape[-1] == 0:
         return None
-    lam, top = w[..., 0].ravel(), w[..., -1].ravel()
-    if lam.size > _FLOOR_LOOP_MAX:
-        lam = lam.astype(float, copy=False)
-        below = lam <= POSITIVITY_RTOL * np.fmax(1.0, top.astype(float, copy=False))
-        return lam[below.argmax()].item() if below.any() else None
-    pairs = zip(lam.tolist(), top.tolist())
-    return next((low for low, high in pairs if low <= POSITIVITY_RTOL * max(1.0, high)), None)
+    lam = w[..., 0].ravel().astype(float, copy=False)
+    below = lam <= POSITIVITY_RTOL * np.fmax(1.0, w[..., -1].ravel().astype(float, copy=False))
+    return lam[below.argmax()].item() if below.any() else None
 
 
 _eigh_memo: dict | None = None     # the open scope's eigh by (shape, dtype, bytes)

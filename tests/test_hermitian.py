@@ -90,62 +90,77 @@ def test_matrix_function_domain_guard():
         matrix_function(np.diag([1.0, 0.0]), f)
 
 
-def floor_on_both_paths(monkeypatch, w):
-    """`_below_floor(w)` through the array pass, then through the loop."""
-    out = []
-    for limit in (0, w.size + 1):
-        monkeypatch.setattr(hermitian, "_FLOOR_LOOP_MAX", limit)
-        out.append(repr(hermitian._below_floor(w)))
-    return out
+def loop_floor(w):
+    """The per-spectrum Python loop that `_below_floor`'s array pass
+    replaced, kept as the reference it must match."""
+    if w.shape[-1] == 0:
+        return None
+    for lam, top in zip(w[..., 0].ravel().tolist(), w[..., -1].ravel().tolist()):
+        if lam <= POSITIVITY_RTOL * max(1.0, top):
+            return lam
+    return None
+
+
+def floor_and_reference(w):
+    return [repr(hermitian._below_floor(w)), repr(loop_floor(w))]
 
 
 def ascending_spectra(rng, n, d=4):
     return np.sort(rng.uniform(0.5, 8.0, (n, d)), axis=-1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 12, 13, 14, 30, 31, 200, 2000])
-def test_floor_paths_agree(monkeypatch, rng, n):
+@pytest.mark.parametrize("n", [1, 2, 12, 13, 30, 200, 2000])
+def test_floor_matches_the_loop(rng, n):
     w = ascending_spectra(rng, n)
-    assert floor_on_both_paths(monkeypatch, w) == ["None", "None"]
+    assert floor_and_reference(w) == ["None", "None"]
     # NaN lanes: a NaN lambda_min never offends; a NaN lambda_max floors at 1
     w[rng.integers(n, size=3), 0] = np.nan
-    assert floor_on_both_paths(monkeypatch, w) == ["None", "None"]
+    assert floor_and_reference(w) == ["None", "None"]
     tiny = rng.integers(n)
     w[tiny, 0], w[tiny, -1] = 0.5 * POSITIVITY_RTOL, np.nan
-    assert floor_on_both_paths(monkeypatch, w) == [repr(0.5 * POSITIVITY_RTOL)] * 2
+    assert floor_and_reference(w) == [repr(0.5 * POSITIVITY_RTOL)] * 2
     # lambda_min exactly at the floor offends, one ulp above it does not
     w = ascending_spectra(rng, n)
     at, top = rng.integers(n), float(w[-1, -1])
     floor = POSITIVITY_RTOL * max(1.0, top)
     w[at, 0], w[at, -1] = np.nextafter(floor, np.inf), top
-    assert floor_on_both_paths(monkeypatch, w) == ["None", "None"]
+    assert floor_and_reference(w) == ["None", "None"]
     w[at, 0] = floor
-    assert floor_on_both_paths(monkeypatch, w) == [repr(floor)] * 2
+    assert floor_and_reference(w) == [repr(floor)] * 2
     # lambda_min <= 0 at several positions: the first in ravel order
     picks = rng.choice(n, size=min(n, 4), replace=False)
     w[picks, 0] = [-0.0, -1.5, 0.0, -3.0][:len(picks)]
     first = repr(float(w[min(picks.min(), at), 0]))
-    assert floor_on_both_paths(monkeypatch, w) == [first] * 2
+    assert floor_and_reference(w) == [first] * 2
     # a stack of stacks is read in ravel order
     if n % 2 == 0:
-        assert floor_on_both_paths(monkeypatch, w.reshape(2, n // 2, -1)) == [first] * 2
-    assert floor_on_both_paths(monkeypatch, np.empty((n, 0))) == ["None", "None"]
+        assert floor_and_reference(w.reshape(2, n // 2, -1)) == [first] * 2
+    assert floor_and_reference(np.empty((n, 0))) == ["None", "None"]
+
+
+def test_float32_floor_is_judged_in_float64(rng):
+    # the float32 neighbours of each float64 floor, tested as the loop does
+    tops = np.sort(rng.uniform(1.0, 8.0, 64)).astype(np.float32)
+    below = np.float32(POSITIVITY_RTOL * tops.astype(float))
+    for lam in (below, np.nextafter(below, np.float32(1.0))):
+        w = np.stack([lam, tops], axis=-1)
+        for stack in [*w[:, None, :], w]:
+            got, want = floor_and_reference(stack)
+            assert got == want
 
 
 @pytest.mark.parametrize("n", [1, 30, 2000])
-def test_domain_errors_are_the_same_on_both_floor_paths(monkeypatch, n):
+def test_domain_error_text_at_any_stack_size(n):
     a = np.broadcast_to(np.eye(2), (n, 2, 2)).copy()
     a[n // 2] = np.diag([1.0, -0.25])
-    for limit in (0, n + 1):
-        monkeypatch.setattr(hermitian, "_FLOOR_LOOP_MAX", limit)
-        with pytest.raises(DomainError) as exc:
-            power(a, -0.5)
-        assert str(exc.value) == ("power -0.5 needs a positive definite matrix; "
-                                  "lambda_min = -2.500e-01")
-        with pytest.raises(DomainError) as exc:
-            matrix_function(a, by_name("log"))
-        assert str(exc.value) == ("matrix function 'log' needs a positive spectrum; "
-                                  "lambda_min = -2.500e-01")
+    with pytest.raises(DomainError) as exc:
+        power(a, -0.5)
+    assert str(exc.value) == ("power -0.5 needs a positive definite matrix; "
+                              "lambda_min = -2.500e-01")
+    with pytest.raises(DomainError) as exc:
+        matrix_function(a, by_name("log"))
+    assert str(exc.value) == ("matrix function 'log' needs a positive spectrum; "
+                              "lambda_min = -2.500e-01")
 
 
 def test_loewner_leq_basic():

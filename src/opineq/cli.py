@@ -25,7 +25,7 @@ from .constants import (alpha_constant, beta0_constant, beta_p_constant,
                         mond_pecaric_beta)
 from .falsify import CANDIDATE_NAME, counterexample_T, search_violations
 from .functions import by_name
-from .hermitian import DEFAULT_TOL, SpectralInterval
+from .hermitian import DEFAULT_TOL, DomainError, SpectralInterval
 from .io import dump_json, matrix_to_json
 from .oracle import (oracle_alpha, oracle_beta0, oracle_beta_p,
                      oracle_generalized_kantorovich, oracle_kantorovich,
@@ -178,13 +178,18 @@ def _cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _suite_kwargs(args, dims, names=None, include_expected_fail=False):
+def _run_suite(args, suite_name, dims, names=None, include_expected_fail=False):
+    """run_suite with the options `check` and `suite` share; an entry that
+    stops on a DomainError on the -m/-M interval names those flags."""
     kw = dict(seed=args.seed, trials=args.trials, names=names, dims=dims,
               tol=args.tol, include_expected_fail=include_expected_fail,
-              timestamp=not args.no_timestamp)
-    if args.m is not None:
-        kw["intervals"] = [SpectralInterval(args.m, args.M)]
-    return kw
+              suite_name=suite_name, timestamp=not args.no_timestamp)
+    if args.m is None:
+        return run_suite(**kw)
+    try:
+        return run_suite(intervals=[SpectralInterval(args.m, args.M)], **kw)
+    except DomainError as exc:
+        raise DomainError(f"{exc} at -m {args.m!r} -M {args.M!r}") from None
 
 
 def _cmd_check(args, parser) -> int:
@@ -194,8 +199,7 @@ def _cmd_check(args, parser) -> int:
         if n not in known:
             parser.error(f"unknown check name {n!r}; see `opineq list`")
     dims = (args.dim,) if args.dim else (2, 4, 6)
-    report = run_suite(suite_name="check", **_suite_kwargs(args, dims, names=names,
-                                                           include_expected_fail=True))
+    report = _run_suite(args, "check", dims, names=names, include_expected_fail=True)
     _emit(report.to_record(), args.format, args.output)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
@@ -207,9 +211,7 @@ def _cmd_suite(args, parser) -> int:
         parser.error(f"bad --dims {args.dims!r}")
     if min(dims) < 1:
         raise ValueError(f"--dims entries must be >= 1, got {args.dims!r}")
-    report = run_suite(suite_name="suite",
-                       **_suite_kwargs(args, dims,
-                                       include_expected_fail=args.include_expected_fail))
+    report = _run_suite(args, "suite", dims, include_expected_fail=args.include_expected_fail)
     _emit(report.to_record(), args.format, args.output)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
@@ -222,6 +224,12 @@ def _cmd_constants(args, parser) -> int:
         f = None if args.f is None else by_name(args.f)
     except KeyError as exc:
         raise ValueError(f"bad --f: {exc.args[0]}") from None
+    if name in ("alpha", "beta0", "mond_pecaric_beta"):
+        need("f", args.f)
+        for flag, t in (("-m", iv.m), ("-M", iv.M)):
+            with np.errstate(all="ignore"):
+                if not np.isfinite(f(t)):
+                    raise ValueError(f"{args.f} is not finite at {flag} {t!r}")
     if name == "kantorovich":
         value, oracle = kantorovich_constant(iv), oracle_kantorovich(iv.m, iv.M)
     elif name == "generalized_kantorovich":
@@ -229,16 +237,13 @@ def _cmd_constants(args, parser) -> int:
         value = generalized_kantorovich(args.p, iv)
         oracle = oracle_generalized_kantorovich(args.p, iv.m, iv.M)
     elif name == "alpha":
-        need("f", args.f)
         value, oracle = alpha_constant(f, iv), oracle_alpha(f, iv.m, iv.M)
     elif name == "beta0":
-        need("f", args.f)
         value, oracle = beta0_constant(f, iv), oracle_beta0(f, iv.m, iv.M)
     elif name == "beta_p":
         need("p", args.p)
         value, oracle = beta_p_constant(args.p, iv), oracle_beta_p(args.p, iv.m, iv.M)
     else:
-        need("f", args.f)
         need("alpha", args.alpha)
         try:
             value = mond_pecaric_beta(f, iv, args.alpha)

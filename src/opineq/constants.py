@@ -77,7 +77,8 @@ def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args,
     with the lanes on the last axis, a grid of them during the scan, and
     each of `lane_args` (arrays, one entry per lane) cut to the same lanes.
     Each lane takes the steps the scalar search would take on its own and
-    stops once its bracket is narrower than xtol.
+    stops once its bracket is narrower than xtol, or no narrower than it
+    was a step before (xtol is below the float spacing far from 0).
     """
     one = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, hi))
@@ -102,7 +103,8 @@ def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args,
     d = a + _INVPHI * (b - a)
     fc = np.asarray(f(c, *lane_args), dtype=float)
     fd = np.asarray(f(d, *lane_args), dtype=float)
-    live = (b - a) > xtol
+    width = b - a
+    live = width > xtol
     while live.any():
         # where fc >= fd keep [a, d] and probe a new c, else keep [c, b] and
         # probe a new d; lanes no longer live keep every value as it is
@@ -116,7 +118,8 @@ def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args,
                         np.where(go_left, fp, np.where(go_right, fd, fc)),
                         np.where(go_left, c, np.where(go_right, probe, d)),
                         np.where(go_left, fc, np.where(go_right, fp, fd)))
-        live = (b - a) > xtol
+        live = (b - a > xtol) & (b - a < width)
+        width = b - a
     x = (a + b) / 2.0
     fx = np.asarray(f(x, *lane_args), dtype=float)
     take = fx >= best
@@ -152,10 +155,11 @@ def chord_coefficients(f, m, M) -> ChordCoefficients:
     m, M = np.asarray(m, dtype=float), np.asarray(M, dtype=float)
     if not np.all((0 < m) & (m < M)):
         raise DomainError(f"need 0 < m < M, got ({m}, {M})")
-    fm = np.asarray(f(m), dtype=float)
-    fM = np.asarray(f(M), dtype=float)
-    slope = (fM - fm) / (M - m)
-    intercept = (M * fm - m * fM) / (M - m)
+    with np.errstate(all="ignore"):     # a value out of float range is rejected later
+        fm = np.asarray(f(m), dtype=float)
+        fM = np.asarray(f(M), dtype=float)
+        slope = (fM - fm) / (M - m)
+        intercept = (M * fm - m * fM) / (M - m)
     if slope.ndim == 0:
         return ChordCoefficients(float(slope), float(intercept))
     return ChordCoefficients(slope, intercept)
@@ -203,7 +207,9 @@ def alpha_constant(f, iv):
     if wide.any():
         m, M = m[wide], M[wide]
         chord = chord_coefficients(f, m, M)
-        if np.min(np.asarray(f(np.linspace(m, M, 64)), dtype=float)) <= 0:
+        with np.errstate(all="ignore"):     # a value out of float range is rejected later
+            probe = np.asarray(f(np.linspace(m, M, 64)), dtype=float)
+        if np.min(probe) <= 0:
             raise DomainError("alpha_constant needs f > 0 on [m, M]")
         value[wide] = golden_max(lambda t, s, c: (s * t + c) / f(t), m, M,
                                  chord.slope, chord.intercept)[1]

@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .hermitian import SpectralInterval, adjoint, hermitian_part, sqrtm_psd
-from .maps import (KrausMap, direct_sum, mixture_of, pinching,
-                   require_isometry, require_unitary)
+from .maps import (KrausMap, mixture_of, pinching, require_isometry,
+                   require_unitary)
 
 
 def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -51,7 +51,9 @@ class DrawBatch:
     """The draws of one batch, with their linear algebra pending until
     `finish`. Each method takes the arguments of the function below that it
     serves (`spd` for `random_spd`, and so on) and makes the same rng calls;
-    the arrays it returns hold their values only after `finish`."""
+    the arrays it returns hold their values only after `finish`. Given
+    `out`, `spd` and `unitary` draw into that array (a view of a larger
+    one, say) and return it."""
 
     def __init__(self):
         self._haar: list = []        # complex Gaussians, to become Haar unitaries
@@ -62,25 +64,29 @@ class DrawBatch:
         self._isometry: list = []    # Kraus operators of compressions, to
         self._isometry_u: list = []  # become the first columns of these
         self._unitary: list = []     # Kraus operators of mixtures, to check
-        self._block_diag: list = []  # (block-diagonal matrix, its blocks)
-        self._direct_sum: list = []  # (direct-sum map, its block maps)
         # bytes held here that the draws' own arrays do not count
         self.nbytes = 0
 
-    def unitary(self, dim: int, rng: np.random.Generator) -> np.ndarray:
+    def unitary(self, dim: int, rng: np.random.Generator, out=None) -> np.ndarray:
         g = _gaussian(dim, rng)
+        if out is not None:
+            out[...] = g
+            g = out
         self._haar.append(g)
         return g
 
-    def spd(self, dim: int, iv: SpectralInterval, rng: np.random.Generator) -> np.ndarray:
+    def spd(self, dim: int, iv: SpectralInterval, rng: np.random.Generator,
+            out=None) -> np.ndarray:
         if dim < 1:
             raise ValueError("dim must be >= 1")
         m, M = iv.m, iv.M
         if dim == 1:
-            return np.array([[rng.uniform(m, M)]])
+            out = np.empty((1, 1)) if out is None else out
+            out[...] = rng.uniform(m, M)
+            return out
         evals = np.concatenate(([m, M], rng.uniform(m, M, size=dim - 2)))
         rng.shuffle(evals)
-        a = self.unitary(dim, rng)
+        a = self.unitary(dim, rng, out)
         self._spd.append(a)
         self._evals.append(evals)
         self.nbytes += evals.nbytes
@@ -116,29 +122,11 @@ class DrawBatch:
         self._sandwich_b.append(d)
         return a, d
 
-    def block_diag(self, blocks: list) -> np.ndarray:
-        """The block-diagonal matrix of the blocks, drawn by this batch."""
-        n = sum(b.shape[-1] for b in blocks)
-        out = np.zeros((n, n), dtype=np.result_type(*blocks))
-        self._block_diag.append((out, blocks))
-        self.nbytes += sum(b.nbytes for b in blocks)
-        return out
-
-    def direct_sum(self, maps: list) -> KrausMap:
-        """`maps.direct_sum` of maps drawn by this batch (or built whole)."""
-        ops = np.empty((sum(len(m.ops) for m in maps), sum(m.input_dim for m in maps),
-                        maps[0].output_dim), dtype=np.result_type(*(m.ops for m in maps)))
-        phi = KrausMap(ops, np.concatenate([m.weights for m in maps]))
-        self._direct_sum.append((phi, maps))
-        self.nbytes += sum(m.ops.nbytes for m in maps)
-        return phi
-
     def finish(self) -> None:
         """The linear-algebra phase of every draw so far, in place, each step
         after the one it needs: Haar unitaries (QR with the R-diagonal
         phases folded into Q), SPD matrices, sandwiched pairs, compressions,
-        the unitarity checks of the maps, and the block-diagonal matrices
-        and direct sums assembled from them. Then the batch lets go of the
+        and the unitarity checks of the maps. Then the batch lets go of the
         draws and takes the next ones."""
         for idx in _groups(self._haar):
             q, r = np.linalg.qr(_stack(self._haar, idx))
@@ -157,14 +145,6 @@ class DrawBatch:
             require_isometry(_stack(self._isometry, idx))
         for idx in _groups(self._unitary):
             require_unitary(_stack(self._unitary, idx))
-        for out, blocks in self._block_diag:
-            lo = 0
-            for b in blocks:
-                hi = lo + b.shape[-1]
-                out[lo:hi, lo:hi] = b
-                lo = hi
-        for phi, maps in self._direct_sum:
-            phi.ops[...] = direct_sum(maps).ops
         self.__init__()
 
 

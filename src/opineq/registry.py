@@ -42,7 +42,7 @@ from .functions import (identity_function, inverse_function, power_function,
                         square_function)
 from .generators import DrawBatch, random_state, random_weights
 from .hermitian import BATCH_BYTES, DEFAULT_TOL, SpectralInterval, spectral_scope
-from .maps import KrausMap, MapStack, identity_map, scaled
+from .maps import KrausMap, MapStack, direct_sum, identity_map, scaled
 
 DEFAULT_DIMS: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
 DEFAULT_INTERVALS: tuple[SpectralInterval, ...] = (
@@ -52,12 +52,6 @@ DEFAULT_INTERVALS: tuple[SpectralInterval, ...] = (
 )
 
 cube_root = power_function(1.0 / 3.0, name="t^(1/3)")
-
-
-# bytes of draws stacked into one bucket: evaluating a stack makes several
-# temporaries its size, so a flush of large matrices is cut into buckets
-# that keep them within BATCH_BYTES
-STACK_BYTES = BATCH_BYTES // 4
 
 
 def _key(record: dict) -> tuple:
@@ -127,45 +121,36 @@ class CheckSpec:
         results of each, in stream order. Draws are held until they and the
         inputs of their pending linear algebra reach BATCH_BYTES; then that
         algebra runs for all of them at once, and they are evaluated
-        together, stacked in buckets of one key (see `_key`) and at most
-        STACK_BYTES."""
+        together, stacked in one bucket per key (see `_key`)."""
         out: list[list[CheckResult]] = []
-        held, sizes, total, batch = [], [], 0, DrawBatch()
+        held, total, batch = [], 0, DrawBatch()
         for rng in rngs:
             records = self.draw(rng, tol, dims, intervals, batch)
             held.append(records if isinstance(records, list) else [records])
-            sizes.append(sum(map(_nbytes, held[-1])))
-            total += sizes[-1]
+            total += sum(map(_nbytes, held[-1]))
             if total + batch.nbytes >= BATCH_BYTES:
                 batch.finish()
-                out += self._evaluate(held, sizes)
+                out += self._evaluate(held)
                 total = 0
         if held:
             batch.finish()
-            out += self._evaluate(held, sizes)
+            out += self._evaluate(held)
         return out
 
-    def _evaluate(self, draws: list, sizes: list) -> list[list[CheckResult]]:
-        """The results of each draw, in order. Draws of one key fill a
-        bucket until it holds STACK_BYTES; empties `draws` and `sizes` once
-        they are stacked, so the draws and their stacks are not both held.
-        Each param's constants are computed for all draws, before the buckets."""
-        buckets: list[list[int]] = []
-        filling: dict = {}   # key -> (index, bytes) of its bucket still filling
-        for i, (records, size) in enumerate(zip(draws, sizes)):
-            key = tuple(map(_key, records))
-            b, held = filling.get(key, (None, 0))
-            if b is None or held + size > STACK_BYTES:
-                b, held = len(buckets), 0
-                buckets.append([])
-            buckets[b].append(i)
-            filling[key] = (b, held + size)
+    def _evaluate(self, draws: list) -> list[list[CheckResult]]:
+        """The results of each draw, in order. The draws of one key make
+        one bucket; empties `draws` once they are stacked, so the draws and
+        their stacks are not both held. Each param's constants are computed
+        for all draws, before the buckets."""
+        keys: dict = {}
+        for i, records in enumerate(draws):
+            keys.setdefault(tuple(map(_key, records)), []).append(i)
+        buckets = list(keys.values())
         # per bucket, one stack per record of a draw
         stacks = [[self.instance(**_stack([draws[i][j] for i in idx]))
                    for j in range(len(draws[idx[0]]))] for idx in buckets]
         out: list[list[CheckResult]] = [[] for _ in draws]
         draws.clear()
-        sizes.clear()
         calls = [(p,) for p in self.params] or [()]
         extras = [{} if self.constants is None else
                   self.constants([iv for s in stacks for iv in s[0].iv], *args) for args in calls]
@@ -224,17 +209,28 @@ def _sandwich(rng, tol, dims, intervals, batch, squared=False) -> dict:
 
 def _tuples(rng, tol, dims, intervals, batch) -> list:
     """One record per tuple size k, in params order: one random map for
-    k = 1, then three weighted identity maps for k = 3. A and B are the
-    block-diagonal matrices of the k blocks, phi the direct sum of the maps."""
+    k = 1, then the direct sum of three weighted identity maps for k = 3.
+    A and B are block-diagonal, one block per map, each drawn into its
+    slot; complex unless every block is 1x1."""
     dim, iv = _draw(rng, dims, intervals)
 
-    def blocks(phis):
-        a = batch.block_diag([batch.spd(p.input_dim, iv, rng) for p in phis])
-        b = batch.block_diag([batch.spd(p.input_dim, iv, rng) for p in phis])
-        return dict(a=a, b=b, phi=batch.direct_sum(phis), iv=iv, tol=tol)
+    def spd_blocks(sizes):
+        n = sum(sizes)
+        out = np.zeros((n, n), dtype=float if max(sizes) == 1 else complex)
+        lo = 0
+        for size in sizes:
+            batch.spd(size, iv, rng, out=out[lo:lo + size, lo:lo + size])
+            lo += size
+        return out
 
-    one = blocks([batch.unital_map(dim, rng)[0]])
-    three = blocks([scaled(float(w), dim) for w in random_weights(3, rng)])
+    def record(phi, sizes):
+        # A's blocks are drawn before B's
+        return dict(a=spd_blocks(sizes), b=spd_blocks(sizes), phi=phi, iv=iv, tol=tol)
+
+    phi = batch.unital_map(dim, rng)[0]
+    one = record(phi, [phi.input_dim])
+    three = record(direct_sum([scaled(float(w), dim) for w in random_weights(3, rng)]),
+                   [dim] * 3)
     return [one, three]
 
 

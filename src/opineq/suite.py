@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import registry
 from .checks import CheckResult
-from .hermitian import DEFAULT_TOL, SpectralInterval
+from .hermitian import DEFAULT_TOL, DomainError, SpectralInterval
 from .rng import stream
 
 
@@ -102,7 +102,10 @@ def run_suite(seed: int = 42, trials: int = 200,
         agg: dict[str, _Aggregate] = {}
         violations = 0
         rngs = (stream(seed, spec.name, trial) for trial in range(trials))
-        per_trial = spec.run_trial(rngs, tol, tuple(dims), tuple(intervals))
+        try:
+            per_trial = spec.run_trial(rngs, tol, tuple(dims), tuple(intervals))
+        except DomainError as exc:
+            raise DomainError(f"{spec.name}: {exc}") from None
         for trial, results in enumerate(per_trial):
             for res in results:
                 agg.setdefault(res.check_name, _Aggregate()).add(res, trial)

@@ -18,7 +18,7 @@ from opineq.functions import by_name, power_function
 from opineq.generators import (DrawBatch, random_spd, random_state,
                                random_unital_map, sandwiched_pair)
 from opineq.hermitian import DomainError, SpectralInterval
-from opineq.maps import MapStack, identity_map, scaled
+from opineq.maps import MapStack, direct_sum, identity_map, scaled
 
 IV = SpectralInterval(1.0, 2.0)
 
@@ -291,10 +291,12 @@ def test_power_minkowski(rng):
 def test_tuple_minkowski(rng):
     k, dim = 3, 3
     batch = DrawBatch()
-    a = batch.block_diag([random_spd(dim, IV, rng) for _ in range(k)])
-    b = batch.block_diag([random_spd(dim, IV, rng) for _ in range(k)])
-    phi = batch.direct_sum([scaled(w, dim) for w in (0.2, 0.3, 0.5)])
+    a, b = np.zeros((2, k * dim, k * dim), dtype=complex)
+    for x in (a, b):
+        for lo in range(0, k * dim, dim):
+            batch.spd(dim, IV, rng, out=x[lo:lo + dim, lo:lo + dim])
     batch.finish()
+    phi = direct_sum([scaled(w, dim) for w in (0.2, 0.3, 0.5)])
     mult, add = check_tuple_minkowski(CheckInstance(a=a, b=b, phi=phi, iv=IV), k)
     assert mult.holds and add.holds
     assert mult.params["k"] == k and mult.params["dim"] == k * dim

@@ -224,13 +224,25 @@ def _strict_json(text: str):
     (["constants", "--name", "alpha", "-m", "1", "-M", "1", "--f", "t^2"], EXIT_OK, None),
     (["suite", "--dims", "1", "--trials", "1"], EXIT_OK, None),
     (["check", "--name", "kantorovich", "-m", "1", "-M", "1", "--trials", "2"], EXIT_OK, None),
+    (["constants", "--name", "alpha", "-m", "1e4", "-M", "2e4", "--f", "t^2"], EXIT_OK, None),
+    (["constants", "--name", "beta0", "-m", "1", "-M", "1e6", "--f", "t^0.5"], EXIT_OK, None),
+    (["suite", "-m", "1", "-M", "1e3", "--trials", "5"], EXIT_OK, None),
+    (["constants", "--name", "alpha", "-m", "1", "-M", "1e300", "--f", "t^2"], EXIT_USAGE, "-M"),
+    (["constants", "--name", "beta0", "-m", "1", "-M", "1e300", "--f", "t^2"], EXIT_USAGE, "-M"),
+    (["constants", "--name", "mond_pecaric_beta", "-m", "1", "-M", "1e300", "--f", "t^2",
+      "--alpha", "1"], EXIT_USAGE, "-M"),
+    (["suite", "-m", "1", "-M", "1e6"], EXIT_USAGE, "kantorovich_sharp: "),
+    (["suite", "-m", "1", "-M", "1e16"], EXIT_USAGE, "choi_davis: "),
 ], ids=["kantorovich-overflow", "generalized-kantorovich-overflow", "beta-p-overflow",
         "mond-pecaric-alpha-overflow",
         "counterexample-x-tiny", "counterexample-x-huge", "counterexample-tol-negative",
         "counterexample-alpha-nan", "counterexample-beta-inf",
         "falsify-grid-tol-negative",
         "generalized-kantorovich-inner-zero", "beta-p-clamped", "alpha-m-equals-M",
-        "suite-dim-1", "check-m-equals-M"])
+        "suite-dim-1", "check-m-equals-M", "alpha-above-float-spacing",
+        "beta0-above-float-spacing", "suite-wide-interval", "alpha-f-overflow",
+        "beta0-f-overflow", "mond-pecaric-f-overflow", "suite-domain-error",
+        "suite-domain-error-rounded-interval"])
 def test_degenerate_input_gives_result_or_usage_error(capsys, argv, code, flag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -243,6 +255,8 @@ def test_degenerate_input_gives_result_or_usage_error(capsys, argv, code, flag):
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert flag is None or flag in captured.err
+        if argv[0] == "suite":  # an entry stopped on a DomainError names the flags
+            assert captured.err.rstrip().endswith(f"at -m {float(argv[2])!r} -M {float(argv[4])!r}")
 
 
 @pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--beta", "-inf"),

@@ -173,14 +173,15 @@ def test_oracle_agreement_generalized(m, M, p):
     assert abs(got - oracle_generalized_kantorovich(p, m, M)) < 1e-8
 
 
-@pytest.mark.parametrize("m,M", INTERVALS)
+# brackets above about 4096 end where they stop shrinking (see golden_max)
+@pytest.mark.parametrize("m,M", INTERVALS + [(1e4, 2e4)])
 @pytest.mark.parametrize("fname", ["t^2", "t^1.5"])
 def test_oracle_agreement_alpha(m, M, fname):
     f = by_name(fname)
     assert abs(alpha_constant(f, (m, M)) - oracle_alpha(f, m, M)) < 1e-8
 
 
-@pytest.mark.parametrize("m,M", INTERVALS)
+@pytest.mark.parametrize("m,M", INTERVALS + [(1.0, 1e6)])
 def test_oracle_agreement_beta0(m, M):
     f = by_name("t^0.5")
     assert abs(beta0_constant(f, (m, M)) - oracle_beta0(f, m, M)) < 1e-8
@@ -224,8 +225,8 @@ def _scalar_golden_max(f, lo, hi, xtol=1e-12, scan_points=4096):
     a, b = float(xs[max(k - 1, 0)]), float(xs[min(k + 1, scan_points - 1)])
     c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     fc, fd = float(f(np.asarray(c))), float(f(np.asarray(d)))
-    steps = 0
-    while (b - a) > xtol:
+    steps, width = 0, b - a
+    while width > xtol:
         steps += 1
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -235,6 +236,9 @@ def _scalar_golden_max(f, lo, hi, xtol=1e-12, scan_points=4096):
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = float(f(np.asarray(d)))
+        if not b - a < width:   # the bracket no longer shrinks
+            break
+        width = b - a
     x = (a + b) / 2.0
     fx = float(f(np.asarray(x)))
     if fx >= best:
@@ -272,6 +276,21 @@ def test_golden_max_lockstep_matches_scalar_search(lanes, budget, monkeypatch):
         refined += ref[3]
     if lanes > 2:
         assert len(steps) > 5 and refined > 5
+
+
+def test_golden_max_stops_where_the_bracket_stops_shrinking():
+    # above about 4096 floats are spaced wider than XTOL, so a bracket stops
+    # shrinking before it is narrower than XTOL; each lane then stops where
+    # the scalar search does
+    lo, hi, top = np.array([1e4, 5e5, 1.0]), np.array([2e4, 1e6, 2.0]), np.array([1.5e4, 7.5e5, 1.5])
+    al = np.ones(3)
+    s, c = 1.5 * al * np.sqrt(top), np.zeros(3)
+    arg, value = golden_max(_lane_objective, lo, hi, s, c, al)
+    for i in range(3):
+        ref = _scalar_golden_max(lambda t: _lane_objective(t, s[i], c[i], al[i]),
+                                 float(lo[i]), float(hi[i]))
+        assert ((repr(float(arg[i])), repr(float(value[i])))
+                == (repr(float(ref[0])), repr(float(ref[1]))))
 
 
 def test_scan_grid_is_linspace_per_lane():

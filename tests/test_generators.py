@@ -16,9 +16,8 @@ import pytest
 from opineq import registry
 from opineq.generators import (DrawBatch, haar_isometry, random_mixture,
                                random_spd, random_unital_map, random_unitary,
-                               random_weights, sandwiched_pair)
+                               sandwiched_pair)
 from opineq.hermitian import SpectralInterval
-from opineq.maps import direct_sum, scaled
 from opineq.rng import stream
 from opineq.suite import run_suite
 
@@ -183,27 +182,29 @@ def test_one_flush_of_mixed_draws_matches_reference():
         assert_same_bits(got, want)
 
 
-def test_block_diagonals_and_direct_sums_are_assembled_at_finish():
-    # blocks and maps drawn in the same batch hold their values only after
-    # finish; the assembled matrices and maps copy those values
+def test_blocks_drawn_in_place_equal_blocks_drawn_alone():
+    # SPD blocks drawn into the slots of one block-diagonal matrix get the
+    # bits of the same blocks drawn alone and assembled afterwards; the
+    # batch holds each pending block as a view of its matrix, not a copy
     batch, pending = DrawBatch(), []
     for i in range(30):
-        rng = stream(3, "blocks", i)
-        dim = 2 + i % 4
-        phis = ([batch.unital_map(dim, rng)[0]] if i % 2 else
-                [scaled(float(w), dim) for w in random_weights(3, rng)])
-        blocks = [batch.spd(p.input_dim, IV, rng) for p in phis]
-        pending.append((batch.block_diag(blocks), blocks, batch.direct_sum(phis), phis))
+        rng, ref = stream(3, "blocks", i), stream(3, "blocks", i)
+        sizes = [1 + i % 4] * (1 if i % 2 else 3)
+        n = sum(sizes)
+        a = np.zeros((n, n), dtype=float if max(sizes) == 1 else complex)
+        want, lo = np.zeros_like(a), 0
+        for size in sizes:
+            block = batch.spd(size, IV, rng, out=a[lo:lo + size, lo:lo + size])
+            assert np.shares_memory(block, a)
+            want[lo:lo + size, lo:lo + size] = random_spd(size, IV, ref)
+            lo += size
+        assert state(rng) == state(ref)
+        pending.append((a, want))
+    blocks = batch._haar + batch._spd
+    assert blocks and all(any(np.shares_memory(x, a) for a, _ in pending) for x in blocks)
     batch.finish()
-    for a, blocks, phi, phis in pending:
-        want = np.zeros_like(a)
-        lo = 0
-        for block in blocks:
-            hi = lo + len(block)
-            want[lo:hi, lo:hi] = block
-            lo = hi
+    for a, want in pending:
         assert_same_bits(a, want)
-        assert_same_map(phi, (direct_sum(phis).ops, direct_sum(phis).weights))
 
 
 def test_draws_run_one_qr_per_matrix_size_per_flush(monkeypatch):

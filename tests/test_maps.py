@@ -140,6 +140,15 @@ def test_direct_sum_weights_must_sum_to_identity(rng):
         direct_sum([scaled(0.25, 2), scaled(0.25, 2)])
 
 
+def test_direct_sum_of_one_map_is_that_map(rng):
+    # the tuple row's k = 1 record holds the drawn map in place of this sum
+    for _ in range(12):
+        phi = random_unital_map(int(rng.integers(1, 6)), rng)[0]
+        one = direct_sum([phi])
+        for got, want in ((one.ops, phi.ops), (one.weights, phi.weights)):
+            assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
 def test_factories_reject_bad_input():
     with pytest.raises(ValueError):
         compression(np.eye(4)[:2, :])          # wide, not n x k with k <= n

@@ -117,17 +117,17 @@ def test_batch_equals_trials_run_alone(spec):
     assert _fingerprint(batch) == _fingerprint(alone)
 
 
-# tuple draws at dim 32 hold ~180 kB each, more than a bucket takes, and
-# fill the batch budget in a few trials; with 2 kB buckets, small draws of
-# one key fill several buckets
-@pytest.mark.parametrize("name,dims,stack_bytes", [
+# tuple draws at dim 32 hold ~180 kB each and fill the batch budget in a
+# few trials; with a 2 kB budget, small draws of one key are split over
+# several flushes
+@pytest.mark.parametrize("name,dims,batch_bytes", [
     ("tuple_minkowski", (32,), None),
     ("minkowski_general", (2, 3), 2048),
-], ids=["large-draws", "small-buckets"])
-def test_batch_split_by_byte_budget_equals_trials_run_alone(name, dims, stack_bytes,
+], ids=["large-draws", "small-flushes"])
+def test_batch_split_by_byte_budget_equals_trials_run_alone(name, dims, batch_bytes,
                                                             monkeypatch):
-    if stack_bytes is not None:
-        monkeypatch.setattr(registry, "STACK_BYTES", stack_bytes)
+    if batch_bytes is not None:
+        monkeypatch.setattr(registry, "BATCH_BYTES", batch_bytes)
     spec = registry.get(name)
     streams = lambda: [stream(5, spec.name, t) for t in range(12)]
     keys = set()

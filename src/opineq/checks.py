@@ -31,9 +31,10 @@ from .constants import (alpha_constant, beta0_constant, beta_p_constant,
                         function_range, generalized_kantorovich,
                         kantorovich_constant, mond_pecaric_beta)
 from .functions import ScalarFunction
-from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval, adjoint,
-                        as_hermitian, hermitian_part, inv_psd, loewner_leq,
-                        matrix_function, power, sqrtm_psd, within_tolerance)
+from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval, _eigvalsh_each,
+                        adjoint, as_hermitian, hermitian_part, inv_psd,
+                        loewner_leq_each, matrix_function, power, sqrtm_psd,
+                        within_tolerance)
 from .maps import KrausMap, MapStack, vector_state_value
 from .means import connection, geometric_mean
 
@@ -64,11 +65,14 @@ class CheckResult:
         }
 
 
-def _operator(name: str, params: list, lhs: np.ndarray, rhs: np.ndarray,
-              tol: float) -> list:
-    holds, margin, ln, rn = loewner_leq(lhs, rhs, tol)
-    return [CheckResult(name, p, m, h, tol, l, r) for p, h, m, l, r in
-            zip(params, holds.tolist(), margin.tolist(), ln.tolist(), rn.tolist())]
+def _operator(tol: float, *forms) -> list:
+    """Operator forms (name, params, lhs, rhs), each judged as LHS <= RHS,
+    one list of results per form. All their spectra come from one call,
+    an operand shared by several forms (the same object) decomposed once."""
+    verdicts = loewner_leq_each([(lhs, rhs) for _, _, lhs, rhs in forms], tol)
+    return [[CheckResult(name, p, m, h, tol, l, r) for p, h, m, l, r in
+             zip(params, *(v.tolist() for v in verdict))]
+            for (name, params, _, _), verdict in zip(forms, verdicts)]
 
 
 def _scalar(name: str, params: list, lhs, rhs, tol: float) -> list:
@@ -88,6 +92,14 @@ def _col(values) -> np.ndarray:
 def _each(constant, ivs, *args) -> list:
     """A closed-form constant per instance, as Python floats."""
     return [constant(*args, iv) for iv in ivs]
+
+
+def _mapped(phi: MapStack, *xs: np.ndarray) -> list:
+    """phi(x) for each stack x, in one call when they share a dtype; a stack
+    of several dtypes would promote some of them and change their bits."""
+    if len({x.dtype for x in xs}) > 1:
+        return [phi(x) for x in xs]
+    return list(phi(np.stack(xs)))
 
 
 @dataclass
@@ -119,7 +131,7 @@ class CheckInstance:
         # validated as a stack; a single instance is a stack of one here
         st = self if self.stacked else self.as_stack()
         in_iv = [st.a] if st.b is None or st.bounds is not None else [st.a, st.b]
-        spectra = [np.linalg.eigvalsh(m) for m in in_iv]
+        spectra = _eigvalsh_each(*in_iv)
         # per rule, in the order a single instance meets them: which
         # instances break it, and the message for instance i
         rules = []
@@ -139,8 +151,8 @@ class CheckInstance:
                           f" <= {st.iv[i].M} I violated (margins {below[i]:.3e}, {above[i]:.3e})"))
         if st.bounds is not None:   # re-verified no matter how B was built
             lo, hi = ([getattr(v, end) for v in st.bounds] for end in ("m", "M"))
-            lo_ok, lo_margin, _, _ = loewner_leq(_col(lo) * st.a, st.b, self.tol)
-            hi_ok, hi_margin, _, _ = loewner_leq(st.b, _col(hi) * st.a, self.tol)
+            (lo_ok, lo_margin, _, _), (hi_ok, hi_margin, _, _) = loewner_leq_each(
+                [(_col(lo) * st.a, st.b), (st.b, _col(hi) * st.a)], self.tol)
             rules.append((~(lo_ok & hi_ok), lambda i: f"hypothesis {lo[i]}*A <= B <= {hi[i]}*A "
                           f"fails (margins {lo_margin[i]:.3e}, {hi_margin[i]:.3e})"))
         bad = np.any([broken for broken, _ in rules], axis=0)
@@ -199,36 +211,45 @@ def check_choi_davis(inst: CheckInstance) -> list:
     f = inst.f
     if not f.operator_convex:
         raise DomainError(f"{f.name} is not flagged operator convex")
-    lhs = matrix_function(inst.phi(inst.a), f)
-    rhs = inst.phi(matrix_function(inst.a, f))
-    return _operator("choi_davis", inst.params(f=f.name), lhs, rhs, inst.tol)
+    pa, rhs = _mapped(inst.phi, inst.a, matrix_function(inst.a, f))
+    return _operator(inst.tol, ("choi_davis", inst.params(f=f.name),
+                                matrix_function(pa, f), rhs))[0]
 
 
-@_per_instance
-def check_kantorovich(inst: CheckInstance, name: str = "kantorovich") -> list:
+def _kantorovich_form(inst: CheckInstance, name: str, pain, pa) -> tuple:
+    """Phi(A^-1) <= K Phi(A)^-1, from Phi(A^-1) and Phi(A)."""
     k = _each(kantorovich_constant, inst.iv)
-    lhs = inst.phi(inv_psd(inst.a))
-    rhs = _col(k) * inv_psd(inst.phi(inst.a))
-    return _operator(name, inst.params(constant=k), lhs, rhs, inst.tol)
+    return name, inst.params(constant=k), pain, _col(k) * inv_psd(pa)
 
 
-@_per_instance
-def check_kantorovich_squared(inst: CheckInstance,
-                              name: str = "kantorovich_squared") -> list:
+def _squared_form(inst: CheckInstance, name: str, paa, pa) -> tuple:
+    """Phi(A^2) <= K Phi(A)^2, from Phi(A^2) and Phi(A)."""
     k = _each(kantorovich_constant, inst.iv)
-    pa = inst.phi(inst.a)
-    lhs = inst.phi(inst.a @ inst.a)
-    rhs = _col(k) * (pa @ pa)
-    return _operator(name, inst.params(constant=k), lhs, rhs, inst.tol)
+    return name, inst.params(constant=k), paa, _col(k) * (pa @ pa)
 
 
-@_per_instance
-def check_kantorovich_sharp(inst: CheckInstance,
-                            name: str = "kantorovich_sharp") -> list:
+def _sharp_form(inst: CheckInstance, name: str, pain, pa) -> tuple:
+    """Phi(A^-1) # Phi(A) <= (M+m)/(2 sqrt(Mm)) I, from Phi(A^-1) and Phi(A)."""
     c = _each(_sharp_bound, inst.iv)
-    sharp = geometric_mean(inst.phi(inv_psd(inst.a)), inst.phi(inst.a))
-    rhs = _col(c) * _eye(inst)
-    return _operator(name, inst.params(constant=c), sharp, rhs, inst.tol)
+    return name, inst.params(constant=c), geometric_mean(pain, pa), _col(c) * _eye(inst)
+
+
+@_per_instance
+def check_kantorovich(inst: CheckInstance) -> list:
+    pain, pa = _mapped(inst.phi, inv_psd(inst.a), inst.a)
+    return _operator(inst.tol, _kantorovich_form(inst, "kantorovich", pain, pa))[0]
+
+
+@_per_instance
+def check_kantorovich_squared(inst: CheckInstance) -> list:
+    paa, pa = _mapped(inst.phi, inst.a @ inst.a, inst.a)
+    return _operator(inst.tol, _squared_form(inst, "kantorovich_squared", paa, pa))[0]
+
+
+@_per_instance
+def check_kantorovich_sharp(inst: CheckInstance) -> list:
+    pain, pa = _mapped(inst.phi, inv_psd(inst.a), inst.a)
+    return _operator(inst.tol, _sharp_form(inst, "kantorovich_sharp", pain, pa))[0]
 
 
 @_per_instance
@@ -237,14 +258,13 @@ def check_refinement(inst: CheckInstance) -> list:
     scalar s = ||(Phi(A)^{1/2} Phi(A^-1) Phi(A)^{1/2})^{1/2}||, which in turn
     is dominated by the sharp bound (M+m)/(2 sqrt(Mm)). One (left, right)
     pair per instance."""
-    pa = inst.phi(inst.a)
-    pain = inst.phi(inv_psd(inst.a))
+    pain, pa = _mapped(inst.phi, inv_psd(inst.a), inst.a)
     ph = sqrtm_psd(pa)
     s = np.sqrt(np.linalg.eigvalsh(hermitian_part(ph @ pain @ ph))[:, -1])
     c = _each(_sharp_bound, inst.iv)
     sharp = geometric_mean(pain, pa)
-    left = _operator("refinement.left", inst.params(middle=s), sharp,
-                     _col(s) * _eye(inst), inst.tol)
+    left = _operator(inst.tol, ("refinement.left", inst.params(middle=s), sharp,
+                                _col(s) * _eye(inst)))[0]
     right = _scalar("refinement.right", inst.params(middle=s, constant=c),
                     s, c, inst.tol)
     return list(zip(left, right))
@@ -262,9 +282,8 @@ def check_power_inner_product(inst: CheckInstance, r: float) -> list:
 
 @_per_instance
 def check_ando(inst: CheckInstance) -> list:
-    lhs = inst.phi(geometric_mean(inst.a, inst.b))
-    rhs = geometric_mean(inst.phi(inst.a), inst.phi(inst.b))
-    return _operator("ando", inst.params(), lhs, rhs, inst.tol)
+    lhs, pa, pb = _mapped(inst.phi, geometric_mean(inst.a, inst.b), inst.a, inst.b)
+    return _operator(inst.tol, ("ando", inst.params(), lhs, geometric_mean(pa, pb)))[0]
 
 
 @_per_instance
@@ -274,9 +293,9 @@ def check_ando_connection(inst: CheckInstance) -> list:
         raise DomainError(f"{f.name} is not flagged operator monotone increasing")
     if not f.mean_normalized:
         raise DomainError(f"{f.name} has f(1) != 1, not a mean-representing function")
-    lhs = inst.phi(connection(inst.a, inst.b, f))
-    rhs = connection(inst.phi(inst.a), inst.phi(inst.b), f)
-    return _operator("ando_connection", inst.params(f=f.name), lhs, rhs, inst.tol)
+    lhs, pa, pb = _mapped(inst.phi, connection(inst.a, inst.b, f), inst.a, inst.b)
+    return _operator(inst.tol, ("ando_connection", inst.params(f=f.name), lhs,
+                                connection(pa, pb, f)))[0]
 
 
 @_per_instance
@@ -284,19 +303,18 @@ def check_reverse_ando_convex(inst: CheckInstance) -> list:
     f = inst.f
     if not f.operator_convex:
         raise DomainError(f"{f.name} is not flagged operator convex")
-    lhs = connection(inst.phi(inst.a), inst.phi(inst.b), f)
-    rhs = inst.phi(connection(inst.a, inst.b, f))
-    return _operator("reverse_ando_convex", inst.params(f=f.name), lhs, rhs, inst.tol)
+    rhs, pa, pb = _mapped(inst.phi, connection(inst.a, inst.b, f), inst.a, inst.b)
+    return _operator(inst.tol, ("reverse_ando_convex", inst.params(f=f.name),
+                                connection(pa, pb, f), rhs))[0]
 
 
 @_per_instance
 def check_reverse_ando_sandwich(inst: CheckInstance) -> list:
     """Under m^2 A <= B <= M^2 A, given as `inst.bounds` = [m^2, M^2]."""
     c = [_sharp_bound(SpectralInterval(math.sqrt(v.m), math.sqrt(v.M))) for v in inst.bounds]
-    phi = inst.phi
-    lhs = geometric_mean(phi(inst.a), phi(inst.b))
-    rhs = _col(c) * phi(geometric_mean(inst.a, inst.b))
-    return _operator("reverse_ando_sandwich", inst.params(constant=c), lhs, rhs, inst.tol)
+    pg, pa, pb = _mapped(inst.phi, geometric_mean(inst.a, inst.b), inst.a, inst.b)
+    return _operator(inst.tol, ("reverse_ando_sandwich", inst.params(constant=c),
+                                geometric_mean(pa, pb), _col(c) * pg))[0]
 
 
 @_per_instance
@@ -304,28 +322,28 @@ def check_kantorovich_equivalents(inst: CheckInstance) -> list:
     """The four forms of the inverse-reversal bound, each checked as its own
     statement: operator, scalar (vector state), sharp, and squared."""
     k = _each(kantorovich_constant, inst.iv)
-    forms = [
-        check_kantorovich(inst, name="kantorovich_equivalents.operator"),
-        _scalar("kantorovich_equivalents.scalar", inst.params(constant=k),
-                vector_state_value(inst.x, inst.phi(inv_psd(inst.a))),
-                np.asarray(k) / vector_state_value(inst.x, inst.phi(inst.a)),
-                inst.tol),
-        check_kantorovich_sharp(inst, name="kantorovich_equivalents.sharp"),
-        check_kantorovich_squared(inst, name="kantorovich_equivalents.squared"),
-    ]
-    return [list(results) for results in zip(*forms)]
+    pain, pa, paa = _mapped(inst.phi, inv_psd(inst.a), inst.a, inst.a @ inst.a)
+    name = "kantorovich_equivalents."
+    operator, sharp, squared = _operator(
+        inst.tol, _kantorovich_form(inst, name + "operator", pain, pa),
+        _sharp_form(inst, name + "sharp", pain, pa),
+        _squared_form(inst, name + "squared", paa, pa))
+    scalar = _scalar(name + "scalar", inst.params(constant=k),
+                     vector_state_value(inst.x, pain),
+                     np.asarray(k) / vector_state_value(inst.x, pa), inst.tol)
+    return [list(results) for results in zip(operator, scalar, sharp, squared)]
 
 
 @_per_instance
 def check_reverse_choi_quadratic(inst: CheckInstance) -> list:
     """Under m A <= B <= M A, given as `inst.bounds` = [m, M]."""
     k = [_sharp_bound(v) ** 2 for v in inst.bounds]
-    a, b, phi = inst.a, inst.b, inst.phi
-    lhs = phi(hermitian_part(b @ inv_psd(a) @ b))
-    pb = phi(b)
-    rhs = pb @ inv_psd(phi(a)) @ pb
+    a, b = inst.a, inst.b
+    lhs, pb, pa = _mapped(inst.phi, hermitian_part(b @ inv_psd(a) @ b), b, a)
+    rhs = pb @ inv_psd(pa) @ pb
     rhs = _col(k) * (rhs + adjoint(rhs)) / 2
-    return _operator("reverse_choi_quadratic", inst.params(constant=k), lhs, rhs, inst.tol)
+    return _operator(inst.tol, ("reverse_choi_quadratic", inst.params(constant=k),
+                                lhs, rhs))[0]
 
 
 @_per_instance
@@ -341,8 +359,9 @@ def check_mond_pecaric(inst: CheckInstance, alpha, alpha_label: Optional[str] = 
         raise DomainError("alpha must be >= 0")
     if beta is None:
         beta = mond_pecaric_beta(f, inst.iv, alpha)
-    lhs = vector_state_value(inst.x, inst.phi(matrix_function(inst.a, f)))
-    t0 = vector_state_value(inst.x, inst.phi(inst.a))
+    pfa, pa = _mapped(inst.phi, matrix_function(inst.a, f), inst.a)
+    lhs = vector_state_value(inst.x, pfa)
+    t0 = vector_state_value(inst.x, pa)
     rhs = np.asarray(beta) + np.asarray(alpha) * np.asarray(f(t0), dtype=float)
     return _scalar(f"mond_pecaric[alpha={alpha_label or _fmt(alpha)}]",
                    inst.params(f=f.name, alpha=alpha, beta=beta), lhs, rhs, inst.tol)
@@ -351,10 +370,9 @@ def check_mond_pecaric(inst: CheckInstance, alpha, alpha_label: Optional[str] = 
 @_per_instance
 def check_generalized_kantorovich_operator(inst: CheckInstance, p: float) -> list:
     k = _each(generalized_kantorovich, inst.iv, p)
-    lhs = inst.phi(power(inst.a, p))
-    rhs = _col(k) * power(inst.phi(inst.a), p)
-    return _operator(f"generalized_kantorovich[p={_fmt(p)}]",
-                     inst.params(p=p, constant=k), lhs, rhs, inst.tol)
+    lhs, pa = _mapped(inst.phi, power(inst.a, p), inst.a)
+    return _operator(inst.tol, (f"generalized_kantorovich[p={_fmt(p)}]",
+                                inst.params(p=p, constant=k), lhs, _col(k) * power(pa, p)))[0]
 
 
 @_per_instance
@@ -363,8 +381,8 @@ def check_scalar_power_chain(inst: CheckInstance, p: float) -> list:
     is the tighter one, the chain certifies that. One (lower, upper) pair
     per instance."""
     k = _each(generalized_kantorovich, inst.iv, p)
-    pa = inst.phi(inst.a)
-    s_lhs = vector_state_value(inst.x, inst.phi(power(inst.a, p)))
+    pap, pa = _mapped(inst.phi, power(inst.a, p), inst.a)
+    s_lhs = vector_state_value(inst.x, pap)
     mid = [kk * v ** p for kk, v in zip(k, vector_state_value(inst.x, pa).tolist())]
     s_rhs = np.asarray(k) * vector_state_value(inst.x, power(pa, p))
     params = inst.params(p=p, constant=k)
@@ -376,9 +394,9 @@ def check_scalar_power_chain(inst: CheckInstance, p: float) -> list:
 @_per_instance
 def check_additive_sqrt(inst: CheckInstance) -> list:
     c = [(iv.M - iv.m) ** 2 / (4.0 * (iv.M + iv.m)) for iv in inst.iv]
-    lhs = sqrtm_psd(inst.phi(inst.a @ inst.a))
-    rhs = _col(c) * _eye(inst) + inst.phi(inst.a)
-    return _operator("additive_sqrt", inst.params(constant=c), lhs, rhs, inst.tol)
+    paa, pa = _mapped(inst.phi, inst.a @ inst.a, inst.a)
+    return _operator(inst.tol, ("additive_sqrt", inst.params(constant=c), sqrtm_psd(paa),
+                                _col(c) * _eye(inst) + pa))[0]
 
 
 def minkowski_constants(ivs, f: ScalarFunction) -> dict:
@@ -400,17 +418,21 @@ def check_minkowski_general(inst: CheckInstance, f: ScalarFunction,
     finv = f.inverted()
     if not finv.operator_monotone_increasing:
         raise DomainError(f"inverse of {f.name} is not operator monotone")
-    phi = inst.phi
     name = f"minkowski_general[f={f.name}]"
-    sa = matrix_function(phi(matrix_function(inst.a, f)), finv)
-    sb = matrix_function(phi(matrix_function(inst.b, f)), finv)
-    sab = matrix_function(phi(matrix_function(inst.a + inst.b, f)), finv)
+    x = np.stack([inst.a, inst.b, inst.a + inst.b])
+    sa, sb, sab = matrix_function(inst.phi(matrix_function(x, f)), finv)
     if alpha is None:
         alpha, beta = minkowski_constants(inst.iv, f).values()
-    params = inst.params(f=f.name, alpha=alpha, beta=beta)
-    mult = _operator(name + ".mult", params, sa + sb, _col(alpha) * sab, inst.tol)
-    add = _operator(name + ".add", params, sa + sb, _col(beta) * _eye(inst) + sab, inst.tol)
-    return list(zip(mult, add))
+    return _minkowski_pairs(inst, name, inst.params(f=f.name, alpha=alpha, beta=beta),
+                            sa + sb, sab, alpha, beta)
+
+
+def _minkowski_pairs(inst: CheckInstance, name: str, params: list, lhs, sab,
+                     factor, summand) -> list:
+    """(mult, add) per instance: lhs <= factor * sab and lhs <= summand I + sab,
+    judged together on the one shared lhs."""
+    return list(zip(*_operator(inst.tol, (name + ".mult", params, lhs, _col(factor) * sab),
+                               (name + ".add", params, lhs, _col(summand) * _eye(inst) + sab))))
 
 
 @_per_instance
@@ -419,16 +441,12 @@ def check_power_minkowski(inst: CheckInstance, p: float, name: Optional[str] = N
     if not 1 <= p <= 2:
         raise DomainError(f"need 1 <= p <= 2, got {p}")
     name = name or f"power_minkowski[p={_fmt(p)}]"
-    phi = inst.phi
-    sa = power(phi(power(inst.a, p)), 1.0 / p)
-    sb = power(phi(power(inst.b, p)), 1.0 / p)
-    sab = power(phi(power(inst.a + inst.b, p)), 1.0 / p)
+    x = np.stack([inst.a, inst.b, inst.a + inst.b])
+    sa, sb, sab = power(inst.phi(power(x, p)), 1.0 / p)
     kp = [generalized_kantorovich(p, v) ** (1.0 / p) for v in inst.iv]
     bp = _each(beta_p_constant, inst.iv, p)
-    params = inst.params(p=p, factor=kp, summand=bp)
-    mult = _operator(name + ".mult", params, sa + sb, _col(kp) * sab, inst.tol)
-    add = _operator(name + ".add", params, sa + sb, _col(bp) * _eye(inst) + sab, inst.tol)
-    return list(zip(mult, add))
+    return _minkowski_pairs(inst, name, inst.params(p=p, factor=kp, summand=bp),
+                            sa + sb, sab, kp, bp)
 
 
 @_per_instance

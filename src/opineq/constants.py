@@ -14,6 +14,7 @@ scipy is deliberately not pulled in for a one-screen optimizer.
 """
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,15 +45,30 @@ def _unlane(values: np.ndarray, one: bool):
     return float(values[0]) if one else values
 
 
+@functools.lru_cache(maxsize=4)
+def _ramp(num: int) -> np.ndarray:
+    """arange(num) as a read-only float column, the ramp of every grid."""
+    ramp = np.arange(num, dtype=float)[:, None]
+    ramp.flags.writeable = False
+    return ramp
+
+
 def _grid(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
-    """Column i is np.linspace(lo[i], hi[i], num). np.linspace takes another
-    branch for every lane once one lane has a zero step, so those lanes get
-    their own call."""
-    out = np.empty((num, len(lo)))
-    flat = (hi - lo) / max(num - 1, 1) == 0
-    for group in (flat, ~flat):
-        if group.any():
-            out[:, group] = np.linspace(lo[group], hi[group], num)
+    """Column i is np.linspace(lo[i], hi[i], num), by linspace's own
+    formula: lo + ramp * step with hi as the last point, or, in a lane
+    whose step is 0 (a subnormal or empty range), lo + ramp / div * delta."""
+    ramp, delta, div = _ramp(num), hi - lo, num - 1
+    if div > 0:
+        step = delta / div
+        out = ramp * step
+        flat = step == 0
+        if flat.any():
+            out[:, flat] = ramp / div * delta[flat]
+    else:
+        out = ramp * delta
+    out += lo
+    if num > 1:
+        out[-1] = hi
     return out
 
 

@@ -57,21 +57,9 @@ def _rotation_pairs(alpha, beta, check: bool = False) -> np.ndarray:
     return ops[inverse.reshape(angles.shape)]   # its shape varies by numpy release
 
 
-def counterexample_T(x, alpha, beta, tol: float = DEFAULT_TOL):
-    """Assemble T(x, alpha, beta) = ((1+x)^2/4x) Phi(A)^{-1/2} Phi(A^{-1})
-    Phi(A)^{-1/2} - Phi(A^{-1})^2 for A = diag(x, 1).
-
-    Returns (T, (lambda_1, lambda_2) ascending, psd) where psd is
-    lambda_min >= -tol. T >= 0 for every x > 0 and every pair of angles:
-    Phi(A^-1) = ((1+x) I - Phi(A))/x by Cayley-Hamilton, so it commutes
-    with Phi(A), and T = Phi(A^-1) (K Phi(A)^-1 - Phi(A^-1)) >= 0 by
-    Kantorovich. Only rounding makes lambda_min negative.
-
-    Equal-shape arrays of points give T (..., 2, 2), the eigenvalues
-    (..., 2) and psd (...), each point with the bits it gets alone.
-    Each distinct angle's rotation is checked once, so a rotation that is
-    not unitary is reported in distinct-angle order, not in point order.
-    """
+def _deficit(x, alpha, beta, tol: float):
+    """`counterexample_T`'s T, eigenvalues and psd as arrays over the
+    points, and Phi(A^-1) at each point, the LHS's square root."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
     x, alpha, beta = (np.asarray(v, dtype=float) for v in (x, alpha, beta))
@@ -87,25 +75,41 @@ def counterexample_T(x, alpha, beta, tol: float = DEFAULT_TOL):
     k = ((1.0 + x) ** 2 / (4.0 * x))[..., None, None]
     t = hermitian_part(k * (pa_invroot @ pain @ pa_invroot) - pain @ pain)
     w = np.linalg.eigvalsh(t)
+    return t, w, w[..., 0] >= -tol, pain
+
+
+def counterexample_T(x, alpha, beta, tol: float = DEFAULT_TOL):
+    """Assemble T(x, alpha, beta) = ((1+x)^2/4x) Phi(A)^{-1/2} Phi(A^{-1})
+    Phi(A)^{-1/2} - Phi(A^{-1})^2 for A = diag(x, 1).
+
+    Returns (T, (lambda_1, lambda_2) ascending, psd) where psd is
+    lambda_min >= -tol. T >= 0 for every x > 0 and every pair of angles:
+    Phi(A^-1) = ((1+x) I - Phi(A))/x by Cayley-Hamilton, so it commutes
+    with Phi(A), and T = Phi(A^-1) (K Phi(A)^-1 - Phi(A^-1)) >= 0 by
+    Kantorovich. Only rounding makes lambda_min negative.
+
+    Equal-shape arrays of points give T (..., 2, 2), the eigenvalues
+    (..., 2) and psd (...), each point with the bits it gets alone.
+    Each distinct angle's rotation is checked once, so a rotation that is
+    not unitary is reported in distinct-angle order, not in point order.
+    """
+    t, w, psd, _ = _deficit(x, alpha, beta, tol)
     if w.ndim == 1:
-        return t, (float(w[0]), float(w[1])), bool(w[0] >= -tol)
-    return t, w, w[..., 0] >= -tol
+        return t, (float(w[0]), float(w[1])), bool(psd)
+    return t, w, psd
 
 
-def _norms(t, x, alpha, beta):
+def _norms(t, pain):
     """(||LHS||, ||RHS||) at each point, LHS = Phi(A^-1)^2 and RHS = T + LHS."""
-    ops = _rotation_pairs(alpha, beta)
-    pain = _mixture_image(ops, 1.0 / np.asarray(x, dtype=float))
     lhs = pain @ pain
     return operator_norm(np.stack([lhs, t + lhs]))
 
 
 def _evaluate(x, alpha, beta, tol: float):
     """(T, eigenvalues of T, holds, ||LHS||, ||RHS||) at each point, with
-    T from the module's `counterexample_T`."""
-    t, w, _ = counterexample_T(x, alpha, beta, tol)
-    w = np.asarray(w)
-    ln, rn = _norms(t, x, alpha, beta)
+    T from the module's `_deficit`."""
+    t, w, _, pain = _deficit(x, alpha, beta, tol)
+    ln, rn = _norms(t, pain)
     return t, w, within_tolerance(w[..., 0], tol, ln, rn), ln, rn
 
 
@@ -172,10 +176,10 @@ def _grid_violations(grid: dict, tol: float) -> list[ViolationReport]:
     out = []
     for lo in range(0, points[0].size, step):
         chunk = [p[lo:lo + step] for p in points]
-        t, w, _ = counterexample_T(*chunk, tol)
+        t, w, _, pain = _deficit(*chunk, tol)
         low = np.flatnonzero(~(w[:, 0] >= 0))
         if low.size:
-            ln, rn = _norms(t[low], *(p[low] for p in chunk))
+            ln, rn = _norms(t[low], pain[low])
             low = low[~within_tolerance(w[low, 0], tol, ln, rn)]
         for i in low.tolist():
             x, alpha, beta = (p[i].item() for p in chunk)

@@ -23,11 +23,14 @@ from .maps import (KrausMap, mixture_of, pinching, require_isometry,
                    require_unitary)
 
 
-def _gaussian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """The complex Gaussian matrix a Haar unitary is made from."""
+def _gaussian(dim: int, rng: np.random.Generator, terms: int | None = None) -> np.ndarray:
+    """The complex Gaussian matrix a Haar unitary is made from, or a stack
+    of `terms` of them, in one rng call: each matrix's real part, then its
+    imaginary part, the numbers a call per part would draw."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = rng.standard_normal((2, dim, dim) if terms is None else (terms, 2, dim, dim))
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
 
 def _groups(arrays: list):
@@ -95,7 +98,7 @@ class DrawBatch:
     def mixture(self, dim: int, rng: np.random.Generator) -> KrausMap:
         terms = 2 + int(rng.integers(3))
         # the Gaussians are held as the rows of the map's operators
-        ops = np.stack([_gaussian(dim, rng) for _ in range(terms)])
+        ops = _gaussian(dim, rng, terms)
         self._haar += list(ops)
         self._unitary += list(ops)
         return mixture_of(ops, random_weights(terms, rng))
@@ -177,7 +180,8 @@ def random_spd(dim: int, iv: SpectralInterval, rng: np.random.Generator) -> np.n
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     # normalized per draw: a stacked norm(x, axis=-1) differs from this one
     # in the last bit for about a fifth of vectors
-    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    g = rng.standard_normal((2, dim))
+    x = g[0] + 1j * g[1]
     return x / np.linalg.norm(x)
 
 

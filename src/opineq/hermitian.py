@@ -92,16 +92,28 @@ def operator_norm(a: np.ndarray):
 
 
 def _below_floor(w: np.ndarray):
-    """lambda_min of the first spectrum w[..., :] (ascending, ravel order) at
-    or below the relative positivity floor POSITIVITY_RTOL * max(1, max |lambda|),
-    or None. lambda_max stands in for max |lambda|: the two agree when
-    lambda_min > 0, and a lambda_min <= 0 is below either floor. One array
-    pass in float64: like max(1.0, x), fmax takes 1 over a NaN."""
+    """(lambda_min, lambda_max) of the first spectrum w[..., :] (ascending,
+    ravel order) whose lambda_min is at or below the relative positivity
+    floor POSITIVITY_RTOL * max(1, max |lambda|), or None. lambda_max stands
+    in for max |lambda|: the two agree when lambda_min > 0, and a
+    lambda_min <= 0 is below either floor. One array pass in float64: like
+    max(1.0, x), fmax takes 1 over a NaN."""
     if w.shape[-1] == 0:
         return None
     lam = w[..., 0].ravel().astype(float, copy=False)
-    below = lam <= POSITIVITY_RTOL * np.fmax(1.0, w[..., -1].ravel().astype(float, copy=False))
-    return lam[below.argmax()].item() if below.any() else None
+    top = w[..., -1].ravel().astype(float, copy=False)
+    below = lam <= POSITIVITY_RTOL * np.fmax(1.0, top)
+    if not below.any():
+        return None
+    i = below.argmax()
+    return lam[i].item(), top[i].item()
+
+
+def _floor_text(found: tuple) -> str:
+    """What a refused spectrum's (lambda_min, lambda_max) broke: the floor."""
+    lam, top = found
+    return (f"lambda_min = {lam:.3e} is at or below {POSITIVITY_RTOL:g} * max(1, lambda_max)"
+            f" = {POSITIVITY_RTOL * max(1.0, top):.3e}")
 
 
 _eigh_memo: dict | None = None     # the open scope's eigh by (shape, dtype, bytes)
@@ -149,10 +161,10 @@ def matrix_function(a: np.ndarray, f: Union[Callable, "object"],
     if requires_positive is None:
         requires_positive = bool(getattr(f, "requires_positive", False))
     w, v = _eigh(a)
-    lam = _below_floor(w) if requires_positive else None
-    if lam is not None:
+    found = _below_floor(w) if requires_positive else None
+    if found is not None:
         raise DomainError(f"matrix function {getattr(f, 'name', fn)!r} needs a positive "
-                          f"spectrum; lambda_min = {lam:.3e}")
+                          f"spectrum; {_floor_text(found)}")
     return _from_spectrum(np.asarray(fn(w), dtype=float), v)
 
 
@@ -167,9 +179,9 @@ def power(a: np.ndarray, p: float) -> np.ndarray:
     if p == 1:
         return hermitian_part(a)
     w, v = _eigh(a)
-    lam = _below_floor(w) if not float(p).is_integer() or p < 0 else None
-    if lam is not None:
-        raise DomainError(f"power {p} needs a positive definite matrix; lambda_min = {lam:.3e}")
+    found = _below_floor(w) if not float(p).is_integer() or p < 0 else None
+    if found is not None:
+        raise DomainError(f"power {p} needs a positive definite matrix; {_floor_text(found)}")
     return _from_spectrum(w ** p, v)
 
 
@@ -201,6 +213,28 @@ def _eigvalsh_each(*mats: np.ndarray) -> list:
     return out
 
 
+def loewner_leq_each(pairs, tol: float = DEFAULT_TOL) -> list:
+    """`loewner_leq` for several pairs (A, B) of stacks of one shape, one
+    (holds, margin, lhs_norm, rhs_norm) per pair. Every spectrum comes from
+    one `_eigvalsh_each` call, and an operand shared by several pairs (the
+    same object) is decomposed once."""
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
+    operands: dict = {}
+    for a, b in pairs:
+        if a.shape != b.shape:
+            raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+        operands.setdefault(id(a), a)
+        operands.setdefault(id(b), b)
+    spectra = _eigvalsh_each(*(hermitian_part(b - a) for a, b in pairs), *operands.values())
+    norm = dict(zip(operands, map(_spectral_norm, spectra[len(pairs):])))
+    out = []
+    for (a, b), w_diff in zip(pairs, spectra):
+        margin, ln, rn = _per_matrix(w_diff[..., 0]), norm[id(a)], norm[id(b)]
+        out.append((within_tolerance(margin, tol, ln, rn), margin, ln, rn))
+    return out
+
+
 def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL):
     """Decide A <= B in the Loewner order, for each pair of a stack.
 
@@ -210,14 +244,7 @@ def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL):
         margin = lambda_min(B - A); lhs_norm, rhs_norm = ||A||_op, ||B||_op;
         holds by `within_tolerance`. Arrays over the stack for stacked input.
     """
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    w_diff, w_a, w_b = _eigvalsh_each(hermitian_part(b - a), a, b)
-    margin = _per_matrix(w_diff[..., 0])
-    ln, rn = _spectral_norm(w_a), _spectral_norm(w_b)
-    return within_tolerance(margin, tol, ln, rn), margin, ln, rn
+    return loewner_leq_each([(a, b)], tol)[0]
 
 
 def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -239,5 +266,5 @@ __all__ = [
     "HERMITIAN_ATOL", "DEFAULT_TOL", "BATCH_BYTES", "DomainError",
     "SpectralInterval", "adjoint", "hermitian_part", "as_hermitian",
     "operator_norm", "spectral_scope", "matrix_function", "power", "inv_psd",
-    "sqrtm_psd", "within_tolerance", "loewner_leq", "is_psd",
+    "sqrtm_psd", "within_tolerance", "loewner_leq", "loewner_leq_each", "is_psd",
 ]

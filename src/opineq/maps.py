@@ -83,9 +83,10 @@ def _pinching_mask(ops: np.ndarray, weights: np.ndarray):
 
 
 class MapStack:
-    """Phi_i(X_i) for a stack X of shape (b, n_in, n_in) and one map per
-    matrix, all with the same input and output dimensions. Maps with one
-    Kraus-operator shape and dtype are applied together, as one batched
+    """Phi_i(X_i) for a stack X of shape (..., b, n_in, n_in) and one map
+    per matrix of the last stack axis, all with the same input and output
+    dimensions: phi(np.stack([X, Y])) maps X and Y in one call. Maps with
+    one Kraus-operator shape and dtype are applied together, as one batched
     product, so each image has the bits its own map gives it; pinchings as
     a masked copy, the bits of their Kraus sum on finite input without -0.0."""
 
@@ -109,16 +110,17 @@ class MapStack:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        if x.shape != (len(self.maps), self.input_dim, self.input_dim):
+        if x.shape[-3:] != (len(self.maps), self.input_dim, self.input_dim):
             raise ValueError(f"map stack expects {len(self.maps)} inputs of size "
                              f"{self.input_dim}x{self.input_dim}, got {x.shape}")
-        out = np.empty((len(x), self.output_dim, self.output_dim),
+        out = np.empty(x.shape[:-2] + (self.output_dim, self.output_dim),
                        dtype=np.result_type(x, *(ops for _, _, _, ops, _ in self._groups)))
         for idx, mask, ops_h, ops, weights in self._groups:
+            xi = x[..., idx, :, :]
             if mask is None:
-                out[idx] = _weighted_sum(weights, ops_h @ x[idx][:, None] @ ops)
+                out[..., idx, :, :] = _weighted_sum(weights, ops_h @ xi[..., None, :, :] @ ops)
             else:
-                out[idx] = np.where(mask, x[idx], 0)
+                out[..., idx, :, :] = np.where(mask, xi, 0)
         return hermitian_part(out)
 
 

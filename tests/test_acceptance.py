@@ -72,7 +72,7 @@ def _reference_T(x, alpha, beta, k=None):
 
 
 def _unit_constant_deficit(x, alpha, beta, tol=DEFAULT_TOL):
-    """`counterexample_T` with K replaced by 1, a planted false statement.
+    """`falsify._deficit` with K replaced by 1, a planted false statement.
 
     Phi(A)^-1/2 Phi(A^-1) Phi(A)^-1/2 >= Phi(A^-1)^2 fails wherever
     Phi(A) Phi(A^-1) != I, since <Y u, u> <Y^-1 u, u> >= 1 by
@@ -84,21 +84,21 @@ def _unit_constant_deficit(x, alpha, beta, tol=DEFAULT_TOL):
     t = pa_invroot @ pain @ pa_invroot - pain @ pain
     t = (t + t.conj().T) / 2
     w = np.linalg.eigvalsh(t)
-    return t, (float(w[0]), float(w[1])), bool(w[0] >= -tol)
+    return t, w, bool(w[0] >= -tol), pain
 
 
 def _per_point(deficit):
-    """`deficit` with the call shape of `counterexample_T`: a single point
+    """`deficit` with the call shape of `falsify._deficit`: a single point
     passes through; equal-shape arrays of points are run point by point and
-    their (T, eigenvalues, psd) come back stacked."""
+    their (T, eigenvalues, psd, Phi(A^-1)) come back stacked."""
     def stacked(x, alpha, beta, tol=DEFAULT_TOL):
         if np.ndim(x) == 0:
             return deficit(x, alpha, beta, tol)
         points = zip(*(np.ravel(v).tolist() for v in (x, alpha, beta)))
-        ts, ws, psds = zip(*(deficit(*p, tol) for p in points))
+        ts, ws, psds, pains = zip(*(deficit(*p, tol) for p in points))
         shape = np.shape(x)
         return (np.reshape(ts, shape + (2, 2)), np.reshape(ws, shape + (2,)),
-                np.reshape(psds, shape))
+                np.reshape(psds, shape), np.reshape(pains, shape + (2, 2)))
     return stacked
 
 
@@ -137,7 +137,7 @@ def test_criterion_2_internal_consistency():
 def test_criterion_3_falsifier_sensitivity(monkeypatch):
     t0 = time.monotonic()
     honest = search_violations("inverse_square_candidate")
-    monkeypatch.setattr(falsify, "counterexample_T", _per_point(_unit_constant_deficit))
+    monkeypatch.setattr(falsify, "_deficit", _per_point(_unit_constant_deficit))
     planted = search_violations("inverse_square_candidate")
     elapsed = time.monotonic() - t0
     expected = _reference_T(2.0, np.pi / 3, np.pi / 4, k=1.0)[1][0]

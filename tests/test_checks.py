@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from opineq import checks
 from opineq.checks import (CheckInstance, check_additive_sqrt, check_ando,
                            check_ando_connection, check_choi_davis,
                            check_generalized_kantorovich_operator,
@@ -17,7 +18,7 @@ from opineq.constants import kantorovich_constant
 from opineq.functions import by_name, power_function
 from opineq.generators import (DrawBatch, random_spd, random_state,
                                random_unital_map, sandwiched_pair)
-from opineq.hermitian import DomainError, SpectralInterval
+from opineq.hermitian import DomainError, SpectralInterval, loewner_leq
 from opineq.maps import MapStack, direct_sum, identity_map, scaled
 
 IV = SpectralInterval(1.0, 2.0)
@@ -309,3 +310,38 @@ def test_result_record_fields(rng):
                 "lhs_norm", "rhs_norm"):
         assert key in rec
     assert rec["params"]["m"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_multi_form_operator_equals_separate_comparisons(rng, monkeypatch):
+    # one complex LHS against two RHS, one failing by 0.25; a real form with
+    # its own LHS and a NaN margin (a complex NaN would not converge)
+    b, n = 6, 4
+    lhs = np.stack([random_spd(n, SpectralInterval(0.5, 3.0), rng) for _ in range(b)])
+    rhs1 = 2.0 * lhs + np.eye(n)
+    rhs2 = lhs - 0.25 * np.eye(n)
+    lhs3 = np.stack([np.diag(rng.uniform(1.0, 4.0, n)) for _ in range(b)])
+    rhs3 = lhs3 + 1e-12 * np.eye(n)
+    rhs3[2, 0, 1] = rhs3[2, 1, 0] = np.nan
+    forms = [("one", [{"i": i} for i in range(b)], lhs, rhs1),
+             ("two", [{"i": i} for i in range(b)], lhs, rhs2),
+             ("three", [{"i": i} for i in range(b)], lhs3, rhs3)]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    got = checks._operator(1e-9, *forms)
+    # per dtype one call: two differences and the three distinct complex
+    # operands, then the real difference and its two operands
+    assert calls == [(5, b, n, n), (3, b, n, n)]
+    monkeypatch.undo()
+    for (name, params, l, r), results in zip(forms, got):
+        holds, margin, ln, rn = loewner_leq(l, r, 1e-9)
+        assert [res.check_name for res in results] == [name] * b
+        assert [res.params for res in results] == params
+        for field, want in (("margin", margin), ("lhs_norm", ln), ("rhs_norm", rn)):
+            assert np.array([getattr(res, field) for res in results]).tobytes() == want.tobytes()
+        assert [res.holds for res in results] == holds.tolist()
+    assert all(res.holds for res in got[0])
+    assert all(res.margin < -0.2 and not res.holds for res in got[1])
+    margins = [res.margin for res in got[2]]
+    assert np.isnan(margins[2]) and not got[2][2].holds
+    assert all(res.holds for i, res in enumerate(got[2]) if i != 2)

@@ -329,3 +329,20 @@ def test_searched_constants_take_interval_lists():
         expected = ([one(iv) for iv in ivs] if one else
                     [mond_pecaric_beta(f, iv, a) for iv, a in zip(ivs, [0.0, 1.0, 1.7, 0.5])])
         assert [repr(v) for v in lanes.tolist()] == [repr(v) for v in expected]
+
+
+@pytest.mark.parametrize("num", [1, 2, 3, 64, 4096, 4097])
+def test_grid_equals_linspace_per_lane(num):
+    tiny = 5e-324
+    rng = np.random.default_rng(num)
+    lo = np.concatenate([rng.uniform(0.0, 10.0, 8),
+                         [1.0, 0.0, tiny, 2 * tiny, 1e-310, 1.0, 0.5, -1e12, 3.0, 1e-300]])
+    hi = np.concatenate([lo[:8] + rng.uniform(0.0, 5.0, 8),
+                         [1.0, tiny, 3 * tiny, 2 * tiny, 1e-309, 1e12, 0.5, 1e12, 3.0 + 4e-15,
+                          1e-300 + 1e-315]])
+    # zero-step lanes (empty or subnormal ranges) among the others
+    assert np.any((hi - lo) / max(num - 1, 1) == 0) and np.any((hi - lo) / max(num - 1, 1) != 0)
+    ref = np.stack([np.linspace(l, h, num) for l, h in zip(lo, hi)], axis=1)
+    for cols in (slice(None), slice(0, 8), slice(9, 10), slice(10, 11)):
+        got = constants._grid(lo[cols], hi[cols], num)
+        assert got.tobytes() == np.ascontiguousarray(ref[:, cols]).tobytes()

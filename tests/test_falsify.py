@@ -80,7 +80,7 @@ def ref_grid_violations(grid, tol):
 def all_norms_grid_violations(grid, tol):
     """The grid's failing points as `candidate_result` judges them, with the
     tolerance scale computed at every point, in one stacked call; T comes
-    from the module's `counterexample_T`, so a monkeypatched one is used."""
+    from the module's `_deficit`, so a monkeypatched one is used."""
     points = grid_points(grid)
     t, w, _ = falsify.counterexample_T(*points, tol)
     out = []
@@ -97,14 +97,14 @@ def all_norms_grid_violations(grid, tol):
 
 
 def unit_constant_deficit(x, alpha, beta, tol=DEFAULT_TOL):
-    """`counterexample_T` for arrays of points with K replaced by 1, a
+    """`falsify._deficit` for arrays of points with K replaced by 1, a
     planted false statement (acceptance criterion 3's mutant)."""
     ops = rotation(np.stack([alpha, beta], axis=-1))
     pa_invroot = power(falsify._mixture_image(ops, x), -0.5)
     pain = falsify._mixture_image(ops, 1.0 / np.asarray(x))
     t = hermitian_part(pa_invroot @ pain @ pa_invroot - pain @ pain)
     w = np.linalg.eigvalsh(t)
-    return t, w, w[..., 0] >= -tol
+    return t, w, w[..., 0] >= -tol, pain
 
 
 def shifted_grid(seed):
@@ -184,7 +184,7 @@ def test_grid_search_matches_norms_at_every_point(grid, tol):
 
 
 def test_planted_mutant_search_matches_norms_at_every_point(monkeypatch):
-    monkeypatch.setattr(falsify, "counterexample_T", unit_constant_deficit)
+    monkeypatch.setattr(falsify, "_deficit", unit_constant_deficit)
     got = search_violations(CANDIDATE_NAME)
     assert len(got) == 924
     assert records(got) == records(all_norms_grid_violations(DEFAULT_GRID, DEFAULT_TOL))
@@ -250,14 +250,14 @@ def test_grid_search_makes_a_constant_number_of_linalg_calls_per_chunk(monkeypat
             calls.append((len(negative), _name))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    deficit = falsify.counterexample_T
+    deficit = falsify._deficit
 
     def counted_deficit(*args):
         negative.append(None)
         out = deficit(*args)
         negative[-1] = bool(np.any(out[1][:, 0] < 0))
         return out
-    monkeypatch.setattr(falsify, "counterexample_T", counted_deficit)
+    monkeypatch.setattr(falsify, "_deficit", counted_deficit)
 
     def assert_calls_per_chunk():
         for c, neg in enumerate(negative, start=1):

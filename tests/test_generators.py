@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from opineq import registry
+from opineq import generators, registry
 from opineq.generators import (DrawBatch, haar_isometry, random_mixture,
                                random_spd, random_unital_map, random_unitary,
                                sandwiched_pair)
@@ -230,3 +230,25 @@ def test_draws_run_one_qr_per_matrix_size_per_flush(monkeypatch):
     for shapes in calls:
         assert len(shapes) == len(set(shapes))
     assert 0 < sum(map(len, calls)) <= 20
+
+
+def two_draw_gaussian(dim, rng):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def two_draw_state(dim, rng):
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return x / np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 11, 32])
+def test_one_draw_gaussian_and_state_equal_two_draws(dim):
+    # one standard_normal((2, ...)) call: the real parts, then the imaginary;
+    # (terms, 2, ...) for a stack of Gaussians
+    for seed in range(40):
+        got, ref = stream(seed, "one-draw"), stream(seed, "one-draw")
+        assert generators._gaussian(dim, got).tobytes() == two_draw_gaussian(dim, ref).tobytes()
+        assert generators.random_state(dim, got).tobytes() == two_draw_state(dim, ref).tobytes()
+        assert (generators._gaussian(dim, got, 3).tobytes()     # a mixture's terms
+                == np.stack([two_draw_gaussian(dim, ref) for _ in range(3)]).tobytes())
+        assert got.random() == ref.random()     # the stream is left at the same place

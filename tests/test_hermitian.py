@@ -97,12 +97,16 @@ def loop_floor(w):
         return None
     for lam, top in zip(w[..., 0].ravel().tolist(), w[..., -1].ravel().tolist()):
         if lam <= POSITIVITY_RTOL * max(1.0, top):
-            return lam
+            return lam, top
     return None
 
 
 def floor_and_reference(w):
-    return [repr(hermitian._below_floor(w)), repr(loop_floor(w))]
+    """The lambda_min `_below_floor` and the loop find, by repr; the
+    lambda_max each reports with it must agree too."""
+    got, want = hermitian._below_floor(w), loop_floor(w)
+    assert repr(got if got is None else got[1]) == repr(want if want is None else want[1])
+    return [repr(v if v is None else v[0]) for v in (got, want)]
 
 
 def ascending_spectra(rng, n, d=4):
@@ -156,11 +160,13 @@ def test_domain_error_text_at_any_stack_size(n):
     with pytest.raises(DomainError) as exc:
         power(a, -0.5)
     assert str(exc.value) == ("power -0.5 needs a positive definite matrix; "
-                              "lambda_min = -2.500e-01")
+                              "lambda_min = -2.500e-01 is at or below "
+                              "1e-12 * max(1, lambda_max) = 1.000e-12")
     with pytest.raises(DomainError) as exc:
         matrix_function(a, by_name("log"))
     assert str(exc.value) == ("matrix function 'log' needs a positive spectrum; "
-                              "lambda_min = -2.500e-01")
+                              "lambda_min = -2.500e-01 is at or below "
+                              "1e-12 * max(1, lambda_max) = 1.000e-12")
 
 
 def test_loewner_leq_basic():

@@ -331,3 +331,22 @@ def test_other_zero_one_maps_take_the_kraus_path(phi, rng):
     x = np.stack([random_spd(phi.input_dim, IV, rng) for _ in range(2)])
     ref = np.stack([_kraus_loop(phi, xi) for xi in x])
     assert stack(x).tobytes() == ref.tobytes()
+
+
+def test_a_stack_of_stacks_maps_as_separate_calls(rng):
+    # mixture, pinching and compression groups in one stack; (3, b, n, n)
+    # in one call gives each of the three stacks the bits it gets alone
+    n = 5
+    phis = [random_mixture(n, rng), pinching([[0, 3], [1, 2, 4]], n),
+            compression(haar_isometry(n, n, rng)), pinching([[i] for i in range(n)], n),
+            unitary_mixture([random_unitary(n, rng) for _ in range(2)], [0.4, 0.6])]
+    stack = MapStack(phis)
+    assert True in _masked_groups(stack) and False in _masked_groups(stack)
+    for x in (np.stack([[random_spd(n, IV, rng) for _ in phis] for _ in range(3)]),
+              rng.standard_normal((3, len(phis), n, n))):                    # real
+        got = stack(x)
+        assert got.shape == x.shape and got.dtype == stack(x[0]).dtype
+        assert got.tobytes() == np.stack([stack(xi) for xi in x]).tobytes()
+        assert stack(x[None]).tobytes() == got[None].tobytes()
+    with pytest.raises(ValueError, match="map stack expects"):
+        stack(x[:, :-1])

@@ -14,7 +14,7 @@ from opineq.hermitian import DomainError, SpectralInterval, power
 from opineq.io import (dump_json, load_json, map_from_json, map_to_json,
                        matrix_from_json, matrix_to_json)
 from opineq.generators import DrawBatch, random_spd, random_unital_map
-from opineq.maps import (KrausMap, compression, direct_sum, identity_map,
+from opineq.maps import (KrausMap, MapStack, compression, direct_sum, identity_map,
                          induced_congruence, make_rotation_mixture, pinching,
                          scaled)
 from opineq.rng import stream
@@ -337,3 +337,22 @@ def test_no_spectral_scope_left_open_after_a_domain_error():
         dataclasses.replace(spec, check=failing).run_trial(
             [stream(1, spec.name, 0)], 1e-9, (3,), registry.DEFAULT_INTERVALS)
     assert hermitian._eigh_memo is None
+
+
+def test_sweep_call_counts(monkeypatch):
+    # a guard on batching, which wall time is too noisy to show: each check
+    # maps its operands in one call, runs the Minkowski chains on one stack
+    # and judges its forms from one eigvalsh call
+    counts = dict.fromkeys(["eigh", "eigvalsh", "map"], 0)
+
+    def counting(fn, key):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), name))
+    monkeypatch.setattr(MapStack, "__call__", counting(MapStack.__call__, "map"))
+    report = run_suite(seed=7, trials=20, dims=range(2, 9), timestamp=False)
+    assert report.to_record()["ok"]
+    assert counts["eigh"] <= 602 and counts["eigvalsh"] <= 661 and counts["map"] <= 339, counts

@@ -31,8 +31,8 @@ from .constants import (alpha_constant, beta0_constant, beta_p_constant,
                         function_range, generalized_kantorovich,
                         kantorovich_constant, mond_pecaric_beta)
 from .functions import ScalarFunction
-from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval, _eigvalsh_each,
-                        adjoint, as_hermitian, hermitian_part, inv_psd,
+from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval, adjoint,
+                        as_hermitian, each_stacked, hermitian_part, inv_psd,
                         loewner_leq_each, matrix_function, power, sqrtm_psd,
                         within_tolerance)
 from .maps import KrausMap, MapStack, vector_state_value
@@ -94,14 +94,6 @@ def _each(constant, ivs, *args) -> list:
     return [constant(*args, iv) for iv in ivs]
 
 
-def _mapped(phi: MapStack, *xs: np.ndarray) -> list:
-    """phi(x) for each stack x, in one call when they share a dtype; a stack
-    of several dtypes would promote some of them and change their bits."""
-    if len({x.dtype for x in xs}) > 1:
-        return [phi(x) for x in xs]
-    return list(phi(np.stack(xs)))
-
-
 @dataclass
 class CheckInstance:
     """Hypothesis bundle for one check: matrices, map, verified sandwich
@@ -131,7 +123,7 @@ class CheckInstance:
         # validated as a stack; a single instance is a stack of one here
         st = self if self.stacked else self.as_stack()
         in_iv = [st.a] if st.b is None or st.bounds is not None else [st.a, st.b]
-        spectra = _eigvalsh_each(*in_iv)
+        spectra = each_stacked(np.linalg.eigvalsh, in_iv)
         # per rule, in the order a single instance meets them: which
         # instances break it, and the message for instance i
         rules = []
@@ -211,7 +203,7 @@ def check_choi_davis(inst: CheckInstance) -> list:
     f = inst.f
     if not f.operator_convex:
         raise DomainError(f"{f.name} is not flagged operator convex")
-    pa, rhs = _mapped(inst.phi, inst.a, matrix_function(inst.a, f))
+    pa, rhs = each_stacked(inst.phi, [inst.a, matrix_function(inst.a, f)])
     return _operator(inst.tol, ("choi_davis", inst.params(f=f.name),
                                 matrix_function(pa, f), rhs))[0]
 
@@ -236,19 +228,19 @@ def _sharp_form(inst: CheckInstance, name: str, pain, pa) -> tuple:
 
 @_per_instance
 def check_kantorovich(inst: CheckInstance) -> list:
-    pain, pa = _mapped(inst.phi, inv_psd(inst.a), inst.a)
+    pain, pa = each_stacked(inst.phi, [inv_psd(inst.a), inst.a])
     return _operator(inst.tol, _kantorovich_form(inst, "kantorovich", pain, pa))[0]
 
 
 @_per_instance
 def check_kantorovich_squared(inst: CheckInstance) -> list:
-    paa, pa = _mapped(inst.phi, inst.a @ inst.a, inst.a)
+    paa, pa = each_stacked(inst.phi, [inst.a @ inst.a, inst.a])
     return _operator(inst.tol, _squared_form(inst, "kantorovich_squared", paa, pa))[0]
 
 
 @_per_instance
 def check_kantorovich_sharp(inst: CheckInstance) -> list:
-    pain, pa = _mapped(inst.phi, inv_psd(inst.a), inst.a)
+    pain, pa = each_stacked(inst.phi, [inv_psd(inst.a), inst.a])
     return _operator(inst.tol, _sharp_form(inst, "kantorovich_sharp", pain, pa))[0]
 
 
@@ -258,7 +250,7 @@ def check_refinement(inst: CheckInstance) -> list:
     scalar s = ||(Phi(A)^{1/2} Phi(A^-1) Phi(A)^{1/2})^{1/2}||, which in turn
     is dominated by the sharp bound (M+m)/(2 sqrt(Mm)). One (left, right)
     pair per instance."""
-    pain, pa = _mapped(inst.phi, inv_psd(inst.a), inst.a)
+    pain, pa = each_stacked(inst.phi, [inv_psd(inst.a), inst.a])
     ph = sqrtm_psd(pa)
     s = np.sqrt(np.linalg.eigvalsh(hermitian_part(ph @ pain @ ph))[:, -1])
     c = _each(_sharp_bound, inst.iv)
@@ -282,7 +274,7 @@ def check_power_inner_product(inst: CheckInstance, r: float) -> list:
 
 @_per_instance
 def check_ando(inst: CheckInstance) -> list:
-    lhs, pa, pb = _mapped(inst.phi, geometric_mean(inst.a, inst.b), inst.a, inst.b)
+    lhs, pa, pb = each_stacked(inst.phi, [geometric_mean(inst.a, inst.b), inst.a, inst.b])
     return _operator(inst.tol, ("ando", inst.params(), lhs, geometric_mean(pa, pb)))[0]
 
 
@@ -293,7 +285,7 @@ def check_ando_connection(inst: CheckInstance) -> list:
         raise DomainError(f"{f.name} is not flagged operator monotone increasing")
     if not f.mean_normalized:
         raise DomainError(f"{f.name} has f(1) != 1, not a mean-representing function")
-    lhs, pa, pb = _mapped(inst.phi, connection(inst.a, inst.b, f), inst.a, inst.b)
+    lhs, pa, pb = each_stacked(inst.phi, [connection(inst.a, inst.b, f), inst.a, inst.b])
     return _operator(inst.tol, ("ando_connection", inst.params(f=f.name), lhs,
                                 connection(pa, pb, f)))[0]
 
@@ -303,7 +295,7 @@ def check_reverse_ando_convex(inst: CheckInstance) -> list:
     f = inst.f
     if not f.operator_convex:
         raise DomainError(f"{f.name} is not flagged operator convex")
-    rhs, pa, pb = _mapped(inst.phi, connection(inst.a, inst.b, f), inst.a, inst.b)
+    rhs, pa, pb = each_stacked(inst.phi, [connection(inst.a, inst.b, f), inst.a, inst.b])
     return _operator(inst.tol, ("reverse_ando_convex", inst.params(f=f.name),
                                 connection(pa, pb, f), rhs))[0]
 
@@ -312,7 +304,7 @@ def check_reverse_ando_convex(inst: CheckInstance) -> list:
 def check_reverse_ando_sandwich(inst: CheckInstance) -> list:
     """Under m^2 A <= B <= M^2 A, given as `inst.bounds` = [m^2, M^2]."""
     c = [_sharp_bound(SpectralInterval(math.sqrt(v.m), math.sqrt(v.M))) for v in inst.bounds]
-    pg, pa, pb = _mapped(inst.phi, geometric_mean(inst.a, inst.b), inst.a, inst.b)
+    pg, pa, pb = each_stacked(inst.phi, [geometric_mean(inst.a, inst.b), inst.a, inst.b])
     return _operator(inst.tol, ("reverse_ando_sandwich", inst.params(constant=c),
                                 geometric_mean(pa, pb), _col(c) * pg))[0]
 
@@ -322,7 +314,7 @@ def check_kantorovich_equivalents(inst: CheckInstance) -> list:
     """The four forms of the inverse-reversal bound, each checked as its own
     statement: operator, scalar (vector state), sharp, and squared."""
     k = _each(kantorovich_constant, inst.iv)
-    pain, pa, paa = _mapped(inst.phi, inv_psd(inst.a), inst.a, inst.a @ inst.a)
+    pain, pa, paa = each_stacked(inst.phi, [inv_psd(inst.a), inst.a, inst.a @ inst.a])
     name = "kantorovich_equivalents."
     operator, sharp, squared = _operator(
         inst.tol, _kantorovich_form(inst, name + "operator", pain, pa),
@@ -339,7 +331,7 @@ def check_reverse_choi_quadratic(inst: CheckInstance) -> list:
     """Under m A <= B <= M A, given as `inst.bounds` = [m, M]."""
     k = [_sharp_bound(v) ** 2 for v in inst.bounds]
     a, b = inst.a, inst.b
-    lhs, pb, pa = _mapped(inst.phi, hermitian_part(b @ inv_psd(a) @ b), b, a)
+    lhs, pb, pa = each_stacked(inst.phi, [hermitian_part(b @ inv_psd(a) @ b), b, a])
     rhs = pb @ inv_psd(pa) @ pb
     rhs = _col(k) * (rhs + adjoint(rhs)) / 2
     return _operator(inst.tol, ("reverse_choi_quadratic", inst.params(constant=k),
@@ -359,7 +351,7 @@ def check_mond_pecaric(inst: CheckInstance, alpha, alpha_label: Optional[str] = 
         raise DomainError("alpha must be >= 0")
     if beta is None:
         beta = mond_pecaric_beta(f, inst.iv, alpha)
-    pfa, pa = _mapped(inst.phi, matrix_function(inst.a, f), inst.a)
+    pfa, pa = each_stacked(inst.phi, [matrix_function(inst.a, f), inst.a])
     lhs = vector_state_value(inst.x, pfa)
     t0 = vector_state_value(inst.x, pa)
     rhs = np.asarray(beta) + np.asarray(alpha) * np.asarray(f(t0), dtype=float)
@@ -370,7 +362,7 @@ def check_mond_pecaric(inst: CheckInstance, alpha, alpha_label: Optional[str] = 
 @_per_instance
 def check_generalized_kantorovich_operator(inst: CheckInstance, p: float) -> list:
     k = _each(generalized_kantorovich, inst.iv, p)
-    lhs, pa = _mapped(inst.phi, power(inst.a, p), inst.a)
+    lhs, pa = each_stacked(inst.phi, [power(inst.a, p), inst.a])
     return _operator(inst.tol, (f"generalized_kantorovich[p={_fmt(p)}]",
                                 inst.params(p=p, constant=k), lhs, _col(k) * power(pa, p)))[0]
 
@@ -381,7 +373,7 @@ def check_scalar_power_chain(inst: CheckInstance, p: float) -> list:
     is the tighter one, the chain certifies that. One (lower, upper) pair
     per instance."""
     k = _each(generalized_kantorovich, inst.iv, p)
-    pap, pa = _mapped(inst.phi, power(inst.a, p), inst.a)
+    pap, pa = each_stacked(inst.phi, [power(inst.a, p), inst.a])
     s_lhs = vector_state_value(inst.x, pap)
     mid = [kk * v ** p for kk, v in zip(k, vector_state_value(inst.x, pa).tolist())]
     s_rhs = np.asarray(k) * vector_state_value(inst.x, power(pa, p))
@@ -394,7 +386,7 @@ def check_scalar_power_chain(inst: CheckInstance, p: float) -> list:
 @_per_instance
 def check_additive_sqrt(inst: CheckInstance) -> list:
     c = [(iv.M - iv.m) ** 2 / (4.0 * (iv.M + iv.m)) for iv in inst.iv]
-    paa, pa = _mapped(inst.phi, inst.a @ inst.a, inst.a)
+    paa, pa = each_stacked(inst.phi, [inst.a @ inst.a, inst.a])
     return _operator(inst.tol, ("additive_sqrt", inst.params(constant=c), sqrtm_psd(paa),
                                 _col(c) * _eye(inst) + pa))[0]
 
@@ -419,8 +411,8 @@ def check_minkowski_general(inst: CheckInstance, f: ScalarFunction,
     if not finv.operator_monotone_increasing:
         raise DomainError(f"inverse of {f.name} is not operator monotone")
     name = f"minkowski_general[f={f.name}]"
-    x = np.stack([inst.a, inst.b, inst.a + inst.b])
-    sa, sb, sab = matrix_function(inst.phi(matrix_function(x, f)), finv)
+    sa, sb, sab = each_stacked(lambda x: matrix_function(inst.phi(matrix_function(x, f)), finv),
+                               [inst.a, inst.b, inst.a + inst.b])
     if alpha is None:
         alpha, beta = minkowski_constants(inst.iv, f).values()
     return _minkowski_pairs(inst, name, inst.params(f=f.name, alpha=alpha, beta=beta),
@@ -441,8 +433,8 @@ def check_power_minkowski(inst: CheckInstance, p: float, name: Optional[str] = N
     if not 1 <= p <= 2:
         raise DomainError(f"need 1 <= p <= 2, got {p}")
     name = name or f"power_minkowski[p={_fmt(p)}]"
-    x = np.stack([inst.a, inst.b, inst.a + inst.b])
-    sa, sb, sab = power(inst.phi(power(x, p)), 1.0 / p)
+    sa, sb, sab = each_stacked(lambda x: power(inst.phi(power(x, p)), 1.0 / p),
+                               [inst.a, inst.b, inst.a + inst.b])
     kp = [generalized_kantorovich(p, v) ** (1.0 / p) for v in inst.iv]
     bp = _each(beta_p_constant, inst.iv, p)
     return _minkowski_pairs(inst, name, inst.params(p=p, factor=kp, summand=bp),

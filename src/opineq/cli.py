@@ -47,6 +47,8 @@ def parse_angle(text: str) -> float:
     if m:
         k = float(m.group(1)) if m.group(1) else 1.0
         d = float(m.group(2)) if m.group(2) else 1.0
+        if d == 0:
+            raise ValueError(f"bad angle {text!r}: the denominator is 0")
         return k * math.pi / d
     return float(s)
 
@@ -230,27 +232,31 @@ def _cmd_constants(args, parser) -> int:
             with np.errstate(all="ignore"):
                 if not np.isfinite(f(t)):
                     raise ValueError(f"{args.f} is not finite at {flag} {t!r}")
-    if name == "kantorovich":
-        value, oracle = kantorovich_constant(iv), oracle_kantorovich(iv.m, iv.M)
-    elif name == "generalized_kantorovich":
-        need("p", args.p)
-        value = generalized_kantorovich(args.p, iv)
-        oracle = oracle_generalized_kantorovich(args.p, iv.m, iv.M)
-    elif name == "alpha":
-        value, oracle = alpha_constant(f, iv), oracle_alpha(f, iv.m, iv.M)
-    elif name == "beta0":
-        value, oracle = beta0_constant(f, iv), oracle_beta0(f, iv.m, iv.M)
-    elif name == "beta_p":
-        need("p", args.p)
-        value, oracle = beta_p_constant(args.p, iv), oracle_beta_p(args.p, iv.m, iv.M)
-    else:
-        need("alpha", args.alpha)
-        try:
-            value = mond_pecaric_beta(f, iv, args.alpha)
-        except ValueError as exc:   # --alpha is at fault if alpha = 0 gives a value
-            mond_pecaric_beta(f, iv, 0.0)
-            raise ValueError(f"{exc} at --alpha {args.alpha!r}") from None
-        oracle = oracle_mond_pecaric_beta(f, iv.m, iv.M, args.alpha)
+    # a value out of float range is rejected below, naming the interval
+    with np.errstate(all="ignore"):
+        if name == "kantorovich":
+            value, oracle = kantorovich_constant(iv), oracle_kantorovich(iv.m, iv.M)
+        elif name == "generalized_kantorovich":
+            need("p", args.p)
+            value = generalized_kantorovich(args.p, iv)
+            oracle = oracle_generalized_kantorovich(args.p, iv.m, iv.M)
+        elif name == "alpha":
+            value, oracle = alpha_constant(f, iv), oracle_alpha(f, iv.m, iv.M)
+        elif name == "beta0":
+            value, oracle = beta0_constant(f, iv), oracle_beta0(f, iv.m, iv.M)
+        elif name == "beta_p":
+            need("p", args.p)
+            value, oracle = beta_p_constant(args.p, iv), oracle_beta_p(args.p, iv.m, iv.M)
+        else:
+            need("alpha", args.alpha)
+            try:
+                value = mond_pecaric_beta(f, iv, args.alpha)
+            except ValueError as exc:   # --alpha is at fault if alpha = 0 gives a value
+                mond_pecaric_beta(f, iv, 0.0)
+                raise ValueError(f"{exc} at --alpha {args.alpha!r}") from None
+            oracle = oracle_mond_pecaric_beta(f, iv.m, iv.M, args.alpha)
+    if not (math.isfinite(value) and math.isfinite(oracle)):
+        raise ValueError(f"{name} is out of float range at -m {iv.m!r} -M {iv.M!r}")
     record = {"name": name, "m": iv.m, "M": iv.M, "value": value,
               "oracle_value": oracle, "abs_diff": abs(value - oracle)}
     if args.p is not None:

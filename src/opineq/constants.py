@@ -83,8 +83,7 @@ def _lane_chunks(lanes: int, points: int):
     return [slice(i, i + step) for i in range(0, lanes, step)]
 
 
-def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args,
-               xtol: float = XTOL, scan_points: int = SCAN_POINTS):
+def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args):
     """Global max of a smooth f on [lo, hi]: coarse scan, then golden section
     inside the best bracket. Returns (argmax, value). f must accept arrays.
 
@@ -92,9 +91,10 @@ def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args,
     lockstep and (argmax, value) are arrays. f(t, *lane_args) gets points
     with the lanes on the last axis, a grid of them during the scan, and
     each of `lane_args` (arrays, one entry per lane) cut to the same lanes.
-    Each lane takes the steps the scalar search would take on its own and
-    stops once its bracket is narrower than xtol, or no narrower than it
-    was a step before (xtol is below the float spacing far from 0).
+    The scan takes SCAN_POINTS points. Each lane takes the steps the scalar
+    search would take on its own and stops once its bracket is narrower
+    than XTOL, or no narrower than it was a step before (XTOL is below the
+    float spacing far from 0).
     """
     one = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, hi))
@@ -103,8 +103,8 @@ def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args,
         raise ValueError(f"empty interval [{lo[bad]}, {hi[bad]}]")
     lane_args = [np.asarray(v) for v in lane_args]
     top, best, a, b = (np.empty(len(lo)) for _ in range(4))
-    for part in _lane_chunks(len(lo), scan_points):
-        xs = _grid(lo[part], hi[part], scan_points)
+    for part in _lane_chunks(len(lo), SCAN_POINTS):
+        xs = _grid(lo[part], hi[part], SCAN_POINTS)
         with np.errstate(all="ignore"):     # a value out of float range is rejected below
             vals = np.asarray(f(xs, *(v[part] for v in lane_args)), dtype=float)
         # a point bracket is its own maximum, whatever f is worth there
@@ -114,13 +114,13 @@ def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args,
         cols = np.arange(len(k))
         top[part], best[part] = xs[k, cols], vals[k, cols]
         a[part] = xs[np.maximum(k - 1, 0), cols]
-        b[part] = xs[np.minimum(k + 1, scan_points - 1), cols]
+        b[part] = xs[np.minimum(k + 1, SCAN_POINTS - 1), cols]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = np.asarray(f(c, *lane_args), dtype=float)
     fd = np.asarray(f(d, *lane_args), dtype=float)
     width = b - a
-    live = width > xtol
+    live = width > XTOL
     while live.any():
         # where fc >= fd keep [a, d] and probe a new c, else keep [c, b] and
         # probe a new d; lanes no longer live keep every value as it is
@@ -134,7 +134,7 @@ def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args,
                         np.where(go_left, fp, np.where(go_right, fd, fc)),
                         np.where(go_left, c, np.where(go_right, probe, d)),
                         np.where(go_left, fc, np.where(go_right, fp, fd)))
-        live = (b - a > xtol) & (b - a < width)
+        live = (b - a > XTOL) & (b - a < width)
         width = b - a
     x = (a + b) / 2.0
     fx = np.asarray(f(x, *lane_args), dtype=float)

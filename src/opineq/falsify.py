@@ -24,10 +24,12 @@ from .checks import CheckResult
 from .hermitian import (BATCH_BYTES, DEFAULT_TOL, adjoint, hermitian_part,
                         operator_norm, power, within_tolerance)
 from .io import map_to_json, matrix_to_json
-from .maps import make_rotation_mixture, require_unitary, rotation
+from .maps import _weighted_sum, make_rotation_mixture, require_unitary, rotation
 from .rng import stream
 
 CANDIDATE_NAME = "inverse_square_candidate"
+# relative change of margin within which a witness replays
+REVALIDATE_RTOL = 1e-10
 
 # exhaustive default: x in 0.5..4 step 0.5, angles in k*pi/12 for k = 0..11
 DEFAULT_GRID = {
@@ -41,8 +43,7 @@ def _mixture_image(ops: np.ndarray, d) -> np.ndarray:
     """Phi(diag(d, 1)) = (U* D U + V* D V)/2 at each point, U and V its ops."""
     a = np.zeros(np.shape(d) + (2, 2))
     a[..., 0, 0], a[..., 1, 1] = d, 1.0
-    terms = adjoint(ops) @ a[..., None, :, :] @ ops
-    return hermitian_part(0.5 * terms[..., 0, :, :] + 0.5 * terms[..., 1, :, :])
+    return hermitian_part(_weighted_sum((0.5, 0.5), adjoint(ops) @ a[..., None, :, :] @ ops))
 
 
 def _rotation_pairs(alpha, beta, check: bool = False) -> np.ndarray:
@@ -142,12 +143,12 @@ class ViolationReport:
                 "eigenvalue_certificate": list(self.eigenvalue_certificate),
                 "tolerance": self.tolerance}
 
-    def revalidate(self, rtol: float = 1e-10) -> bool:
+    def revalidate(self) -> bool:
         """Re-run the check from the serialized witness; true when the margin
-        reproduces within rtol and the check still fails."""
+        reproduces within REVALIDATE_RTOL and the check still fails."""
         res = _rerun_witness(self)
         return (res is not None and not res.holds
-                and abs(res.margin - self.margin) <= rtol * max(1.0, abs(self.margin)))
+                and abs(res.margin - self.margin) <= REVALIDATE_RTOL * max(1.0, abs(self.margin)))
 
 
 def _rerun_witness(report: ViolationReport):

@@ -9,7 +9,7 @@ A draw runs in two phases. The random-number phase, the methods of
 draw's arrays and maps already shaped; an array whose value needs linear
 algebra holds its random input until then. The linear-algebra phase,
 ``DrawBatch.finish``, runs that algebra for every draw of the batch at once,
-one stacked call per matrix shape, and overwrites each array with its value.
+one stacked call per shape and dtype, and overwrites each array with its value.
 No random number depends on a linear-algebra result, and a stacked call
 gives each matrix the bits it gets alone, so a draw is the same in any
 batch. The functions below are a batch of one.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import SpectralInterval, adjoint, hermitian_part, sqrtm_psd
+from .hermitian import SpectralInterval, adjoint, hermitian_part, sqrtm_psd, stacks
 from .maps import (KrausMap, mixture_of, pinching, require_isometry,
                    require_unitary)
 
@@ -31,18 +31,6 @@ def _gaussian(dim: int, rng: np.random.Generator, terms: int | None = None) -> n
         raise ValueError("dim must be >= 1")
     g = rng.standard_normal((2, dim, dim) if terms is None else (terms, 2, dim, dim))
     return g[..., 0, :, :] + 1j * g[..., 1, :, :]
-
-
-def _groups(arrays: list):
-    """The indices of the arrays, grouped by shape."""
-    groups: dict = {}
-    for i, a in enumerate(arrays):
-        groups.setdefault(a.shape, []).append(i)
-    return groups.values()
-
-
-def _stack(arrays: list, idx: list) -> np.ndarray:
-    return np.stack([arrays[i] for i in idx])
 
 
 def _put(arrays: list, idx: list, values: np.ndarray) -> None:
@@ -64,8 +52,8 @@ class DrawBatch:
         self._evals: list = []       # the w of each of _spd
         self._sandwich_a: list = []  # A of each sandwiched pair
         self._sandwich_b: list = []  # D, to become A^1/2 D A^1/2
-        self._isometry: list = []    # Kraus operators of compressions, to
-        self._isometry_u: list = []  # become the first columns of these
+        self._isometry: list = []    # Kraus operators of compressions, views
+                                     # of the first columns of Haar unitaries
         self._unitary: list = []     # Kraus operators of mixtures, to check
         # bytes held here that the draws' own arrays do not count
         self.nbytes = 0
@@ -111,9 +99,8 @@ class DrawBatch:
             return random_pinching(out_dim, rng), out_dim
         n_in = out_dim + 1 + int(rng.integers(3))
         u = self.unitary(n_in, rng)
-        phi = KrausMap(np.empty((1, n_in, out_dim), dtype=u.dtype), [1.0])
+        phi = KrausMap(u[None, :, :out_dim], [1.0])
         self._isometry.append(phi.ops[0])
-        self._isometry_u.append(u)
         self.nbytes += u.nbytes
         return phi, n_in
 
@@ -127,27 +114,26 @@ class DrawBatch:
 
     def finish(self) -> None:
         """The linear-algebra phase of every draw so far, in place, each step
-        after the one it needs: Haar unitaries (QR with the R-diagonal
-        phases folded into Q), SPD matrices, sandwiched pairs, compressions,
-        and the unitarity checks of the maps. Then the batch lets go of the
-        draws and takes the next ones."""
-        for idx in _groups(self._haar):
-            q, r = np.linalg.qr(_stack(self._haar, idx))
+        after the one it needs, one stacked call per group of `stacks`:
+        Haar unitaries (QR with the R-diagonal phases folded into Q), which
+        a compression's operator is a view of, SPD matrices, sandwiched
+        pairs, and the isometry and unitarity checks of the maps. Then the
+        batch lets go of the draws and takes the next ones."""
+        for idx, g in stacks(self._haar):
+            q, r = np.linalg.qr(g)
             d = np.diagonal(r, axis1=-2, axis2=-1)
             _put(self._haar, idx, q * (d / np.abs(d))[..., None, :])
-        for idx in _groups(self._spd):
-            u, w = _stack(self._spd, idx), _stack(self._evals, idx)
+        for idx, u in stacks(self._spd):
+            w = np.stack([self._evals[i] for i in idx])
             _put(self._spd, idx, hermitian_part((u * w[:, None, :]) @ adjoint(u)))
-        for idx in _groups(self._sandwich_b):
-            ah = sqrtm_psd(_stack(self._sandwich_a, idx))
-            _put(self._sandwich_b, idx,
-                 hermitian_part(ah @ _stack(self._sandwich_b, idx) @ ah))
-        for v, u in zip(self._isometry, self._isometry_u):
-            v[...] = u[:, :v.shape[1]]
-        for idx in _groups(self._isometry):
-            require_isometry(_stack(self._isometry, idx))
-        for idx in _groups(self._unitary):
-            require_unitary(_stack(self._unitary, idx))
+        for idx, a in stacks(self._sandwich_a):
+            ah = sqrtm_psd(a)
+            d = np.stack([self._sandwich_b[i] for i in idx])
+            _put(self._sandwich_b, idx, hermitian_part(ah @ d @ ah))
+        for _, v in stacks(self._isometry):
+            require_isometry(v)
+        for _, u in stacks(self._unitary):
+            require_unitary(u)
         self.__init__()
 
 

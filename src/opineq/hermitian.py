@@ -9,13 +9,16 @@ Every matrix function here also takes a stack of matrices, shape
 (..., n, n), and treats each matrix on its own: one LAPACK or matmul call
 covers the stack and gives each matrix the bits it would get alone.
 Scalars computed per matrix (norms, margins, verdicts) come back as arrays
-over the stack, and as Python scalars for a single matrix.
+over the stack, and as Python scalars for a single matrix. Separate arrays
+share a call only through `stacks` and `each_stacked`, which group them by
+shape and dtype: that is the one stacking rule of the package.
 Inside a ``spectral_scope``, A^p for several p comes from one ``eigh`` of A.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Union
 
 import numpy as np
@@ -48,14 +51,14 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + adjoint(a)) / 2
 
 
-def as_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def as_hermitian(a) -> np.ndarray:
     """Validate and exactly symmetrize a square matrix, or a stack of them.
 
     Parameters
     ----------
     a : array_like
-        Square matrix (or stack) expected to be Hermitian up to ``atol``
-        absolute.
+        Square matrix (or stack) expected to be Hermitian up to
+        HERMITIAN_ATOL absolute.
 
     Returns
     -------
@@ -66,14 +69,15 @@ def as_hermitian(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     ------
     ValueError
         If ``a`` is not square or deviates from Hermitian symmetry by more
-        than ``atol`` in any entry.
+        than HERMITIAN_ATOL in any entry.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     dev = np.abs(a - adjoint(a)).max() if a.size else 0.0
-    if dev > atol:
-        raise DomainError(f"matrix is not Hermitian: max |A - A*| = {dev:.3e} > {atol:.1e}")
+    if dev > HERMITIAN_ATOL:
+        raise DomainError(f"matrix is not Hermitian: max |A - A*| = {dev:.3e} "
+                          f"> {HERMITIAN_ATOL:.1e}")
     return hermitian_part(a)
 
 
@@ -148,8 +152,7 @@ def _from_spectrum(fw: np.ndarray, v: np.ndarray) -> np.ndarray:
     return hermitian_part((v * fw[..., None, :]) @ adjoint(v))
 
 
-def matrix_function(a: np.ndarray, f: Union[Callable, "object"],
-                    requires_positive: bool | None = None) -> np.ndarray:
+def matrix_function(a: np.ndarray, f: Union[Callable, "object"]) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix via its spectrum.
 
     ``f`` may be a plain callable or a catalog ScalarFunction (anything with
@@ -158,10 +161,8 @@ def matrix_function(a: np.ndarray, f: Union[Callable, "object"],
     clear a relative positivity floor.
     """
     fn = getattr(f, "evaluate", f)
-    if requires_positive is None:
-        requires_positive = bool(getattr(f, "requires_positive", False))
     w, v = _eigh(a)
-    found = _below_floor(w) if requires_positive else None
+    found = _below_floor(w) if getattr(f, "requires_positive", False) else None
     if found is not None:
         raise DomainError(f"matrix function {getattr(f, 'name', fn)!r} needs a positive "
                           f"spectrum; {_floor_text(found)}")
@@ -201,23 +202,37 @@ def within_tolerance(margin, tol: float, lhs_norm, rhs_norm):
     return bool(margin >= -tol * max(1.0, lhs_norm, rhs_norm))
 
 
-def _eigvalsh_each(*mats: np.ndarray) -> list:
-    """eigvalsh of every operand in one LAPACK call per dtype. Operands of
-    another dtype get their own call rather than a promotion, which would
-    change their bits."""
-    out = [None] * len(mats)
-    for dtype in dict.fromkeys(m.dtype for m in mats):
-        idx = [i for i, m in enumerate(mats) if m.dtype == dtype]
-        for i, w in zip(idx, np.linalg.eigvalsh(np.stack([mats[i] for i in idx]))):
-            out[i] = w
+# what arrays must share to go into one stacked call: the shape, and the
+# dtype, since a promotion would change their bits
+_stack_key = attrgetter("shape", "dtype")
+
+
+def stacks(arrays):
+    """(indices, stack) for each group of `arrays` with one `_stack_key`, in
+    first-seen order; lazily, so a caller holds one group's stack at a time."""
+    groups: dict = {}
+    for i, a in enumerate(arrays):
+        groups.setdefault(_stack_key(a), []).append(i)
+    for idx in groups.values():
+        yield idx, np.stack([arrays[i] for i in idx])
+
+
+def each_stacked(fn, arrays) -> list:
+    """fn of each array, in input order, from one call of `fn` per group of
+    `stacks`; `fn` takes a stack on a new leading axis and gives one result
+    per entry of it."""
+    out = [None] * len(arrays)
+    for idx, stack in stacks(arrays):
+        for i, r in zip(idx, fn(stack)):
+            out[i] = r
     return out
 
 
 def loewner_leq_each(pairs, tol: float = DEFAULT_TOL) -> list:
-    """`loewner_leq` for several pairs (A, B) of stacks of one shape, one
-    (holds, margin, lhs_norm, rhs_norm) per pair. Every spectrum comes from
-    one `_eigvalsh_each` call, and an operand shared by several pairs (the
-    same object) is decomposed once."""
+    """`loewner_leq` for several pairs (A, B) of stacks, one (holds, margin,
+    lhs_norm, rhs_norm) per pair. The spectra come from one `eigvalsh` call
+    per group of `stacks`, and an operand shared by several pairs (the same
+    object) is decomposed once."""
     if tol < 0:
         raise ValueError("tol must be >= 0")
     operands: dict = {}
@@ -226,7 +241,8 @@ def loewner_leq_each(pairs, tol: float = DEFAULT_TOL) -> list:
             raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
         operands.setdefault(id(a), a)
         operands.setdefault(id(b), b)
-    spectra = _eigvalsh_each(*(hermitian_part(b - a) for a, b in pairs), *operands.values())
+    spectra = each_stacked(np.linalg.eigvalsh,
+                           [hermitian_part(b - a) for a, b in pairs] + list(operands.values()))
     norm = dict(zip(operands, map(_spectral_norm, spectra[len(pairs):])))
     out = []
     for (a, b), w_diff in zip(pairs, spectra):
@@ -266,5 +282,6 @@ __all__ = [
     "HERMITIAN_ATOL", "DEFAULT_TOL", "BATCH_BYTES", "DomainError",
     "SpectralInterval", "adjoint", "hermitian_part", "as_hermitian",
     "operator_norm", "spectral_scope", "matrix_function", "power", "inv_psd",
-    "sqrtm_psd", "within_tolerance", "loewner_leq", "loewner_leq_each", "is_psd",
+    "sqrtm_psd", "within_tolerance", "stacks", "each_stacked", "loewner_leq",
+    "loewner_leq_each", "is_psd",
 ]

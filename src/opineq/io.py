@@ -15,6 +15,8 @@ import numpy as np
 
 from .maps import KrausMap
 
+JSON_INDENT = 2
+
 
 def matrix_to_json(a: np.ndarray) -> dict:
     """Square matrices carry "n"; rectangular blocks (isometries) carry
@@ -60,10 +62,10 @@ def map_from_json(obj: dict) -> KrausMap:
         raise ValueError(f"malformed map record: {exc!r}") from None
 
 
-def dump_json(record: dict, path: Optional[str] = None, indent: int = 2) -> str:
+def dump_json(record: dict, path: Optional[str] = None) -> str:
     """Serialize a record; write to `path` ('-' or None means stdout-ready
     string only). A NaN or infinite float is not JSON: ValueError."""
-    text = json.dumps(record, indent=indent, sort_keys=False, allow_nan=False)
+    text = json.dumps(record, indent=JSON_INDENT, sort_keys=False, allow_nan=False)
     if path and path != "-":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -14,13 +14,13 @@ congruence map
     Psi(X) = Phi(A)^{-1/2} Phi(A^{1/2} X A^{1/2}) Phi(A)^{-1/2}),
 
 each validating its own hypotheses. ``MapStack`` applies one map per
-matrix of a stack.
+matrix of a stack; a ``KrausMap`` applied alone is a MapStack of one.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import adjoint, hermitian_part, power
+from .hermitian import adjoint, hermitian_part, power, stacks
 
 UNITARY_FTOL = 1e-11
 UNITAL_FTOL = 1e-10
@@ -41,16 +41,13 @@ class KrausMap:
         self.weights = weights
         self.input_dim, self.output_dim = ops.shape[1], ops.shape[2]
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """sum_j w_j K_j* X K_j for X, or for each matrix of a stack X."""
-        return _weighted_sum(self.weights, adjoint(self.ops) @ x[..., None, :, :] @ self.ops)
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Phi(X), or Phi of each matrix of a stack X: a MapStack of one."""
         x = np.asarray(x)
         if x.ndim < 2 or x.shape[-2:] != (self.input_dim, self.input_dim):
             raise ValueError(
                 f"map expects a {self.input_dim}x{self.input_dim} input, got {x.shape}")
-        return hermitian_part(self.apply(x))
+        return MapStack([self])(x[..., None, :, :])[..., 0, :, :]
 
     def unital_defect(self) -> float:
         """||sum_j w_j K_j* K_j - I||_F, the distance of Phi(I) from I."""
@@ -85,24 +82,21 @@ def _pinching_mask(ops: np.ndarray, weights: np.ndarray):
 class MapStack:
     """Phi_i(X_i) for a stack X of shape (..., b, n_in, n_in) and one map
     per matrix of the last stack axis, all with the same input and output
-    dimensions: phi(np.stack([X, Y])) maps X and Y in one call. Maps with
-    one Kraus-operator shape and dtype are applied together, as one batched
-    product, so each image has the bits its own map gives it; pinchings as
-    a masked copy, the bits of their Kraus sum on finite input without -0.0."""
+    dimensions: phi(np.stack([X, Y])) maps X and Y in one call. The maps of
+    each group of `stacks` over their Kraus operators are applied together,
+    as one batched product, so each image has the bits its own map gives
+    it; pinchings as a masked copy, the bits of their Kraus sum on finite
+    input without -0.0."""
 
     def __init__(self, maps):
         self.maps = list(maps)
         if not self.maps:
             raise ValueError("need at least one map")
         self.input_dim, self.output_dim = self.maps[0].input_dim, self.maps[0].output_dim
-        groups: dict = {}
-        for i, m in enumerate(self.maps):
-            if (m.input_dim, m.output_dim) != (self.input_dim, self.output_dim):
-                raise ValueError("all maps of a stack must share their dimensions")
-            groups.setdefault((m.ops.shape, m.ops.dtype), []).append(i)
+        if len({(m.input_dim, m.output_dim) for m in self.maps}) > 1:
+            raise ValueError("all maps of a stack must share their dimensions")
         self._groups = []
-        for idx in groups.values():
-            ops = np.stack([self.maps[i].ops for i in idx])
+        for idx, ops in stacks([m.ops for m in self.maps]):
             # weights[j] is the column of the j-th weights of the group's maps
             weights = np.stack([self.maps[i].weights for i in idx]).T[..., None, None]
             self._groups.append((np.array(idx), _pinching_mask(ops, weights),

@@ -41,7 +41,7 @@ from .falsify import candidate_result
 from .functions import (identity_function, inverse_function, power_function,
                         square_function)
 from .generators import DrawBatch, random_state, random_weights
-from .hermitian import BATCH_BYTES, DEFAULT_TOL, SpectralInterval, spectral_scope
+from .hermitian import BATCH_BYTES, DEFAULT_TOL, SpectralInterval, _stack_key, spectral_scope
 from .maps import KrausMap, MapStack, direct_sum, identity_map, scaled
 
 DEFAULT_DIMS: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
@@ -55,13 +55,13 @@ cube_root = power_function(1.0 / 3.0, name="t^(1/3)")
 
 
 def _key(record: dict) -> tuple:
-    """What the instances of one bucket share: the shape and dtype of every
+    """What the instances of one bucket share: the `_stack_key` of every
     array, the dimensions of every map, and every other value (the
     tolerance, a drawn function), except the per-instance intervals."""
     key = []
     for name, v in record.items():
         if isinstance(v, np.ndarray):
-            v = v.shape, v.dtype.str
+            v = _stack_key(v)
         elif isinstance(v, KrausMap):
             v = v.input_dim, v.output_dim
         elif isinstance(v, SpectralInterval):

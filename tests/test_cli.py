@@ -28,6 +28,15 @@ def test_parse_angle_rejects_garbage():
         parse_angle("three")
 
 
+@pytest.mark.parametrize("flag,value", [("--alpha", "pi/0"), ("--beta", "pi/0.0"),
+                                        ("--alpha", "3*pi/0")])
+def test_counterexample_rejects_a_zero_denominator(capsys, flag, value):
+    assert main(["counterexample", flag, value]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert "denominator" in captured.err
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -206,6 +215,7 @@ def _strict_json(text: str):
 # which names the flag at fault where one is given
 @pytest.mark.parametrize("argv,code,flag", [
     (["constants", "--name", "kantorovich", "-m", "1e-300", "-M", "1e300"], EXIT_USAGE, None),
+    (["constants", "--name", "kantorovich", "-m", "1e-320", "-M", "1"], EXIT_USAGE, "-m"),
     (["constants", "--name", "generalized_kantorovich", "-m", "1", "-M", "1e300",
       "--p", "3"], EXIT_USAGE, None),
     (["constants", "--name", "beta_p", "-m", "1", "-M", "1e300", "--p", "2"], EXIT_USAGE, None),
@@ -233,7 +243,8 @@ def _strict_json(text: str):
       "--alpha", "1"], EXIT_USAGE, "-M"),
     (["suite", "-m", "1", "-M", "1e6"], EXIT_USAGE, "kantorovich_sharp: "),
     (["suite", "-m", "1", "-M", "1e16"], EXIT_USAGE, "choi_davis: "),
-], ids=["kantorovich-overflow", "generalized-kantorovich-overflow", "beta-p-overflow",
+], ids=["kantorovich-overflow", "kantorovich-subnormal-m", "generalized-kantorovich-overflow",
+        "beta-p-overflow",
         "mond-pecaric-alpha-overflow",
         "counterexample-x-tiny", "counterexample-x-huge", "counterexample-tol-negative",
         "counterexample-alpha-nan", "counterexample-beta-inf",

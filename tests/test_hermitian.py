@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from opineq import hermitian
 from opineq.functions import by_name
 from opineq.hermitian import (POSITIVITY_RTOL, DomainError, SpectralInterval,
-                              as_hermitian, inv_psd, is_psd, loewner_leq,
-                              matrix_function, operator_norm, power,
-                              spectral_scope, sqrtm_psd)
+                              as_hermitian, each_stacked, inv_psd, is_psd,
+                              loewner_leq, matrix_function, operator_norm,
+                              power, spectral_scope, sqrtm_psd)
 
 A22 = np.array([[2.0, 1.0], [1.0, 2.0]])
 
@@ -228,6 +228,22 @@ def test_loewner_order_reflexive_and_shift(n, seed):
     assert holds and margin >= -1e-12
     holds = loewner_leq(a, a + np.eye(n))[0]
     assert holds
+
+
+def test_each_stacked_calls_once_per_dtype_with_the_bits_of_each_alone(rng):
+    # stacks of 3 matrices, as the checks hold them: real and complex
+    # interleaved, so the groups are not contiguous in the input
+    arrays = [np.stack([random_hermitian(rng, 4, complex_=c) for _ in range(3)])
+              for c in (False, True, True, False, True)]
+    calls = []
+
+    def eigvalsh(stack):
+        calls.append(stack.dtype)
+        return np.linalg.eigvalsh(stack)
+
+    got = each_stacked(eigvalsh, arrays)
+    assert calls == [np.float64, np.complex128]
+    assert [g.tobytes() for g in got] == [np.linalg.eigvalsh(a).tobytes() for a in arrays]
 
 
 def test_spectral_scope_reuses_eigh_with_the_same_bits(eigh_inputs, rng):

@@ -177,15 +177,13 @@ def test_induced_congruence_is_unital(rng):
 
 
 def test_batched_apply_matches_term_loop(rng):
-    # reference: the per-term loop sum_j w_j K_j* X K_j, and for pinchings
-    # the block copy; the batched apply must agree bit for bit
+    # reference: the symmetrized per-term loop (sum_j w_j K_j* X K_j, added
+    # in term order), and for pinchings the block copy; phi(x) must agree
+    # bit for bit
     for _ in range(30):
         phi, in_dim = random_unital_map(int(rng.integers(2, 7)), rng)
         x = random_spd(in_dim, IV, rng)
-        ref = np.zeros((phi.output_dim, phi.output_dim), dtype=complex)
-        for w, k in zip(phi.weights, phi.ops):
-            ref = ref + w * (k.conj().T @ x @ k)
-        np.testing.assert_array_equal(phi.apply(x), ref)
+        assert phi(x).tobytes() == _kraus_loop(phi, x).tobytes()
     blocks = [[0, 3], [1], [2, 4]]
     x = random_spd(5, IV, rng)
     ref = np.zeros_like(x)
@@ -298,6 +296,19 @@ def test_pinchings_apply_as_masked_copy_bit_for_bit(n, rng):
               np.stack([random_spd(n, IV, rng) for _ in range(4)])):         # Hermitian
         ref = np.stack([_kraus_loop(phi, xi) for phi, xi in zip(phis, x)])
         assert stack(x).tobytes() == ref.tobytes()
+
+
+def test_a_pinching_alone_is_its_map_stack_of_one(rng):
+    # an infinite entry outside the blocks tells the masked copy (0 there)
+    # from the Kraus sum (0 * inf = nan there)
+    phi = pinching([[0, 3], [1], [2, 4]], 5)
+    beyond = random_spd(5, IV, rng)
+    beyond[0, 1] = beyond[1, 0] = np.inf
+    for x in (random_spd(5, IV, rng), rng.standard_normal((3, 5, 5)),
+              rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)), beyond):
+        stacked = MapStack([phi])(x[..., None, :, :])[..., 0, :, :]
+        assert phi(x).dtype == stacked.dtype
+        assert phi(x).tobytes() == stacked.tobytes()
 
 
 def test_map_stack_mixing_pinchings_with_other_maps(rng):

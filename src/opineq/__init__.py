@@ -5,13 +5,12 @@ inequalities, and Minkowski-type determinant-free bounds on randomly
 generated instances, and ships a falsification engine for a claimed
 counterexample family built from 2x2 rotation mixtures.
 """
-from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval, is_psd,
+from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval,
                         loewner_leq, matrix_function, operator_norm, power)
 from .functions import CATALOG, ScalarFunction, by_name, power_function
 from .means import connection, geometric_mean, riccati_residual
 from .maps import (KrausMap, compression, direct_sum, identity_map,
-                   induced_congruence, make_rotation_mixture, pinching,
-                   scaled, unitary_mixture)
+                   make_rotation_mixture, pinching, scaled, unitary_mixture)
 from .constants import (alpha_constant, beta0_constant, beta_p_constant,
                         generalized_kantorovich, kantorovich_constant,
                         mond_pecaric_beta)
@@ -23,14 +22,12 @@ from .falsify import ViolationReport, counterexample_T, search_violations
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL", "DomainError", "SpectralInterval", "is_psd",
-    "loewner_leq", "matrix_function",
-    "operator_norm", "power",
+    "DEFAULT_TOL", "DomainError", "SpectralInterval", "loewner_leq",
+    "matrix_function", "operator_norm", "power",
     "CATALOG", "ScalarFunction", "by_name", "power_function",
     "connection", "geometric_mean", "riccati_residual",
     "KrausMap", "compression", "direct_sum", "identity_map",
-    "induced_congruence", "make_rotation_mixture", "pinching", "scaled",
-    "unitary_mixture",
+    "make_rotation_mixture", "pinching", "scaled", "unitary_mixture",
     "alpha_constant", "beta0_constant", "beta_p_constant",
     "generalized_kantorovich", "kantorovich_constant", "mond_pecaric_beta",
     "CheckInstance", "CheckResult",

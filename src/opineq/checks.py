@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,15 +54,7 @@ class CheckResult:
     rhs_norm: float
 
     def to_record(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "params": dict(self.params),
-            "margin": self.margin,
-            "holds": self.holds,
-            "tolerance": self.tolerance,
-            "lhs_norm": self.lhs_norm,
-            "rhs_norm": self.rhs_norm,
-        }
+        return asdict(self)
 
 
 def _operator(tol: float, *forms) -> list:

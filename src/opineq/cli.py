@@ -5,7 +5,9 @@ seeded random instances, evaluate any constant against its grid oracle,
 assemble the 2x2 rotation-family deficit matrix, and run the violation
 search. Reports are JSON (or a lossless text rendering); exit codes are
 0 = everything behaved as expected, 1 = a check outcome disagreed with its
-expectation, 2 = usage error, 3 = I/O error.
+expectation, 2 = usage error, 3 = I/O error. A usage error that opineq
+finds is a ValueError or ArithmeticError, which `main` prints as one
+`error:` line.
 """
 from __future__ import annotations
 
@@ -72,28 +74,13 @@ def _require_finite(args) -> None:
             raise ValueError(f"{flag} must be finite, got {value!r}")
 
 
-def _validate_run_args(args) -> None:
-    """Checks on the options `check` and `suite` share; ValueError exits 2."""
-    if args.trials < 1:
-        raise ValueError("trials must be >= 1")
-    if args.tol <= 0:
-        raise ValueError("tol must be > 0")
-    dim = getattr(args, "dim", None)
-    if dim is not None and dim < 1:
-        raise ValueError("dim must be >= 1")
-    if (args.m is None) != (args.M is None):
-        raise ValueError("give both -m and -M or neither")
-    if args.m is not None and not (0 < args.m <= args.M):
-        raise ValueError(f"need 0 < m <= M, got ({args.m}, {args.M})")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="opineq",
                                 description="numerical checks for operator "
                                             "inequalities over Hermitian matrices")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="print the check registry")
+    sub.add_parser("list", help="print the check registry").set_defaults(run=_cmd_list)
 
     def common(sp, trials_default=200):
         sp.add_argument("--trials", type=int, default=trials_default)
@@ -110,22 +97,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check name (repeatable)")
     c.add_argument("--dim", type=int, default=None)
     common(c)
+    c.set_defaults(run=_cmd_check)
 
     s = sub.add_parser("suite", help="run every expected-to-hold check")
     s.add_argument("--dims", default="2,4,6", help="comma-separated dimensions")
     s.add_argument("--include-expected-fail", action="store_true")
     common(s)
+    s.set_defaults(run=_cmd_suite)
 
     k = sub.add_parser("constants", help="evaluate a constant against its grid oracle")
-    k.add_argument("--name", required=True,
-                   choices=("kantorovich", "generalized_kantorovich", "alpha",
-                            "beta0", "beta_p", "mond_pecaric_beta"))
+    k.add_argument("--name", required=True, choices=tuple(_CONSTANTS))
     k.add_argument("-m", type=float, required=True)
     k.add_argument("-M", type=float, required=True)
     k.add_argument("--p", type=float, default=None)
     k.add_argument("--alpha", type=float, default=None)
     k.add_argument("--f", default=None, help="catalog function name, e.g. t^2")
     k.add_argument("--output", default=None)
+    k.set_defaults(run=_cmd_constants)
 
     x = sub.add_parser("counterexample",
                        help="assemble the rotation-family deficit matrix T(x, alpha, beta)")
@@ -135,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--tol", type=float, default=DEFAULT_TOL)
     x.add_argument("--output", default=None)
     x.add_argument("--format", choices=("json", "text"), default="json")
+    x.set_defaults(run=_cmd_counterexample)
 
     f = sub.add_parser("falsify", help="search for violations of a named check")
     f.add_argument("--name", default=CANDIDATE_NAME)
@@ -147,6 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--output", default=None)
     f.add_argument("--format", choices=("json", "text"), default="json")
     f.add_argument("--no-timestamp", action="store_true")
+    f.set_defaults(run=_cmd_falsify)
     return p
 
 
@@ -181,36 +171,45 @@ def _cmd_list(args) -> int:
 
 
 def _run_suite(args, suite_name, dims, names=None, include_expected_fail=False):
-    """run_suite with the options `check` and `suite` share; an entry that
-    stops on a DomainError on the -m/-M interval names those flags."""
+    """run_suite with the options `check` and `suite` share, checked first;
+    an entry that stops on a DomainError or an ArithmeticError on the -m/-M
+    interval names those flags."""
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
+    if args.tol <= 0:
+        raise ValueError("tol must be > 0")
+    if getattr(args, "dim", None) is not None and args.dim < 1:
+        raise ValueError("dim must be >= 1")
+    if (args.m is None) != (args.M is None):
+        raise ValueError("give both -m and -M or neither")
     kw = dict(seed=args.seed, trials=args.trials, names=names, dims=dims,
               tol=args.tol, include_expected_fail=include_expected_fail,
               suite_name=suite_name, timestamp=not args.no_timestamp)
     if args.m is None:
         return run_suite(**kw)
+    iv = SpectralInterval(args.m, args.M)
     try:
-        return run_suite(intervals=[SpectralInterval(args.m, args.M)], **kw)
-    except DomainError as exc:
-        raise DomainError(f"{exc} at -m {args.m!r} -M {args.M!r}") from None
+        return run_suite(intervals=[iv], **kw)
+    except (DomainError, ArithmeticError) as exc:
+        raise type(exc)(f"{exc.args[-1]} at -m {args.m!r} -M {args.M!r}") from None
 
 
-def _cmd_check(args, parser) -> int:
+def _cmd_check(args) -> int:
     names = list(dict.fromkeys(args.name))
-    known = set(registry.names())
     for n in names:
-        if n not in known:
-            parser.error(f"unknown check name {n!r}; see `opineq list`")
+        if n not in registry.names():
+            raise ValueError(f"unknown check name {n!r}; see `opineq list`")
     dims = (args.dim,) if args.dim else (2, 4, 6)
     report = _run_suite(args, "check", dims, names=names, include_expected_fail=True)
     _emit(report.to_record(), args.format, args.output)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
-def _cmd_suite(args, parser) -> int:
+def _cmd_suite(args) -> int:
     try:
         dims = tuple(int(d) for d in args.dims.split(","))
     except ValueError:
-        parser.error(f"bad --dims {args.dims!r}")
+        raise ValueError(f"bad --dims {args.dims!r}") from None
     if min(dims) < 1:
         raise ValueError(f"--dims entries must be >= 1, got {args.dims!r}")
     report = _run_suite(args, "suite", dims, include_expected_fail=args.include_expected_fail)
@@ -218,67 +217,70 @@ def _cmd_suite(args, parser) -> int:
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
-def _cmd_constants(args, parser) -> int:
+# name -> (closed form, grid oracle, flags); both take the flags' values
+# as keywords, besides iv (the closed form) or m and M (the oracle), and
+# the record lists them in this order
+_CONSTANTS = {
+    "kantorovich": (kantorovich_constant, oracle_kantorovich, ()),
+    "generalized_kantorovich": (generalized_kantorovich, oracle_generalized_kantorovich,
+                                ("p",)),
+    "alpha": (alpha_constant, oracle_alpha, ("f",)),
+    "beta0": (beta0_constant, oracle_beta0, ("f",)),
+    "beta_p": (beta_p_constant, oracle_beta_p, ("p",)),
+    "mond_pecaric_beta": (mond_pecaric_beta, oracle_mond_pecaric_beta, ("alpha", "f")),
+}
+
+
+def _cmd_constants(args) -> int:
     iv = SpectralInterval(args.m, args.M)
-    name = args.name
-    need = lambda flag, val: parser.error(f"--{flag} is required for {name}") if val is None else None
+    constant, oracle_of, flags = _CONSTANTS[args.name]
     try:
         f = None if args.f is None else by_name(args.f)
     except KeyError as exc:
         raise ValueError(f"bad --f: {exc.args[0]}") from None
-    if name in ("alpha", "beta0", "mond_pecaric_beta"):
-        need("f", args.f)
+    kw = {flag: f if flag == "f" else getattr(args, flag) for flag in flags}
+    for flag, val in kw.items():
+        if val is None:
+            raise ValueError(f"--{flag} is required for {args.name}")
+    if "f" in kw:
         for flag, t in (("-m", iv.m), ("-M", iv.M)):
             with np.errstate(all="ignore"):
                 if not np.isfinite(f(t)):
                     raise ValueError(f"{args.f} is not finite at {flag} {t!r}")
-    # a value out of float range is rejected below, naming the interval
-    with np.errstate(all="ignore"):
-        if name == "kantorovich":
-            value, oracle = kantorovich_constant(iv), oracle_kantorovich(iv.m, iv.M)
-        elif name == "generalized_kantorovich":
-            need("p", args.p)
-            value = generalized_kantorovich(args.p, iv)
-            oracle = oracle_generalized_kantorovich(args.p, iv.m, iv.M)
-        elif name == "alpha":
-            value, oracle = alpha_constant(f, iv), oracle_alpha(f, iv.m, iv.M)
-        elif name == "beta0":
-            value, oracle = beta0_constant(f, iv), oracle_beta0(f, iv.m, iv.M)
-        elif name == "beta_p":
-            need("p", args.p)
-            value, oracle = beta_p_constant(args.p, iv), oracle_beta_p(args.p, iv.m, iv.M)
-        else:
-            need("alpha", args.alpha)
+    out_of_range = ValueError(f"{args.name} is out of float range at -m {iv.m!r} -M {iv.M!r}")
+    try:
+        with np.errstate(all="ignore"):
             try:
-                value = mond_pecaric_beta(f, iv, args.alpha)
+                value = constant(iv=iv, **kw)
             except ValueError as exc:   # --alpha is at fault if alpha = 0 gives a value
-                mond_pecaric_beta(f, iv, 0.0)
+                if "alpha" not in kw:
+                    raise
+                constant(iv=iv, **{**kw, "alpha": 0.0})
                 raise ValueError(f"{exc} at --alpha {args.alpha!r}") from None
-            oracle = oracle_mond_pecaric_beta(f, iv.m, iv.M, args.alpha)
+            oracle = oracle_of(m=iv.m, M=iv.M, **kw)
+    except ArithmeticError:
+        raise out_of_range from None
     if not (math.isfinite(value) and math.isfinite(oracle)):
-        raise ValueError(f"{name} is out of float range at -m {iv.m!r} -M {iv.M!r}")
-    record = {"name": name, "m": iv.m, "M": iv.M, "value": value,
+        raise out_of_range
+    record = {"name": args.name, "m": iv.m, "M": iv.M, "value": value,
               "oracle_value": oracle, "abs_diff": abs(value - oracle)}
-    if args.p is not None:
-        record["p"] = args.p
-    if args.alpha is not None:
-        record["alpha"] = args.alpha
-    if args.f is not None:
-        record["f"] = args.f
+    record.update((flag, getattr(args, flag)) for flag in flags)
     print(dump_json(record, args.output))
     return EXIT_OK
 
 
-def _cmd_counterexample(args, parser) -> int:
-    try:
-        alpha, beta = parse_angle(args.alpha), parse_angle(args.beta)
-    except ValueError as exc:
-        parser.error(str(exc))
-    for flag, value in (("--alpha", alpha), ("--beta", beta)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value!r}")
+def _cmd_counterexample(args) -> int:
+    angles = []
+    for flag, text in (("--alpha", args.alpha), ("--beta", args.beta)):
+        try:
+            angles.append(parse_angle(text))
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
+        if not math.isfinite(angles[-1]):
+            raise ValueError(f"{flag} must be finite, got {angles[-1]!r}")
+    alpha, beta = angles
     if args.x <= 0:
-        parser.error("--x must be positive")
+        raise ValueError("--x must be positive")
     with np.errstate(all="ignore"):     # a T out of float range is rejected below
         t, eigs, psd = counterexample_T(args.x, alpha, beta, args.tol)
         trace, det = float(np.trace(t).real), float(np.linalg.det(t).real)
@@ -296,9 +298,9 @@ def _cmd_counterexample(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_falsify(args, parser) -> int:
-    if args.name not in set(registry.names()):
-        parser.error(f"unknown check name {args.name!r}; see `opineq list`")
+def _cmd_falsify(args) -> int:
+    if args.name not in registry.names():
+        raise ValueError(f"unknown check name {args.name!r}; see `opineq list`")
     if args.budget is not None and args.budget < 1:
         raise ValueError(f"--budget must be >= 1, got {args.budget}")
     spec = registry.get(args.name)
@@ -322,39 +324,22 @@ def _cmd_falsify(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         _require_finite(args)
-        if args.command in ("check", "suite"):
-            _validate_run_args(args)
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "check":
-            return _cmd_check(args, parser)
-        if args.command == "suite":
-            return _cmd_suite(args, parser)
-        if args.command == "constants":
-            return _cmd_constants(args, parser)
-        if args.command == "counterexample":
-            return _cmd_counterexample(args, parser)
-        if args.command == "falsify":
-            return _cmd_falsify(args, parser)
-    except SystemExit as exc:  # parser.error inside a command
-        return int(exc.code or 0)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OverflowError as exc:    # a constant beyond float range
+    except ArithmeticError as exc:  # a value beyond float range, or a division by 0
         print(f"error: an input is out of range: {exc.args[-1]}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

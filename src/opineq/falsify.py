@@ -16,7 +16,7 @@ Every reported witness re-validates from its serialized parameters alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -106,18 +106,12 @@ def _norms(t, pain):
     return operator_norm(np.stack([lhs, t + lhs]))
 
 
-def _evaluate(x, alpha, beta, tol: float):
-    """(T, eigenvalues of T, holds, ||LHS||, ||RHS||) at each point, with
-    T from the module's `_deficit`."""
-    t, w, _, pain = _deficit(x, alpha, beta, tol)
-    ln, rn = _norms(t, pain)
-    return t, w, within_tolerance(w[..., 0], tol, ln, rn), ln, rn
-
-
 def candidate_result(x, alpha, beta, tol: float = DEFAULT_TOL):
     """The candidate statement as a CheckResult (margin = lambda_min(T));
     for arrays of points, the list of them in point order."""
-    _, w, holds, ln, rn = _evaluate(x, alpha, beta, tol)
+    t, w, _, pain = _deficit(x, alpha, beta, tol)
+    ln, rn = _norms(t, pain)
+    holds = within_tolerance(w[..., 0], tol, ln, rn)
     cols = [np.asarray(v, dtype=float).ravel().tolist() for v in (x, alpha, beta)]
     cols += [np.ravel(v).tolist() for v in (w[..., 0], holds, ln, rn)]
     out = []
@@ -137,11 +131,7 @@ class ViolationReport:
     tolerance: float
 
     def to_record(self) -> dict:
-        return {"check_name": self.check_name,
-                "witness_params": self.witness_params,
-                "margin": self.margin,
-                "eigenvalue_certificate": list(self.eigenvalue_certificate),
-                "tolerance": self.tolerance}
+        return asdict(self)
 
     def revalidate(self) -> bool:
         """Re-run the check from the serialized witness; true when the margin

@@ -4,16 +4,16 @@ Operator convexity/monotonicity is NOT inferred numerically; each catalog
 entry carries the standard textbook flags for its parameter range:
 
 * t^p, 1 <= p <= 2       operator convex
-* t^p, 0 <= p <= 1       operator monotone increasing and operator concave
-* t^p, -1 <= p < 0       operator convex and operator monotone decreasing
-* log                    operator monotone increasing, operator concave
+* t^p, 0 <= p <= 1       operator monotone increasing
+* t^p, -1 <= p < 0       operator convex
+* log                    operator monotone increasing
 
 Scalar (midpoint) convexity is tracked separately; it is the hypothesis of
 the chord-based bounds, which need less than operator convexity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -23,12 +23,9 @@ import numpy as np
 class ScalarFunction:
     name: str
     evaluate: Callable[[np.ndarray], np.ndarray]
-    inverse_evaluate: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # curated flags (see module docstring); never inferred
     operator_convex: bool = False
-    operator_concave: bool = False
     operator_monotone_increasing: bool = False
-    operator_monotone_decreasing: bool = False
     scalar_convex: bool = False
     one_to_one: bool = False
     requires_positive: bool = True
@@ -38,22 +35,11 @@ class ScalarFunction:
         return self.evaluate(t)
 
     def inverted(self) -> "ScalarFunction":
-        """The inverse as a catalog function with its own curated flags.
-
-        Only powers and log round-trip through the catalog; anything else
-        comes back with all flags off (the inverse's operator properties are
-        not derivable, so none are claimed).
-        """
-        if self.power_exponent:
-            return power_function(1.0 / self.power_exponent)
-        if self is log_function:
-            return exp_function
-        if self.inverse_evaluate is None:
+        """t^(1/p) for t^p (p != 0), with its own curated flags; no other
+        function has a registered inverse."""
+        if not self.power_exponent:
             raise ValueError(f"{self.name} has no registered inverse")
-        return ScalarFunction(name=f"inv({self.name})",
-                              evaluate=self.inverse_evaluate,
-                              inverse_evaluate=self.evaluate,
-                              one_to_one=True, requires_positive=False)
+        return power_function(1.0 / self.power_exponent)
 
     @property
     def mean_normalized(self) -> bool:
@@ -64,15 +50,11 @@ class ScalarFunction:
 def power_function(p: float, name: Optional[str] = None) -> ScalarFunction:
     """t -> t^p on (0, inf) with the curated flag set for this exponent."""
     p = float(p)
-    inv = None if p == 0 else (lambda t, _p=p: np.asarray(t) ** (1.0 / _p))
     return ScalarFunction(
         name=name or f"t^{p:g}",
         evaluate=lambda t, _p=p: np.asarray(t, dtype=float) ** _p,
-        inverse_evaluate=inv,
         operator_convex=(1.0 <= p <= 2.0) or (-1.0 <= p < 0.0),
-        operator_concave=0.0 <= p <= 1.0,
         operator_monotone_increasing=0.0 <= p <= 1.0,
-        operator_monotone_decreasing=-1.0 <= p < 0.0,
         scalar_convex=p >= 1.0 or p <= 0.0,
         one_to_one=p != 0.0,
         requires_positive=not (p >= 0 and float(p).is_integer()),
@@ -88,22 +70,10 @@ inverse_function = power_function(-1.0)
 log_function = ScalarFunction(
     name="log",
     evaluate=np.log,
-    inverse_evaluate=np.exp,
-    operator_concave=True,
     operator_monotone_increasing=True,
     scalar_convex=False,
     one_to_one=True,
     requires_positive=True,
-)
-
-# exp is neither operator monotone nor operator convex; only scalar convex
-exp_function = ScalarFunction(
-    name="exp",
-    evaluate=np.exp,
-    inverse_evaluate=np.log,
-    scalar_convex=True,
-    one_to_one=True,
-    requires_positive=False,
 )
 
 
@@ -132,5 +102,5 @@ def by_name(name: str) -> ScalarFunction:
 __all__ = [
     "ScalarFunction", "power_function", "by_name", "CATALOG",
     "identity_function", "square_function", "sqrt_function",
-    "inverse_function", "log_function", "exp_function",
+    "inverse_function", "log_function",
 ]

@@ -151,12 +151,6 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return _alone(DrawBatch.unitary, dim, rng)
 
 
-def haar_isometry(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    if not 1 <= k <= dim:
-        raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={dim}")
-    return random_unitary(dim, rng)[:, :k]
-
-
 def random_spd(dim: int, iv: SpectralInterval, rng: np.random.Generator) -> np.ndarray:
     """SPD matrix with spectrum in [m, M] and, for dim >= 2, the endpoints m
     and M hit exactly, so the sandwich m I <= A <= M I is tight."""
@@ -173,10 +167,6 @@ def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_weights(k: int, rng: np.random.Generator) -> np.ndarray:
     return rng.dirichlet(np.ones(k))
-
-
-def random_mixture(dim: int, rng: np.random.Generator) -> KrausMap:
-    return _alone(DrawBatch.mixture, dim, rng)
 
 
 def random_pinching(dim: int, rng: np.random.Generator) -> KrausMap:
@@ -209,7 +199,6 @@ def sandwiched_pair(dim: int, iv_a: SpectralInterval, bounds: SpectralInterval,
 
 
 __all__ = [
-    "DrawBatch", "random_unitary", "haar_isometry", "random_spd",
-    "random_state", "random_weights", "random_mixture", "random_pinching",
-    "random_unital_map", "sandwiched_pair",
+    "DrawBatch", "random_unitary", "random_spd", "random_state",
+    "random_weights", "random_pinching", "random_unital_map", "sandwiched_pair",
 ]

@@ -263,10 +263,6 @@ def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL):
     return loewner_leq_each([(a, b)], tol)[0]
 
 
-def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return loewner_leq(np.zeros_like(a), a, tol)[0]
-
-
 @dataclass(frozen=True)
 class SpectralInterval:
     """The pair (m, M) with 0 < m <= M housing a sandwich mI <= A <= MI."""
@@ -283,5 +279,5 @@ __all__ = [
     "SpectralInterval", "adjoint", "hermitian_part", "as_hermitian",
     "operator_norm", "spectral_scope", "matrix_function", "power", "inv_psd",
     "sqrtm_psd", "within_tolerance", "stacks", "each_stacked", "loewner_leq",
-    "loewner_leq_each", "is_psd",
+    "loewner_leq_each",
 ]

@@ -8,19 +8,15 @@ and is unital exactly when sum_j w_j K_j* K_j = I. ``KrausMap`` holds the
 operators stacked as ``ops[r, n_in, n_out]`` with ``weights[r]``; the
 factories below build the constructions the checks draw from (mixtures of
 unitary conjugations, pinchings, compressions by an isometry, scaled
-identities, direct sums with unitality split across blocks, and the induced
-congruence map
-
-    Psi(X) = Phi(A)^{-1/2} Phi(A^{1/2} X A^{1/2}) Phi(A)^{-1/2}),
-
-each validating its own hypotheses. ``MapStack`` applies one map per
+identities, and direct sums with unitality split across blocks), each
+validating its own hypotheses. ``MapStack`` applies one map per
 matrix of a stack; a ``KrausMap`` applied alone is a MapStack of one.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import adjoint, hermitian_part, power, stacks
+from .hermitian import adjoint, hermitian_part, stacks
 
 UNITARY_FTOL = 1e-11
 UNITAL_FTOL = 1e-10
@@ -222,18 +218,6 @@ def direct_sum(maps) -> KrausMap:
     return phi
 
 
-def induced_congruence(base: KrausMap, anchor: np.ndarray) -> KrausMap:
-    """Psi(X) = Phi(A)^{-1/2} Phi(A^{1/2} X A^{1/2}) Phi(A)^{-1/2}, with
-    Kraus operators A^{1/2} K_j Phi(A)^{-1/2}. Unital by construction."""
-    anchor = np.asarray(anchor)
-    if np.linalg.eigvalsh(anchor)[0] <= 0:
-        raise ValueError("anchor must be positive definite")
-    pa = base(anchor)
-    if np.linalg.eigvalsh(pa)[0] <= 0:
-        raise ValueError("base map sends the anchor to a non-positive matrix")
-    return KrausMap(power(anchor, 0.5) @ base.ops @ power(pa, -0.5), base.weights)
-
-
 def rotation(theta) -> np.ndarray:
     """The plane rotation by theta; for an array of angles, their stack."""
     c, s = np.cos(theta), np.sin(theta)
@@ -261,6 +245,6 @@ def vector_state_value(x: np.ndarray, t: np.ndarray):
 __all__ = [
     "KrausMap", "MapStack", "mixture_of", "require_unitary", "require_isometry",
     "unitary_mixture", "identity_map", "pinching", "compression", "scaled", "direct_sum",
-    "induced_congruence", "rotation", "make_rotation_mixture",
+    "rotation", "make_rotation_mixture",
     "vector_state_value",
 ]

@@ -9,7 +9,7 @@ aggregated one by one, in trial order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Optional, Sequence
 
@@ -42,21 +42,13 @@ class SuiteReport:
         return all(n > 0 for n in self.expected_fail_violations.values())
 
     def to_record(self) -> dict:
-        rec = {
-            "suite": self.suite,
-            "seed": self.seed,
-            "trials": self.trials,
-            "tolerance": self.tolerance,
-            "dims": list(self.dims),
-            "intervals": [[iv[0], iv[1]] for iv in self.intervals],
-            "checks": list(self.checks),
-            "min_margin": self.min_margin,
-            "failures": list(self.failures),
-            "expected_fail_violations": dict(self.expected_fail_violations),
-            "ok": self.ok,
-        }
-        if self.generated_at is not None:
-            rec["generated_at"] = self.generated_at
+        """The fields in order, with `ok` before `generated_at`, which is
+        left out when None."""
+        rec = asdict(self)
+        stamp = rec.pop("generated_at")
+        rec["ok"] = self.ok
+        if stamp is not None:
+            rec["generated_at"] = stamp
         return rec
 
 
@@ -94,7 +86,7 @@ def run_suite(seed: int = 42, trials: int = 200,
     report = SuiteReport(
         suite=suite_name, seed=int(seed), trials=int(trials), tolerance=float(tol),
         dims=[int(d) for d in dims],
-        intervals=[(float(iv.m), float(iv.M)) for iv in intervals],
+        intervals=[[float(iv.m), float(iv.M)] for iv in intervals],
         generated_at=datetime.now(timezone.utc).isoformat() if timestamp else None,
     )
 

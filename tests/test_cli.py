@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from opineq.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main,
-                        parse_angle)
+from opineq.cli import (_CONSTANTS, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
+                        main, parse_angle)
 from opineq.io import dump_json
 
 
@@ -57,10 +57,6 @@ def test_check_single_name(capsys):
     assert rec["suite"] == "check"
     assert rec["dims"] == [3]
     assert all(c["entry"] == "kantorovich" for c in rec["checks"])
-
-
-def test_check_unknown_name_is_usage_error(capsys):
-    assert main(["check", "--name", "bogus"]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -118,8 +114,17 @@ def test_constants_subcommand(capsys):
     assert rec["abs_diff"] < 1e-8
 
 
-def test_constants_missing_parameter(capsys):
-    assert main(["constants", "--name", "beta_p", "-m", "1", "-M", "2"]) == EXIT_USAGE
+# a valid value for each flag a constant may require
+_FLAG_VALUES = {"p": "2", "f": "t^2", "alpha": "1"}
+
+
+@pytest.mark.parametrize("name,flag", [(name, flag) for name, (_, _, flags) in _CONSTANTS.items()
+                                       for flag in flags])
+def test_constants_missing_parameter(capsys, name, flag):
+    given = [arg for other in _CONSTANTS[name][2] if other != flag
+             for arg in (f"--{other}", _FLAG_VALUES[other])]
+    assert main(["constants", "--name", name, "-m", "1", "-M", "2", *given]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --{flag} is required for {name}\n"
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -146,13 +151,20 @@ def test_constants_missing_parameter(capsys):
     (["constants", "--name", "generalized_kantorovich", "-m", "6.103617184218336",
       "-M", "6.103617184225374", "--p=-2.636559007040525e-05"],
      "positive in exact arithmetic"),
+    (["check", "--name", "bogus"], "unknown check name 'bogus'"),
+    (["falsify", "--name", "bogus"], "unknown check name 'bogus'"),
+    (["suite", "--dims", "2,x"], "bad --dims '2,x'"),
+    (["counterexample", "--x", "-1"], "--x must be positive"),
+    (["counterexample", "--alpha", "three"], "--alpha: could not convert"),
 ], ids=["constants-unknown-f", "falsify-budget-negative", "falsify-budget-0",
         "suite-dims-0", "suite-dims-entry-0", "check-tol-inf", "suite-tol-nan",
         "constants-M-inf", "constants-p-nan", "counterexample-x-nan",
         "counterexample-x-inf", "counterexample-tol-nan", "constants-alpha-nan",
         "constants-alpha-overflow",
         "constants-generalized-kantorovich-cancellation",
-        "constants-generalized-kantorovich-inner-zero"])
+        "constants-generalized-kantorovich-inner-zero", "check-unknown-name",
+        "falsify-unknown-name", "suite-dims-not-an-integer", "counterexample-x-negative",
+        "counterexample-alpha-not-an-angle"])
 def test_bad_flag_value_is_usage_error(capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -190,10 +202,6 @@ def test_falsify_true_check_passes(capsys):
     assert json.loads(out)["violations"] == 0
 
 
-def test_falsify_unknown_name(capsys):
-    assert main(["falsify", "--name", "bogus"]) == EXIT_USAGE
-
-
 def test_module_entrypoint():
     import subprocess
     import sys
@@ -214,11 +222,11 @@ def _strict_json(text: str):
 # tolerance, m = M, and dimension 1; each gives a result or a usage error,
 # which names the flag at fault where one is given
 @pytest.mark.parametrize("argv,code,flag", [
-    (["constants", "--name", "kantorovich", "-m", "1e-300", "-M", "1e300"], EXIT_USAGE, None),
+    (["constants", "--name", "kantorovich", "-m", "1e-300", "-M", "1e300"], EXIT_USAGE, "-m"),
     (["constants", "--name", "kantorovich", "-m", "1e-320", "-M", "1"], EXIT_USAGE, "-m"),
     (["constants", "--name", "generalized_kantorovich", "-m", "1", "-M", "1e300",
-      "--p", "3"], EXIT_USAGE, None),
-    (["constants", "--name", "beta_p", "-m", "1", "-M", "1e300", "--p", "2"], EXIT_USAGE, None),
+      "--p", "3"], EXIT_USAGE, "-m"),
+    (["constants", "--name", "beta_p", "-m", "1", "-M", "1e300", "--p", "2"], EXIT_USAGE, "-m"),
     (["constants", "--name", "mond_pecaric_beta", "-m", "1", "-M", "2", "--f", "t^2",
       "--alpha", "1e308"], EXIT_USAGE, "--alpha 1e+308"),
     (["counterexample", "--x", "1e-300"], EXIT_USAGE, None),
@@ -243,6 +251,11 @@ def _strict_json(text: str):
       "--alpha", "1"], EXIT_USAGE, "-M"),
     (["suite", "-m", "1", "-M", "1e6"], EXIT_USAGE, "kantorovich_sharp: "),
     (["suite", "-m", "1", "-M", "1e16"], EXIT_USAGE, "choi_davis: "),
+    (["constants", "--name", "kantorovich", "-m", "5e-324", "-M", "1e-320"], EXIT_USAGE, "-m"),
+    (["constants", "--name", "beta_p", "-m", "5e-324", "-M", "1e-12", "--p", "1e12"],
+     EXIT_USAGE, "-m"),
+    (["check", "--name", "kantorovich_squared", "--trials", "1", "--dim", "3",
+      "-m", "1e-300", "-M", "1e-300"], EXIT_USAGE, "-m"),
 ], ids=["kantorovich-overflow", "kantorovich-subnormal-m", "generalized-kantorovich-overflow",
         "beta-p-overflow",
         "mond-pecaric-alpha-overflow",
@@ -253,7 +266,8 @@ def _strict_json(text: str):
         "suite-dim-1", "check-m-equals-M", "alpha-above-float-spacing",
         "beta0-above-float-spacing", "suite-wide-interval", "alpha-f-overflow",
         "beta0-f-overflow", "mond-pecaric-f-overflow", "suite-domain-error",
-        "suite-domain-error-rounded-interval"])
+        "suite-domain-error-rounded-interval", "kantorovich-zero-division",
+        "beta-p-zero-division", "check-zero-division"])
 def test_degenerate_input_gives_result_or_usage_error(capsys, argv, code, flag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from opineq import hermitian
 from opineq.functions import by_name
 from opineq.hermitian import (POSITIVITY_RTOL, DomainError, SpectralInterval,
-                              as_hermitian, each_stacked, inv_psd, is_psd,
+                              as_hermitian, each_stacked, inv_psd,
                               loewner_leq, matrix_function, operator_norm,
                               power, spectral_scope, sqrtm_psd)
 
@@ -187,11 +187,6 @@ def test_loewner_tolerance_is_relative():
     assert not holds
     # the scale is the larger norm, here the right-hand side's
     assert loewner_leq(np.diag([1.0, 0.0]), np.diag([1 - 5e-8, 100.0]), tol=1e-9)[0]
-
-
-def test_is_psd():
-    assert is_psd(np.diag([0.0, 1.0]))
-    assert not is_psd(np.diag([-1e-3, 1.0]))
 
 
 def test_spectral_interval_validation():

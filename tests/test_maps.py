@@ -4,18 +4,23 @@ import re
 import numpy as np
 import pytest
 
-from opineq.generators import (haar_isometry, random_mixture, random_spd,
-                               random_state, random_unital_map,
-                               random_unitary, random_weights,
-                               sandwiched_pair)
-from opineq.hermitian import SpectralInterval, is_psd, loewner_leq, power
+from opineq.generators import (DrawBatch, random_spd, random_state,
+                               random_unital_map, random_unitary,
+                               random_weights, sandwiched_pair)
+from opineq.hermitian import SpectralInterval, loewner_leq
 from opineq.maps import (UNITARY_FTOL, KrausMap, MapStack, compression, direct_sum,
-                         identity_map, induced_congruence,
-                         make_rotation_mixture, pinching, require_isometry,
+                         identity_map, make_rotation_mixture, pinching, require_isometry,
                          require_unitary, rotation, scaled, unitary_mixture,
                          vector_state_value)
 
 IV = SpectralInterval(1.0, 2.0)
+
+
+def random_mixture(dim, rng):
+    batch = DrawBatch()
+    phi = batch.mixture(dim, rng)
+    batch.finish()
+    return phi
 
 
 def kraus_identity(phi):
@@ -118,13 +123,13 @@ def test_pinching_blocks_must_partition():
 
 
 def test_compression_dims_and_unitality(rng):
-    v = haar_isometry(5, 3, rng)
+    v = random_unitary(5, rng)[:, :3]
     phi = compression(v)
     assert phi.input_dim == 5 and phi.output_dim == 3
     assert phi.is_unital
     np.testing.assert_allclose(kraus_identity(phi), np.eye(3), atol=1e-14)
-    a = random_spd(5, IV, rng)
-    assert is_psd(phi(a), tol=1e-12)
+    image = phi(random_spd(5, IV, rng))
+    assert loewner_leq(np.zeros_like(image), image, 1e-12)[0]
 
 
 def test_direct_sum_weights_must_sum_to_identity(rng):
@@ -160,20 +165,6 @@ def test_factories_reject_bad_input():
         direct_sum([])
     with pytest.raises(ValueError):
         direct_sum([scaled(0.5, 2), scaled(0.5, 3)])  # output dims differ
-    with pytest.raises(ValueError):
-        induced_congruence(identity_map(2), np.diag([1.0, -1.0]))
-
-
-def test_induced_congruence_is_unital(rng):
-    base = make_rotation_mixture(0.3, 1.1)
-    anchor = random_spd(2, IV, rng)
-    psi = induced_congruence(base, anchor)
-    assert psi.is_unital
-    np.testing.assert_allclose(kraus_identity(psi), np.eye(2), atol=1e-12)
-    # Psi(X) = Phi(A)^-1/2 Phi(A^1/2 X A^1/2) Phi(A)^-1/2
-    x = random_spd(2, IV, rng)
-    r, ah = power(base(anchor), -0.5), power(anchor, 0.5)
-    np.testing.assert_allclose(psi(x), r @ base(ah @ x @ ah) @ r, atol=1e-12)
 
 
 def test_batched_apply_matches_term_loop(rng):
@@ -196,7 +187,8 @@ def test_positivity_preserved(rng):
     for _ in range(30):
         phi, in_dim = random_unital_map(int(rng.integers(2, 6)), rng)
         a = random_spd(in_dim, SpectralInterval(0.5, 3.0), rng)
-        assert is_psd(phi(a), tol=1e-10)
+        image = phi(a)
+        assert loewner_leq(np.zeros_like(image), image, 1e-10)[0]
 
 
 def test_unitality_across_generator(rng):
@@ -314,7 +306,7 @@ def test_a_pinching_alone_is_its_map_stack_of_one(rng):
 def test_map_stack_mixing_pinchings_with_other_maps(rng):
     n = 6
     phis = [pinching([[0, 3], [1, 2, 4, 5]], n), random_mixture(n, rng),
-            pinching([[0], [1, 2], [3, 4, 5]], n), compression(haar_isometry(n, n, rng)),
+            pinching([[0], [1, 2], [3, 4, 5]], n), compression(random_unitary(n, rng)),
             identity_map(n), pinching([[5, 1], [0, 2, 3, 4]], n),
             unitary_mixture([random_unitary(n, rng) for _ in range(3)], [0.2, 0.3, 0.5]),
             pinching([[i] for i in range(n)], n)]
@@ -349,7 +341,7 @@ def test_a_stack_of_stacks_maps_as_separate_calls(rng):
     # in one call gives each of the three stacks the bits it gets alone
     n = 5
     phis = [random_mixture(n, rng), pinching([[0, 3], [1, 2, 4]], n),
-            compression(haar_isometry(n, n, rng)), pinching([[i] for i in range(n)], n),
+            compression(random_unitary(n, rng)), pinching([[i] for i in range(n)], n),
             unitary_mixture([random_unitary(n, rng) for _ in range(2)], [0.4, 0.6])]
     stack = MapStack(phis)
     assert True in _masked_groups(stack) and False in _masked_groups(stack)

@@ -15,8 +15,7 @@ from opineq.io import (dump_json, load_json, map_from_json, map_to_json,
                        matrix_from_json, matrix_to_json)
 from opineq.generators import DrawBatch, random_spd, random_unital_map
 from opineq.maps import (KrausMap, MapStack, compression, direct_sum, identity_map,
-                         induced_congruence, make_rotation_mixture, pinching,
-                         scaled)
+                         make_rotation_mixture, pinching, scaled)
 from opineq.rng import stream
 from opineq.suite import run_suite
 
@@ -252,8 +251,11 @@ def test_matrix_json_roundtrip(rng):
 
 
 def _congruence():
+    """X -> Phi(A)^-1/2 Phi(A^1/2 X A^1/2) Phi(A)^-1/2: the Kraus operators
+    A^1/2 K_j Phi(A)^-1/2, full and not unitary."""
     anchor = random_spd(2, SpectralInterval(1.0, 3.0), stream(3, "anchor"))
-    return induced_congruence(make_rotation_mixture(0.3, 1.1), anchor)
+    base = make_rotation_mixture(0.3, 1.1)
+    return KrausMap(power(anchor, 0.5) @ base.ops @ power(base(anchor), -0.5), base.weights)
 
 
 # seeds 0-5 of random_unital_map cover mixtures, pinchings and compressions

@@ -173,9 +173,8 @@ def _cmd_list(args) -> int:
 def _run_suite(args, suite_name, dims, names=None, include_expected_fail=False):
     """run_suite with the options `check` and `suite` share, checked first;
     an entry that stops on a DomainError or an ArithmeticError on the -m/-M
-    interval names those flags."""
-    if args.trials < 1:
-        raise ValueError("trials must be >= 1")
+    interval names those flags. A float overflow, a division by zero or an
+    invalid operation raises rather than warns."""
     if args.tol <= 0:
         raise ValueError("tol must be > 0")
     if getattr(args, "dim", None) is not None and args.dim < 1:
@@ -185,13 +184,13 @@ def _run_suite(args, suite_name, dims, names=None, include_expected_fail=False):
     kw = dict(seed=args.seed, trials=args.trials, names=names, dims=dims,
               tol=args.tol, include_expected_fail=include_expected_fail,
               suite_name=suite_name, timestamp=not args.no_timestamp)
-    if args.m is None:
-        return run_suite(**kw)
-    iv = SpectralInterval(args.m, args.M)
-    try:
-        return run_suite(intervals=[iv], **kw)
-    except (DomainError, ArithmeticError) as exc:
-        raise type(exc)(f"{exc.args[-1]} at -m {args.m!r} -M {args.M!r}") from None
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        if args.m is None:
+            return run_suite(**kw)
+        try:
+            return run_suite(intervals=[SpectralInterval(args.m, args.M)], **kw)
+        except (DomainError, ArithmeticError) as exc:
+            raise type(exc)(f"{exc.args[-1]} at -m {args.m!r} -M {args.M!r}") from None
 
 
 def _cmd_check(args) -> int:

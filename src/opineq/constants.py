@@ -9,17 +9,18 @@ the scalar bound <Phi(f(A))x,x> <= beta + alpha*f(<Phi(A)x,x>).
 Maximization is a 4096-point scan followed by golden-section refinement;
 objectives here have at most a few extrema, so scan+refine is robust. The
 searched constants take a sequence of intervals too and then run one search
-per interval, all in lockstep; the closed forms take one interval.
+per interval: the scan runs one interval at a time, and only the
+golden-section phase runs them all in lockstep. The closed forms take one
+interval.
 scipy is deliberately not pulled in for a one-screen optimizer.
 """
 from __future__ import annotations
 
-import functools
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .hermitian import BATCH_BYTES, DomainError, SpectralInterval
+from .hermitian import DomainError, SpectralInterval
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 SCAN_POINTS = 4096
@@ -45,56 +46,19 @@ def _unlane(values: np.ndarray, one: bool):
     return float(values[0]) if one else values
 
 
-@functools.lru_cache(maxsize=4)
-def _ramp(num: int) -> np.ndarray:
-    """arange(num) as a read-only float column, the ramp of every grid."""
-    ramp = np.arange(num, dtype=float)[:, None]
-    ramp.flags.writeable = False
-    return ramp
-
-
-def _grid(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
-    """Column i is np.linspace(lo[i], hi[i], num), by linspace's own
-    formula: lo + ramp * step with hi as the last point, or, in a lane
-    whose step is 0 (a subnormal or empty range), lo + ramp / div * delta."""
-    ramp, delta, div = _ramp(num), hi - lo, num - 1
-    if div > 0:
-        step = delta / div
-        out = ramp * step
-        flat = step == 0
-        if flat.any():
-            out[:, flat] = ramp / div * delta[flat]
-    else:
-        out = ramp * delta
-    out += lo
-    if num > 1:
-        out[-1] = hi
-    return out
-
-
-# arrays the size of the scan grid alive at once while an objective runs on it
-_GRID_TEMPORARIES = 8
-
-
-def _lane_chunks(lanes: int, points: int):
-    """Slices of lanes whose `points`-point grid, with the temporaries an
-    objective makes of its size, fits in BATCH_BYTES."""
-    step = max(1, BATCH_BYTES // (8 * points * _GRID_TEMPORARIES))
-    return [slice(i, i + step) for i in range(0, lanes, step)]
-
-
 def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args):
     """Global max of a smooth f on [lo, hi]: coarse scan, then golden section
     inside the best bracket. Returns (argmax, value). f must accept arrays.
 
-    `lo` and `hi` may be arrays, one bracket per lane; the lanes then run in
-    lockstep and (argmax, value) are arrays. f(t, *lane_args) gets points
-    with the lanes on the last axis, a grid of them during the scan, and
-    each of `lane_args` (arrays, one entry per lane) cut to the same lanes.
-    The scan takes SCAN_POINTS points. Each lane takes the steps the scalar
-    search would take on its own and stops once its bracket is narrower
-    than XTOL, or no narrower than it was a step before (XTOL is below the
-    float spacing far from 0).
+    `lo` and `hi` may be arrays, one bracket per lane, and (argmax, value)
+    are then arrays. The scan takes SCAN_POINTS points of one lane at a
+    time: f gets them as a column, with each of `lane_args` (arrays, one
+    entry per lane) cut to that lane. The golden-section phase then runs
+    all lanes in lockstep: f(t, *lane_args) gets one point per lane and
+    `lane_args` whole. Each lane takes the steps the scalar search would
+    take on its own and stops once its bracket is narrower than XTOL, or no
+    narrower than it was a step before (XTOL is below the float spacing far
+    from 0).
     """
     one = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo, hi = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (lo, hi))
@@ -103,18 +67,17 @@ def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args):
         raise ValueError(f"empty interval [{lo[bad]}, {hi[bad]}]")
     lane_args = [np.asarray(v) for v in lane_args]
     top, best, a, b = (np.empty(len(lo)) for _ in range(4))
-    for part in _lane_chunks(len(lo), SCAN_POINTS):
-        xs = _grid(lo[part], hi[part], SCAN_POINTS)
+    for i in range(len(lo)):
+        xs = np.linspace(lo[i], hi[i], SCAN_POINTS)
         with np.errstate(all="ignore"):     # a value out of float range is rejected below
-            vals = np.asarray(f(xs, *(v[part] for v in lane_args)), dtype=float)
+            vals = np.asarray(f(xs[:, None], *(v[i:i + 1] for v in lane_args)),
+                              dtype=float)[:, 0]
         # a point bracket is its own maximum, whatever f is worth there
-        if not np.all(np.isfinite(vals[:, hi[part] > lo[part]])):
+        if hi[i] > lo[i] and not np.all(np.isfinite(vals)):
             raise ValueError("objective is not finite on the interval")
-        k = np.argmax(vals, axis=0)
-        cols = np.arange(len(k))
-        top[part], best[part] = xs[k, cols], vals[k, cols]
-        a[part] = xs[np.maximum(k - 1, 0), cols]
-        b[part] = xs[np.minimum(k + 1, SCAN_POINTS - 1), cols]
+        k = int(np.argmax(vals))
+        top[i], best[i] = xs[k], vals[k]
+        a[i], b[i] = xs[max(k - 1, 0)], xs[min(k + 1, SCAN_POINTS - 1)]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = np.asarray(f(c, *lane_args), dtype=float)
@@ -147,13 +110,12 @@ def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args):
 
 def function_range(f, iv):
     """[min f, max f] over a 4097-point grid of [m, M]; given a sequence of
-    intervals, the list of their ranges."""
+    intervals, the list of their ranges, one interval scanned at a time."""
     m, M, one = _lanes(iv)
     ranges = []
-    for part in _lane_chunks(len(m), 4097):
-        fv = np.asarray(f(_grid(m[part], M[part], 4097)), dtype=float)
-        ranges += [SpectralInterval(lo, hi) for lo, hi in
-                   zip(fv.min(axis=0).tolist(), fv.max(axis=0).tolist())]
+    for lo, hi in zip(m, M):
+        fv = np.asarray(f(np.linspace(lo, hi, 4097)), dtype=float)
+        ranges.append(SpectralInterval(float(fv.min()), float(fv.max())))
     return ranges[0] if one else ranges
 
 

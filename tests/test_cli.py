@@ -256,6 +256,16 @@ def _strict_json(text: str):
      EXIT_USAGE, "-m"),
     (["check", "--name", "kantorovich_squared", "--trials", "1", "--dim", "3",
       "-m", "1e-300", "-M", "1e-300"], EXIT_USAGE, "-m"),
+    (["check", "--name", "scalar_power_chain", "--trials", "1", "--dim", "1",
+      "-m", "0.5", "-M", "1e300"], EXIT_USAGE, "-m"),
+    (["check", "--name", "minkowski_general", "--trials", "1", "--dim", "1",
+      "-m", "1e200", "-M", "1.7e308"], EXIT_USAGE, "-m"),
+    (["check", "--name", "mond_pecaric", "--trials", "1", "--dim", "1",
+      "-m", "1e-300", "-M", "1e300"], EXIT_USAGE, "-m"),
+    (["check", "--name", "additive_sqrt", "--trials", "1", "--dim", "1",
+      "-m", "5e-324", "-M", "1e200"], EXIT_USAGE, "-m"),
+    (["check", "--name", "tuple_minkowski", "--trials", "1", "--dim", "3",
+      "-m", "1e-320", "-M", "0.5"], EXIT_USAGE, "-m"),
 ], ids=["kantorovich-overflow", "kantorovich-subnormal-m", "generalized-kantorovich-overflow",
         "beta-p-overflow",
         "mond-pecaric-alpha-overflow",
@@ -267,7 +277,9 @@ def _strict_json(text: str):
         "beta0-above-float-spacing", "suite-wide-interval", "alpha-f-overflow",
         "beta0-f-overflow", "mond-pecaric-f-overflow", "suite-domain-error",
         "suite-domain-error-rounded-interval", "kantorovich-zero-division",
-        "beta-p-zero-division", "check-zero-division"])
+        "beta-p-zero-division", "check-zero-division", "check-power-overflow",
+        "check-minkowski-overflow", "check-mond-pecaric-overflow",
+        "check-additive-sqrt-overflow", "check-tuple-minkowski-invalid"])
 def test_degenerate_input_gives_result_or_usage_error(capsys, argv, code, flag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -280,8 +292,9 @@ def test_degenerate_input_gives_result_or_usage_error(capsys, argv, code, flag):
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
         assert flag is None or flag in captured.err
-        if argv[0] == "suite":  # an entry stopped on a DomainError names the flags
-            assert captured.err.rstrip().endswith(f"at -m {float(argv[2])!r} -M {float(argv[4])!r}")
+        if argv[0] in ("check", "suite") and "-m" in argv:  # a stopped entry names the flags
+            m, M = (float(argv[argv.index(flag) + 1]) for flag in ("-m", "-M"))
+            assert captured.err.rstrip().endswith(f"at -m {m!r} -M {M!r}")
 
 
 @pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--beta", "-inf"),

@@ -302,6 +302,9 @@ def _cmd_falsify(args) -> int:
         raise ValueError(f"unknown check name {args.name!r}; see `opineq list`")
     if args.budget is not None and args.budget < 1:
         raise ValueError(f"--budget must be >= 1, got {args.budget}")
+    if args.budget is None and args.name != CANDIDATE_NAME:
+        raise ValueError(f"--budget is required for {args.name}: only {CANDIDATE_NAME} "
+                         "has a grid search")
     spec = registry.get(args.name)
     reports = search_violations(args.name, budget=args.budget,
                                 seed=args.seed, tol=args.tol)

@@ -190,15 +190,20 @@ def search_violations(check_name: str, grid: dict | None = None,
 
     For the rotation-family candidate the default is the exhaustive grid
     (DEFAULT_GRID unless one is given); for everything else, `budget` seeded
-    random trials. Deterministic for fixed (seed, grid, budget); reports are
-    ordered by search position, and every witness re-validates.
+    random trials, and a check without a grid search raises ValueError when
+    `budget` is None or a `grid` is given. Deterministic for fixed (seed,
+    grid, budget); reports are ordered by search position, and every witness
+    re-validates.
     """
     from . import registry
     spec = registry.get(check_name)  # raises on unknown names
     if spec.name == CANDIDATE_NAME and budget is None:
         return _grid_violations(grid or DEFAULT_GRID, tol)
+    if spec.name != CANDIDATE_NAME and (budget is None or grid is not None):
+        raise ValueError(f"{spec.name} has no grid search: give a budget of random "
+                         f"trials (only {CANDIDATE_NAME} has a grid)")
     out: list[ViolationReport] = []
-    rngs = [stream(seed, spec.name, trial) for trial in range(int(budget or 0))]
+    rngs = [stream(seed, spec.name, trial) for trial in range(int(budget))]
     per_trial = spec.run_trial(rngs, tol, registry.DEFAULT_DIMS, registry.DEFAULT_INTERVALS)
     for trial, results in enumerate(per_trial):
         for res in results:

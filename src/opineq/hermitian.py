@@ -31,9 +31,9 @@ DEFAULT_TOL = 1e-9
 # inverse/fractional functional calculus
 POSITIVITY_RTOL = 1e-12
 # bytes of stacked operands one batched step may hold: the drawn instances
-# a registry entry collects before it evaluates them, and the Kraus
-# operators of one chunk of the falsifier's grid; temporaries are a small
-# multiple of it
+# a registry entry holds before it evaluates its largest buckets (down to
+# half of it), and the Kraus operators of one chunk of the falsifier's
+# grid; temporaries are a small multiple of it
 BATCH_BYTES = 384 << 10
 
 

@@ -12,10 +12,13 @@ falsifier sensitivity runs.
 
 Trials are evaluated together: each draws its instance from its own stream,
 in stream order, with the linear algebra of the draws run afterwards,
-stacked, for all of them at once; the drawn instances are then grouped into
-buckets of one shape, stacked, and checked one bucket at a time, all its
-parameter values in one spectral scope. A single trial is a batch of one
-through the same path.
+stacked, for many of them at once. Each drawn record is held in a bucket of
+one record index and shape. When the held bytes fill the batch budget, the
+pending algebra runs and the largest buckets are stacked and checked, one
+bucket at a time, all its parameter values in one spectral scope; the
+smaller buckets keep filling. Each trial's results go back to its own
+slots, so a single trial, a batch of one through the same path, returns
+the same results.
 """
 from __future__ import annotations
 
@@ -97,15 +100,16 @@ class CheckSpec:
     """One statement as a row. `draw(rng, tol, dims, intervals, batch)`
     makes the rng calls of one instance and leaves its linear algebra to
     `batch` (a `generators.DrawBatch`); it returns one record, or a list of
-    them, one per entry of `params`. A bucket of records of one key, stacked,
-    becomes one `instance(**fields)`, a validated CheckInstance unless the
-    row says otherwise; `check(stack)` runs once, or `check(stack, param)`
-    once per entry of `params`, in order, and returns per instance one
-    CheckResult or a sequence of them. A trial returns them all in call
-    order. `constants(intervals, param)`, if set, computes keyword
-    arguments of the check for every instance of the batch at once (one
-    lockstep search instead of one per bucket); each value holds one entry
-    per interval."""
+    them, one per entry of `params`. A bucket of records of one record
+    index and key, stacked, becomes one `instance(**fields)`, a validated
+    CheckInstance unless the row says otherwise; `check(stack)` runs once,
+    or `check(stack, param)` once per entry of `params`, in order (record j
+    of a list runs param j only), and returns per instance one CheckResult
+    or a sequence of them. A trial returns them all in record order, then
+    call order. `constants(intervals, param)`, if set, computes keyword
+    arguments of the check for every instance evaluated in one round at
+    once (one lockstep search instead of one per bucket); each value holds
+    one entry per interval."""
     name: str
     statement: str
     draw: Callable[..., Union[dict, list]]
@@ -118,52 +122,64 @@ class CheckSpec:
 
     def run_trial(self, rngs: Iterable, tol, dims, intervals) -> list[list[CheckResult]]:
         """Draw one instance from each stream, in order, and return the
-        results of each, in stream order. Draws are held until they and the
-        inputs of their pending linear algebra reach BATCH_BYTES; then that
-        algebra runs for all of them at once, and they are evaluated
-        together, stacked in one bucket per key (see `_key`)."""
-        out: list[list[CheckResult]] = []
-        held, total, batch = [], 0, DrawBatch()
-        for rng in rngs:
+        results of each, in stream order. Each record of a draw is held in
+        the bucket of its record index and key (see `_key`). When the held
+        records and the inputs of their pending linear algebra reach
+        BATCH_BYTES, that algebra runs for all of them at once, and the
+        largest buckets are evaluated until at most half the budget is
+        held; the rest keep filling. After the last stream, every bucket
+        left is evaluated."""
+        slots: list = []    # per trial, per record: its results
+        held: dict = {}     # (record index, key) -> [bytes, trial indices, records]
+        batch = DrawBatch()
+
+        def held_bytes():
+            return sum(bucket[0] for bucket in held.values())
+
+        for t, rng in enumerate(rngs):
             records = self.draw(rng, tol, dims, intervals, batch)
-            held.append(records if isinstance(records, list) else [records])
-            total += sum(map(_nbytes, held[-1]))
-            if total + batch.nbytes >= BATCH_BYTES:
+            records = records if isinstance(records, list) else [records]
+            slots.append([[] for _ in records])
+            for j, record in enumerate(records):
+                bucket = held.setdefault((j, _key(record)), [0, [], []])
+                bucket[0] += _nbytes(record)
+                bucket[1].append(t)
+                bucket[2].append(record)
+            if held_bytes() + batch.nbytes >= BATCH_BYTES:
                 batch.finish()
-                out += self._evaluate(held)
-                total = 0
+                evicted = []
+                while held_bytes() > BATCH_BYTES // 2:
+                    key = max(held, key=lambda k: held[k][0])
+                    evicted.append((key, held.pop(key)))
+                self._evaluate(evicted, slots)
         if held:
             batch.finish()
-            out += self._evaluate(held)
-        return out
+            self._evaluate(list(held.items()), slots)
+        return [sum(results, []) for results in slots]
 
-    def _evaluate(self, draws: list) -> list[list[CheckResult]]:
-        """The results of each draw, in order. The draws of one key make
-        one bucket; empties `draws` once they are stacked, so the draws and
-        their stacks are not both held. Each param's constants are computed
-        for all draws, before the buckets."""
-        keys: dict = {}
-        for i, records in enumerate(draws):
-            keys.setdefault(tuple(map(_key, records)), []).append(i)
-        buckets = list(keys.values())
-        # per bucket, one stack per record of a draw
-        stacks = [[self.instance(**_stack([draws[i][j] for i in idx]))
-                   for j in range(len(draws[idx[0]]))] for idx in buckets]
-        out: list[list[CheckResult]] = [[] for _ in draws]
-        draws.clear()
+    def _evaluate(self, buckets: list, slots: list) -> None:
+        """Check each bucket, `((j, key), [bytes, trial indices, records])`,
+        in one spectral scope, and extend slot j of each of its trials with
+        the results. Each param's constants are computed for all buckets,
+        before the checks. A bucket's records are emptied once stacked, so
+        the records and their stack are not both held."""
         calls = [(p,) for p in self.params] or [()]
+        stacks = []
+        for _, (_, _, records) in buckets:
+            stacks.append(self.instance(**_stack(records)))
+            records.clear()
         extras = [{} if self.constants is None else
-                  self.constants([iv for s in stacks for iv in s[0].iv], *args) for args in calls]
-        lo = 0
-        for idx, insts in zip(buckets, stacks):
+                  self.constants([iv for s in stacks for iv in s.iv], *args) for args in calls]
+        pairs, lo = list(zip(calls, extras)), 0
+        for ((j, _), (_, trials, _)), stack in zip(buckets, stacks):
+            # a row that draws one record per param runs param j on record j
+            run = pairs[j:j + 1] if len(slots[trials[0]]) > 1 else pairs
             with spectral_scope():
-                for j, (args, extra) in enumerate(zip(calls, extras)):
-                    kwargs = {k: v[lo:lo + len(idx)] for k, v in extra.items()}
-                    stack = insts[j] if len(insts) > 1 else insts[0]
-                    for i, res in zip(idx, self.check(stack, *args, **kwargs)):
-                        out[i].extend([res] if isinstance(res, CheckResult) else res)
-            lo += len(idx)
-        return out
+                for args, extra in run:
+                    kwargs = {k: v[lo:lo + len(trials)] for k, v in extra.items()}
+                    for t, res in zip(trials, self.check(stack, *args, **kwargs)):
+                        slots[t][j].extend([res] if isinstance(res, CheckResult) else res)
+            lo += len(trials)
 
 
 def _draw(rng, dims, intervals):

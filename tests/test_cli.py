@@ -153,6 +153,7 @@ def test_constants_missing_parameter(capsys, name, flag):
      "positive in exact arithmetic"),
     (["check", "--name", "bogus"], "unknown check name 'bogus'"),
     (["falsify", "--name", "bogus"], "unknown check name 'bogus'"),
+    (["falsify", "--name", "kantorovich"], "--budget is required for kantorovich"),
     (["suite", "--dims", "2,x"], "bad --dims '2,x'"),
     (["counterexample", "--x", "-1"], "--x must be positive"),
     (["counterexample", "--alpha", "three"], "--alpha: could not convert"),
@@ -163,8 +164,8 @@ def test_constants_missing_parameter(capsys, name, flag):
         "constants-alpha-overflow",
         "constants-generalized-kantorovich-cancellation",
         "constants-generalized-kantorovich-inner-zero", "check-unknown-name",
-        "falsify-unknown-name", "suite-dims-not-an-integer", "counterexample-x-negative",
-        "counterexample-alpha-not-an-angle"])
+        "falsify-unknown-name", "falsify-without-budget", "suite-dims-not-an-integer",
+        "counterexample-x-negative", "counterexample-alpha-not-an-angle"])
 def test_bad_flag_value_is_usage_error(capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -409,6 +409,16 @@ def test_unknown_check_rejected():
         search_violations("no_such_check")
 
 
+# only the candidate has a grid search; any other check with no budget once
+# ran no trial and reported no violation
+@pytest.mark.parametrize("kwargs", [
+    {}, {"grid": DEFAULT_GRID}, {"grid": DEFAULT_GRID, "budget": 5},
+], ids=["no-budget", "grid", "grid-and-budget"])
+def test_random_search_needs_a_budget_and_no_grid(kwargs):
+    with pytest.raises(ValueError, match="kantorovich has no grid search"):
+        search_violations("kantorovich", **kwargs)
+
+
 def test_true_inequalities_produce_no_reports():
     for name in ("kantorovich", "ando", "additive_sqrt"):
         assert search_violations(name, budget=60, seed=3) == []

@@ -143,6 +143,50 @@ def test_batch_split_by_byte_budget_equals_trials_run_alone(name, dims, batch_by
     assert _fingerprint(batch) == _fingerprint(alone)
 
 
+# with a small budget, evicting the largest buckets evaluates some tuple
+# trials' k = 1 and k = 3 records in different rounds, and trials out of
+# stream order; each trial still returns what it returns alone
+@pytest.mark.parametrize("name,batch_bytes", [
+    ("tuple_minkowski", 16 << 10),
+    ("generalized_kantorovich", 4 << 10),
+])
+def test_eviction_keeps_each_trials_order(name, batch_bytes, monkeypatch):
+    spec, dims, trials = registry.get(name), (2, 3, 5, 8), 40
+    streams = lambda: [stream(5, spec.name, t) for t in range(trials)]
+    alone = [spec.run_trial([rng], 1e-9, dims, registry.DEFAULT_INTERVALS)[0]
+             for rng in streams()]
+    rounds = {}     # (trial, record index) -> the round that evaluated it
+    evaluate = registry.CheckSpec._evaluate
+
+    def recording(self, buckets, slots):
+        now = max(rounds.values(), default=-1) + 1
+        rounds.update(((t, j), now) for (j, _), (_, idx, _) in buckets for t in idx)
+        return evaluate(self, buckets, slots)
+    monkeypatch.setattr(registry, "BATCH_BYTES", batch_bytes)
+    monkeypatch.setattr(registry.CheckSpec, "_evaluate", recording)
+    batch = spec.run_trial(streams(), 1e-9, dims, registry.DEFAULT_INTERVALS)
+    first = [rounds[t, 0] for t in range(trials)]
+    assert first != sorted(first)
+    if name == "tuple_minkowski":
+        assert any(rounds[t, 0] != rounds[t, 1] for t in range(trials))
+    assert _fingerprint(batch) == _fingerprint(alone)
+
+
+# a guard on eviction by bucket size, at the CLI's default of 200 trials
+# over dims 2-8: one bucket per record and key, largest first, checks ando
+# in 30 stacks and tuple_minkowski in 81, where evaluating every held
+# bucket whenever the budget filled took 47 and 186
+@pytest.mark.parametrize("name,calls", [("ando", 30), ("tuple_minkowski", 81)])
+def test_default_sweep_bucket_counts(name, calls):
+    spec = registry.get(name)
+    stacks = []
+    counted = dataclasses.replace(
+        spec, check=lambda stack, *args, **kw: stacks.append(stack) or spec.check(stack, *args, **kw))
+    counted.run_trial((stream(7, spec.name, t) for t in range(200)), 1e-9, registry.DEFAULT_DIMS,
+                      registry.DEFAULT_INTERVALS)
+    assert len(stacks) == calls
+
+
 # sha256 of the stdout of `opineq <argv>`: the reports a refactor of the
 # registry, the checks or the generators keeps byte-identical
 @pytest.mark.parametrize("argv,digest", [

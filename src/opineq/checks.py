@@ -23,6 +23,7 @@ import copy
 import functools
 import math
 from dataclasses import asdict, dataclass
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 import numpy as np
@@ -31,10 +32,10 @@ from .constants import (alpha_constant, beta0_constant, beta_p_constant,
                         function_range, generalized_kantorovich,
                         kantorovich_constant, mond_pecaric_beta)
 from .functions import ScalarFunction
-from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval, adjoint,
-                        as_hermitian, each_stacked, hermitian_part, inv_psd,
-                        loewner_leq_each, matrix_function, power, sqrtm_psd,
-                        within_tolerance)
+from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval, _stack_key,
+                        adjoint, as_hermitian, each_stacked, hermitian_part,
+                        inv_psd, loewner_leq_each, matrix_function, power,
+                        sqrtm_psd, within_tolerance)
 from .maps import KrausMap, MapStack, vector_state_value
 from .means import connection, geometric_mean
 
@@ -86,6 +87,37 @@ def _each(constant, ivs, *args) -> list:
     return [constant(*args, iv) for iv in ivs]
 
 
+# the record-stacking rule, by the first row whose type a leaf of a record
+# (the CheckInstance fields by name) has: its part of the bucket key, its
+# bytes, and a bucket's column of it as one leaf of the stack; any other
+# value (the tolerance, a drawn function) is the same in every record
+_LEAVES = (
+    (np.ndarray, _stack_key, attrgetter("nbytes"), np.stack),
+    (KrausMap, attrgetter("input_dim", "output_dim"), lambda v: v.ops.nbytes, MapStack),
+    (SpectralInterval, lambda v: None, lambda v: 0, list),
+    (object, lambda v: v, lambda v: 0, itemgetter(0)),
+)
+
+
+@functools.cache
+def _leaf(kind: type) -> tuple:
+    return next(rule for rule in _LEAVES if issubclass(kind, rule[0]))
+
+
+def _key(record: dict) -> tuple:
+    """What the records of one bucket share, leaf by leaf."""
+    return tuple([(name, _leaf(type(v))[1](v)) for name, v in record.items()])
+
+
+def _nbytes(record: dict) -> int:
+    return sum([_leaf(type(v))[2](v) for v in record.values()])
+
+
+def _stack(records: list) -> dict:
+    """One bucket of records as one record of stacks."""
+    return {name: _leaf(type(v))[3]([r[name] for r in records]) for name, v in records[0].items()}
+
+
 @dataclass
 class CheckInstance:
     """Hypothesis bundle for one check: matrices, map, verified sandwich
@@ -112,6 +144,7 @@ class CheckInstance:
         self.a = as_hermitian(self.a)
         if self.b is not None:
             self.b = as_hermitian(self.b)
+        self.x = None if self.x is None else np.asarray(self.x)
         # validated as a stack; a single instance is a stack of one here
         st = self if self.stacked else self.as_stack()
         in_iv = [st.a] if st.b is None or st.bounds is not None else [st.a, st.b]
@@ -149,13 +182,9 @@ class CheckInstance:
         return self.a.ndim == 3
 
     def as_stack(self) -> "CheckInstance":
-        """This single instance as a stack of one; no re-validation."""
+        """This single instance as a stack of one (`_stack`); no re-validation."""
         out = copy.copy(self)
-        out.a = self.a[None]
-        out.b = None if self.b is None else self.b[None]
-        out.x = None if self.x is None else np.asarray(self.x)[None]
-        out.phi, out.iv = MapStack([self.phi]), [self.iv]
-        out.bounds = None if self.bounds is None else [self.bounds]
+        vars(out).update(_stack([vars(self)]))
         return out
 
     def params(self, **extra) -> list:
@@ -438,10 +467,9 @@ def check_tuple_minkowski(inst: CheckInstance, k: int) -> list:
     """k-tuple version at p = 2, reduced to the two-term power check: A and
     B are the block-diagonal matrices of the k blocks A_i and B_i, and phi
     is the direct sum of the k maps Phi_i (see `generators.DrawBatch`)."""
-    pairs = check_power_minkowski(inst, 2.0, name=f"tuple_minkowski[k={k}]")
-    for mult, _ in pairs:
-        mult.params["k"] = k    # the pair shares one params dict
-    return pairs
+    tagged = copy.copy(inst)
+    tagged.params = lambda **extra: inst.params(**extra, k=k)    # k is the last key
+    return check_power_minkowski(tagged, 2.0, name=f"tuple_minkowski[k={k}]")
 
 
 __all__ = [

@@ -6,8 +6,8 @@ assemble the 2x2 rotation-family deficit matrix, and run the violation
 search. Reports are JSON (or a lossless text rendering); exit codes are
 0 = everything behaved as expected, 1 = a check outcome disagreed with its
 expectation, 2 = usage error, 3 = I/O error. A usage error that opineq
-finds is a ValueError or ArithmeticError, which `main` prints as one
-`error:` line.
+finds is a ValueError, an ArithmeticError or a MemoryError (an input too
+large to allocate), which `main` prints as one `error:` line.
 """
 from __future__ import annotations
 
@@ -82,15 +82,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="print the check registry").set_defaults(run=_cmd_list)
 
-    def common(sp, trials_default=200):
-        sp.add_argument("--trials", type=int, default=trials_default)
-        sp.add_argument("--seed", type=int, default=_default_seed())
+    def report_flags(sp):
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        sp.add_argument("-m", type=float, default=None, help="interval lower end")
-        sp.add_argument("-M", type=float, default=None, help="interval upper end")
         sp.add_argument("--output", default=None, help="write the JSON report here")
         sp.add_argument("--format", choices=("json", "text"), default="json")
+
+    def seeded_report_flags(sp):
+        sp.add_argument("--seed", type=int, default=_default_seed())
+        report_flags(sp)
         sp.add_argument("--no-timestamp", action="store_true")
+
+    def common(sp):
+        sp.add_argument("--trials", type=int, default=200)
+        sp.add_argument("-m", type=float, default=None, help="interval lower end")
+        sp.add_argument("-M", type=float, default=None, help="interval upper end")
+        seeded_report_flags(sp)
 
     c = sub.add_parser("check", help="run one or more named checks")
     c.add_argument("--name", action="append", required=True,
@@ -120,9 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--x", type=float, default=2.0)
     x.add_argument("--alpha", default="pi/3", help="radians; accepts pi/3 style")
     x.add_argument("--beta", default="pi/4")
-    x.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    x.add_argument("--output", default=None)
-    x.add_argument("--format", choices=("json", "text"), default="json")
+    report_flags(x)
     x.set_defaults(run=_cmd_counterexample)
 
     f = sub.add_parser("falsify", help="search for violations of a named check")
@@ -130,12 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--budget", type=int, default=None,
                    help="random trials; omit to use the exhaustive grid "
                         "(rotation-family candidate only)")
-    f.add_argument("--seed", type=int, default=_default_seed())
-    f.add_argument("--tol", type=float, default=DEFAULT_TOL)
     f.add_argument("--outdir", default=None, help="write one JSON file per violation")
-    f.add_argument("--output", default=None)
-    f.add_argument("--format", choices=("json", "text"), default="json")
-    f.add_argument("--no-timestamp", action="store_true")
+    seeded_report_flags(f)
     f.set_defaults(run=_cmd_falsify)
     return p
 
@@ -148,15 +148,15 @@ def _emit(record: dict, fmt: str, output: Optional[str]) -> None:
         _print_text(record)
 
 
-def _print_text(record: dict, indent: str = "") -> None:
+def _print_text(record: dict) -> None:
     # lossless: every field is printed, nested records as compact JSON
     for key, val in record.items():
         if isinstance(val, list) and val and isinstance(val[0], dict):
-            print(f"{indent}{key}:")
+            print(f"{key}:")
             for item in val:
-                print(f"{indent}  - {json.dumps(item, sort_keys=False)}")
+                print(f"  - {json.dumps(item, sort_keys=False)}")
         else:
-            print(f"{indent}{key}: {json.dumps(val)}")
+            print(f"{key}: {json.dumps(val)}")
 
 
 def _cmd_list(args) -> int:
@@ -333,8 +333,8 @@ def main(argv=None) -> int:
     try:
         _require_finite(args)
         return args.run(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:   # MemoryError: an input too large to allocate
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:  # a value beyond float range, or a division by 0
         print(f"error: an input is out of range: {exc.args[-1]}", file=sys.stderr)

@@ -42,10 +42,6 @@ def _lanes(ivs):
     return (np.array([iv.m for iv in ivs]), np.array([iv.M for iv in ivs]), one)
 
 
-def _unlane(values: np.ndarray, one: bool):
-    return float(values[0]) if one else values
-
-
 def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args):
     """Global max of a smooth f on [lo, hi]: coarse scan, then golden section
     inside the best bracket. Returns (argmax, value). f must accept arrays.
@@ -176,36 +172,37 @@ def generalized_kantorovich(p: float, iv) -> float:
     return max(lead * inner ** p, 1.0)
 
 
+def _chord_search(f, iv, positive, point, objective, *lane_args):
+    """max over [m, M] of objective(t, chord(t), *lane_args), chord the
+    secant of f, per interval: a point interval gets point(m, *lane_args),
+    the wide ones one `chord_coefficients` and one lockstep `golden_max`
+    (`positive`: first probe f > 0 on them). `lane_args` are one value or
+    one per interval; one interval gives a float."""
+    m, M, one = _lanes(iv)
+    lane_args = [np.broadcast_to(np.asarray(v, dtype=float), m.shape) for v in lane_args]
+    value = point(m, *lane_args)
+    wide = m != M
+    if wide.any():
+        m, M, lane_args = m[wide], M[wide], [v[wide] for v in lane_args]
+        chord = chord_coefficients(f, m, M)
+        with np.errstate(all="ignore"):     # a value out of float range is rejected later
+            if positive and np.min(np.asarray(f(np.linspace(m, M, 64)), dtype=float)) <= 0:
+                raise DomainError("alpha_constant needs f > 0 on [m, M]")
+        value[wide] = golden_max(lambda t, s, c, *args: objective(t, s * t + c, *args), m, M,
+                                 chord.slope, chord.intercept, *lane_args)[1]
+    return float(value[0]) if one else value
+
+
 def alpha_constant(f, iv):
     """max over [m, M] of chord(t)/f(t); >= 1 for convex positive f.
     Given a sequence of intervals, the array of their constants."""
-    m, M, one = _lanes(iv)
-    value = np.ones(len(m))
-    wide = m != M
-    if wide.any():
-        m, M = m[wide], M[wide]
-        chord = chord_coefficients(f, m, M)
-        with np.errstate(all="ignore"):     # a value out of float range is rejected later
-            probe = np.asarray(f(np.linspace(m, M, 64)), dtype=float)
-        if np.min(probe) <= 0:
-            raise DomainError("alpha_constant needs f > 0 on [m, M]")
-        value[wide] = golden_max(lambda t, s, c: (s * t + c) / f(t), m, M,
-                                 chord.slope, chord.intercept)[1]
-    return _unlane(value, one)
+    return _chord_search(f, iv, True, np.ones_like, lambda t, chord: chord / f(t))
 
 
 def beta0_constant(f, iv):
     """max over [m, M] of f(t) - chord(t); 0 for affine f, > 0 for strictly
     concave f. Given a sequence of intervals, the array of their constants."""
-    m, M, one = _lanes(iv)
-    value = np.zeros(len(m))
-    wide = m != M
-    if wide.any():
-        m, M = m[wide], M[wide]
-        chord = chord_coefficients(f, m, M)
-        value[wide] = golden_max(lambda t, s, c: f(t) - (s * t + c), m, M,
-                                 chord.slope, chord.intercept)[1]
-    return _unlane(value, one)
+    return _chord_search(f, iv, False, np.zeros_like, lambda t, chord: f(t) - chord)
 
 
 def beta_p_constant(p: float, iv) -> float:
@@ -236,16 +233,8 @@ def mond_pecaric_beta(f, iv, alpha):
     """beta = max over [m, M] of chord(t) - alpha*f(t), the additive half of
     the chord bound for convex f. Given a sequence of intervals, the array
     of their constants; `alpha` is then one value or one per interval."""
-    m, M, one = _lanes(iv)
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=float), m.shape)
-    value = (1.0 - alpha) * np.asarray(f(m), dtype=float)
-    wide = m != M
-    if wide.any():
-        m, M, alpha = m[wide], M[wide], alpha[wide]
-        chord = chord_coefficients(f, m, M)
-        value[wide] = golden_max(lambda t, s, c, al: (s * t + c) - al * f(t), m, M,
-                                 chord.slope, chord.intercept, alpha)[1]
-    return _unlane(value, one)
+    return _chord_search(f, iv, False, lambda m, al: (1.0 - al) * np.asarray(f(m), dtype=float),
+                         lambda t, chord, al: chord - al * f(t), alpha)
 
 
 __all__ = [

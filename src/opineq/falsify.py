@@ -46,15 +46,14 @@ def _mixture_image(ops: np.ndarray, d) -> np.ndarray:
     return hermitian_part(_weighted_sum((0.5, 0.5), adjoint(ops) @ a[..., None, :, :] @ ops))
 
 
-def _rotation_pairs(alpha, beta, check: bool = False) -> np.ndarray:
-    """rotation(stack([alpha, beta], -1)), built once per distinct angle (by
-    bits: -0.0 is not 0.0), checked unitary with `check`, and gathered back
-    to the points by a copy, so each point keeps the bits it gets alone."""
+def _rotation_pairs(alpha, beta) -> np.ndarray:
+    """rotation(stack([alpha, beta], -1)), built and checked unitary once
+    per distinct angle (by bits: -0.0 is not 0.0), and gathered back to the
+    points by a copy, so each point keeps the bits it gets alone."""
     angles = np.stack([alpha, beta], axis=-1).astype(float, copy=False)
     keys, inverse = np.unique(angles.ravel().view(np.int64), return_inverse=True)
     ops = rotation(keys.view(float))
-    if check:
-        require_unitary(ops)
+    require_unitary(ops)
     return ops[inverse.reshape(angles.shape)]   # its shape varies by numpy release
 
 
@@ -70,7 +69,7 @@ def _deficit(x, alpha, beta, tol: float):
             raise ValueError(f"{name} must be finite, got {v[~finite].flat[0]}")
     if np.any(x <= 0):
         raise ValueError(f"x must be positive, got {x[x <= 0].flat[0]}")
-    ops = _rotation_pairs(alpha, beta, check=True)
+    ops = _rotation_pairs(alpha, beta)
     pa_invroot = power(_mixture_image(ops, x), -0.5)
     pain = _mixture_image(ops, 1.0 / x)
     k = ((1.0 + x) ** 2 / (4.0 * x))[..., None, None]
@@ -190,20 +189,23 @@ def search_violations(check_name: str, grid: dict | None = None,
 
     For the rotation-family candidate the default is the exhaustive grid
     (DEFAULT_GRID unless one is given); for everything else, `budget` seeded
-    random trials, and a check without a grid search raises ValueError when
-    `budget` is None or a `grid` is given. Deterministic for fixed (seed,
-    grid, budget); reports are ordered by search position, and every witness
-    re-validates.
+    random trials. ValueError when a grid and a budget are both given, and
+    for a check without a grid search when `budget` is None. Deterministic
+    for fixed (seed, grid, budget); reports are ordered by search position,
+    and every witness re-validates.
     """
     from . import registry
     spec = registry.get(check_name)  # raises on unknown names
-    if spec.name == CANDIDATE_NAME and budget is None:
-        return _grid_violations(grid or DEFAULT_GRID, tol)
     if spec.name != CANDIDATE_NAME and (budget is None or grid is not None):
         raise ValueError(f"{spec.name} has no grid search: give a budget of random "
                          f"trials (only {CANDIDATE_NAME} has a grid)")
+    if grid is not None and budget is not None:
+        raise ValueError("give a grid or a budget of random trials, not both")
+    if budget is None:
+        return _grid_violations(grid or DEFAULT_GRID, tol)
     out: list[ViolationReport] = []
-    rngs = [stream(seed, spec.name, trial) for trial in range(int(budget))]
+    # streams are made as the trials draw, so a large budget holds no list of them
+    rngs = (stream(seed, spec.name, trial) for trial in range(int(budget)))
     per_trial = spec.run_trial(rngs, tol, registry.DEFAULT_DIMS, registry.DEFAULT_INTERVALS)
     for trial, results in enumerate(per_trial):
         for res in results:

@@ -135,24 +135,19 @@ def require_isometry(v: np.ndarray) -> None:
 
 
 def mixture_of(ops, weights) -> KrausMap:
-    """The map sum_i w_i U_i* X U_i for ops[i] = U_i, with its shapes and
-    weights checked; the caller checks that the U_i are unitary."""
-    weights = np.asarray(weights, dtype=float)
-    if len(ops) == 0 or len(ops) != len(weights):
-        raise ValueError("need equally many unitaries and weights, at least one")
-    n = ops[0].shape[0]
-    if any(u.shape != (n, n) for u in ops):
+    """sum_i w_i U_i* X U_i for square ops[i] = U_i and weights summing to
+    1; the caller checks that the U_i are unitary."""
+    phi = KrausMap(ops, weights)
+    if phi.input_dim != phi.output_dim:
         raise ValueError("all unitaries must share one square shape")
-    if np.any(weights <= 0):
-        raise ValueError("weights must be positive")
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
-    return KrausMap(ops, weights)
+    if abs(phi.weights.sum() - 1.0) > 1e-12:
+        raise ValueError(f"weights must sum to 1, got {phi.weights.sum()!r}")
+    return phi
 
 
 def unitary_mixture(unitaries, weights) -> KrausMap:
     """Phi(X) = sum_i w_i U_i* X U_i with w_i > 0 summing to 1."""
-    phi = mixture_of([np.asarray(u) for u in unitaries], weights)
+    phi = mixture_of(unitaries, weights)
     require_unitary(phi.ops)
     return phi
 

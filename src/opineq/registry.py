@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .checks import (CheckInstance, CheckResult, check_additive_sqrt,
+from .checks import (CheckInstance, CheckResult, _key, _nbytes, _stack, check_additive_sqrt,
                      check_ando, check_ando_connection, check_choi_davis,
                      check_generalized_kantorovich_operator,
                      check_kantorovich, check_kantorovich_equivalents,
@@ -44,8 +44,8 @@ from .falsify import candidate_result
 from .functions import (identity_function, inverse_function, power_function,
                         square_function)
 from .generators import DrawBatch, random_state, random_weights
-from .hermitian import BATCH_BYTES, DEFAULT_TOL, SpectralInterval, _stack_key, spectral_scope
-from .maps import KrausMap, MapStack, direct_sum, identity_map, scaled
+from .hermitian import BATCH_BYTES, DEFAULT_TOL, SpectralInterval, spectral_scope
+from .maps import direct_sum, identity_map, scaled
 
 DEFAULT_DIMS: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
 DEFAULT_INTERVALS: tuple[SpectralInterval, ...] = (
@@ -55,44 +55,6 @@ DEFAULT_INTERVALS: tuple[SpectralInterval, ...] = (
 )
 
 cube_root = power_function(1.0 / 3.0, name="t^(1/3)")
-
-
-def _key(record: dict) -> tuple:
-    """What the instances of one bucket share: the `_stack_key` of every
-    array, the dimensions of every map, and every other value (the
-    tolerance, a drawn function), except the per-instance intervals."""
-    key = []
-    for name, v in record.items():
-        if isinstance(v, np.ndarray):
-            v = _stack_key(v)
-        elif isinstance(v, KrausMap):
-            v = v.input_dim, v.output_dim
-        elif isinstance(v, SpectralInterval):
-            v = None
-        key.append((name, v))
-    return tuple(key)
-
-
-def _stack(records: list) -> dict:
-    """One bucket of records as one record of stacks: arrays stacked on a
-    new leading axis, maps as a MapStack, intervals as a list; other values
-    are the same in every record."""
-    out = {}
-    for name, v in records[0].items():
-        column = [r[name] for r in records]
-        if isinstance(v, np.ndarray):
-            v = np.stack(column)
-        elif isinstance(v, KrausMap):
-            v = MapStack(column)
-        elif isinstance(v, SpectralInterval):
-            v = column
-        out[name] = v
-    return out
-
-
-def _nbytes(record: dict) -> int:
-    return sum(v.nbytes if isinstance(v, np.ndarray) else v.ops.nbytes
-               for v in record.values() if isinstance(v, (np.ndarray, KrausMap)))
 
 
 @dataclass(frozen=True)
@@ -136,6 +98,17 @@ class CheckSpec:
         def held_bytes():
             return sum(bucket[0] for bucket in held.values())
 
+        def flush(keep):
+            # finish the pending algebra, then evaluate the largest buckets
+            # until at most `keep` bytes are held (-1: every bucket)
+            batch.finish()
+            evicted = []
+            while held and held_bytes() > keep:
+                key = max(held, key=lambda k: held[k][0])
+                evicted.append((key, held.pop(key)))
+            if evicted:
+                self._evaluate(evicted, slots)
+
         for t, rng in enumerate(rngs):
             records = self.draw(rng, tol, dims, intervals, batch)
             records = records if isinstance(records, list) else [records]
@@ -146,15 +119,8 @@ class CheckSpec:
                 bucket[1].append(t)
                 bucket[2].append(record)
             if held_bytes() + batch.nbytes >= BATCH_BYTES:
-                batch.finish()
-                evicted = []
-                while held_bytes() > BATCH_BYTES // 2:
-                    key = max(held, key=lambda k: held[k][0])
-                    evicted.append((key, held.pop(key)))
-                self._evaluate(evicted, slots)
-        if held:
-            batch.finish()
-            self._evaluate(list(held.items()), slots)
+                flush(BATCH_BYTES // 2)
+        flush(-1)
         return [sum(results, []) for results in slots]
 
     def _evaluate(self, buckets: list, slots: list) -> None:

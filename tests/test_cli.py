@@ -5,9 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from opineq.cli import (_CONSTANTS, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE,
+from opineq.cli import (_CONSTANTS, EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE,
                         main, parse_angle)
-from opineq.io import dump_json
+from opineq.falsify import ViolationReport
+from opineq.io import dump_json, load_json
 
 
 @pytest.mark.parametrize("text,value", [
@@ -196,6 +197,32 @@ def test_falsify_candidate_reports_sensitivity_failure(capsys, tmp_path):
     assert list(outdir.glob("*.json")) == []
 
 
+def test_falsify_writes_one_replayable_file_per_violation(capsys, tmp_path):
+    # below the noise floor the grid flags near-zero eigenvalues; each
+    # report is written to its own file and replays from that JSON alone
+    outdir = tmp_path / "viol"
+    code, out = run_cli(capsys, "falsify", "--tol", "1e-18", "--outdir", str(outdir))
+    assert code == EXIT_OK
+    rec = json.loads(out)
+    files = sorted(outdir.glob("*.json"))
+    assert rec["violations"] > 0
+    assert [f.name for f in files] == [f"violation_{i:04d}.json" for i in range(rec["violations"])]
+    for path, shown in zip(files, rec["reports"]):
+        loaded = load_json(str(path))
+        assert loaded == shown
+        assert ViolationReport(**loaded).revalidate()
+
+
+def test_output_into_a_missing_directory_is_an_io_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code = main(["check", "--name", "kantorovich", "--trials", "1", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == EXIT_IO
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("i/o error: ")
+    assert not target.exists()
+
+
 def test_falsify_true_check_passes(capsys):
     code, out = run_cli(capsys, "falsify", "--name", "kantorovich",
                         "--budget", "20")
@@ -267,6 +294,10 @@ def _strict_json(text: str):
       "-m", "5e-324", "-M", "1e200"], EXIT_USAGE, "-m"),
     (["check", "--name", "tuple_minkowski", "--trials", "1", "--dim", "3",
       "-m", "1e-320", "-M", "0.5"], EXIT_USAGE, "-m"),
+    # 1.42 PiB, beyond the x86-64 address space: refused before any memory
+    # is touched (seed 42 draws a compression, whose first array is that big)
+    (["check", "--name", "kantorovich", "--trials", "1", "--dim", "10000000", "--seed", "42"],
+     EXIT_USAGE, "Unable to allocate"),
 ], ids=["kantorovich-overflow", "kantorovich-subnormal-m", "generalized-kantorovich-overflow",
         "beta-p-overflow",
         "mond-pecaric-alpha-overflow",
@@ -280,7 +311,8 @@ def _strict_json(text: str):
         "suite-domain-error-rounded-interval", "kantorovich-zero-division",
         "beta-p-zero-division", "check-zero-division", "check-power-overflow",
         "check-minkowski-overflow", "check-mond-pecaric-overflow",
-        "check-additive-sqrt-overflow", "check-tuple-minkowski-invalid"])
+        "check-additive-sqrt-overflow", "check-tuple-minkowski-invalid",
+        "check-dim-beyond-memory"])
 def test_degenerate_input_gives_result_or_usage_error(capsys, argv, code, flag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -48,3 +48,104 @@ def test_no_dead_private_helpers():
             for name in _private_defs(stmt)
             if not any(name in r for j, r in enumerate(reads) if j != i)]
     assert dead == []
+
+
+def _functions(tree):
+    """(name, parameters that take a default, first positional index a
+    call fills) for each function the rule covers: a `_x` function or
+    method, and any function nested in another function."""
+    out = []
+
+    def visit(node, nested, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if nested or child.name.startswith("_") and not child.name.startswith("__"):
+                    a = child.args
+                    positional = a.posonlyargs + a.args
+                    skip = 1 if in_class and positional else 0
+                    names = [p.arg for p in positional]
+                    keyword = names[len(names) - len(a.defaults):] + [
+                        p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                    out.append((child.name, keyword, names[skip:]))
+                visit(child, True, False)
+            else:
+                visit(child, nested, isinstance(child, ast.ClassDef))
+    visit(tree, False, False)
+    return out
+
+
+def _call_sites(trees):
+    """Per function name, the (positional args, keyword args) of each place
+    that names it: a call, a `partial(f, ...)`, or a bare reference (a
+    value called elsewhere, taken to pass no keyword parameter)."""
+    sites = {}
+    for tree in trees:
+        called = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if isinstance(func, ast.Name) and func.id == "partial" and args:
+                func, args = args[0], args[1:]
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is not None:
+                called.add(id(func))
+                sites.setdefault(name, []).append((args, node.keywords))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                    and id(node) not in called:
+                sites.setdefault(node.id, []).append(([], []))
+    return sites
+
+
+def _passed(param, positional, args, keywords):
+    """The node that passes `param` at one site; ... when a `*` or `**`
+    argument may pass it; None when nothing does."""
+    if any(k.arg is None for k in keywords) or any(isinstance(a, ast.Starred) for a in args):
+        return ...
+    for k in keywords:
+        if k.arg == param:
+            return k.value
+    i = positional.index(param) if param in positional else len(args)
+    return args[i] if i < len(args) else None
+
+
+def _unused_keywords(trees):
+    sites = _call_sites(trees)
+    found = []
+    for tree in trees:
+        for name, keyword, positional in _functions(tree):
+            for param in keyword:
+                passed = [_passed(param, positional, *site) for site in sites.get(name, [])]
+                literal = {ast.dump(p) for p in passed if isinstance(p, ast.Constant)}
+                if all(p is None for p in passed) or (
+                        len(literal) == 1 and all(isinstance(p, ast.Constant) for p in passed)):
+                    found.append(f"{name}({param}=)")
+    return found
+
+
+def test_no_keyword_parameter_without_a_use():
+    # a keyword parameter of a private or nested function that no call
+    # passes, or that every call passes as the same literal, is a second
+    # path that nothing takes
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(opineq.__file__).parent.glob("*.py"))]
+    assert _unused_keywords(trees) == []
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def _f(a, b=1):\n    return a\n_f(2)\n", ["_f(b=)"]),
+    ("def _f(a, b=1):\n    return a\n_f(2, b=True)\n_f(3, True)\n", ["_f(b=)"]),
+    ("def g():\n    def h(x, y=2):\n        return x\n    h(1)\n", ["h(y=)"]),
+    ("def _f(a, b=1):\n    return a\n_f(2, b=3)\n_f(3)\n", []),
+    ("def _f(a, b=1):\n    return a\n_f(2, b=3)\n_f(3, b=4)\n", []),
+    ("def _f(a, b=1):\n    return a\n_f(2, b=c)\n", []),
+    ("def _f(a, b=1):\n    return a\n_f(*xs)\n", []),
+    ("from functools import partial\ndef _f(a, b=1):\n    return a\ng = partial(_f, b=2)\n"
+     "_f(1)\n", []),
+    ("class C:\n    def _m(self, a, b=1):\n        return a\n    def n(self):\n"
+     "        return self._m(1, 2) + self._m(1)\n", []),
+], ids=["never-passed", "same-literal", "nested", "sometimes-passed", "two-literals",
+        "a-name", "starred", "partial", "method-positional"])
+def test_keyword_rule_on_planted_cases(source, found):
+    assert _unused_keywords([ast.parse(source)]) == found

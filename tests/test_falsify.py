@@ -9,6 +9,7 @@ it replaced, copied below as `ref_counterexample_T`, `ref_candidate_result`
 and `ref_grid_violations`: one pair of KrausMaps and one LAPACK call per
 matrix at every point.
 """
+import dataclasses
 import hashlib
 import json
 
@@ -410,13 +411,31 @@ def test_unknown_check_rejected():
 
 
 # only the candidate has a grid search; any other check with no budget once
-# ran no trial and reported no violation
-@pytest.mark.parametrize("kwargs", [
-    {}, {"grid": DEFAULT_GRID}, {"grid": DEFAULT_GRID, "budget": 5},
-], ids=["no-budget", "grid", "grid-and-budget"])
-def test_random_search_needs_a_budget_and_no_grid(kwargs):
-    with pytest.raises(ValueError, match="kantorovich has no grid search"):
-        search_violations("kantorovich", **kwargs)
+# ran no trial and reported no violation, and the candidate once ignored a
+# grid given with a budget (this grid alone raises on its NaN)
+@pytest.mark.parametrize("name,kwargs,message", [
+    ("kantorovich", {}, "kantorovich has no grid search"),
+    ("kantorovich", {"grid": DEFAULT_GRID}, "kantorovich has no grid search"),
+    ("kantorovich", {"grid": DEFAULT_GRID, "budget": 5}, "kantorovich has no grid search"),
+    (CANDIDATE_NAME, {"grid": {**DEFAULT_GRID, "x": [float("nan")]}, "budget": 3},
+     "a grid or a budget of random trials, not both"),
+], ids=["no-budget", "grid", "grid-and-budget", "candidate-grid-and-budget"])
+def test_random_search_needs_a_budget_and_no_grid(name, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        search_violations(name, **kwargs)
+
+
+def test_random_search_makes_each_stream_as_it_draws(monkeypatch):
+    # a list of all `budget` streams, made before the first trial, once
+    # held about 1 kB per trial and evaluated no trial for a large budget
+    made, at_draw = [], []
+    monkeypatch.setattr(falsify, "stream", lambda *key: made.append(key) or stream(*key))
+    spec = registry.get("kantorovich")
+    counted = dataclasses.replace(
+        spec, draw=lambda rng, *args: at_draw.append(len(made)) or spec.draw(rng, *args))
+    monkeypatch.setitem(registry._BY_NAME, spec.name, counted)
+    assert search_violations(spec.name, budget=5, seed=3) == []
+    assert at_draw == [1, 2, 3, 4, 5]
 
 
 def test_true_inequalities_produce_no_reports():

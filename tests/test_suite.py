@@ -7,9 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from opineq import hermitian, means, registry
+from opineq import checks, hermitian, means, registry
 from opineq.checks import CheckResult
-from opineq.cli import main
+from opineq.cli import EXIT_CHECK_FAILED, main
 from opineq.hermitian import DomainError, SpectralInterval, power
 from opineq.io import (dump_json, load_json, map_from_json, map_to_json,
                        matrix_from_json, matrix_to_json)
@@ -264,6 +264,38 @@ def test_suite_includes_candidate_only_on_request():
     # so a run that demands a violation reports not-ok (honest sensitivity red)
     assert rep2.expected_fail_violations["inverse_square_candidate"] == 0
     assert not rep2.ok
+
+
+@pytest.fixture
+def kantorovich_halved(monkeypatch):
+    """A planted false statement: Phi(A^-1) <= K Phi(A)^-1 with K = 1/2
+    fails on every instance, since Phi(A^-1) >= Phi(A)^-1 (Choi)."""
+    monkeypatch.setattr(checks, "kantorovich_constant", lambda iv: 0.5)
+
+
+def test_suite_records_each_failure(kantorovich_halved):
+    rep = run_suite(seed=5, trials=3, dims=(2,), names=["kantorovich"], timestamp=False)
+    assert not rep.ok and not rep.to_record()["ok"]
+    assert [(f["entry"], f["trial"], f["check_name"]) for f in rep.failures] == [
+        ("kantorovich", t, "kantorovich") for t in range(3)]
+    for f in rep.failures:
+        assert list(f) == ["check_name", "params", "margin", "holds", "tolerance",
+                           "lhs_norm", "rhs_norm", "entry", "trial"]
+        assert f["holds"] is False and f["margin"] < -f["tolerance"]
+        assert f["params"]["constant"] == 0.5 and f["lhs_norm"] > 0 and f["rhs_norm"] > 0
+    (rec,) = rep.checks
+    assert rec["failures"] == 3 and rec["margin"] == min(f["margin"] for f in rep.failures)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--name", "kantorovich", "--trials", "2", "--dim", "2"],
+    ["suite", "--dims", "2", "--trials", "2"],
+], ids=["check", "suite"])
+def test_a_disagreeing_check_exits_1(capsys, kantorovich_halved, argv):
+    assert main(argv + ["--no-timestamp"]) == EXIT_CHECK_FAILED
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["ok"] is False
+    assert {f["entry"] for f in rec["failures"]} >= {"kantorovich"}
 
 
 def test_suite_interval_override():

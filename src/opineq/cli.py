@@ -55,8 +55,20 @@ def parse_angle(text: str) -> float:
     return float(s)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("OPINEQ_SEED", "42"))
+def _resolve_seed(args) -> None:
+    """Set --seed, if the command takes one: the flag, else OPINEQ_SEED,
+    else 42. A seed is an integer >= 0; ValueError names where it came from."""
+    if "seed" not in vars(args):
+        return
+    flag = "--seed"
+    if args.seed is None:
+        flag, text = "OPINEQ_SEED, the default --seed,", os.environ.get("OPINEQ_SEED", "42")
+        try:
+            args.seed = int(text)
+        except ValueError:
+            raise ValueError(f"{flag} must be an integer, got {text!r}") from None
+    if args.seed < 0:
+        raise ValueError(f"{flag} must be >= 0, got {args.seed}")
 
 
 # float flags that must hold a finite number, by parsed attribute; an
@@ -88,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("json", "text"), default="json")
 
     def seeded_report_flags(sp):
-        sp.add_argument("--seed", type=int, default=_default_seed())
+        sp.add_argument("--seed", type=int, default=None)
         report_flags(sp)
         sp.add_argument("--no-timestamp", action="store_true")
 
@@ -332,6 +344,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _require_finite(args)
+        _resolve_seed(args)
         return args.run(args)
     except (ValueError, MemoryError) as exc:   # MemoryError: an input too large to allocate
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

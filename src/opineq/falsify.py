@@ -25,7 +25,7 @@ from .hermitian import (BATCH_BYTES, DEFAULT_TOL, adjoint, hermitian_part,
                         operator_norm, power, within_tolerance)
 from .io import map_to_json, matrix_to_json
 from .maps import _weighted_sum, make_rotation_mixture, require_unitary, rotation
-from .rng import stream
+from .rng import stream, streams
 
 CANDIDATE_NAME = "inverse_square_candidate"
 # relative change of margin within which a witness replays
@@ -205,7 +205,7 @@ def search_violations(check_name: str, grid: dict | None = None,
         return _grid_violations(grid or DEFAULT_GRID, tol)
     out: list[ViolationReport] = []
     # streams are made as the trials draw, so a large budget holds no list of them
-    rngs = (stream(seed, spec.name, trial) for trial in range(int(budget)))
+    rngs = streams(seed, spec.name, int(budget))
     per_trial = spec.run_trial(rngs, tol, registry.DEFAULT_DIMS, registry.DEFAULT_INTERVALS)
     for trial, results in enumerate(per_trial):
         for res in results:

@@ -30,7 +30,9 @@ def _gaussian(dim: int, rng: np.random.Generator, terms: int | None = None) -> n
     if dim < 1:
         raise ValueError("dim must be >= 1")
     g = rng.standard_normal((2, dim, dim) if terms is None else (terms, 2, dim, dim))
-    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    z = np.empty(g.shape[:-3] + (dim, dim), dtype=complex)
+    z.real, z.imag = g[..., 0, :, :], g[..., 1, :, :]
+    return z
 
 
 def _put(arrays: list, idx: list, values: np.ndarray) -> None:
@@ -75,7 +77,9 @@ class DrawBatch:
             out = np.empty((1, 1)) if out is None else out
             out[...] = rng.uniform(m, M)
             return out
-        evals = np.concatenate(([m, M], rng.uniform(m, M, size=dim - 2)))
+        evals = np.empty(dim)
+        evals[:2] = m, M
+        evals[2:] = rng.uniform(m, M, size=dim - 2)
         rng.shuffle(evals)
         a = self.unitary(dim, rng, out)
         self._spd.append(a)

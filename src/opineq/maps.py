@@ -31,7 +31,7 @@ class KrausMap:
         if ops.ndim != 3 or len(ops) == 0 or weights.shape != (len(ops),):
             raise ValueError("need equally many Kraus operators and weights, "
                              "at least one, all of one matrix shape")
-        if not np.all(weights > 0):
+        if not (weights > 0).all():
             raise ValueError("weights must be positive")
         self.ops = ops
         self.weights = weights
@@ -164,8 +164,8 @@ def pinching(blocks, dim: int) -> KrausMap:
     if seen != list(range(dim)):
         raise ValueError(f"blocks must partition range({dim})")
     ops = np.zeros((len(blocks), dim, dim))
-    for p, b in zip(ops, blocks):
-        p[list(b), list(b)] = 1.0
+    diag = [i for b in blocks for i in b]
+    ops[[j for j, b in enumerate(blocks) for _ in b], diag, diag] = 1.0
     return KrausMap(ops, np.ones(len(blocks)))
 
 

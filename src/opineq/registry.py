@@ -94,18 +94,18 @@ class CheckSpec:
         slots: list = []    # per trial, per record: its results
         held: dict = {}     # (record index, key) -> [bytes, trial indices, records]
         batch = DrawBatch()
-
-        def held_bytes():
-            return sum(bucket[0] for bucket in held.values())
+        total = 0           # the bytes of every held bucket
 
         def flush(keep):
             # finish the pending algebra, then evaluate the largest buckets
             # until at most `keep` bytes are held (-1: every bucket)
+            nonlocal total
             batch.finish()
             evicted = []
-            while held and held_bytes() > keep:
+            while held and total > keep:
                 key = max(held, key=lambda k: held[k][0])
                 evicted.append((key, held.pop(key)))
+                total -= evicted[-1][1][0]
             if evicted:
                 self._evaluate(evicted, slots)
 
@@ -115,10 +115,12 @@ class CheckSpec:
             slots.append([[] for _ in records])
             for j, record in enumerate(records):
                 bucket = held.setdefault((j, _key(record)), [0, [], []])
-                bucket[0] += _nbytes(record)
+                size = _nbytes(record)
+                bucket[0] += size
+                total += size
                 bucket[1].append(t)
                 bucket[2].append(record)
-            if held_bytes() + batch.nbytes >= BATCH_BYTES:
+            if total + batch.nbytes >= BATCH_BYTES:
                 flush(BATCH_BYTES // 2)
         flush(-1)
         return [sum(results, []) for results in slots]

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import registry
 from .checks import CheckResult
 from .hermitian import DEFAULT_TOL, DomainError, SpectralInterval
-from .rng import stream
+from .rng import streams
 
 
 @dataclass
@@ -93,7 +93,7 @@ def run_suite(seed: int = 42, trials: int = 200,
     for spec in specs:
         agg: dict[str, _Aggregate] = {}
         violations = 0
-        rngs = (stream(seed, spec.name, trial) for trial in range(trials))
+        rngs = streams(seed, spec.name, trials)
         try:
             per_trial = spec.run_trial(rngs, tol, tuple(dims), tuple(intervals))
         except DomainError as exc:

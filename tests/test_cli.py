@@ -98,6 +98,20 @@ def test_suite_seed_env_override(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 123
 
 
+@pytest.mark.parametrize("value,problem", [("abc", "must be an integer, got 'abc'"),
+                                           ("-3", "must be >= 0, got -3")])
+def test_suite_seed_env_must_be_a_seed(capsys, monkeypatch, value, problem):
+    # a usage error for a command that takes a seed, unless --seed is given;
+    # `list` takes none
+    monkeypatch.setenv("OPINEQ_SEED", value)
+    assert main(["suite", "--trials", "2", "--dims", "2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: OPINEQ_SEED, the default --seed, {problem}\n"
+    assert main(["suite", "--trials", "2", "--dims", "2", "--seed", "1"]) == EXIT_OK
+    assert main(["list"]) == EXIT_OK
+
+
 def test_suite_text_format_is_lossless(capsys):
     code, out = run_cli(capsys, "suite", "--trials", "2", "--dims", "2",
                         "--format", "text", "--no-timestamp")
@@ -298,6 +312,9 @@ def _strict_json(text: str):
     # is touched (seed 42 draws a compression, whose first array is that big)
     (["check", "--name", "kantorovich", "--trials", "1", "--dim", "10000000", "--seed", "42"],
      EXIT_USAGE, "Unable to allocate"),
+    (["check", "--name", "kantorovich", "--trials", "2", "--seed", "-1"], EXIT_USAGE, "--seed"),
+    (["falsify", "--name", "kantorovich", "--budget", "3", "--seed", "-5"], EXIT_USAGE,
+     "--seed"),
 ], ids=["kantorovich-overflow", "kantorovich-subnormal-m", "generalized-kantorovich-overflow",
         "beta-p-overflow",
         "mond-pecaric-alpha-overflow",
@@ -312,7 +329,7 @@ def _strict_json(text: str):
         "beta-p-zero-division", "check-zero-division", "check-power-overflow",
         "check-minkowski-overflow", "check-mond-pecaric-overflow",
         "check-additive-sqrt-overflow", "check-tuple-minkowski-invalid",
-        "check-dim-beyond-memory"])
+        "check-dim-beyond-memory", "check-seed-negative", "falsify-seed-negative"])
 def test_degenerate_input_gives_result_or_usage_error(capsys, argv, code, flag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -26,7 +26,7 @@ from opineq.hermitian import (DEFAULT_TOL, hermitian_part, operator_norm, power,
                               within_tolerance)
 from opineq.io import map_to_json, matrix_to_json
 from opineq.maps import make_rotation_mixture, require_unitary, rotation
-from opineq.rng import stream
+from opineq.rng import stream, streams
 
 
 def ref_counterexample_T(x, alpha, beta, tol=DEFAULT_TOL):
@@ -429,7 +429,12 @@ def test_random_search_makes_each_stream_as_it_draws(monkeypatch):
     # a list of all `budget` streams, made before the first trial, once
     # held about 1 kB per trial and evaluated no trial for a large budget
     made, at_draw = [], []
-    monkeypatch.setattr(falsify, "stream", lambda *key: made.append(key) or stream(*key))
+
+    def counting_streams(*key):
+        for rng in streams(*key):
+            made.append(rng)
+            yield rng
+    monkeypatch.setattr(falsify, "streams", counting_streams)
     spec = registry.get("kantorovich")
     counted = dataclasses.replace(
         spec, draw=lambda rng, *args: at_draw.append(len(made)) or spec.draw(rng, *args))

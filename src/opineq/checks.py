@@ -29,13 +29,13 @@ from typing import Optional
 import numpy as np
 
 from .constants import (alpha_constant, beta0_constant, beta_p_constant,
-                        function_range, generalized_kantorovich,
-                        kantorovich_constant, mond_pecaric_beta)
+                        generalized_kantorovich, kantorovich_constant,
+                        mond_pecaric_beta)
 from .functions import ScalarFunction
 from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval, _stack_key,
-                        adjoint, as_hermitian, each_stacked, hermitian_part,
-                        inv_psd, loewner_leq_each, matrix_function, power,
-                        sqrtm_psd, within_tolerance)
+                        as_hermitian, each_stacked, hermitian_part, inv_psd,
+                        loewner_leq_each, matrix_function, power, sqrtm_psd,
+                        within_tolerance)
 from .maps import KrausMap, MapStack, vector_state_value
 from .means import connection, geometric_mean
 
@@ -58,13 +58,18 @@ class CheckResult:
         return asdict(self)
 
 
+def _results(name: str, params: list, tol: float, holds, margin, lhs_norm, rhs_norm) -> list:
+    """One CheckResult per entry of `params`, from arrays with one entry each."""
+    return [CheckResult(name, p, m, h, tol, l, r) for p, h, m, l, r in
+            zip(params, *(np.ravel(v).tolist() for v in (holds, margin, lhs_norm, rhs_norm)))]
+
+
 def _operator(tol: float, *forms) -> list:
     """Operator forms (name, params, lhs, rhs), each judged as LHS <= RHS,
     one list of results per form. All their spectra come from one call,
     an operand shared by several forms (the same object) decomposed once."""
     verdicts = loewner_leq_each([(lhs, rhs) for _, _, lhs, rhs in forms], tol)
-    return [[CheckResult(name, p, m, h, tol, l, r) for p, h, m, l, r in
-             zip(params, *(v.tolist() for v in verdict))]
+    return [_results(name, params, tol, *verdict)
             for (name, params, _, _), verdict in zip(forms, verdicts)]
 
 
@@ -72,9 +77,7 @@ def _scalar(name: str, params: list, lhs, rhs, tol: float) -> list:
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     margin = rhs - lhs
     ln, rn = np.abs(lhs), np.abs(rhs)
-    holds = within_tolerance(margin, tol, ln, rn)
-    return [CheckResult(name, p, m, h, tol, l, r) for p, h, m, l, r in
-            zip(params, holds.tolist(), margin.tolist(), ln.tolist(), rn.tolist())]
+    return _results(name, params, tol, within_tolerance(margin, tol, ln, rn), margin, ln, rn)
 
 
 def _col(values) -> np.ndarray:
@@ -116,6 +119,10 @@ def _nbytes(record: dict) -> int:
 def _stack(records: list) -> dict:
     """One bucket of records as one record of stacks."""
     return {name: _leaf(type(v))[3]([r[name] for r in records]) for name, v in records[0].items()}
+
+
+class HypothesisError(DomainError):
+    """A matrix of a CheckInstance breaks its interval or bounds beyond tol."""
 
 
 @dataclass
@@ -175,7 +182,7 @@ class CheckInstance:
         bad = np.any([broken for broken, _ in rules], axis=0)
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])
-            raise ValueError(next(message(i) for broken, message in rules if broken[i]))
+            raise HypothesisError(next(message(i) for broken, message in rules if broken[i]))
 
     @property
     def stacked(self) -> bool:
@@ -353,8 +360,7 @@ def check_reverse_choi_quadratic(inst: CheckInstance) -> list:
     k = [_sharp_bound(v) ** 2 for v in inst.bounds]
     a, b = inst.a, inst.b
     lhs, pb, pa = each_stacked(inst.phi, [hermitian_part(b @ inv_psd(a) @ b), b, a])
-    rhs = pb @ inv_psd(pa) @ pb
-    rhs = _col(k) * (rhs + adjoint(rhs)) / 2
+    rhs = _col(k) * hermitian_part(pb @ inv_psd(pa) @ pb)
     return _operator(inst.tol, ("reverse_choi_quadratic", inst.params(constant=k),
                                 lhs, rhs))[0]
 
@@ -412,11 +418,14 @@ def check_additive_sqrt(inst: CheckInstance) -> list:
                                 _col(c) * _eye(inst) + pa))[0]
 
 
-def minkowski_constants(ivs, f: ScalarFunction) -> dict:
-    """The constants of `check_minkowski_general` for each interval, searched
-    in lockstep: alpha[f; m, M] and 2*beta0[f^-1; f-range]."""
+def minkowski_constants(stacks: list, f: ScalarFunction) -> dict:
+    """The constants of `check_minkowski_general` for each instance of the
+    stacks, searched in lockstep: alpha[f; m, M] and 2*beta0[f^-1; f-range],
+    the sorted (f(m), f(M)) since a one-to-one continuous f is monotone."""
+    ivs = [iv for s in stacks for iv in s.iv]
+    ranges = np.sort(f(np.array([[iv.m, iv.M] for iv in ivs])), axis=-1)
     return {"alpha": alpha_constant(f, ivs),
-            "beta": 2.0 * beta0_constant(f.inverted(), function_range(f, ivs))}
+            "beta": 2.0 * beta0_constant(f.inverted(), ranges)}
 
 
 @_per_instance
@@ -435,7 +444,7 @@ def check_minkowski_general(inst: CheckInstance, f: ScalarFunction,
     sa, sb, sab = each_stacked(lambda x: matrix_function(inst.phi(matrix_function(x, f)), finv),
                                [inst.a, inst.b, inst.a + inst.b])
     if alpha is None:
-        alpha, beta = minkowski_constants(inst.iv, f).values()
+        alpha, beta = minkowski_constants([inst], f).values()
     return _minkowski_pairs(inst, name, inst.params(f=f.name, alpha=alpha, beta=beta),
                             sa + sb, sab, alpha, beta)
 
@@ -448,18 +457,22 @@ def _minkowski_pairs(inst: CheckInstance, name: str, params: list, lhs, sab,
                                (name + ".add", params, lhs, _col(summand) * _eye(inst) + sab))))
 
 
-@_per_instance
-def check_power_minkowski(inst: CheckInstance, p: float, name: Optional[str] = None) -> list:
-    """One (mult, add) pair per instance."""
+def _power_minkowski(inst: CheckInstance, p: float, name: str, **tag) -> list:
+    """One (mult, add) pair per instance; `tag` ends each params dict."""
     if not 1 <= p <= 2:
         raise DomainError(f"need 1 <= p <= 2, got {p}")
-    name = name or f"power_minkowski[p={_fmt(p)}]"
     sa, sb, sab = each_stacked(lambda x: power(inst.phi(power(x, p)), 1.0 / p),
                                [inst.a, inst.b, inst.a + inst.b])
     kp = [generalized_kantorovich(p, v) ** (1.0 / p) for v in inst.iv]
     bp = _each(beta_p_constant, inst.iv, p)
-    return _minkowski_pairs(inst, name, inst.params(p=p, factor=kp, summand=bp),
+    return _minkowski_pairs(inst, name, inst.params(p=p, factor=kp, summand=bp, **tag),
                             sa + sb, sab, kp, bp)
+
+
+@_per_instance
+def check_power_minkowski(inst: CheckInstance, p: float) -> list:
+    """One (mult, add) pair per instance."""
+    return _power_minkowski(inst, p, f"power_minkowski[p={_fmt(p)}]")
 
 
 @_per_instance
@@ -467,19 +480,17 @@ def check_tuple_minkowski(inst: CheckInstance, k: int) -> list:
     """k-tuple version at p = 2, reduced to the two-term power check: A and
     B are the block-diagonal matrices of the k blocks A_i and B_i, and phi
     is the direct sum of the k maps Phi_i (see `generators.DrawBatch`)."""
-    tagged = copy.copy(inst)
-    tagged.params = lambda **extra: inst.params(**extra, k=k)    # k is the last key
-    return check_power_minkowski(tagged, 2.0, name=f"tuple_minkowski[k={k}]")
+    return _power_minkowski(inst, 2.0, f"tuple_minkowski[k={k}]", k=k)
 
 
 __all__ = [
-    "CheckResult", "CheckInstance", "check_choi_davis", "check_kantorovich",
-    "check_kantorovich_squared", "check_kantorovich_sharp", "check_refinement",
-    "check_power_inner_product", "check_ando", "check_ando_connection",
-    "check_reverse_ando_convex", "check_reverse_ando_sandwich",
-    "check_kantorovich_equivalents", "check_reverse_choi_quadratic",
-    "check_mond_pecaric", "check_generalized_kantorovich_operator",
-    "check_scalar_power_chain", "check_additive_sqrt", "minkowski_constants",
-    "check_minkowski_general", "check_power_minkowski",
-    "check_tuple_minkowski",
+    "CheckResult", "HypothesisError", "CheckInstance", "check_choi_davis",
+    "check_kantorovich", "check_kantorovich_squared", "check_kantorovich_sharp",
+    "check_refinement", "check_power_inner_product", "check_ando",
+    "check_ando_connection", "check_reverse_ando_convex",
+    "check_reverse_ando_sandwich", "check_kantorovich_equivalents",
+    "check_reverse_choi_quadratic", "check_mond_pecaric",
+    "check_generalized_kantorovich_operator", "check_scalar_power_chain",
+    "check_additive_sqrt", "minkowski_constants", "check_minkowski_general",
+    "check_power_minkowski", "check_tuple_minkowski",
 ]

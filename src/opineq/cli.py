@@ -25,6 +25,7 @@ from . import registry
 from .constants import (alpha_constant, beta0_constant, beta_p_constant,
                         generalized_kantorovich, kantorovich_constant,
                         mond_pecaric_beta)
+from .checks import HypothesisError
 from .falsify import CANDIDATE_NAME, counterexample_T, search_violations
 from .functions import by_name
 from .hermitian import DEFAULT_TOL, DomainError, SpectralInterval
@@ -74,7 +75,7 @@ def _resolve_seed(args) -> None:
 # float flags that must hold a finite number, by parsed attribute; an
 # attribute parsed as text (counterexample's angles) is checked once parsed
 _FINITE_FLAGS = {"tol": "--tol", "m": "-m", "M": "-M", "x": "--x", "p": "--p",
-                 "alpha": "--alpha"}
+                 "alpha": "--alpha", "beta": "--beta"}
 
 
 def _require_finite(args) -> None:
@@ -185,8 +186,9 @@ def _cmd_list(args) -> int:
 def _run_suite(args, suite_name, dims, names=None, include_expected_fail=False):
     """run_suite with the options `check` and `suite` share, checked first;
     an entry that stops on a DomainError or an ArithmeticError on the -m/-M
-    interval names those flags. A float overflow, a division by zero or an
-    invalid operation raises rather than warns."""
+    interval names those flags, and one whose drawn instance breaks its
+    hypothesis, exact but for rounding, names --tol too. A float overflow,
+    a division by zero or an invalid operation raises rather than warns."""
     if args.tol <= 0:
         raise ValueError("tol must be > 0")
     if getattr(args, "dim", None) is not None and args.dim < 1:
@@ -196,13 +198,16 @@ def _run_suite(args, suite_name, dims, names=None, include_expected_fail=False):
     kw = dict(seed=args.seed, trials=args.trials, names=names, dims=dims,
               tol=args.tol, include_expected_fail=include_expected_fail,
               suite_name=suite_name, timestamp=not args.no_timestamp)
+    at = "" if args.m is None else f" at -m {args.m!r} -M {args.M!r}"
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        if args.m is None:
-            return run_suite(**kw)
         try:
-            return run_suite(intervals=[SpectralInterval(args.m, args.M)], **kw)
+            if args.m is not None:
+                kw["intervals"] = [SpectralInterval(args.m, args.M)]
+            return run_suite(**kw)
+        except HypothesisError as exc:
+            raise ValueError(f"{exc}: --tol {args.tol!r} is below float rounding{at}") from None
         except (DomainError, ArithmeticError) as exc:
-            raise type(exc)(f"{exc.args[-1]} at -m {args.m!r} -M {args.M!r}") from None
+            raise type(exc)(f"{exc.args[-1]}{at}") from None
 
 
 def _cmd_check(args) -> int:
@@ -281,24 +286,21 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    angles = []
-    for flag, text in (("--alpha", args.alpha), ("--beta", args.beta)):
+    for attr in ("alpha", "beta"):
         try:
-            angles.append(parse_angle(text))
+            setattr(args, attr, parse_angle(getattr(args, attr)))
         except ValueError as exc:
-            raise ValueError(f"{flag}: {exc}") from None
-        if not math.isfinite(angles[-1]):
-            raise ValueError(f"{flag} must be finite, got {angles[-1]!r}")
-    alpha, beta = angles
+            raise ValueError(f"{_FINITE_FLAGS[attr]}: {exc}") from None
+    _require_finite(args)
     if args.x <= 0:
         raise ValueError("--x must be positive")
     with np.errstate(all="ignore"):     # a T out of float range is rejected below
-        t, eigs, psd = counterexample_T(args.x, alpha, beta, args.tol)
+        t, eigs, psd = counterexample_T(args.x, args.alpha, args.beta, args.tol)
         trace, det = float(np.trace(t).real), float(np.linalg.det(t).real)
     if not np.all(np.isfinite([*t.ravel(), *eigs, trace, det])):
         raise ValueError(f"T is out of float range at --x {args.x!r}")
     record = {
-        "x": args.x, "alpha": alpha, "beta": beta,
+        "x": args.x, "alpha": args.alpha, "beta": args.beta,
         "T": matrix_to_json(t),
         "eigenvalues": list(eigs),
         "psd": psd,

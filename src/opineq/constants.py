@@ -34,14 +34,6 @@ def _interval(iv) -> SpectralInterval:
     return SpectralInterval(float(m), float(M))
 
 
-def _lanes(ivs):
-    """(m, M) as arrays over lanes, and whether `ivs` was one interval (a
-    SpectralInterval or an (m, M) pair) rather than a sequence of them."""
-    one = isinstance(ivs, SpectralInterval) or np.isscalar(ivs[0])
-    ivs = [_interval(iv) for iv in ([ivs] if one else ivs)]
-    return (np.array([iv.m for iv in ivs]), np.array([iv.M for iv in ivs]), one)
-
-
 def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args):
     """Global max of a smooth f on [lo, hi]: coarse scan, then golden section
     inside the best bracket. Returns (argmax, value). f must accept arrays.
@@ -102,17 +94,6 @@ def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args):
     if one:
         return float(arg[0]), float(value[0])
     return arg, value
-
-
-def function_range(f, iv):
-    """[min f, max f] over a 4097-point grid of [m, M]; given a sequence of
-    intervals, the list of their ranges, one interval scanned at a time."""
-    m, M, one = _lanes(iv)
-    ranges = []
-    for lo, hi in zip(m, M):
-        fv = np.asarray(f(np.linspace(lo, hi, 4097)), dtype=float)
-        ranges.append(SpectralInterval(float(fv.min()), float(fv.max())))
-    return ranges[0] if one else ranges
 
 
 class ChordCoefficients(NamedTuple):
@@ -177,8 +158,11 @@ def _chord_search(f, iv, positive, point, objective, *lane_args):
     secant of f, per interval: a point interval gets point(m, *lane_args),
     the wide ones one `chord_coefficients` and one lockstep `golden_max`
     (`positive`: first probe f > 0 on them). `lane_args` are one value or
-    one per interval; one interval gives a float."""
-    m, M, one = _lanes(iv)
+    one per interval; one interval (a SpectralInterval or an (m, M) pair)
+    gives a float."""
+    one = isinstance(iv, SpectralInterval) or np.isscalar(iv[0])
+    ivs = [_interval(v) for v in ([iv] if one else iv)]
+    m, M = np.array([v.m for v in ivs]), np.array([v.M for v in ivs])
     lane_args = [np.broadcast_to(np.asarray(v, dtype=float), m.shape) for v in lane_args]
     value = point(m, *lane_args)
     wide = m != M
@@ -238,7 +222,7 @@ def mond_pecaric_beta(f, iv, alpha):
 
 
 __all__ = [
-    "ChordCoefficients", "golden_max", "function_range", "chord_coefficients",
+    "ChordCoefficients", "golden_max", "chord_coefficients",
     "kantorovich_constant", "generalized_kantorovich", "alpha_constant",
     "beta0_constant", "beta_p_constant", "mond_pecaric_beta",
 ]

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checks import CheckResult
+from .checks import _results
 from .hermitian import (BATCH_BYTES, DEFAULT_TOL, adjoint, hermitian_part,
                         operator_norm, power, within_tolerance)
 from .io import map_to_json, matrix_to_json
@@ -110,14 +110,11 @@ def candidate_result(x, alpha, beta, tol: float = DEFAULT_TOL):
     for arrays of points, the list of them in point order."""
     t, w, _, pain = _deficit(x, alpha, beta, tol)
     ln, rn = _norms(t, pain)
-    holds = within_tolerance(w[..., 0], tol, ln, rn)
-    cols = [np.asarray(v, dtype=float).ravel().tolist() for v in (x, alpha, beta)]
-    cols += [np.ravel(v).tolist() for v in (w[..., 0], holds, ln, rn)]
-    out = []
-    for xi, a, b, margin, h, l, r in zip(*cols):
-        params = {"x": xi, "alpha": a, "beta": b, "dim": 2, "out_dim": 2,
-                  "m": min(1.0, xi), "M": max(1.0, xi)}
-        out.append(CheckResult(CANDIDATE_NAME, params, margin, h, tol, l, r))
+    points = zip(*(np.asarray(v, dtype=float).ravel().tolist() for v in (x, alpha, beta)))
+    params = [{"x": xi, "alpha": a, "beta": b, "dim": 2, "out_dim": 2,
+               "m": min(1.0, xi), "M": max(1.0, xi)} for xi, a, b in points]
+    out = _results(CANDIDATE_NAME, params, tol, within_tolerance(w[..., 0], tol, ln, rn),
+                   w[..., 0], ln, rn)
     return out if w.ndim > 1 else out[0]
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import SpectralInterval, adjoint, hermitian_part, sqrtm_psd, stacks
+from .hermitian import SpectralInterval, _from_spectrum, hermitian_part, sqrtm_psd, stacks
 from .maps import (KrausMap, mixture_of, pinching, require_isometry,
                    require_unitary)
 
@@ -128,8 +128,7 @@ class DrawBatch:
             d = np.diagonal(r, axis1=-2, axis2=-1)
             _put(self._haar, idx, q * (d / np.abs(d))[..., None, :])
         for idx, u in stacks(self._spd):
-            w = np.stack([self._evals[i] for i in idx])
-            _put(self._spd, idx, hermitian_part((u * w[:, None, :]) @ adjoint(u)))
+            _put(self._spd, idx, _from_spectrum(np.stack([self._evals[i] for i in idx]), u))
         for idx, a in stacks(self._sandwich_a):
             ah = sqrtm_psd(a)
             d = np.stack([self._sandwich_b[i] for i in idx])
@@ -174,18 +173,11 @@ def random_weights(k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_pinching(dim: int, rng: np.random.Generator) -> KrausMap:
-    perm = [int(i) for i in rng.permutation(dim)]
+    perm = rng.permutation(dim)
     nblocks = 1 + int(rng.integers(dim))
-    if nblocks > 1:
-        cuts = sorted(int(c) for c in
-                      rng.choice(np.arange(1, dim), size=nblocks - 1, replace=False))
-    else:
-        cuts = []
-    blocks, lo = [], 0
-    for hi in cuts + [dim]:
-        blocks.append(perm[lo:hi])
-        lo = hi
-    return pinching(blocks, dim)
+    cuts = (np.sort(rng.choice(np.arange(1, dim), size=nblocks - 1, replace=False))
+            if nblocks > 1 else [])
+    return pinching(np.split(perm, cuts), dim)
 
 
 def random_unital_map(out_dim: int, rng: np.random.Generator) -> tuple[KrausMap, int]:

@@ -18,43 +18,40 @@ def _chord_values(f, m, M, t):
     return fm + (fM - fm) * (t - m) / (M - m)
 
 
-def oracle_alpha(f, m: float, M: float, points: int = GRID_POINTS) -> float:
+def oracle_alpha(f, m: float, M: float) -> float:
     if m == M:
         return 1.0
-    t = np.linspace(m, M, points)
+    t = np.linspace(m, M, GRID_POINTS)
     return float(np.max(_chord_values(f, m, M, t) / f(t)))
 
 
-def oracle_beta0(f, m: float, M: float, points: int = GRID_POINTS) -> float:
+def oracle_beta0(f, m: float, M: float) -> float:
     if m == M:
         return 0.0
-    t = np.linspace(m, M, points)
+    t = np.linspace(m, M, GRID_POINTS)
     return float(np.max(f(t) - _chord_values(f, m, M, t)))
 
 
-def oracle_kantorovich(m: float, M: float, points: int = GRID_POINTS) -> float:
+def oracle_kantorovich(m: float, M: float) -> float:
     # max of chord(t)*t for f(t)=1/t, written out: t*(m+M-t)/(m*M)
     if m == M:
         return 1.0
-    t = np.linspace(m, M, points)
+    t = np.linspace(m, M, GRID_POINTS)
     return float(np.max(t * (m + M - t) / (m * M)))
 
 
-def oracle_generalized_kantorovich(p: float, m: float, M: float,
-                                   points: int = GRID_POINTS) -> float:
-    return oracle_alpha(lambda t: np.power(t, p), m, M, points)
+def oracle_generalized_kantorovich(p: float, m: float, M: float) -> float:
+    return oracle_alpha(lambda t: np.power(t, p), m, M)
 
 
-def oracle_beta_p(p: float, m: float, M: float,
-                  points: int = GRID_POINTS) -> float:
-    return 2.0 * oracle_beta0(lambda s: np.power(s, 1.0 / p), m ** p, M ** p, points)
+def oracle_beta_p(p: float, m: float, M: float) -> float:
+    return 2.0 * oracle_beta0(lambda s: np.power(s, 1.0 / p), m ** p, M ** p)
 
 
-def oracle_mond_pecaric_beta(f, m: float, M: float, alpha: float,
-                             points: int = GRID_POINTS) -> float:
+def oracle_mond_pecaric_beta(f, m: float, M: float, alpha: float) -> float:
     if m == M:
         return float((1.0 - alpha) * f(np.asarray(m, dtype=float)))
-    t = np.linspace(m, M, points)
+    t = np.linspace(m, M, GRID_POINTS)
     return float(np.max(_chord_values(f, m, M, t) - alpha * f(t)))
 
 

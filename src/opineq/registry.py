@@ -68,10 +68,10 @@ class CheckSpec:
     or `check(stack, param)` once per entry of `params`, in order (record j
     of a list runs param j only), and returns per instance one CheckResult
     or a sequence of them. A trial returns them all in record order, then
-    call order. `constants(intervals, param)`, if set, computes keyword
-    arguments of the check for every instance evaluated in one round at
-    once (one lockstep search instead of one per bucket); each value holds
-    one entry per interval."""
+    call order. `constants(stacks, param)`, if set, computes keyword
+    arguments of the check for every instance of the stacks evaluated in
+    one round at once (one lockstep search instead of one per bucket);
+    each value holds one entry per instance, in stack order."""
     name: str
     statement: str
     draw: Callable[..., Union[dict, list]]
@@ -136,8 +136,7 @@ class CheckSpec:
         for _, (_, _, records) in buckets:
             stacks.append(self.instance(**_stack(records)))
             records.clear()
-        extras = [{} if self.constants is None else
-                  self.constants([iv for s in stacks for iv in s.iv], *args) for args in calls]
+        extras = [self.constants(stacks, *args) if self.constants else {} for args in calls]
         pairs, lo = list(zip(calls, extras)), 0
         for ((j, _), (_, trials, _)), stack in zip(buckets, stacks):
             # a row that draws one record per param runs param j on record j
@@ -219,16 +218,10 @@ def _tuples(rng, tol, dims, intervals, batch) -> list:
 
 
 def _candidate_point(rng, tol, dims, intervals, batch) -> dict:
-    """A random point (x, alpha, beta) of the 2x2 rotation-mixture family."""
-    x = float(rng.uniform(0.5, 4.0))
-    alpha = float(rng.uniform(0.0, np.pi))
-    beta = float(rng.uniform(0.0, np.pi))
-    return dict(xab=np.array([x, alpha, beta]), tol=tol)
-
-
-def _candidates(points: dict) -> list[CheckResult]:
-    xab = points["xab"]
-    return candidate_result(xab[:, 0], xab[:, 1], xab[:, 2], points["tol"])
+    """A random point (x, alpha, beta) of the 2x2 rotation-mixture family,
+    each coordinate a 0-d array, so that a bucket stacks them."""
+    return dict(x=np.asarray(rng.uniform(0.5, 4.0)), alpha=np.asarray(rng.uniform(0.0, np.pi)),
+                beta=np.asarray(rng.uniform(0.0, np.pi)), tol=tol)
 
 
 def _mond_pecaric_alpha(ivs, alpha):
@@ -236,8 +229,10 @@ def _mond_pecaric_alpha(ivs, alpha):
     return [kantorovich_constant(iv) for iv in ivs] if alpha == "K" else alpha
 
 
-def _mond_pecaric_constants(ivs, alpha) -> dict:
-    return {"beta": mond_pecaric_beta(square_function, ivs, _mond_pecaric_alpha(ivs, alpha))}
+def _mond_pecaric_constants(stacks, alpha) -> dict:
+    (f,) = {s.f for s in stacks}    # the one f the row's draw states
+    ivs = [iv for s in stacks for iv in s.iv]
+    return {"beta": mond_pecaric_beta(f, ivs, _mond_pecaric_alpha(ivs, alpha))}
 
 
 def _mond_pecaric(inst: CheckInstance, alpha, beta) -> list:
@@ -327,7 +322,7 @@ REGISTRY: tuple[CheckSpec, ...] = (
     CheckSpec("inverse_square_candidate",
               "Phi(A^-1)^2 <= ((1+x)^2/(4x)) Phi(A)^-1/2 Phi(A^-1) Phi(A)^-1/2"
               " over the 2x2 rotation-mixture family (claimed false)",
-              _candidate_point, _candidates,
+              _candidate_point, lambda points: candidate_result(**points),
               expected_to_hold=False,
               parameters="x in (0.5, 4), angles in (0, pi)", instance=dict),
 )

@@ -97,7 +97,7 @@ def run_suite(seed: int = 42, trials: int = 200,
         try:
             per_trial = spec.run_trial(rngs, tol, tuple(dims), tuple(intervals))
         except DomainError as exc:
-            raise DomainError(f"{spec.name}: {exc}") from None
+            raise type(exc)(f"{spec.name}: {exc}") from None
         for trial, results in enumerate(per_trial):
             for res in results:
                 agg.setdefault(res.check_name, _Aggregate()).add(res, trial)

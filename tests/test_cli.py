@@ -315,6 +315,12 @@ def _strict_json(text: str):
     (["check", "--name", "kantorovich", "--trials", "2", "--seed", "-1"], EXIT_USAGE, "--seed"),
     (["falsify", "--name", "kantorovich", "--budget", "3", "--seed", "-5"], EXIT_USAGE,
      "--seed"),
+    (["suite", "--trials", "20", "--dims", "2,3,4,5,6,7,8", "--tol", "1e-15"], EXIT_USAGE,
+     "--tol"),
+    (["check", "--name", "tuple_minkowski", "--trials", "20", "--tol", "1e-16"], EXIT_USAGE,
+     "--tol"),
+    (["check", "--name", "tuple_minkowski", "--trials", "20", "--tol", "1e-16",
+      "-m", "1", "-M", "2"], EXIT_USAGE, "--tol"),
 ], ids=["kantorovich-overflow", "kantorovich-subnormal-m", "generalized-kantorovich-overflow",
         "beta-p-overflow",
         "mond-pecaric-alpha-overflow",
@@ -329,7 +335,9 @@ def _strict_json(text: str):
         "beta-p-zero-division", "check-zero-division", "check-power-overflow",
         "check-minkowski-overflow", "check-mond-pecaric-overflow",
         "check-additive-sqrt-overflow", "check-tuple-minkowski-invalid",
-        "check-dim-beyond-memory", "check-seed-negative", "falsify-seed-negative"])
+        "check-dim-beyond-memory", "check-seed-negative", "falsify-seed-negative",
+        "suite-tol-below-rounding", "check-tol-below-rounding",
+        "check-tol-below-rounding-on-interval"])
 def test_degenerate_input_gives_result_or_usage_error(capsys, argv, code, flag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

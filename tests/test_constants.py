@@ -42,6 +42,19 @@ def test_chord_interpolates_endpoints():
     assert abs(chord.slope - 4.0) < 1e-12 and abs(chord.intercept + 3.0) < 1e-12
 
 
+@pytest.mark.parametrize("m,M", [(2.0, 2.0), (2.0, 1.0)])
+def test_chord_needs_m_below_M(m, M):
+    with pytest.raises(DomainError):
+        chord_coefficients(by_name("t^2"), m, M)
+
+
+def test_by_name_spells_any_power():
+    cube = by_name("t^3")    # not in the catalog
+    assert (cube.name, cube.power_exponent, float(cube(2.0))) == ("t^3", 3.0, 8.0)
+    with pytest.raises(KeyError):
+        by_name("t^x")
+
+
 def test_kantorovich_hand_values():
     assert abs(kantorovich_constant((1.0, 2.0)) - 9.0 / 8.0) < 1e-15
     assert abs(kantorovich_constant((1.0, 4.0)) - 25.0 / 16.0) < 1e-15
@@ -90,6 +103,11 @@ def test_alpha_hand_value():
 
 def test_alpha_of_linear_is_one():
     assert abs(alpha_constant(by_name("t"), (0.5, 3.0)) - 1.0) < 1e-12
+
+
+def test_alpha_needs_f_positive():
+    with pytest.raises(DomainError):
+        alpha_constant(by_name("log"), (1.0, 2.0))   # log 1 = 0
 
 
 def test_alpha_degenerate_interval():

@@ -483,6 +483,14 @@ def test_revalidate_false_for_holding_point():
     assert not fake.revalidate()
 
 
+def test_revalidate_false_for_a_result_name_the_trial_does_not_give():
+    # a kantorovich trial gives only "kantorovich" results, so none replays
+    witness = {"seed": 5, "label": "kantorovich", "trial": 3}
+    stray = ViolationReport("kantorovich_sharp", witness, -1.0, [-1.0], DEFAULT_TOL)
+    assert falsify._rerun_witness(stray) is None
+    assert not stray.revalidate()
+
+
 def test_to_record_roundtrips_through_json():
     import json
     reports = search_violations(CANDIDATE_NAME, tol=1e-18)

@@ -187,6 +187,29 @@ def test_default_sweep_bucket_counts(name, calls):
     assert len(stacks) == calls
 
 
+# a row's constants hook computes the check's keyword arguments for all
+# buckets at once, with the f their draws state; the check given None
+# computes its own for one bucket
+@pytest.mark.parametrize("name", ["mond_pecaric", "minkowski_general"])
+def test_constants_hook_gives_the_results_of_the_check_alone(name):
+    spec = registry.get(name)
+    batch, buckets = DrawBatch(), {}
+    for t in range(30):
+        record = spec.draw(stream(11, name, t), 1e-9, (2, 3), registry.DEFAULT_INTERVALS, batch)
+        buckets.setdefault(registry._key(record), []).append(record)
+    batch.finish()
+    stacks = [spec.instance(**registry._stack(records)) for records in buckets.values()]
+    assert len(stacks) > 1
+    for param in spec.params:
+        kwargs, lo = spec.constants(stacks, param), 0
+        for stack in stacks:
+            hi = lo + len(stack.iv)
+            hooked = spec.check(stack, param, **{k: v[lo:hi] for k, v in kwargs.items()})
+            alone = spec.check(stack, param, **dict.fromkeys(kwargs))
+            assert repr(hooked) == repr(alone)     # every field, floats to the bit
+            lo = hi
+
+
 # sha256 of the stdout of `opineq <argv>`: the reports a refactor of the
 # registry, the checks or the generators keeps byte-identical
 @pytest.mark.parametrize("argv,digest", [

@@ -17,6 +17,7 @@ import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -199,15 +200,24 @@ def _run_suite(args, suite_name, dims, names=None, include_expected_fail=False):
               tol=args.tol, include_expected_fail=include_expected_fail,
               suite_name=suite_name, timestamp=not args.no_timestamp)
     at = "" if args.m is None else f" at -m {args.m!r} -M {args.M!r}"
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        try:
-            if args.m is not None:
-                kw["intervals"] = [SpectralInterval(args.m, args.M)]
-            return run_suite(**kw)
-        except HypothesisError as exc:
-            raise ValueError(f"{exc}: --tol {args.tol!r} is below float rounding{at}") from None
-        except (DomainError, ArithmeticError) as exc:
-            raise type(exc)(f"{exc.args[-1]}{at}") from None
+    with np.errstate(over="raise", divide="raise", invalid="raise"), _stopped_entry(args, at):
+        if args.m is not None:
+            kw["intervals"] = [SpectralInterval(args.m, args.M)]
+        return run_suite(**kw)
+
+
+@contextmanager
+def _stopped_entry(args, at: str = ""):
+    """An entry's stop as the one line `check`, `suite` and `falsify` print:
+    a DomainError or an ArithmeticError ends with `at`, and a drawn
+    instance that breaks its hypothesis, exact but for rounding, names
+    --tol too."""
+    try:
+        yield
+    except HypothesisError as exc:
+        raise ValueError(f"{exc}: --tol {args.tol!r} is below float rounding{at}") from None
+    except (DomainError, ArithmeticError) as exc:
+        raise type(exc)(f"{exc.args[-1]}{at}") from None
 
 
 def _cmd_check(args) -> int:
@@ -320,8 +330,8 @@ def _cmd_falsify(args) -> int:
         raise ValueError(f"--budget is required for {args.name}: only {CANDIDATE_NAME} "
                          "has a grid search")
     spec = registry.get(args.name)
-    reports = search_violations(args.name, budget=args.budget,
-                                seed=args.seed, tol=args.tol)
+    with _stopped_entry(args):
+        reports = search_violations(args.name, budget=args.budget, seed=args.seed, tol=args.tol)
     if args.outdir:
         os.makedirs(args.outdir, exist_ok=True)
         for i, rep in enumerate(reports):

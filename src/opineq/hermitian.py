@@ -214,7 +214,7 @@ def stacks(arrays):
     for i, a in enumerate(arrays):
         groups.setdefault(_stack_key(a), []).append(i)
     for idx in groups.values():
-        yield idx, np.stack([arrays[i] for i in idx])
+        yield idx, np.array([arrays[i] for i in idx])
 
 
 def each_stacked(fn, arrays) -> list:

@@ -9,8 +9,9 @@ operators stacked as ``ops[r, n_in, n_out]`` with ``weights[r]``; the
 factories below build the constructions the checks draw from (mixtures of
 unitary conjugations, pinchings, compressions by an isometry, scaled
 identities, and direct sums with unitality split across blocks), each
-validating its own hypotheses. ``MapStack`` applies one map per
-matrix of a stack; a ``KrausMap`` applied alone is a MapStack of one.
+validating its own hypotheses. A pinching also carries the mask of the
+entries it keeps. ``MapStack`` applies one map per matrix of a stack; a
+``KrausMap`` applied alone is a MapStack of one.
 """
 from __future__ import annotations
 
@@ -23,7 +24,9 @@ UNITAL_FTOL = 1e-10
 
 
 class KrausMap:
-    """Phi(X) = sum_j w_j K_j* X K_j for K_j = ops[j] (n_in x n_out)."""
+    """Phi(X) = sum_j w_j K_j* X K_j for K_j = ops[j] (n_in x n_out).
+    `mask` is None, or for a map built by `pinching` the (n, n) mask of
+    the entries it keeps."""
 
     def __init__(self, ops, weights):
         ops = np.asarray(ops)
@@ -36,6 +39,7 @@ class KrausMap:
         self.ops = ops
         self.weights = weights
         self.input_dim, self.output_dim = ops.shape[1], ops.shape[2]
+        self.mask = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Phi(X), or Phi of each matrix of a stack X: a MapStack of one."""
@@ -64,25 +68,15 @@ def _weighted_sum(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pinching_mask(ops: np.ndarray, weights: np.ndarray):
-    """The (b, n, n) mask of kept entries if every map of the stack is a pinching
-    (real diagonal 0/1 Kraus operators of weight 1 summing to I), else None."""
-    diag = np.diagonal(ops, axis1=-2, axis2=-1)         # (b, r, n)
-    if (ops.dtype.kind != "f" or ops.shape[-1] != ops.shape[-2] or np.any(weights != 1.0)
-            or np.count_nonzero(ops) != np.count_nonzero(diag)
-            or np.any((diag != 0) & (diag != 1)) or np.any(diag.sum(axis=1) != 1)):
-        return None
-    return (diag.swapaxes(-1, -2) @ diag) > 0
-
-
 class MapStack:
     """Phi_i(X_i) for a stack X of shape (..., b, n_in, n_in) and one map
     per matrix of the last stack axis, all with the same input and output
-    dimensions: phi(np.stack([X, Y])) maps X and Y in one call. The maps of
-    each group of `stacks` over their Kraus operators are applied together,
-    as one batched product, so each image has the bits its own map gives
-    it; pinchings as a masked copy, the bits of their Kraus sum on finite
-    input without -0.0."""
+    dimensions: phi(np.stack([X, Y])) maps X and Y in one call. All the
+    pinchings (maps with a `mask`), whatever their block count, are
+    applied as one masked copy, the bits of their Kraus sum on finite input
+    without -0.0; the other maps of each group of `stacks` over their
+    Kraus operators together, as one batched product, so each image has the
+    bits its own map gives it."""
 
     def __init__(self, maps):
         self.maps = list(maps)
@@ -91,12 +85,18 @@ class MapStack:
         self.input_dim, self.output_dim = self.maps[0].input_dim, self.maps[0].output_dim
         if len({(m.input_dim, m.output_dim) for m in self.maps}) > 1:
             raise ValueError("all maps of a stack must share their dimensions")
+        self._dtype = np.result_type(*{m.ops.dtype for m in self.maps})
+        pinched = [i for i, m in enumerate(self.maps) if m.mask is not None]
+        kraus = [i for i, m in enumerate(self.maps) if m.mask is None]
         self._groups = []
-        for idx, ops in stacks([m.ops for m in self.maps]):
+        if pinched:
+            masks = np.array([self.maps[i].mask for i in pinched])
+            self._groups.append((np.array(pinched), masks, None, None, None))
+        for idx, ops in stacks([self.maps[i].ops for i in kraus]):
+            idx = [kraus[i] for i in idx]
             # weights[j] is the column of the j-th weights of the group's maps
             weights = np.stack([self.maps[i].weights for i in idx]).T[..., None, None]
-            self._groups.append((np.array(idx), _pinching_mask(ops, weights),
-                                 adjoint(ops), ops, weights))
+            self._groups.append((np.array(idx), None, adjoint(ops), ops, weights))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -104,7 +104,7 @@ class MapStack:
             raise ValueError(f"map stack expects {len(self.maps)} inputs of size "
                              f"{self.input_dim}x{self.input_dim}, got {x.shape}")
         out = np.empty(x.shape[:-2] + (self.output_dim, self.output_dim),
-                       dtype=np.result_type(x, *(ops for _, _, _, ops, _ in self._groups)))
+                       dtype=np.result_type(x, self._dtype))
         for idx, mask, ops_h, ops, weights in self._groups:
             xi = x[..., idx, :, :]
             if mask is None:
@@ -153,20 +153,27 @@ def unitary_mixture(unitaries, weights) -> KrausMap:
 
 
 def identity_map(dim: int) -> KrausMap:
-    return unitary_mixture([np.eye(dim)], [1.0])
+    """X -> X: the pinching with one block."""
+    return pinching([range(dim)], dim)
 
 
 def pinching(blocks, dim: int) -> KrausMap:
     """Block-diagonal restriction: entries outside the index blocks are
     zeroed. The Kraus operators are the diagonal 0/1 projectors onto the
-    blocks, of weight 1; a MapStack applies them as one masked copy."""
+    blocks, of weight 1; the map's `mask` keeps the entries whose row and
+    column share a block, and a MapStack applies it as a masked copy."""
     seen = sorted(i for b in blocks for i in b)
     if seen != list(range(dim)):
         raise ValueError(f"blocks must partition range({dim})")
     ops = np.zeros((len(blocks), dim, dim))
     diag = [i for b in blocks for i in b]
-    ops[[j for j, b in enumerate(blocks) for _ in b], diag, diag] = 1.0
-    return KrausMap(ops, np.ones(len(blocks)))
+    block = [j for j, b in enumerate(blocks) for _ in b]
+    ops[block, diag, diag] = 1.0
+    phi = KrausMap(ops, np.ones(len(blocks)))
+    of = np.empty(dim, dtype=int)
+    of[diag] = block
+    phi.mask = of[:, None] == of
+    return phi
 
 
 def compression(v) -> KrausMap:

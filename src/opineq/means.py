@@ -14,15 +14,16 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import ScalarFunction
-from .hermitian import _eigh, hermitian_part, matrix_function, power, spectral_scope
+from .hermitian import DomainError, _eigh, hermitian_part, matrix_function, power, spectral_scope
 
 
 def _check_pd(w: np.ndarray, who: str) -> None:
-    """Raise unless lambda_min > 0 in each ascending spectrum w[..., :]."""
+    """Raise DomainError unless lambda_min > 0 in each ascending spectrum
+    w[..., :]."""
     lam = w[..., 0]
     if np.any(lam <= 0):
-        raise ValueError(f"{who} must be positive definite, "
-                         f"lambda_min = {lam[lam <= 0].flat[0]:.3e}")
+        raise DomainError(f"{who} must be positive definite, "
+                          f"lambda_min = {lam[lam <= 0].flat[0]:.3e}")
 
 
 def geometric_mean(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -13,12 +13,16 @@ falsifier sensitivity runs.
 Trials are evaluated together: each draws its instance from its own stream,
 in stream order, with the linear algebra of the draws run afterwards,
 stacked, for many of them at once. Each drawn record is held in a bucket of
-one record index and shape. When the held bytes fill the batch budget, the
-pending algebra runs and the largest buckets are stacked and checked, one
-bucket at a time, all its parameter values in one spectral scope; the
-smaller buckets keep filling. Each trial's results go back to its own
-slots, so a single trial, a batch of one through the same path, returns
-the same results.
+one record index and output side: what its images share after the map
+(the map's output dimension, the dtype of A and B, the state's shape, the
+function and the tolerance). A bucket's parts are its input sizes, A's and
+B's shapes and the map's input dimension. When the held bytes fill the
+batch budget, the pending algebra runs and the largest buckets are stacked
+and checked, one bucket at a time, all its parameter values in one
+spectral scope; the smaller buckets keep filling. Each part is validated
+and mapped on its own, and all that follows the map runs once for the
+bucket. Each trial's results go back to its own slots, so a single trial,
+a batch of one through the same path, returns the same results.
 """
 from __future__ import annotations
 
@@ -28,8 +32,9 @@ from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .checks import (CheckInstance, CheckResult, _key, _nbytes, _stack, check_additive_sqrt,
-                     check_ando, check_ando_connection, check_choi_davis,
+from .checks import (CheckInstance, CheckResult, _key, _nbytes, _parts, _stack,
+                     _stack_parts, check_additive_sqrt, check_ando,
+                     check_ando_connection, check_choi_davis,
                      check_generalized_kantorovich_operator,
                      check_kantorovich, check_kantorovich_equivalents,
                      check_kantorovich_sharp, check_kantorovich_squared,
@@ -44,7 +49,7 @@ from .falsify import candidate_result
 from .functions import (identity_function, inverse_function, power_function,
                         square_function)
 from .generators import DrawBatch, random_state, random_weights
-from .hermitian import BATCH_BYTES, DEFAULT_TOL, SpectralInterval, spectral_scope
+from .hermitian import BATCH_BYTES, DEFAULT_TOL, DomainError, SpectralInterval, spectral_scope
 from .maps import direct_sum, identity_map, scaled
 
 DEFAULT_DIMS: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
@@ -63,15 +68,16 @@ class CheckSpec:
     makes the rng calls of one instance and leaves its linear algebra to
     `batch` (a `generators.DrawBatch`); it returns one record, or a list of
     them, one per entry of `params`. A bucket of records of one record
-    index and key, stacked, becomes one `instance(**fields)`, a validated
-    CheckInstance unless the row says otherwise; `check(stack)` runs once,
-    or `check(stack, param)` once per entry of `params`, in order (record j
-    of a list runs param j only), and returns per instance one CheckResult
-    or a sequence of them. A trial returns them all in record order, then
-    call order. `constants(stacks, param)`, if set, computes keyword
-    arguments of the check for every instance of the stacks evaluated in
-    one round at once (one lockstep search instead of one per bucket);
-    each value holds one entry per instance, in stack order."""
+    index and key (`_key`), stacked part by part (`_stack`), becomes one
+    `instance(**fields)`, a validated CheckInstance unless the row says
+    otherwise; `check(stack)` runs once, or `check(stack, param)` once per
+    entry of `params`, in order (record j of a list runs param j only),
+    and returns per instance one CheckResult or a sequence of them. A
+    trial returns them all in record order, then call order.
+    `constants(stacks, param)`, if set, computes keyword arguments of the
+    check for every instance of the stacks evaluated in one round at once
+    (one lockstep search instead of one per bucket); each value holds one
+    entry per instance, in stack order."""
     name: str
     statement: str
     draw: Callable[..., Union[dict, list]]
@@ -85,12 +91,14 @@ class CheckSpec:
     def run_trial(self, rngs: Iterable, tol, dims, intervals) -> list[list[CheckResult]]:
         """Draw one instance from each stream, in order, and return the
         results of each, in stream order. Each record of a draw is held in
-        the bucket of its record index and key (see `_key`). When the held
-        records and the inputs of their pending linear algebra reach
-        BATCH_BYTES, that algebra runs for all of them at once, and the
-        largest buckets are evaluated until at most half the budget is
-        held; the rest keep filling. After the last stream, every bucket
-        left is evaluated."""
+        the bucket of its record index and key (see `_key`), computed once
+        here: what the record shares with the others after Phi, whatever
+        its input size. When the held records and the inputs of their
+        pending linear algebra reach BATCH_BYTES, that algebra runs for all
+        of them at once, and the largest buckets are evaluated until at
+        most half the budget is held; the rest keep filling. After the last
+        stream, every bucket left is evaluated. A DomainError, from a draw
+        or a check, names the row."""
         slots: list = []    # per trial, per record: its results
         held: dict = {}     # (record index, key) -> [bytes, trial indices, records]
         batch = DrawBatch()
@@ -109,32 +117,41 @@ class CheckSpec:
             if evicted:
                 self._evaluate(evicted, slots)
 
-        for t, rng in enumerate(rngs):
-            records = self.draw(rng, tol, dims, intervals, batch)
-            records = records if isinstance(records, list) else [records]
-            slots.append([[] for _ in records])
-            for j, record in enumerate(records):
-                bucket = held.setdefault((j, _key(record)), [0, [], []])
-                size = _nbytes(record)
-                bucket[0] += size
-                total += size
-                bucket[1].append(t)
-                bucket[2].append(record)
-            if total + batch.nbytes >= BATCH_BYTES:
-                flush(BATCH_BYTES // 2)
-        flush(-1)
+        try:
+            for t, rng in enumerate(rngs):
+                records = self.draw(rng, tol, dims, intervals, batch)
+                records = records if isinstance(records, list) else [records]
+                slots.append([[] for _ in records])
+                for j, record in enumerate(records):
+                    bucket = held.setdefault((j, _key(record)), [0, [], []])
+                    size = _nbytes(record)
+                    bucket[0] += size
+                    total += size
+                    bucket[1].append(t)
+                    bucket[2].append(record)
+                if total + batch.nbytes >= BATCH_BYTES:
+                    flush(BATCH_BYTES // 2)
+            flush(-1)
+        except DomainError as exc:
+            raise type(exc)(f"{self.name}: {exc}") from None
         return [sum(results, []) for results in slots]
 
     def _evaluate(self, buckets: list, slots: list) -> None:
         """Check each bucket, `((j, key), [bytes, trial indices, records])`,
         in one spectral scope, and extend slot j of each of its trials with
-        the results. Each param's constants are computed for all buckets,
-        before the checks. A bucket's records are emptied once stacked, so
-        the records and their stack are not both held."""
+        the results. A bucket is stacked in part order (`_parts`, its trial
+        indices reordered to match), each part one stack of the input side,
+        so the check maps each part on its own and runs the rest once. Each
+        param's constants are computed for all buckets, before the checks.
+        A bucket's records are emptied once stacked, so the records and
+        their stack are not both held."""
         calls = [(p,) for p in self.params] or [()]
         stacks = []
-        for _, (_, _, records) in buckets:
-            stacks.append(self.instance(**_stack(records)))
+        for _, (_, trials, records) in buckets:
+            parts = _parts(records)
+            trials[:] = [trials[i] for idx in parts for i in idx]
+            stacks.append(self.instance(**_stack_parts([[records[i] for i in idx]
+                                                         for idx in parts])))
             records.clear()
         extras = [self.constants(stacks, *args) if self.constants else {} for args in calls]
         pairs, lo = list(zip(calls, extras)), 0

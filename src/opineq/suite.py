@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import registry
 from .checks import CheckResult
-from .hermitian import DEFAULT_TOL, DomainError, SpectralInterval
+from .hermitian import DEFAULT_TOL, SpectralInterval
 from .rng import streams
 
 
@@ -93,11 +93,8 @@ def run_suite(seed: int = 42, trials: int = 200,
     for spec in specs:
         agg: dict[str, _Aggregate] = {}
         violations = 0
-        rngs = streams(seed, spec.name, trials)
-        try:
-            per_trial = spec.run_trial(rngs, tol, tuple(dims), tuple(intervals))
-        except DomainError as exc:
-            raise type(exc)(f"{spec.name}: {exc}") from None
+        per_trial = spec.run_trial(streams(seed, spec.name, trials), tol, tuple(dims),
+                                   tuple(intervals))
         for trial, results in enumerate(per_trial):
             for res in results:
                 agg.setdefault(res.check_name, _Aggregate()).add(res, trial)

@@ -321,6 +321,8 @@ def _strict_json(text: str):
      "--tol"),
     (["check", "--name", "tuple_minkowski", "--trials", "20", "--tol", "1e-16",
       "-m", "1", "-M", "2"], EXIT_USAGE, "--tol"),
+    (["falsify", "--name", "tuple_minkowski", "--budget", "20", "--tol", "1e-16"], EXIT_USAGE,
+     "--tol"),
 ], ids=["kantorovich-overflow", "kantorovich-subnormal-m", "generalized-kantorovich-overflow",
         "beta-p-overflow",
         "mond-pecaric-alpha-overflow",
@@ -337,7 +339,7 @@ def _strict_json(text: str):
         "check-additive-sqrt-overflow", "check-tuple-minkowski-invalid",
         "check-dim-beyond-memory", "check-seed-negative", "falsify-seed-negative",
         "suite-tol-below-rounding", "check-tol-below-rounding",
-        "check-tol-below-rounding-on-interval"])
+        "check-tol-below-rounding-on-interval", "falsify-tol-below-rounding"])
 def test_degenerate_input_gives_result_or_usage_error(capsys, argv, code, flag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -353,6 +355,22 @@ def test_degenerate_input_gives_result_or_usage_error(capsys, argv, code, flag):
         if argv[0] in ("check", "suite") and "-m" in argv:  # a stopped entry names the flags
             m, M = (float(argv[argv.index(flag) + 1]) for flag in ("-m", "-M"))
             assert captured.err.rstrip().endswith(f"at -m {m!r} -M {M!r}")
+
+
+# an entry stopped by its instance names the entry, and the flags at fault
+@pytest.mark.parametrize("argv,head,tail", [
+    (["check", "--name", "reverse_ando_sandwich", "-m", "1", "-M", "1e6", "--dim", "3",
+      "--trials", "1"],
+     "error: reverse_ando_sandwich: second operand must be positive definite, "
+     "lambda_min = -2.312e+02 at -m 1.0 -M 1000000.0\n", ""),
+    (["falsify", "--name", "tuple_minkowski", "--budget", "20", "--tol", "1e-16"],
+     "error: tuple_minkowski: sandwich 1.0 I <= X <= 2.0 I violated (margins ",
+     "): --tol 1e-16 is below float rounding\n"),
+], ids=["check-mean-not-positive", "falsify-tol-below-rounding"])
+def test_a_stopped_entry_names_itself_and_the_flags(capsys, argv, head, tail):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(head) and err.endswith(tail) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--beta", "-inf"),

@@ -149,3 +149,36 @@ def test_no_keyword_parameter_without_a_use():
         "a-name", "starred", "partial", "method-positional"])
 def test_keyword_rule_on_planted_cases(source, found):
     assert _unused_keywords([ast.parse(source)]) == found
+
+
+def _maps_outside_images(tree):
+    """The top-level functions of a checks module that read `.phi`: outside
+    CheckInstance, whose `images` is the one method that applies the maps,
+    each part's to that part's operands, so that a check reading `.phi`
+    itself would run its output side once per input size."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef) and stmt.name == "CheckInstance":
+            continue
+        if any(isinstance(n, ast.Attribute) and n.attr == "phi" for n in ast.walk(stmt)):
+            found.append(getattr(stmt, "name", f"line {stmt.lineno}"))
+    return found
+
+
+def test_checks_reach_the_maps_only_through_images():
+    path = Path(opineq.__file__).parent / "checks.py"
+    assert _maps_outside_images(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def check_k(inst):\n    pain, pa = each_stacked(inst.phi, [inv_psd(inst.a), inst.a])\n",
+     ["check_k"]),
+    ("def check_m(inst, f):\n    return each_stacked(lambda x: inst.phi(f(x)), [inst.a])\n",
+     ["check_m"]),
+    ("def _eye(inst):\n    return np.eye(inst.phi.output_dim)\n", ["_eye"]),
+    ("class CheckInstance:\n    def images(self, operands):\n"
+     "        return [self.phi(x) for x in operands(self.a, self.b)]\n"
+     "def check_k(inst):\n    pain, pa = inst.images(lambda a, b: [inv_psd(a), a])\n", []),
+], ids=["each-stacked", "minkowski-lambda", "output-dim", "through-images"])
+def test_images_rule_on_planted_cases(source, found):
+    assert _maps_outside_images(ast.parse(source)) == found

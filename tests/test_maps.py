@@ -290,6 +290,20 @@ def test_pinchings_apply_as_masked_copy_bit_for_bit(n, rng):
         assert stack(x).tobytes() == ref.tobytes()
 
 
+def test_pinchings_of_every_block_count_map_as_one_masked_copy(rng):
+    n = 6
+    phis = [pinching(blocks, n) for blocks in (
+        [[0], [1, 2], [3, 4, 5]], [list(range(n))], [[0, 3], [1, 2, 4, 5]],
+        [[i] for i in range(n)], [[5, 1], [0, 2, 3, 4]])]
+    assert len({len(phi.ops) for phi in phis}) == 4
+    stack = MapStack(phis)
+    assert _masked_groups(stack) == [True]
+    for x in (np.stack([random_spd(n, IV, rng) for _ in phis]),
+              rng.standard_normal((len(phis), n, n))):                     # real
+        ref = np.stack([_kraus_loop(phi, xi) for phi, xi in zip(phis, x)])
+        assert stack(x).tobytes() == ref.tobytes()
+
+
 def test_a_pinching_alone_is_its_map_stack_of_one(rng):
     # an infinite entry outside the blocks tells the masked copy (0 there)
     # from the Kraus sum (0 * inf = nan there)

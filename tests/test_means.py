@@ -4,7 +4,7 @@ import pytest
 
 from opineq.functions import by_name, power_function
 from opineq.generators import random_spd
-from opineq.hermitian import (SpectralInterval, hermitian_part, inv_psd,
+from opineq.hermitian import (DomainError, SpectralInterval, hermitian_part, inv_psd,
                               operator_norm, power)
 from opineq.means import connection, geometric_mean, riccati_residual
 
@@ -90,9 +90,9 @@ def test_rejects_indefinite_left_operand():
      "left operand must be positive definite, lambda_min = -3.000e+00"),
 ], ids=["first", "second", "both", "connection"])
 def test_non_positive_definite_operand_message(mean, a, b, message):
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(DomainError) as info:
         mean(np.stack([np.eye(2), a]), np.stack([np.eye(2), b]))
-    assert type(info.value) is ValueError and str(info.value) == message
+    assert type(info.value) is DomainError and str(info.value) == message
 
 
 def test_means_test_a_on_the_eigh_that_power_reuses(monkeypatch, rng):

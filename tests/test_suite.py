@@ -172,11 +172,12 @@ def test_eviction_keeps_each_trials_order(name, batch_bytes, monkeypatch):
     assert _fingerprint(batch) == _fingerprint(alone)
 
 
-# a guard on eviction by bucket size, at the CLI's default of 200 trials
-# over dims 2-8: one bucket per record and key, largest first, checks ando
-# in 30 stacks and tuple_minkowski in 81, where evaluating every held
-# bucket whenever the budget filled took 47 and 186
-@pytest.mark.parametrize("name,calls", [("ando", 30), ("tuple_minkowski", 81)])
+# a guard on bucketing and eviction, at the CLI's default of 200 trials
+# over dims 2-8: one bucket per record index and output side (every input
+# size of a map's output dimension), largest first, checks ando in 9
+# stacks and tuple_minkowski in 51; one bucket per input size took 30 and
+# 81, and evaluating every held bucket whenever the budget filled 47 and 186
+@pytest.mark.parametrize("name,calls", [("ando", 9), ("tuple_minkowski", 51)])
 def test_default_sweep_bucket_counts(name, calls):
     spec = registry.get(name)
     stacks = []
@@ -208,6 +209,47 @@ def test_constants_hook_gives_the_results_of_the_check_alone(name):
             alone = spec.check(stack, param, **dict.fromkeys(kwargs))
             assert repr(hooked) == repr(alone)     # every field, floats to the bit
             lo = hi
+
+
+# the rows that draw a map: a bucket of one output size mixes the input
+# sizes that compressions draw
+DRAWN_MAP = [spec.name for spec in registry.REGISTRY
+             if spec.name not in ("power_inner_product", "inverse_square_candidate")]
+
+
+def _bucket_results(spec, stacks, args):
+    """The results of `check(stack, *args)` for each of the stacks, with the
+    row's constants computed for all of them at once."""
+    extra = spec.constants(stacks, *args) if spec.constants else {}
+    out, lo = [], 0
+    for stack in stacks:
+        hi = lo + len(stack.iv)
+        out += spec.check(stack, *args, **{k: v[lo:hi] for k, v in extra.items()})
+        lo = hi
+    return out
+
+
+@pytest.mark.parametrize("name", DRAWN_MAP)
+def test_bucket_of_mixed_input_sizes_gives_what_its_parts_give_alone(name):
+    spec = registry.get(name)
+    batch, buckets, listed = DrawBatch(), {}, False
+    for t in range(40):
+        records = spec.draw(stream(17, name, t), 1e-9, (3,), registry.DEFAULT_INTERVALS, batch)
+        listed = isinstance(records, list)     # then record j runs param j only
+        record = records[0] if listed else records
+        buckets.setdefault(registry._key(record), []).append(record)
+    batch.finish()
+    records = max(buckets.values(), key=lambda rs: len(registry._parts(rs)))
+    parts = [[records[i] for i in idx] for idx in registry._parts(records)]
+    assert len(parts) > 1
+    whole = spec.instance(**registry._stack(records))
+    alone = [spec.instance(**registry._stack(part)) for part in parts]
+    calls = [(p,) for p in spec.params] or [()]
+    for args in calls[:1] if listed else calls:
+        got = _bucket_results(spec, [whole], args)
+        assert repr(got) == repr(_bucket_results(spec, alone, args))     # floats to the bit
+        results = [r for res in got for r in ([res] if isinstance(res, CheckResult) else res)]
+        assert len({r.params["dim"] for r in results}) > 1
 
 
 # sha256 of the stdout of `opineq <argv>`: the reports a refactor of the
@@ -401,8 +443,8 @@ def test_dump_and_load_json(tmp_path):
 
 
 def test_bucket_decomposes_each_operand_once_over_its_params(eigh_inputs):
-    # p in {1, 1.5, 2, 3, -1}: without reuse, A and Phi(A) would each be
-    # decomposed once per p != 1
+    # p in {1, 1.5, 2, 3, -1}: without reuse, each part's A and the
+    # bucket's Phi(A) would each be decomposed once per p != 1
     spec = registry.get("generalized_kantorovich")
     assert len(spec.params) == 5
     stacks = {}
@@ -411,9 +453,14 @@ def test_bucket_decomposes_each_operand_once_over_its_params(eigh_inputs):
         and spec.check(stack, *args))
     counted.run_trial([stream(3, spec.name, t) for t in range(8)], 1e-9, (5,),
                       registry.DEFAULT_INTERVALS)
+    decomposed, operands = list(eigh_inputs), 0
     for stack in stacks.values():
-        assert eigh_inputs.count(stack.a.tobytes()) == 1
-    assert len(eigh_inputs) == 2 * len(stacks)
+        parts = [a for a, _, _ in stack.parts()]
+        for a in parts + stack.images(lambda a, b: [a]):
+            assert decomposed.count(a.tobytes()) == 1
+        operands += len(parts) + 1
+    assert operands > 2 * len(stacks)       # a bucket mixes input sizes
+    assert len(decomposed) == operands
 
 
 def test_spectral_reuse_keeps_report_bytes(monkeypatch, eigh_inputs):

@@ -284,7 +284,7 @@ def _cmd_constants(args) -> int:
                 constant(iv=iv, **{**kw, "alpha": 0.0})
                 raise ValueError(f"{exc} at --alpha {args.alpha!r}") from None
             oracle = oracle_of(m=iv.m, M=iv.M, **kw)
-    except ArithmeticError:
+    except ArithmeticError:     # an overflow, or a search whose objective is not finite
         raise out_of_range from None
     if not (math.isfinite(value) and math.isfinite(oracle)):
         raise out_of_range

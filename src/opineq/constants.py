@@ -27,6 +27,11 @@ SCAN_POINTS = 4096
 XTOL = 1e-12
 
 
+class _NotFinite(DomainError, ArithmeticError):
+    """A search's objective is not finite on its interval: an input out of
+    the constant's domain, and out of float range as an overflow is."""
+
+
 def _interval(iv) -> SpectralInterval:
     if isinstance(iv, SpectralInterval):
         return iv
@@ -62,7 +67,7 @@ def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args):
                               dtype=float)[:, 0]
         # a point bracket is its own maximum, whatever f is worth there
         if hi[i] > lo[i] and not np.all(np.isfinite(vals)):
-            raise ValueError("objective is not finite on the interval")
+            raise _NotFinite("objective is not finite on the interval")
         k = int(np.argmax(vals))
         top[i], best[i] = xs[k], vals[k]
         a[i], b[i] = xs[max(k - 1, 0)], xs[min(k + 1, SCAN_POINTS - 1)]
@@ -153,40 +158,44 @@ def generalized_kantorovich(p: float, iv) -> float:
     return max(lead * inner ** p, 1.0)
 
 
-def _chord_search(f, iv, positive, point, objective, *lane_args):
+def _chord_search(f, iv, positive, floor, point, objective, *lane_args):
     """max over [m, M] of objective(t, chord(t), *lane_args), chord the
-    secant of f, per interval: a point interval gets point(m, *lane_args),
-    the wide ones one `chord_coefficients` and one lockstep `golden_max`
-    (`positive`: first probe f > 0 on them). `lane_args` are one value or
-    one per interval; one interval (a SpectralInterval or an (m, M) pair)
-    gives a float."""
+    secant of f, per interval: an interval narrower than the rounding of M
+    gets point(m, *lane_args), the wide ones one `chord_coefficients` and
+    one lockstep `golden_max` (`positive`: first probe f > 0 on them), at
+    least `floor`. `lane_args` are one value or one per interval; one
+    interval (a SpectralInterval or an (m, M) pair) gives a float."""
     one = isinstance(iv, SpectralInterval) or np.isscalar(iv[0])
     ivs = [_interval(v) for v in ([iv] if one else iv)]
     m, M = np.array([v.m for v in ivs]), np.array([v.M for v in ivs])
     lane_args = [np.broadcast_to(np.asarray(v, dtype=float), m.shape) for v in lane_args]
     value = point(m, *lane_args)
-    wide = m != M
+    # on a narrower interval f(M) - f(m) cancels, and so would the chord
+    wide = M - m > 64 * np.spacing(M)
     if wide.any():
         m, M, lane_args = m[wide], M[wide], [v[wide] for v in lane_args]
         chord = chord_coefficients(f, m, M)
         with np.errstate(all="ignore"):     # a value out of float range is rejected later
             if positive and np.min(np.asarray(f(np.linspace(m, M, 64)), dtype=float)) <= 0:
                 raise DomainError("alpha_constant needs f > 0 on [m, M]")
-        value[wide] = golden_max(lambda t, s, c, *args: objective(t, s * t + c, *args), m, M,
-                                 chord.slope, chord.intercept, *lane_args)[1]
+        value[wide] = np.maximum(golden_max(lambda t, s, c, *args: objective(t, s * t + c, *args),
+                                            m, M, chord.slope, chord.intercept, *lane_args)[1],
+                                 floor)
     return float(value[0]) if one else value
 
 
 def alpha_constant(f, iv):
-    """max over [m, M] of chord(t)/f(t); >= 1 for convex positive f.
-    Given a sequence of intervals, the array of their constants."""
-    return _chord_search(f, iv, True, np.ones_like, lambda t, chord: chord / f(t))
+    """max over [m, M] of chord(t)/f(t); >= 1 for convex positive f, and
+    at least 1, its value at m and M. Given a sequence of intervals, the
+    array of their constants."""
+    return _chord_search(f, iv, True, 1.0, np.ones_like, lambda t, chord: chord / f(t))
 
 
 def beta0_constant(f, iv):
     """max over [m, M] of f(t) - chord(t); 0 for affine f, > 0 for strictly
-    concave f. Given a sequence of intervals, the array of their constants."""
-    return _chord_search(f, iv, False, np.zeros_like, lambda t, chord: f(t) - chord)
+    concave f, and at least 0, its value at m and M. Given a sequence of
+    intervals, the array of their constants."""
+    return _chord_search(f, iv, False, 0.0, np.zeros_like, lambda t, chord: f(t) - chord)
 
 
 def beta_p_constant(p: float, iv) -> float:
@@ -217,7 +226,8 @@ def mond_pecaric_beta(f, iv, alpha):
     """beta = max over [m, M] of chord(t) - alpha*f(t), the additive half of
     the chord bound for convex f. Given a sequence of intervals, the array
     of their constants; `alpha` is then one value or one per interval."""
-    return _chord_search(f, iv, False, lambda m, al: (1.0 - al) * np.asarray(f(m), dtype=float),
+    return _chord_search(f, iv, False, -np.inf,
+                         lambda m, al: (1.0 - al) * np.asarray(f(m), dtype=float),
                          lambda t, chord, al: chord - al * f(t), alpha)
 
 

@@ -161,17 +161,26 @@ def pinching(blocks, dim: int) -> KrausMap:
     """Block-diagonal restriction: entries outside the index blocks are
     zeroed. The Kraus operators are the diagonal 0/1 projectors onto the
     blocks, of weight 1; the map's `mask` keeps the entries whose row and
-    column share a block, and a MapStack applies it as a masked copy."""
+    column share a block, and a MapStack applies it as a masked copy. Once
+    the blocks are checked to partition range(dim), the map is built from
+    the block index of each entry, as a drawn pinching is (`_pinching`)."""
     seen = sorted(i for b in blocks for i in b)
     if seen != list(range(dim)):
         raise ValueError(f"blocks must partition range({dim})")
-    ops = np.zeros((len(blocks), dim, dim))
-    diag = [i for b in blocks for i in b]
-    block = [j for j, b in enumerate(blocks) for _ in b]
-    ops[block, diag, diag] = 1.0
-    phi = KrausMap(ops, np.ones(len(blocks)))
     of = np.empty(dim, dtype=int)
-    of[diag] = block
+    for j, b in enumerate(blocks):
+        of[list(b)] = j
+    return _pinching(of, len(blocks))
+
+
+def _pinching(of: np.ndarray, nblocks: int) -> KrausMap:
+    """The pinching onto `nblocks` blocks, entry i in block of[i]: its
+    operators, weights and mask, without a check of `of`."""
+    dim = len(of)
+    ops = np.zeros((nblocks, dim, dim))
+    diag = np.arange(dim)
+    ops[of, diag, diag] = 1.0
+    phi = KrausMap(ops, np.ones(nblocks))
     phi.mask = of[:, None] == of
     return phi
 

@@ -245,10 +245,17 @@ def test_falsify_true_check_passes(capsys):
 
 
 def test_module_entrypoint():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import opineq
+    # the child finds the package the tests import, with or without PYTHONPATH
+    src = str(Path(opineq.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "opineq", "list"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == EXIT_OK
     assert "ando" in proc.stdout
 
@@ -323,6 +330,18 @@ def _strict_json(text: str):
       "-m", "1", "-M", "2"], EXIT_USAGE, "--tol"),
     (["falsify", "--name", "tuple_minkowski", "--budget", "20", "--tol", "1e-16"], EXIT_USAGE,
      "--tol"),
+    (["check", "--name", "minkowski_general", "--dim", "1", "--trials", "1",
+      "-m", "1e-300", "-M", "1e300"], EXIT_USAGE, "minkowski_general: "),
+    (["check", "--name", "mond_pecaric", "--dim", "2", "--trials", "1",
+      "-m", "1e-150", "-M", "1e150"], EXIT_USAGE, "mond_pecaric: "),
+    (["constants", "--name", "alpha", "-m", "1e-300", "-M", "1e300", "--f", "t^-1"],
+     EXIT_USAGE, "alpha is out of float range at -m 1e-300 -M 1e+300"),
+    (["check", "--name", "mond_pecaric", "--trials", "100", "-m", "3", "-M", "3"],
+     EXIT_OK, None),
+    (["check", "--name", "minkowski_general", "--trials", "100", "-m", "3", "-M", "3"],
+     EXIT_OK, None),
+    (["check", "--name", "minkowski_general", "-m", "2", "-M", "2.000000001"], EXIT_OK, None),
+    (["check", "--name", "minkowski_general", "-m", "1", "-M", "1.0000001"], EXIT_OK, None),
 ], ids=["kantorovich-overflow", "kantorovich-subnormal-m", "generalized-kantorovich-overflow",
         "beta-p-overflow",
         "mond-pecaric-alpha-overflow",
@@ -339,7 +358,11 @@ def _strict_json(text: str):
         "check-additive-sqrt-overflow", "check-tuple-minkowski-invalid",
         "check-dim-beyond-memory", "check-seed-negative", "falsify-seed-negative",
         "suite-tol-below-rounding", "check-tol-below-rounding",
-        "check-tol-below-rounding-on-interval", "falsify-tol-below-rounding"])
+        "check-tol-below-rounding-on-interval", "falsify-tol-below-rounding",
+        "check-minkowski-objective-not-finite", "check-mond-pecaric-objective-not-finite",
+        "alpha-objective-not-finite", "check-mond-pecaric-point-interval",
+        "check-minkowski-point-interval", "check-minkowski-near-point-interval",
+        "check-minkowski-narrow-interval"])
 def test_degenerate_input_gives_result_or_usage_error(capsys, argv, code, flag):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

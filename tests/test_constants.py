@@ -334,3 +334,26 @@ def test_searched_constants_take_interval_lists():
         expected = ([one(iv) for iv in ivs] if one else
                     [mond_pecaric_beta(f, iv, a) for iv, a in zip(ivs, [0.0, 1.0, 1.7, 0.5])])
         assert [repr(v) for v in lanes.tolist()] == [repr(v) for v in expected]
+
+
+def test_chord_constants_on_near_point_intervals():
+    # the tight interval of a 3 I spectrum is a few ulp wide: there
+    # f(M) - f(m) cancels, so the constants take their point values, and
+    # they never fall below their values at the endpoints
+    near = [(3.0 - 2 * np.spacing(3.0), 3.0 + 2 * np.spacing(3.0)), (2.0, 2.000000001),
+            (1.0, 1.0000001)]
+    for f in (by_name("t"), by_name("t^1.5"), by_name("t^2")):
+        assert alpha_constant(f, near[0]) == 1.0 and beta0_constant(f, near[0]) == 0.0
+        for iv in near:
+            alpha, beta0 = alpha_constant(f, iv), beta0_constant(f, iv)
+            assert type(alpha) is float and type(beta0) is float
+            assert alpha >= 1.0 and beta0 >= 0.0
+        lanes = alpha_constant(f, near), beta0_constant(f, near)
+        assert all(isinstance(v, np.ndarray) for v in lanes)
+        assert (lanes[0] >= 1.0).all() and (lanes[1] >= 0.0).all()
+    assert mond_pecaric_beta(by_name("t^2"), near[0], 0.5) == 0.5 * near[0][0] ** 2
+
+
+def test_objective_not_finite_is_a_domain_error():
+    with pytest.raises(DomainError, match="objective is not finite"):
+        alpha_constant(by_name("t^-1"), (1e-300, 1e300))

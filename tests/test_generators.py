@@ -17,6 +17,7 @@ from opineq import generators, registry
 from opineq.generators import (DrawBatch, random_spd, random_unital_map,
                                random_unitary, sandwiched_pair)
 from opineq.hermitian import SpectralInterval
+from opineq.maps import pinching
 from opineq.rng import stream
 from opineq.suite import run_suite
 
@@ -49,18 +50,31 @@ def ref_mixture(dim, rng):
     return np.array(us), rng.dirichlet(np.ones(terms))
 
 
-def ref_pinching(dim, rng):
+def ref_blocks(dim, rng):
     perm = [int(i) for i in rng.permutation(dim)]
     nblocks = 1 + int(rng.integers(dim))
     cuts = []
     if nblocks > 1:
         cuts = sorted(int(c) for c in
                       rng.choice(np.arange(1, dim), size=nblocks - 1, replace=False))
-    ops, lo = np.zeros((nblocks, dim, dim)), 0
-    for p, hi in zip(ops, cuts + [dim]):
-        p[perm[lo:hi], perm[lo:hi]] = 1.0
-        lo = hi
-    return ops, np.ones(nblocks)
+    return [perm[lo:hi] for lo, hi in zip([0] + cuts, cuts + [dim])]
+
+
+def ref_pinching_of(blocks, dim):
+    ops = np.zeros((len(blocks), dim, dim))
+    for p, b in zip(ops, blocks):
+        p[b, b] = 1.0
+    return ops, np.ones(len(blocks))
+
+
+def ref_pinching(dim, rng):
+    return ref_pinching_of(ref_blocks(dim, rng), dim)
+
+
+def ref_mask(blocks, dim):
+    """True where row and column share a block."""
+    return np.array([[any(i in b and j in b for b in blocks) for j in range(dim)]
+                     for i in range(dim)])
 
 
 def ref_unital_map(out_dim, rng):
@@ -151,6 +165,28 @@ def test_unital_maps_match_reference(dim):
     assert kinds == {0, 1, 2}
 
 
+@pytest.mark.parametrize("dim", DIMS)
+def test_drawn_pinching_masks_match_reference_blocks(dim):
+    # the mask a MapStack applies, built from the drawn block-index vector
+    for i in range(40):
+        rng, ref = streams("pinching", 100 * dim + i)
+        phi = generators.random_pinching(dim, rng)
+        blocks = ref_blocks(dim, ref)
+        assert state(rng) == state(ref)
+        assert_same_map(phi, ref_pinching_of(blocks, dim))
+        assert_same_bits(phi.mask, ref_mask(blocks, dim))
+
+
+@pytest.mark.parametrize("blocks", [
+    [[2, 0], [3], [1]], [[0], [1], [2], [3]], [[0, 1, 2, 3]], [[3, 1], [0, 2]],
+    [[1, 3, 0], [2]]], ids=["out-of-order", "singletons", "one-block", "two-pairs",
+                            "unsorted-block"])
+def test_pinching_of_written_blocks_matches_reference(blocks):
+    phi = pinching(blocks, 4)
+    assert_same_map(phi, ref_pinching_of(blocks, 4))
+    assert_same_bits(phi.mask, ref_mask(blocks, 4))
+
+
 def test_one_flush_of_mixed_draws_matches_reference():
     # unitaries, SPD matrices, mixtures, maps of all three kinds and
     # sandwiched pairs of dims 2-11 share one linear-algebra phase, so
@@ -187,7 +223,7 @@ def test_one_flush_of_mixed_draws_matches_reference():
 def test_blocks_drawn_in_place_equal_blocks_drawn_alone():
     # SPD blocks drawn into the slots of one block-diagonal matrix get the
     # bits of the same blocks drawn alone and assembled afterwards; the
-    # batch holds each pending block as a view of its matrix, not a copy
+    # batch holds each pending block's slot as a view of its matrix
     batch, pending = DrawBatch(), []
     for i in range(30):
         rng, ref = stream(3, "blocks", i), stream(3, "blocks", i)
@@ -202,7 +238,7 @@ def test_blocks_drawn_in_place_equal_blocks_drawn_alone():
             lo += size
         assert state(rng) == state(ref)
         pending.append((a, want))
-    blocks = batch._haar + batch._spd
+    blocks = [out for buf in batch._pending.values() for _, out in buf.slots]
     assert blocks and all(any(np.shares_memory(x, a) for a, _ in pending) for x in blocks)
     batch.finish()
     for a, want in pending:
@@ -243,14 +279,22 @@ def two_draw_state(dim, rng):
     return x / np.linalg.norm(x)
 
 
+def one_draw_gaussians(dim, rng, terms):
+    """Gaussians as a DrawBatch holds them: drawn into their pending rows in
+    one rng call, then assembled as `finish` assembles them."""
+    pending = generators._Pending(dim)
+    pending.draw(terms, rng)
+    return pending.gaussians()
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 11, 32])
 def test_one_draw_gaussian_and_state_equal_two_draws(dim):
     # one standard_normal((2, ...)) call: the real parts, then the imaginary;
     # (terms, 2, ...) for a stack of Gaussians
     for seed in range(40):
         got, ref = stream(seed, "one-draw"), stream(seed, "one-draw")
-        assert generators._gaussian(dim, got).tobytes() == two_draw_gaussian(dim, ref).tobytes()
+        assert one_draw_gaussians(dim, got, 1)[0].tobytes() == two_draw_gaussian(dim, ref).tobytes()
         assert generators.random_state(dim, got).tobytes() == two_draw_state(dim, ref).tobytes()
-        assert (generators._gaussian(dim, got, 3).tobytes()     # a mixture's terms
+        assert (one_draw_gaussians(dim, got, 3).tobytes()     # a mixture's terms
                 == np.stack([two_draw_gaussian(dim, ref) for _ in range(3)]).tobytes())
         assert got.random() == ref.random()     # the stream is left at the same place

@@ -92,11 +92,13 @@ def _each(constant, ivs, *args) -> list:
 
 # the record-stacking rule, by the first row whose type a leaf of a record
 # (the CheckInstance fields by name) has: its term of the bucket key off the
-# input side, its bytes, and a column of it as one leaf of the stack; any
-# other value (the tolerance, a drawn function) is the same in every record
+# input side, its bytes (a pinching's mask's, any other map's operators'),
+# and a column of it as one leaf of the stack; any other value (the
+# tolerance, a drawn function) is the same in every record
 _LEAVES = (
     (np.ndarray, _stack_key, attrgetter("nbytes"), np.array),
-    (KrausMap, attrgetter("input_dim", "output_dim"), lambda v: v.ops.nbytes, MapStack),
+    (KrausMap, attrgetter("input_dim", "output_dim"),
+     lambda v: (v.ops if v.mask is None else v.mask).nbytes, MapStack),
     (SpectralInterval, lambda v: None, lambda v: 0, list),
     (object, lambda v: v, lambda v: 0, itemgetter(0)),
 )

@@ -73,25 +73,29 @@ def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args):
         a[i], b[i] = xs[max(k - 1, 0)], xs[min(k + 1, SCAN_POINTS - 1)]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = np.asarray(f(c, *lane_args), dtype=float)
-    fd = np.asarray(f(d, *lane_args), dtype=float)
+    fc = np.array(f(c, *lane_args), dtype=float)    # copies, updated in place
+    fd = np.array(f(d, *lane_args), dtype=float)
     width = b - a
     live = width > XTOL
     while live.any():
         # where fc >= fd keep [a, d] and probe a new c, else keep [c, b] and
-        # probe a new d; lanes no longer live keep every value as it is
+        # probe a new d: (c, d) become (probe, c) or (d, probe), in place;
+        # lanes no longer live keep every value as it is
         left = fc >= fd
         go_left, go_right = live & left, live & ~left
-        a = np.where(go_right, c, a)
-        b = np.where(go_left, d, b)
-        probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        np.copyto(a, c, where=go_right)
+        np.copyto(b, d, where=go_left)
+        span = b - a
+        step = _INVPHI * span
+        probe = np.where(left, b - step, a + step)
         fp = np.asarray(f(probe, *lane_args), dtype=float)
-        c, fc, d, fd = (np.where(go_left, probe, np.where(go_right, d, c)),
-                        np.where(go_left, fp, np.where(go_right, fd, fc)),
-                        np.where(go_left, c, np.where(go_right, probe, d)),
-                        np.where(go_left, fc, np.where(go_right, fp, fd)))
-        live = (b - a > XTOL) & (b - a < width)
-        width = b - a
+        for near, far, new in ((c, d, probe), (fc, fd, fp)):
+            np.copyto(far, near, where=go_left)
+            np.copyto(near, far, where=go_right)
+            np.copyto(near, new, where=go_left)
+            np.copyto(far, new, where=go_right)
+        live = (span > XTOL) & (span < width)
+        width = span
     x = (a + b) / 2.0
     fx = np.asarray(f(x, *lane_args), dtype=float)
     take = fx >= best

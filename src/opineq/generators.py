@@ -185,7 +185,7 @@ class DrawBatch:
         buf = self._buffer(n_in)
         i, u = buf.draw(1, rng)
         buf.isometries.setdefault(out_dim, []).append(i)
-        self.nbytes += u.nbytes
+        self.nbytes += u[0, :, out_dim:].nbytes     # the columns past the record's operator
         return KrausMap(u[:, :, :out_dim], [1.0]), n_in
 
     def sandwiched_pair(self, dim: int, iv_a: SpectralInterval, bounds: SpectralInterval,

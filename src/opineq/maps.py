@@ -9,11 +9,14 @@ operators stacked as ``ops[r, n_in, n_out]`` with ``weights[r]``; the
 factories below build the constructions the checks draw from (mixtures of
 unitary conjugations, pinchings, compressions by an isometry, scaled
 identities, and direct sums with unitality split across blocks), each
-validating its own hypotheses. A pinching also carries the mask of the
-entries it keeps. ``MapStack`` applies one map per matrix of a stack; a
-``KrausMap`` applied alone is a MapStack of one.
+validating its own hypotheses. A pinching carries the block index of
+each entry and the mask of the entries it keeps, and builds its projectors
+only when ``ops`` is read. ``MapStack`` applies one map per matrix of a
+stack; a ``KrausMap`` applied alone is a MapStack of one.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +29,8 @@ UNITAL_FTOL = 1e-10
 class KrausMap:
     """Phi(X) = sum_j w_j K_j* X K_j for K_j = ops[j] (n_in x n_out).
     `mask` is None, or for a map built by `pinching` the (n, n) mask of
-    the entries it keeps."""
+    the entries it keeps; such a map builds `ops` from its block index
+    `of` when first read, writeable only if the mask is."""
 
     def __init__(self, ops, weights):
         ops = np.asarray(ops)
@@ -40,6 +44,14 @@ class KrausMap:
         self.weights = weights
         self.input_dim, self.output_dim = ops.shape[1], ops.shape[2]
         self.mask = None
+
+    @cached_property
+    def ops(self) -> np.ndarray:
+        """A pinching's diagonal 0/1 projectors onto its blocks."""
+        ops = np.zeros((len(self.weights),) + self.mask.shape)
+        ops[(self.of, *np.diag_indices(self.input_dim))] = 1.0
+        ops.flags.writeable = self.mask.flags.writeable
+        return ops
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Phi(X), or Phi of each matrix of a stack X: a MapStack of one."""
@@ -85,7 +97,7 @@ class MapStack:
         self.input_dim, self.output_dim = self.maps[0].input_dim, self.maps[0].output_dim
         if len({(m.input_dim, m.output_dim) for m in self.maps}) > 1:
             raise ValueError("all maps of a stack must share their dimensions")
-        self._dtype = np.result_type(*{m.ops.dtype for m in self.maps})
+        self._dtype = np.result_type(float, *{m.ops.dtype for m in self.maps if m.mask is None})
         pinched = [i for i, m in enumerate(self.maps) if m.mask is not None]
         kraus = [i for i, m in enumerate(self.maps) if m.mask is None]
         self._groups = []
@@ -159,11 +171,11 @@ def identity_map(dim: int) -> KrausMap:
 
 def pinching(blocks, dim: int) -> KrausMap:
     """Block-diagonal restriction: entries outside the index blocks are
-    zeroed. The Kraus operators are the diagonal 0/1 projectors onto the
-    blocks, of weight 1; the map's `mask` keeps the entries whose row and
-    column share a block, and a MapStack applies it as a masked copy. Once
-    the blocks are checked to partition range(dim), the map is built from
-    the block index of each entry, as a drawn pinching is (`_pinching`)."""
+    zeroed. The Kraus operators, built when read, are the diagonal 0/1
+    projectors onto the blocks, of weight 1; the map's `mask` keeps the
+    entries whose row and column share a block, and a MapStack applies it
+    as a masked copy. Once the blocks are checked to partition range(dim),
+    the map is built from the block index of each entry (`_pinching`)."""
     seen = sorted(i for b in blocks for i in b)
     if seen != list(range(dim)):
         raise ValueError(f"blocks must partition range({dim})")
@@ -175,13 +187,10 @@ def pinching(blocks, dim: int) -> KrausMap:
 
 def _pinching(of: np.ndarray, nblocks: int) -> KrausMap:
     """The pinching onto `nblocks` blocks, entry i in block of[i]: its
-    operators, weights and mask, without a check of `of`."""
-    dim = len(of)
-    ops = np.zeros((nblocks, dim, dim))
-    diag = np.arange(dim)
-    ops[of, diag, diag] = 1.0
-    phi = KrausMap(ops, np.ones(nblocks))
-    phi.mask = of[:, None] == of
+    block index, weights and mask, without a check of `of`."""
+    phi = KrausMap.__new__(KrausMap)
+    phi.of, phi.weights, phi.mask = of, np.ones(nblocks), of[:, None] == of
+    phi.input_dim = phi.output_dim = len(of)
     return phi
 
 

@@ -174,10 +174,10 @@ def _draw(rng, dims, intervals):
 
 @lru_cache(maxsize=32)
 def _identity_map(dim: int):
-    """identity_map(dim), built once per dim and shared, read-only, by every
-    record that carries it."""
+    """identity_map(dim), built once per dim and shared by every record that
+    carries it: its mask, and its `ops` once built, are read-only."""
     phi = identity_map(dim)
-    phi.ops.flags.writeable = phi.mask.flags.writeable = False
+    phi.of.flags.writeable = phi.mask.flags.writeable = False
     return phi
 
 

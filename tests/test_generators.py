@@ -13,11 +13,12 @@ import json
 import numpy as np
 import pytest
 
-from opineq import generators, registry
+from opineq import checks, generators, registry
 from opineq.generators import (DrawBatch, random_spd, random_unital_map,
                                random_unitary, sandwiched_pair)
 from opineq.hermitian import SpectralInterval
-from opineq.maps import pinching
+from opineq.io import map_to_json
+from opineq.maps import KrausMap, _pinching, direct_sum, pinching
 from opineq.rng import stream
 from opineq.suite import run_suite
 
@@ -185,6 +186,78 @@ def test_pinching_of_written_blocks_matches_reference(blocks):
     phi = pinching(blocks, 4)
     assert_same_map(phi, ref_pinching_of(blocks, 4))
     assert_same_bits(phi.mask, ref_mask(blocks, 4))
+
+
+def eager_pinching(of, nblocks):
+    """The pinching as built before its projectors were left until read:
+    the stack from its block index, at once."""
+    dim = len(of)
+    ops = np.zeros((nblocks, dim, dim))
+    diag = np.arange(dim)
+    ops[of, diag, diag] = 1.0
+    return KrausMap(ops, np.ones(nblocks))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_pinching_operators_on_demand_match_the_eager_stack(dim):
+    # each reader of the operators gets a fresh map, which builds them
+    for i in range(20):
+        drawn = generators.random_pinching(dim, stream(3, "on demand", 100 * dim + i))
+        assert "ops" not in vars(drawn)
+        ref = eager_pinching(drawn.of, len(drawn.weights))
+        fresh = lambda: _pinching(drawn.of, len(drawn.weights))
+        assert_same_bits(fresh().ops, ref.ops)
+        assert map_to_json(fresh()) == map_to_json(ref)
+        assert fresh().unital_defect() == ref.unital_defect()
+        summed, ref_summed = direct_sum([fresh()]), direct_sum([ref])
+        assert_same_map(summed, (ref_summed.ops, ref_summed.weights))
+
+
+def test_shared_identity_map_builds_read_only_operators():
+    phi = registry._identity_map(5)
+    assert not phi.mask.flags.writeable
+    assert_same_bits(phi.ops, np.eye(5)[None])
+    assert not phi.ops.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["kantorovich", "tuple_minkowski"])
+def test_drawn_pinchings_never_build_their_operators(name, monkeypatch):
+    drawn, draw = [], generators.random_pinching
+    monkeypatch.setattr(generators, "random_pinching",
+                        lambda dim, rng: drawn.append(draw(dim, rng)) or drawn[-1])
+    registry.get(name).run_trial([stream(17, name, t) for t in range(50)], 1e-9,
+                                 registry.DEFAULT_DIMS, registry.DEFAULT_INTERVALS)
+    assert drawn
+    assert not any("ops" in vars(phi) for phi in drawn)
+
+
+def test_budget_counts_a_pinching_by_its_mask():
+    spec, batch, seen = registry.get("kantorovich"), DrawBatch(), 0
+    for t in range(50):
+        record = spec.draw(stream(17, "kantorovich", t), 1e-9, registry.DEFAULT_DIMS,
+                           registry.DEFAULT_INTERVALS, batch)
+        if record["phi"].mask is not None:
+            seen += 1
+            assert checks._nbytes(record) == record["a"].nbytes + record["phi"].mask.nbytes
+    batch.finish()
+    assert seen
+
+
+def test_budget_counts_a_compressions_row_once():
+    # the record counts the row's first out_dim columns, its operator, and
+    # A's row; the batch counts the other columns and the spectrum
+    spec, seen = registry.get("kantorovich"), 0
+    for t in range(50):
+        batch = DrawBatch()
+        record = spec.draw(stream(19, "kantorovich", t), 1e-9, registry.DEFAULT_DIMS,
+                           registry.DEFAULT_INTERVALS, batch)
+        n = record["phi"].input_dim
+        if n > record["phi"].output_dim:
+            seen += 1
+            row, spectrum = 16 * n * n, 8 * n      # complex128 row, float64 spectrum
+            assert batch.nbytes + checks._nbytes(record) == row + record["a"].nbytes + spectrum
+        batch.finish()
+    assert seen
 
 
 def test_one_flush_of_mixed_draws_matches_reference():

@@ -304,6 +304,13 @@ def test_pinchings_of_every_block_count_map_as_one_masked_copy(rng):
         assert stack(x).tobytes() == ref.tobytes()
 
 
+def test_integer_operators_map_to_the_weighted_float_image():
+    # the weights are floats, so the image is too, whatever the dtype of
+    # the operators and the input; an integer image truncated 0.5 X to I
+    phi = KrausMap([np.eye(2, dtype=int)], [0.5])
+    np.testing.assert_array_equal(phi(np.array([[3, 1], [1, 3]])), [[1.5, 0.5], [0.5, 1.5]])
+
+
 def test_a_pinching_alone_is_its_map_stack_of_one(rng):
     # an infinite entry outside the blocks tells the masked copy (0 there)
     # from the Kraus sum (0 * inf = nan there)

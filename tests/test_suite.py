@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,17 +176,41 @@ def test_eviction_keeps_each_trials_order(name, batch_bytes, monkeypatch):
 # a guard on bucketing and eviction, at the CLI's default of 200 trials
 # over dims 2-8: one bucket per record index and output side (every input
 # size of a map's output dimension), largest first, checks ando in 9
-# stacks and tuple_minkowski in 51; one bucket per input size took 30 and
-# 81, and evaluating every held bucket whenever the budget filled 47 and 186
-@pytest.mark.parametrize("name,calls", [("ando", 9), ("tuple_minkowski", 51)])
-def test_default_sweep_bucket_counts(name, calls):
+# stacks and tuple_minkowski in 50; one bucket per input size took 30 and
+# 81, and evaluating every held bucket whenever the budget filled 47 and
+# 186. At the wide dims 16, 24 and 32 a pinching counts its mask against
+# the budget, not a projector stack: kantorovich's 60 trials take 9
+# stacks, 17 when the projectors counted
+@pytest.mark.parametrize("name,dims,trials,calls", [
+    pytest.param("ando", registry.DEFAULT_DIMS, 200, 9, id="ando-9"),
+    pytest.param("tuple_minkowski", registry.DEFAULT_DIMS, 200, 50, id="tuple_minkowski-50"),
+    pytest.param("kantorovich", (16, 24, 32), 60, 9, id="kantorovich-wide-9"),
+])
+def test_default_sweep_bucket_counts(name, dims, trials, calls):
     spec = registry.get(name)
     stacks = []
     counted = dataclasses.replace(
         spec, check=lambda stack, *args, **kw: stacks.append(stack) or spec.check(stack, *args, **kw))
-    counted.run_trial((stream(7, spec.name, t) for t in range(200)), 1e-9, registry.DEFAULT_DIMS,
+    counted.run_trial((stream(7, spec.name, t) for t in range(trials)), 1e-9, dims,
                       registry.DEFAULT_INTERVALS)
     assert len(stacks) == calls
+
+
+# a guard on the working set, which the peak-RSS bound watches: tuple_minkowski
+# at the wide dims holds up to the budget of draws and evaluates its
+# largest buckets; its traced peak read 11.73 times BATCH_BYTES
+def test_wide_entry_working_set():
+    spec = registry.get("tuple_minkowski")
+    run = lambda trials: spec.run_trial((stream(7, spec.name, t) for t in range(trials)),
+                                        1e-9, (16, 24, 32), registry.DEFAULT_INTERVALS)
+    run(2)      # caches filled outside the traced run
+    tracemalloc.start()
+    try:
+        run(60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.5 * hermitian.BATCH_BYTES
 
 
 # a row's constants hook computes the check's keyword arguments for all

@@ -186,8 +186,9 @@ def search_violations(check_name: str, grid: dict | None = None,
 
     For the rotation-family candidate the default is the exhaustive grid
     (DEFAULT_GRID unless one is given); for everything else, `budget` seeded
-    random trials. ValueError when a grid and a budget are both given, and
-    for a check without a grid search when `budget` is None. Deterministic
+    random trials. ValueError when a grid and a budget are both given, for
+    a check without a grid search when `budget` is None, and for a budget
+    below 1. Deterministic
     for fixed (seed, grid, budget); reports are ordered by search position,
     and every witness re-validates.
     """
@@ -200,6 +201,8 @@ def search_violations(check_name: str, grid: dict | None = None,
         raise ValueError("give a grid or a budget of random trials, not both")
     if budget is None:
         return _grid_violations(grid or DEFAULT_GRID, tol)
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     out: list[ViolationReport] = []
     # streams are made as the trials draw, so a large budget holds no list of them
     rngs = streams(seed, spec.name, int(budget))

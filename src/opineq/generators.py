@@ -7,13 +7,15 @@ reproduced from (seed, label, index) alone.
 A draw runs in two phases. The random-number phase, the methods of
 ``DrawBatch``, makes every rng call of the draw, in order, and returns the
 draw's arrays and maps already shaped; an array whose value needs linear
-algebra holds its random input until then. Each complex Gaussian a Haar
-unitary is made from is drawn straight into its row of the batch's pending
-buffer of its matrix size: the real block, then the imaginary block, in the
-row's own floats. The linear-algebra phase, ``DrawBatch.finish``, completes
-each buffer once: it assembles the Gaussians into complex matrices, runs
-each step as one stacked call on all of them, and overwrites each row, in
-place, with its value. A pinching is built from one block-index vector.
+algebra holds its random input until then. The complex Gaussians a Haar
+draw is made from are drawn straight into the draw's own rows, one complex
+array per draw: the real block, then the imaginary block, in each row's own
+floats. The linear-algebra phase, ``DrawBatch.finish``, completes the rows
+of each matrix size once: it gathers the Gaussians into complex matrices,
+runs each step as one stacked call on all of them, and overwrites each
+draw's rows, in place, with their values. A 1x1 sandwiched pair, which no
+algebra waits on, is finished as it is drawn. A pinching is built from one
+block-index vector.
 No random number depends on a linear-algebra result, and a stacked call
 gives each matrix the bits it gets alone, so a draw is the same in any
 batch. The functions below are a batch of one.
@@ -22,10 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import (BATCH_BYTES, SpectralInterval, _from_spectrum, hermitian_part,
-                        sqrtm_psd)
-from .maps import (KrausMap, _pinching, mixture_of, require_isometry,
-                   require_unitary)
+from .hermitian import SpectralInterval, _from_spectrum, hermitian_part, sqrtm_psd
+from .maps import KrausMap, _pinching, mixture_of, require_unitary
 
 
 def _sandwich(a: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -34,70 +34,45 @@ def _sandwich(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     return hermitian_part(ah @ d @ ah)
 
 
-# bytes of one chunk of a pending buffer: a record holds a view of its
-# draw's rows, so a chunk lives as long as any record drawn into it, and a
-# small chunk keeps few rows alive past their own records
-_CHUNK_BYTES = BATCH_BYTES // 64
-
-
 class _Pending:
-    """The pending draws of one matrix size n: one buffer of complex
-    Gaussians, held in chunks of about _CHUNK_BYTES, and what `finish` makes
-    of each row. Each Gaussian is drawn into its row of the last chunk, the
-    Gaussians of one call into consecutive rows of one chunk. A row is known
-    by its index in the buffer, the used rows of every chunk in order; the
+    """The pending draws of one matrix size n: the complex Gaussians of each
+    draw call, one array per call, and what `finish` makes of each row. A
+    row is known by its index among the rows of every call in order; the
     lists below hold row indices."""
 
     def __init__(self, n: int):
         self.n = n
-        self.chunks: list = []       # (rows, their floats) of each chunk
-        self.free = 0                # rows not yet drawn into, of the last
+        self.draws: list = []        # the (k, n, n) rows of each draw call
         self.count = 0
         self.spd: list = []          # Haar unitaries U, to become U diag(w) U*
         self.spectra: list = []      # the w of each of spd
         self.slots: list = []        # (spd row, the array it is copied into)
         self.pairs: list = []        # A rows of sandwiched pairs; D, the row
                                      # after, to become A^1/2 D A^1/2
-        self.isometries: dict = {}   # k -> rows whose first k columns are
-                                     # the Kraus operator of a compression
-        self.unitaries: list = []    # Kraus operators of mixtures, to check
-
-    def _cut(self) -> None:
-        """Cut the last chunk to the rows drawn into it."""
-        if self.free:
-            rows, halves = self.chunks[-1]
-            self.chunks[-1] = rows[:-self.free], halves[:-self.free]
-            self.free = 0
+        self.unitaries: list = []    # rows of mixtures and compressions, to check
 
     def draw(self, k: int, rng: np.random.Generator) -> tuple:
         """(the index of the first of k new rows, the rows), each row a
         complex Gaussian drawn in place, all in one rng call: each row's
         2n^2 floats take the real block, then the imaginary block."""
         n = self.n
-        if k > self.free:
-            self._cut()
-            size = max(k, _CHUNK_BYTES // (16 * n * n))
-            rows = np.empty((size, n, n), dtype=complex)
-            self.chunks.append((rows, rows.view(float).reshape(size, 2, n, n)))
-            self.free = size
-        rows, halves = self.chunks[-1]
-        lo = len(rows) - self.free
-        rng.standard_normal(out=halves[lo:lo + k])
-        self.free -= k
+        rows = np.empty((k, n, n), dtype=complex)
+        rng.standard_normal(out=rows.view(float).reshape(k, 2, n, n))
+        self.draws.append(rows)
         self.count += k
-        return self.count - k, rows[lo:lo + k]
+        return self.count - k, rows
 
     def gaussians(self) -> np.ndarray:
         """The Gaussians drawn so far, assembled into complex matrices."""
-        self._cut()
-        halves = np.concatenate([h for _, h in self.chunks])
-        g = np.empty((self.count, self.n, self.n), dtype=complex)
+        n = self.n
+        halves = np.concatenate(self.draws).view(float).reshape(self.count, 2, n, n)
+        g = np.empty((self.count, n, n), dtype=complex)
         g.real, g.imag = halves[:, 0], halves[:, 1]
         return g
 
     def finish(self) -> None:
-        """Each step once on the whole buffer, then each chunk's rows
-        overwritten with their values."""
+        """Each step once on all the rows, then each draw's rows overwritten
+        with their values."""
         u, r = np.linalg.qr(self.gaussians())
         d = np.diagonal(r, axis1=-2, axis2=-1)
         u *= (d / np.abs(d))[..., None, :]
@@ -108,12 +83,10 @@ class _Pending:
         if self.pairs:
             a = np.array(self.pairs)
             u[a + 1] = _sandwich(u[a], u[a + 1])
-        for k, idx in self.isometries.items():
-            require_isometry(u[idx, :, :k])
         if self.unitaries:
             require_unitary(u[self.unitaries])
         lo = 0
-        for rows, _ in self.chunks:
+        for rows in self.draws:
             rows[...] = u[lo:lo + len(rows)]
             lo += len(rows)
 
@@ -122,15 +95,16 @@ class DrawBatch:
     """The draws of one batch, with their linear algebra pending until
     `finish`. Each method takes the arguments of the function below that it
     serves (`spd` for `random_spd`, and so on) and makes the same rng calls;
-    the arrays it returns hold their values only after `finish`. A Haar
-    draw's matrix is a view of its row of the pending buffer of its size
-    (a `_Pending`), a mixture's Kraus operators consecutive rows. Given
-    `out` (a slot of a larger array, say), `spd` returns it, and `finish`
-    copies the finished row into it."""
+    the arrays it returns hold their values only after `finish`, except a
+    1x1 sandwiched pair, returned finished. A Haar draw's matrix is a view
+    of the one row its call drew (held by the `_Pending` of its size), a
+    mixture's Kraus operators the rows of one call, a compression's operator
+    the first columns of its row; so a held record keeps only its own rows
+    alive. Given `out` (a slot of a larger array, say), `spd` returns it,
+    and `finish` copies the finished row into it."""
 
     def __init__(self):
         self._pending: dict = {}         # matrix size -> its _Pending
-        self._scalar_pairs: list = []    # sandwiched pairs of 1x1 matrices
         # bytes held here that the draws' own arrays do not count
         self.nbytes = 0
 
@@ -184,7 +158,7 @@ class DrawBatch:
         n_in = out_dim + 1 + int(rng.integers(3))
         buf = self._buffer(n_in)
         i, u = buf.draw(1, rng)
-        buf.isometries.setdefault(out_dim, []).append(i)
+        buf.unitaries.append(i)
         self.nbytes += u[0, :, out_dim:].nbytes     # the columns past the record's operator
         return KrausMap(u[:, :, :out_dim], [1.0]), n_in
 
@@ -192,30 +166,24 @@ class DrawBatch:
                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         a = self.spd(dim, iv_a, rng)
         d = self.spd(dim, bounds, rng)
-        if dim == 1:
-            self._scalar_pairs.append((a, d))
-        else:
-            self._pending[dim].pairs.append(self._pending[dim].count - 2)
+        if dim == 1:    # no algebra pending: A and D are already drawn
+            return a, _sandwich(a, d)
+        self._pending[dim].pairs.append(self._pending[dim].count - 2)
         return a, d
 
     def finish(self) -> None:
-        """The linear-algebra phase of every draw so far, one pending buffer
+        """The linear-algebra phase of every draw so far, one matrix size
         at a time (`_Pending.finish`), each step one stacked call on all of
-        the buffer's rows, after the step it needs: the Gaussians assembled
+        that size's rows, after the step it needs: the Gaussians gathered
         into complex matrices, their QR with the R-diagonal phases folded
         into Q (the Haar unitaries, which a compression's operator is a
         view of), the SPD matrices U diag(w) U* with their spectra stacked
         into one array, the copies into `out` slots, the sandwiched pairs,
-        and the isometry and unitarity checks of the maps; then each row is
-        overwritten with its value. Sandwiched pairs of 1x1 matrices, which
-        no buffer holds, follow in one call. Then the batch lets go of the
-        draws and takes the next ones."""
+        and the unitarity check of the mixtures' and compressions' whole
+        rows; then each draw's rows are overwritten with their values. Then
+        the batch lets go of the draws and takes the next ones."""
         for buf in self._pending.values():
             buf.finish()
-        if self._scalar_pairs:
-            a, d = (np.array(x) for x in zip(*self._scalar_pairs))
-            for (_, out), v in zip(self._scalar_pairs, _sandwich(a, d)):
-                out[...] = v
         self.__init__()
 
 

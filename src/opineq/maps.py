@@ -30,7 +30,7 @@ class KrausMap:
     """Phi(X) = sum_j w_j K_j* X K_j for K_j = ops[j] (n_in x n_out).
     `mask` is None, or for a map built by `pinching` the (n, n) mask of
     the entries it keeps; such a map builds `ops` from its block index
-    `of` when first read, writeable only if the mask is."""
+    `of` when first read."""
 
     def __init__(self, ops, weights):
         ops = np.asarray(ops)
@@ -50,7 +50,6 @@ class KrausMap:
         """A pinching's diagonal 0/1 projectors onto its blocks."""
         ops = np.zeros((len(self.weights),) + self.mask.shape)
         ops[(self.of, *np.diag_indices(self.input_dim))] = 1.0
-        ops.flags.writeable = self.mask.flags.writeable
         return ops
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ a batch of one through the same path, returns the same results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Any, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -172,21 +172,13 @@ def _draw(rng, dims, intervals):
     return dim, iv
 
 
-@lru_cache(maxsize=32)
-def _identity_map(dim: int):
-    """identity_map(dim), built once per dim and shared by every record that
-    carries it: its mask, and its `ops` once built, are read-only."""
-    phi = identity_map(dim)
-    phi.of.flags.writeable = phi.mask.flags.writeable = False
-    return phi
-
-
 def _single(rng, tol, dims, intervals, batch, f=None, with_state=False,
             identity=False) -> dict:
-    """A on the input side of a random unital map (or of the identity map),
-    with a unit vector state if asked."""
+    """A on the input side of a random unital map (or of the identity map,
+    a one-block pinching built for the record), with a unit vector state if
+    asked."""
     dim, iv = _draw(rng, dims, intervals)
-    phi, n_in = (_identity_map(dim), dim) if identity else batch.unital_map(dim, rng)
+    phi, n_in = (identity_map(dim), dim) if identity else batch.unital_map(dim, rng)
     a = batch.spd(n_in, iv, rng)
     x = random_state(dim, rng) if with_state else None
     return dict(a=a, phi=phi, x=x, f=f, tol=tol)

@@ -1,5 +1,6 @@
 """Every exported name exists, so a deleted helper leaves no dangling
-export, and every private helper is read, so none is left behind dead."""
+export, and every private helper and stored attribute is read, so none is
+left behind dead."""
 import ast
 import importlib
 import pkgutil
@@ -48,6 +49,65 @@ def test_no_dead_private_helpers():
             for name in _private_defs(stmt)
             if not any(name in r for j, r in enumerate(reads) if j != i)]
     assert dead == []
+
+
+# methods that change their receiver in place: calling one is a write
+_MUTATORS = {"append", "extend", "insert", "setdefault", "update", "add", "clear"}
+
+
+def _unread_attributes(trees):
+    """The attributes the trees store (`x.attr = ...`, `x.attr += ...`) that
+    no statement reads. Changing the value in place (`x.attr.append(...)`,
+    `x.attr[i] = ...`) is not a read; naming it to `attrgetter` or
+    `getattr` is. An array's flag (`x.flags.writeable = False`) is numpy's
+    setting, not the package's state."""
+    stored, read = set(), set()
+    for tree in trees:
+        writes = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _MUTATORS:
+                writes.add(id(node.func.value))
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                writes.add(id(node.value))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                    "attrgetter", "getattr"):
+                read.update(a.value for a in node.args
+                            if isinstance(a, ast.Constant) and isinstance(a.value, str))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    if getattr(node.value, "attr", None) != "flags":
+                        stored.add(node.attr)
+                elif id(node) not in writes:
+                    read.add(node.attr)
+    return sorted(stored - read)
+
+
+def test_no_attribute_stored_without_a_read():
+    # an attribute that the package stores and that no statement of the
+    # package reads is dead state
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(opineq.__file__).parent.glob("*.py"))]
+    assert _unread_attributes(trees) == []
+
+
+@pytest.mark.parametrize("source,found", [
+    ("class P:\n    def __init__(self):\n        self.free = 0\n"
+     "    def draw(self, k):\n        self.free -= k\n", ["free"]),
+    ("class B:\n    def __init__(self):\n        self.pairs = []\n"
+     "    def pair(self, a):\n        self.pairs.append(a)\n", ["pairs"]),
+    ("buf.isometries = {}\nbuf.isometries.setdefault(2, []).append(1)\n", ["isometries"]),
+    ("self.rows = [0]\nself.rows[0] = 1\n", ["rows"]),
+    ("p.a, p.b = 1, 2\nprint(p.a)\n", ["b"]),
+    ("self.n = 1\nprint(buf.n)\n", []),
+    ("self.pairs = []\nself.pairs.append(1)\nfor p in self.pairs:\n    print(p)\n", []),
+    ("x.dtype = 1\nkey = attrgetter('dtype')\n", []),
+    ("w.flags.writeable = False\n", []),
+], ids=["augmented-only", "appended-only", "setdefault-only", "subscript-only", "one-of-a-tuple",
+        "read", "appended-and-read", "attrgetter", "array-flag"])
+def test_unread_attribute_rule_on_planted_cases(source, found):
+    assert _unread_attributes([ast.parse(source)]) == found
 
 
 def _functions(tree):

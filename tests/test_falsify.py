@@ -410,16 +410,20 @@ def test_unknown_check_rejected():
         search_violations("no_such_check")
 
 
-# only the candidate has a grid search; any other check with no budget once
-# ran no trial and reported no violation, and the candidate once ignored a
-# grid given with a budget (this grid alone raises on its NaN)
+# only the candidate has a grid search; any other check with no budget, or
+# a budget below 1, once ran no trial and reported no violation, and the
+# candidate once ignored a grid given with a budget (this grid alone raises
+# on its NaN)
 @pytest.mark.parametrize("name,kwargs,message", [
     ("kantorovich", {}, "kantorovich has no grid search"),
     ("kantorovich", {"grid": DEFAULT_GRID}, "kantorovich has no grid search"),
     ("kantorovich", {"grid": DEFAULT_GRID, "budget": 5}, "kantorovich has no grid search"),
     (CANDIDATE_NAME, {"grid": {**DEFAULT_GRID, "x": [float("nan")]}, "budget": 3},
      "a grid or a budget of random trials, not both"),
-], ids=["no-budget", "grid", "grid-and-budget", "candidate-grid-and-budget"])
+    ("kantorovich", {"budget": 0}, "budget must be >= 1, got 0"),
+    ("kantorovich", {"budget": -3}, "budget must be >= 1, got -3"),
+], ids=["no-budget", "grid", "grid-and-budget", "candidate-grid-and-budget", "budget-0",
+        "budget-negative"])
 def test_random_search_needs_a_budget_and_no_grid(name, kwargs, message):
     with pytest.raises(ValueError, match=message):
         search_violations(name, **kwargs)

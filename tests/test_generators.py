@@ -213,13 +213,6 @@ def test_pinching_operators_on_demand_match_the_eager_stack(dim):
         assert_same_map(summed, (ref_summed.ops, ref_summed.weights))
 
 
-def test_shared_identity_map_builds_read_only_operators():
-    phi = registry._identity_map(5)
-    assert not phi.mask.flags.writeable
-    assert_same_bits(phi.ops, np.eye(5)[None])
-    assert not phi.ops.flags.writeable
-
-
 @pytest.mark.parametrize("name", ["kantorovich", "tuple_minkowski"])
 def test_drawn_pinchings_never_build_their_operators(name, monkeypatch):
     drawn, draw = [], generators.random_pinching
@@ -258,6 +251,66 @@ def test_budget_counts_a_compressions_row_once():
             assert batch.nbytes + checks._nbytes(record) == row + record["a"].nbytes + spectrum
         batch.finish()
     assert seen
+
+
+def owner(a):
+    """The array whose memory `a` is, or views."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 16])
+def test_each_draw_owns_only_its_own_rows(dim):
+    # a held record keeps alive only the rows its draw call made: one for an
+    # SPD matrix, a unitary and a compression, one per term for a mixture
+    batch, compressions = DrawBatch(), 0
+    for i in range(40):
+        rng = stream(3, "own rows", 100 * dim + i)
+        drawn = [(batch.spd(dim, IV, rng), 1), (batch.unitary(dim, rng), 1)]
+        mixture = batch.mixture(dim, rng)
+        drawn.append((mixture.ops, len(mixture.weights)))
+        phi, n_in = batch.unital_map(dim, rng)
+        if n_in > dim:
+            compressions += 1
+            drawn.append((phi.ops, 1))
+        for a, rows in drawn:
+            n = a.shape[-2]
+            assert owner(a).shape == (rows, n, n)
+    batch.finish()
+    assert compressions
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_scalar_sandwiched_pair_is_finished_when_drawn(i):
+    # at dim 1 no algebra is pending, so the congruence is applied at once
+    rng, ref = streams("scalar pair", i)
+    batch = DrawBatch()
+    pair = batch.sandwiched_pair(1, IV, BOUNDS, rng)
+    for got, want in zip(pair, sandwiched_pair(1, IV, BOUNDS, ref)):
+        assert_same_bits(got, want)
+    assert state(rng) == state(ref)
+
+
+def test_compression_rows_are_checked_past_their_operator(monkeypatch):
+    # a defect in a column past out_dim, which the compression's operator
+    # does not view, is still a row that is not unitary
+    qr, batches = np.linalg.qr, []
+    for i in range(30):
+        batch = DrawBatch()
+        if batch.unital_map(4, stream(3, "planted", i))[1] > 4:
+            batches.append(batch)
+
+    def planted_qr(a, *args, **kwargs):
+        q, r = qr(a, *args, **kwargs)
+        q[..., -1] *= 2
+        return q, r
+
+    monkeypatch.setattr(np.linalg, "qr", planted_qr)
+    assert batches
+    for batch in batches:
+        with pytest.raises(ValueError, match="not unitary"):
+            batch.finish()
 
 
 def test_one_flush_of_mixed_draws_matches_reference():

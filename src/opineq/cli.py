@@ -188,8 +188,7 @@ def _run_suite(args, suite_name, dims, names=None, include_expected_fail=False):
     """run_suite with the options `check` and `suite` share, checked first;
     an entry that stops on a DomainError or an ArithmeticError on the -m/-M
     interval names those flags, and one whose drawn instance breaks its
-    hypothesis, exact but for rounding, names --tol too. A float overflow,
-    a division by zero or an invalid operation raises rather than warns."""
+    hypothesis, exact but for rounding, names --tol too."""
     if args.tol <= 0:
         raise ValueError("tol must be > 0")
     if getattr(args, "dim", None) is not None and args.dim < 1:
@@ -200,7 +199,7 @@ def _run_suite(args, suite_name, dims, names=None, include_expected_fail=False):
               tol=args.tol, include_expected_fail=include_expected_fail,
               suite_name=suite_name, timestamp=not args.no_timestamp)
     at = "" if args.m is None else f" at -m {args.m!r} -M {args.M!r}"
-    with np.errstate(over="raise", divide="raise", invalid="raise"), _stopped_entry(args, at):
+    with _stopped_entry(args, at):
         if args.m is not None:
             kw["intervals"] = [SpectralInterval(args.m, args.M)]
         return run_suite(**kw)
@@ -211,9 +210,11 @@ def _stopped_entry(args, at: str = ""):
     """An entry's stop as the one line `check`, `suite` and `falsify` print:
     a DomainError or an ArithmeticError ends with `at`, and a drawn
     instance that breaks its hypothesis, exact but for rounding, names
-    --tol too."""
+    --tol too. A float overflow, a division by zero or an invalid operation
+    raises rather than warns."""
     try:
-        yield
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
     except HypothesisError as exc:
         raise ValueError(f"{exc}: --tol {args.tol!r} is below float rounding{at}") from None
     except (DomainError, ArithmeticError) as exc:

@@ -25,7 +25,7 @@ from .hermitian import (BATCH_BYTES, DEFAULT_TOL, adjoint, hermitian_part,
                         operator_norm, power, within_tolerance)
 from .io import map_to_json, matrix_to_json
 from .maps import _weighted_sum, make_rotation_mixture, require_unitary, rotation
-from .rng import stream, streams
+from .rng import _count, stream, streams
 
 CANDIDATE_NAME = "inverse_square_candidate"
 # relative change of margin within which a witness replays
@@ -143,11 +143,11 @@ def _rerun_witness(report: ViolationReport):
         return candidate_result(wp["x"], wp["alpha"], wp["beta"], report.tolerance)
     from . import registry
     rng = stream(int(wp["seed"]), wp["label"], int(wp["trial"]))
-    results = registry.run_trial(wp["label"], rng, report.tolerance)
-    for r in results:
-        if r.check_name == report.check_name:
-            return r
-    return None
+    found = []
+    registry.get(wp["label"]).run_trial(
+        [rng], report.tolerance, registry.DEFAULT_DIMS, registry.DEFAULT_INTERVALS,
+        lambda _, results: found.extend(r for r in results if r.check_name == report.check_name))
+    return found[0] if found else None
 
 
 def _grid_violations(grid: dict, tol: float) -> list[ViolationReport]:
@@ -188,9 +188,9 @@ def search_violations(check_name: str, grid: dict | None = None,
     (DEFAULT_GRID unless one is given); for everything else, `budget` seeded
     random trials. ValueError when a grid and a budget are both given, for
     a check without a grid search when `budget` is None, and for a budget
-    below 1. Deterministic
-    for fixed (seed, grid, budget); reports are ordered by search position,
-    and every witness re-validates.
+    that is not an integer >= 1. Deterministic for fixed (seed, grid,
+    budget); reports are ordered by search position, and every witness
+    re-validates.
     """
     from . import registry
     spec = registry.get(check_name)  # raises on unknown names
@@ -201,21 +201,20 @@ def search_violations(check_name: str, grid: dict | None = None,
         raise ValueError("give a grid or a budget of random trials, not both")
     if budget is None:
         return _grid_violations(grid or DEFAULT_GRID, tol)
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    budget = _count(budget, "budget")
     out: list[ViolationReport] = []
-    # streams are made as the trials draw, so a large budget holds no list of them
-    rngs = streams(seed, spec.name, int(budget))
-    per_trial = spec.run_trial(rngs, tol, registry.DEFAULT_DIMS, registry.DEFAULT_INTERVALS)
-    for trial, results in enumerate(per_trial):
+
+    def fold(trial, results):
         for res in results:
-            if res.holds:
-                continue
-            witness = {"seed": int(seed), "label": spec.name, "trial": trial}
-            witness.update(res.params)
-            # lambda_min is the only spectral datum a generic failure carries
-            out.append(ViolationReport(res.check_name, witness, res.margin,
-                                       [res.margin], tol))
+            if not res.holds:
+                witness = {"seed": int(seed), "label": spec.name, "trial": trial}
+                witness.update(res.params)
+                # lambda_min is the only spectral datum a generic failure carries
+                out.append(ViolationReport(res.check_name, witness, res.margin,
+                                           [res.margin], tol))
+    # streams are made as the trials draw, so a large budget holds no list of them
+    spec.run_trial(streams(seed, spec.name, budget), tol, registry.DEFAULT_DIMS,
+                   registry.DEFAULT_INTERVALS, fold)
     return out
 
 

@@ -21,14 +21,15 @@ batch budget, the pending algebra runs and the largest buckets are stacked
 and checked, one bucket at a time, all its parameter values in one
 spectral scope; the smaller buckets keep filling. Each part is validated
 and mapped on its own, and all that follows the map runs once for the
-bucket. Each trial's results go back to its own slots, so a single trial,
-a batch of one through the same path, returns the same results.
+bucket. Each trial's results go back to its own slots, until it and every
+trial before it are evaluated and it is folded; a single trial, a batch of
+one through the same path, gets the same results.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .falsify import candidate_result
 from .functions import (identity_function, inverse_function, power_function,
                         square_function)
 from .generators import DrawBatch, random_state, random_weights
-from .hermitian import BATCH_BYTES, DEFAULT_TOL, DomainError, SpectralInterval, spectral_scope
+from .hermitian import BATCH_BYTES, DomainError, SpectralInterval, spectral_scope
 from .maps import direct_sum, identity_map, scaled
 
 DEFAULT_DIMS: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8)
@@ -73,7 +74,7 @@ class CheckSpec:
     otherwise; `check(stack)` runs once, or `check(stack, param)` once per
     entry of `params`, in order (record j of a list runs param j only),
     and returns per instance one CheckResult or a sequence of them. A
-    trial returns them all in record order, then call order.
+    trial's fold gets them all in record order, then call order.
     `constants(stacks, param)`, if set, computes keyword arguments of the
     check for every instance of the stacks evaluated in one round at once
     (one lockstep search instead of one per bucket); each value holds one
@@ -88,26 +89,27 @@ class CheckSpec:
     constants: Optional[Callable[..., dict]] = None
     instance: Callable[..., Any] = CheckInstance
 
-    def run_trial(self, rngs: Iterable, tol, dims, intervals) -> list[list[CheckResult]]:
-        """Draw one instance from each stream, in order, and return the
-        results of each, in stream order. Each record of a draw is held in
-        the bucket of its record index and key (see `_key`), computed once
-        here: what the record shares with the others after Phi, whatever
-        its input size. When the held records and the inputs of their
-        pending linear algebra reach BATCH_BYTES, that algebra runs for all
-        of them at once, and the largest buckets are evaluated until at
-        most half the budget is held; the rest keep filling. After the last
-        stream, every bucket left is evaluated. A DomainError, from a draw
-        or a check, names the row."""
-        slots: list = []    # per trial, per record: its results
+    def run_trial(self, rngs: Iterable, tol, dims, intervals, fold: Callable) -> None:
+        """Draw one instance from each stream, in order, and call `fold(trial,
+        results)` for each, in stream order, once it and every trial before
+        it are evaluated. Each record of a draw is held in the bucket of its
+        record index and key (see `_key`), computed once here: what the
+        record shares with the others after Phi, whatever its input size.
+        When the held records and the inputs of their pending linear algebra
+        reach BATCH_BYTES, that algebra runs for all of them at once, and the
+        largest buckets are evaluated until at most half the budget is held;
+        the rest keep filling. After the last stream, every bucket left is
+        evaluated. A DomainError, from a draw or a check, names the row."""
+        slots: dict = {}    # trial -> per record: its results, until folded
         held: dict = {}     # (record index, key) -> [bytes, trial indices, records]
         batch = DrawBatch()
         total = 0           # the bytes of every held bucket
+        done = 0            # the trials folded
 
         def flush(keep):
-            # finish the pending algebra, then evaluate the largest buckets
-            # until at most `keep` bytes are held (-1: every bucket)
-            nonlocal total
+            # finish the pending algebra, evaluate the largest buckets until at
+            # most `keep` bytes are held (-1: all), then fold the trials done
+            nonlocal total, done
             batch.finish()
             evicted = []
             while held and total > keep:
@@ -116,12 +118,15 @@ class CheckSpec:
                 total -= evicted[-1][1][0]
             if evicted:
                 self._evaluate(evicted, slots)
+            while done in slots and (keep < 0 or all(slots[done])):
+                fold(done, sum(slots.pop(done), []))
+                done += 1
 
         try:
             for t, rng in enumerate(rngs):
                 records = self.draw(rng, tol, dims, intervals, batch)
                 records = records if isinstance(records, list) else [records]
-                slots.append([[] for _ in records])
+                slots[t] = [[] for _ in records]
                 for j, record in enumerate(records):
                     bucket = held.setdefault((j, _key(record)), [0, [], []])
                     size = _nbytes(record)
@@ -134,9 +139,8 @@ class CheckSpec:
             flush(-1)
         except DomainError as exc:
             raise type(exc)(f"{self.name}: {exc}") from None
-        return [sum(results, []) for results in slots]
 
-    def _evaluate(self, buckets: list, slots: list) -> None:
+    def _evaluate(self, buckets: list, slots: dict) -> None:
         """Check each bucket, `((j, key), [bytes, trial indices, records])`,
         in one spectral scope, and extend slot j of each of its trials with
         the results. A bucket is stacked in part order (`_parts`, its trial
@@ -360,12 +364,5 @@ def get(name: str) -> CheckSpec:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(sorted(_BY_NAME))}") from None
 
 
-def run_trial(name: str, rng, tol: float = DEFAULT_TOL,
-              dims: Sequence[int] = DEFAULT_DIMS,
-              intervals: Sequence[SpectralInterval] = DEFAULT_INTERVALS) -> list[CheckResult]:
-    """The results of one trial: a batch of one stream."""
-    return get(name).run_trial([rng], tol, tuple(dims), tuple(intervals))[0]
-
-
 __all__ = ["CheckSpec", "REGISTRY", "DEFAULT_DIMS", "DEFAULT_INTERVALS",
-           "names", "get", "run_trial", "cube_root"]
+           "names", "get", "cube_root"]

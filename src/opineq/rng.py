@@ -12,6 +12,7 @@ indices at once, over uint32 lanes, and keys each Philox directly.
 """
 from __future__ import annotations
 
+import numbers
 import zlib
 from itertools import accumulate, pairwise, repeat
 from typing import Iterator
@@ -36,6 +37,15 @@ def _seed(seed) -> int:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
+
+
+def _count(value, name: str) -> int:
+    """A count of streams, `trials` or `budget`: an int >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 def _label_key(label: str) -> int:

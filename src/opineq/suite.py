@@ -5,7 +5,7 @@ record per distinct result name: the worst-margin witness seen, with trial
 and failure counts. Trials draw from streams keyed by (seed, entry name,
 trial index), so reports are reproducible regardless of evaluation order;
 an entry's trials are evaluated together (see `registry.CheckSpec`) and
-aggregated one by one, in trial order.
+folded into the aggregates one by one, in trial order, as they complete.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import registry
 from .checks import CheckResult
 from .hermitian import DEFAULT_TOL, SpectralInterval
-from .rng import streams
+from .rng import _count, streams
 
 
 @dataclass
@@ -77,8 +77,7 @@ def run_suite(seed: int = 42, trials: int = 200,
               include_expected_fail: bool = False,
               suite_name: str = "default",
               timestamp: bool = True) -> SuiteReport:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _count(trials, "trials")
     if names is None:
         names = registry.names(expected_to_hold=None if include_expected_fail else True)
     specs = [registry.get(n) for n in names]
@@ -92,21 +91,18 @@ def run_suite(seed: int = 42, trials: int = 200,
 
     for spec in specs:
         agg: dict[str, _Aggregate] = {}
-        violations = 0
-        per_trial = spec.run_trial(streams(seed, spec.name, trials), tol, tuple(dims),
-                                   tuple(intervals))
-        for trial, results in enumerate(per_trial):
+
+        def fold(trial, results):
             for res in results:
                 agg.setdefault(res.check_name, _Aggregate()).add(res, trial)
-                if not res.holds:
-                    if spec.expected_to_hold:
-                        rec = res.to_record()
-                        rec.update(entry=spec.name, trial=trial)
-                        report.failures.append(rec)
-                    else:
-                        violations += 1
+                if not res.holds and spec.expected_to_hold:
+                    rec = res.to_record()
+                    rec.update(entry=spec.name, trial=trial)
+                    report.failures.append(rec)
+        spec.run_trial(streams(seed, spec.name, trials), tol, tuple(dims), tuple(intervals),
+                       fold)
         if not spec.expected_to_hold:
-            report.expected_fail_violations[spec.name] = violations
+            report.expected_fail_violations[spec.name] = sum(a.fails for a in agg.values())
         for rname in sorted(agg):
             a = agg[rname]
             rec = a.worst.to_record()

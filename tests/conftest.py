@@ -30,6 +30,17 @@ def eigh_inputs(monkeypatch):
     return seen
 
 
+def run_trials(spec, rngs, tol, dims, intervals):
+    """Each trial's results, in stream order, as `spec.run_trial` folds them."""
+    out = []
+
+    def fold(trial, results):
+        assert trial == len(out)
+        out.append(results)
+    spec.run_trial(rngs, tol, dims, intervals, fold)
+    return out
+
+
 def assert_close(a, b, tol=1e-10):
     __tracebackhide__ = True
     np.testing.assert_allclose(a, b, rtol=0, atol=tol)

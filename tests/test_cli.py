@@ -1,10 +1,12 @@
 """CLI surface: angle parsing, exit codes, report plumbing."""
+import dataclasses
 import json
 import warnings
 
 import numpy as np
 import pytest
 
+from opineq import registry
 from opineq.cli import (_CONSTANTS, EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE,
                         main, parse_angle)
 from opineq.falsify import ViolationReport
@@ -394,6 +396,17 @@ def test_a_stopped_entry_names_itself_and_the_flags(capsys, argv, head, tail):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith(head) and err.endswith(tail) and err.count("\n") == 1
+
+
+# falsify once ran outside the floating-point errstate of check and suite,
+# so an overflow in a check warned and the search went on
+def test_falsify_stops_on_an_overflow_as_check_and_suite_do(capsys, monkeypatch):
+    spec = registry.get("kantorovich")
+    overflowing = dataclasses.replace(spec, check=lambda stack: np.float64(1e308) * 10)
+    monkeypatch.setitem(registry._BY_NAME, spec.name, overflowing)
+    assert main(["falsify", "--name", "kantorovich", "--budget", "2"]) == EXIT_USAGE
+    assert capsys.readouterr().err == ("error: an input is out of range: "
+                                       "overflow encountered in scalar multiply\n")
 
 
 @pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--beta", "-inf"),

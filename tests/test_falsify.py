@@ -12,6 +12,8 @@ matrix at every point.
 import dataclasses
 import hashlib
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,8 @@ from opineq.hermitian import (DEFAULT_TOL, hermitian_part, operator_norm, power,
 from opineq.io import map_to_json, matrix_to_json
 from opineq.maps import make_rotation_mixture, require_unitary, rotation
 from opineq.rng import stream, streams
+
+from conftest import run_trials
 
 
 def ref_counterexample_T(x, alpha, beta, tol=DEFAULT_TOL):
@@ -194,7 +198,7 @@ def test_planted_mutant_search_matches_norms_at_every_point(monkeypatch):
 def test_candidate_row_matches_per_point_reference():
     spec = registry.get(CANDIDATE_NAME)
     rngs = [stream(42, CANDIDATE_NAME, trial) for trial in range(50)]
-    got = spec.run_trial(rngs, DEFAULT_TOL, registry.DEFAULT_DIMS, registry.DEFAULT_INTERVALS)
+    got = run_trials(spec, rngs, DEFAULT_TOL, registry.DEFAULT_DIMS, registry.DEFAULT_INTERVALS)
     for trial, results in enumerate(got):
         rng = stream(42, CANDIDATE_NAME, trial)
         x, a, b = (float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.0, np.pi)),
@@ -413,7 +417,8 @@ def test_unknown_check_rejected():
 # only the candidate has a grid search; any other check with no budget, or
 # a budget below 1, once ran no trial and reported no violation, and the
 # candidate once ignored a grid given with a budget (this grid alone raises
-# on its NaN)
+# on its NaN); a budget of 1.5 or True once ran one trial, and "3" or nan
+# stopped on a TypeError or a failed conversion. No stream is made first
 @pytest.mark.parametrize("name,kwargs,message", [
     ("kantorovich", {}, "kantorovich has no grid search"),
     ("kantorovich", {"grid": DEFAULT_GRID}, "kantorovich has no grid search"),
@@ -422,10 +427,17 @@ def test_unknown_check_rejected():
      "a grid or a budget of random trials, not both"),
     ("kantorovich", {"budget": 0}, "budget must be >= 1, got 0"),
     ("kantorovich", {"budget": -3}, "budget must be >= 1, got -3"),
+    ("kantorovich", {"budget": 1.5}, "budget must be an integer, got 1.5"),
+    ("kantorovich", {"budget": True}, "budget must be an integer, got True"),
+    ("kantorovich", {"budget": "3"}, "budget must be an integer, got '3'"),
+    ("kantorovich", {"budget": float("nan")}, "budget must be an integer, got nan"),
+    (CANDIDATE_NAME, {"budget": 1.5}, "budget must be an integer, got 1.5"),
 ], ids=["no-budget", "grid", "grid-and-budget", "candidate-grid-and-budget", "budget-0",
-        "budget-negative"])
-def test_random_search_needs_a_budget_and_no_grid(name, kwargs, message):
-    with pytest.raises(ValueError, match=message):
+        "budget-negative", "budget-float", "budget-bool", "budget-str", "budget-nan",
+        "candidate-budget-float"])
+def test_random_search_needs_a_budget_and_no_grid(name, kwargs, message, monkeypatch):
+    monkeypatch.setattr(falsify, "streams", lambda *key: pytest.fail("a stream was made"))
+    with pytest.raises(ValueError, match=re.escape(message)):
         search_violations(name, **kwargs)
 
 
@@ -445,6 +457,24 @@ def test_random_search_makes_each_stream_as_it_draws(monkeypatch):
     monkeypatch.setitem(registry._BY_NAME, spec.name, counted)
     assert search_violations(spec.name, budget=5, seed=3) == []
     assert at_draw == [1, 2, 3, 4, 5]
+
+
+# a search once held every trial's results until its last stream, about
+# 640 B per trial; folded as they complete, only the trials that wait for an
+# earlier one are held. With a 12 kB batch budget, the peak at 1,024 trials
+# read 1.02x the peak at 256 (3.14x when every trial was held)
+def test_random_search_memory_does_not_grow_with_the_budget(monkeypatch):
+    monkeypatch.setattr(registry, "BATCH_BYTES", 12 << 10)
+    search_violations("kantorovich", budget=20, seed=1)     # caches filled outside the traced runs
+    peaks = []
+    for budget in (256, 1024):
+        tracemalloc.start()
+        try:
+            assert search_violations("kantorovich", budget=budget, seed=1) == []
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_true_inequalities_produce_no_reports():

@@ -22,6 +22,8 @@ from opineq.maps import KrausMap, _pinching, direct_sum, pinching
 from opineq.rng import stream
 from opineq.suite import run_suite
 
+from conftest import run_trials
+
 DIMS = range(1, 13)
 IV = SpectralInterval(0.5, 3.0)
 BOUNDS = SpectralInterval(0.25, 9.0)
@@ -218,8 +220,8 @@ def test_drawn_pinchings_never_build_their_operators(name, monkeypatch):
     drawn, draw = [], generators.random_pinching
     monkeypatch.setattr(generators, "random_pinching",
                         lambda dim, rng: drawn.append(draw(dim, rng)) or drawn[-1])
-    registry.get(name).run_trial([stream(17, name, t) for t in range(50)], 1e-9,
-                                 registry.DEFAULT_DIMS, registry.DEFAULT_INTERVALS)
+    run_trials(registry.get(name), [stream(17, name, t) for t in range(50)], 1e-9,
+               registry.DEFAULT_DIMS, registry.DEFAULT_INTERVALS)
     assert drawn
     assert not any("ops" in vars(phi) for phi in drawn)
 

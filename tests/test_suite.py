@@ -3,12 +3,13 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from opineq import checks, hermitian, means, registry
+from opineq import checks, hermitian, means, registry, suite
 from opineq.checks import CheckResult
 from opineq.cli import EXIT_CHECK_FAILED, main
 from opineq.hermitian import DomainError, SpectralInterval, power
@@ -19,6 +20,8 @@ from opineq.maps import (KrausMap, MapStack, compression, direct_sum, identity_m
                          make_rotation_mixture, pinching, scaled)
 from opineq.rng import stream
 from opineq.suite import run_suite
+
+from conftest import run_trials
 
 EXPECTED_NAMES = {
     "choi_davis", "kantorovich", "kantorovich_squared", "kantorovich_sharp",
@@ -74,8 +77,8 @@ RESULT_NAMES = {
 
 @pytest.mark.parametrize("spec", registry.REGISTRY, ids=lambda spec: spec.name)
 def test_every_entry_produces_results(spec):
-    (results,) = spec.run_trial([stream(7, spec.name)], 1e-9, (2, 3),
-                                registry.DEFAULT_INTERVALS)
+    (results,) = run_trials(spec, [stream(7, spec.name)], 1e-9, (2, 3),
+                            registry.DEFAULT_INTERVALS)
     assert all(isinstance(r, CheckResult) for r in results)
     assert [r.check_name for r in results] == RESULT_NAMES[spec.name]
 
@@ -110,8 +113,8 @@ def _fingerprint(per_trial):
 def test_batch_equals_trials_run_alone(spec):
     dims, trials = (2, 3, 5, 8), 40
     streams = lambda: [stream(13, spec.name, t) for t in range(trials)]
-    batch = spec.run_trial(streams(), 1e-9, dims, registry.DEFAULT_INTERVALS)
-    alone = [spec.run_trial([rng], 1e-9, dims, registry.DEFAULT_INTERVALS)[0]
+    batch = run_trials(spec, streams(), 1e-9, dims, registry.DEFAULT_INTERVALS)
+    alone = [run_trials(spec, [rng], 1e-9, dims, registry.DEFAULT_INTERVALS)[0]
              for rng in streams()]
     assert len(batch) == trials
     assert _fingerprint(batch) == _fingerprint(alone)
@@ -137,16 +140,17 @@ def test_batch_split_by_byte_budget_equals_trials_run_alone(name, dims, batch_by
     stacks = []
     counted = dataclasses.replace(
         spec, check=lambda stack, *args, **kw: stacks.append(stack) or spec.check(stack, *args, **kw))
-    batch = counted.run_trial(streams(), 1e-9, dims, registry.DEFAULT_INTERVALS)
+    batch = run_trials(counted, streams(), 1e-9, dims, registry.DEFAULT_INTERVALS)
     assert len(stacks) // len(spec.params) > len(keys)
-    alone = [spec.run_trial([rng], 1e-9, dims, registry.DEFAULT_INTERVALS)[0]
+    alone = [run_trials(spec, [rng], 1e-9, dims, registry.DEFAULT_INTERVALS)[0]
              for rng in streams()]
     assert _fingerprint(batch) == _fingerprint(alone)
 
 
 # with a small budget, evicting the largest buckets evaluates some tuple
 # trials' k = 1 and k = 3 records in different rounds, and trials out of
-# stream order; each trial still returns what it returns alone
+# stream order; each trial still returns what it returns alone, and is
+# folded in stream order
 @pytest.mark.parametrize("name,batch_bytes", [
     ("tuple_minkowski", 16 << 10),
     ("generalized_kantorovich", 4 << 10),
@@ -154,7 +158,7 @@ def test_batch_split_by_byte_budget_equals_trials_run_alone(name, dims, batch_by
 def test_eviction_keeps_each_trials_order(name, batch_bytes, monkeypatch):
     spec, dims, trials = registry.get(name), (2, 3, 5, 8), 40
     streams = lambda: [stream(5, spec.name, t) for t in range(trials)]
-    alone = [spec.run_trial([rng], 1e-9, dims, registry.DEFAULT_INTERVALS)[0]
+    alone = [run_trials(spec, [rng], 1e-9, dims, registry.DEFAULT_INTERVALS)[0]
              for rng in streams()]
     rounds = {}     # (trial, record index) -> the round that evaluated it
     evaluate = registry.CheckSpec._evaluate
@@ -163,13 +167,29 @@ def test_eviction_keeps_each_trials_order(name, batch_bytes, monkeypatch):
         now = max(rounds.values(), default=-1) + 1
         rounds.update(((t, j), now) for (j, _), (_, idx, _) in buckets for t in idx)
         return evaluate(self, buckets, slots)
+    taken, folds, batch = [], [], []    # folds: (trial, streams taken by then)
+
+    def drawing():
+        for rng in streams():
+            taken.append(rng)
+            yield rng
+
+    def fold(trial, results):
+        folds.append((trial, len(taken)))
+        batch.append(results)
     monkeypatch.setattr(registry, "BATCH_BYTES", batch_bytes)
     monkeypatch.setattr(registry.CheckSpec, "_evaluate", recording)
-    batch = spec.run_trial(streams(), 1e-9, dims, registry.DEFAULT_INTERVALS)
+    spec.run_trial(drawing(), 1e-9, dims, registry.DEFAULT_INTERVALS, fold)
     first = [rounds[t, 0] for t in range(trials)]
     assert first != sorted(first)
+    # each trial is folded once, in stream order
+    assert [t for t, _ in folds] == list(range(trials))
     if name == "tuple_minkowski":
         assert any(rounds[t, 0] != rounds[t, 1] for t in range(trials))
+        # the first trial is folded before the last stream is drawn; the
+        # first generalized_kantorovich trial waits in a bucket that only
+        # the last flush evaluates
+        assert folds[0][1] < trials
     assert _fingerprint(batch) == _fingerprint(alone)
 
 
@@ -191,8 +211,8 @@ def test_default_sweep_bucket_counts(name, dims, trials, calls):
     stacks = []
     counted = dataclasses.replace(
         spec, check=lambda stack, *args, **kw: stacks.append(stack) or spec.check(stack, *args, **kw))
-    counted.run_trial((stream(7, spec.name, t) for t in range(trials)), 1e-9, dims,
-                      registry.DEFAULT_INTERVALS)
+    run_trials(counted, (stream(7, spec.name, t) for t in range(trials)), 1e-9, dims,
+               registry.DEFAULT_INTERVALS)
     assert len(stacks) == calls
 
 
@@ -204,8 +224,8 @@ def test_default_sweep_bucket_counts(name, dims, trials, calls):
                          ids=["tuple_minkowski", "minkowski_general"])
 def test_wide_entry_working_set(name, bound):
     spec = registry.get(name)
-    run = lambda trials: spec.run_trial((stream(7, spec.name, t) for t in range(trials)),
-                                        1e-9, (16, 24, 32), registry.DEFAULT_INTERVALS)
+    run = lambda trials: run_trials(spec, (stream(7, spec.name, t) for t in range(trials)),
+                                    1e-9, (16, 24, 32), registry.DEFAULT_INTERVALS)
     run(2)      # caches filled outside the traced run
     tracemalloc.start()
     try:
@@ -347,6 +367,23 @@ def test_suite_trial_counts():
     assert rec["failures"] == 0
 
 
+# trials=True once reported 1 trial, and 1.5, "3" or nan stopped on a
+# TypeError or a failed conversion; no stream is made before the count is
+# checked
+@pytest.mark.parametrize("trials,message", [
+    (0, "trials must be >= 1"),
+    (-3, "trials must be >= 1"),
+    (1.5, "trials must be an integer, got 1.5"),
+    (True, "trials must be an integer, got True"),
+    ("3", "trials must be an integer, got '3'"),
+    (float("nan"), "trials must be an integer, got nan"),
+], ids=["zero", "negative", "float", "bool", "str", "nan"])
+def test_suite_needs_a_count_of_trials(trials, message, monkeypatch):
+    monkeypatch.setattr(suite, "streams", lambda *key: pytest.fail("a stream was made"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_suite(trials=trials, names=["kantorovich"])
+
+
 def test_suite_includes_candidate_only_on_request():
     rep = run_suite(seed=5, trials=4, dims=(2,), timestamp=False)
     assert "inverse_square_candidate" not in {c["entry"] for c in rep.checks}
@@ -479,8 +516,8 @@ def test_bucket_decomposes_each_operand_once_over_its_params(eigh_inputs):
     counted = dataclasses.replace(
         spec, check=lambda stack, *args: stacks.setdefault(id(stack), stack)
         and spec.check(stack, *args))
-    counted.run_trial([stream(3, spec.name, t) for t in range(8)], 1e-9, (5,),
-                      registry.DEFAULT_INTERVALS)
+    run_trials(counted, [stream(3, spec.name, t) for t in range(8)], 1e-9, (5,),
+               registry.DEFAULT_INTERVALS)
     decomposed, operands = list(eigh_inputs), 0
     for stack in stacks.values():
         parts = [a for a, _, _ in stack.parts()]
@@ -510,8 +547,8 @@ def test_no_spectral_scope_left_open_after_a_domain_error():
         power(-stack.a, 0.5)        # not positive definite: DomainError
 
     with pytest.raises(DomainError):
-        dataclasses.replace(spec, check=failing).run_trial(
-            [stream(1, spec.name, 0)], 1e-9, (3,), registry.DEFAULT_INTERVALS)
+        run_trials(dataclasses.replace(spec, check=failing),
+                   [stream(1, spec.name, 0)], 1e-9, (3,), registry.DEFAULT_INTERVALS)
     assert hermitian._eigh_memo is None
 
 

@@ -33,9 +33,9 @@ from .constants import (alpha_constant, beta0_constant, beta_p_constant,
                         mond_pecaric_beta)
 from .functions import ScalarFunction
 from .hermitian import (DEFAULT_TOL, DomainError, SpectralInterval, _stack_key,
-                        as_hermitian, each_stacked, hermitian_part, inv_psd,
-                        loewner_leq_each, matrix_function, power, sqrtm_psd,
-                        within_tolerance)
+                        _tolerance, as_hermitian, each_stacked, hermitian_part,
+                        inv_psd, loewner_leq_each, matrix_function, power,
+                        sqrtm_psd, within_tolerance)
 from .maps import KrausMap, MapStack, vector_state_value
 from .means import connection, geometric_mean
 
@@ -235,8 +235,7 @@ class CheckInstance:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
+        _tolerance(self.tol)
         self.a = _per_part(as_hermitian, self.a)
         if self.b is not None:
             self.b = _per_part(as_hermitian, self.b)

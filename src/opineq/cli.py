@@ -34,6 +34,7 @@ from .io import dump_json, matrix_to_json
 from .oracle import (oracle_alpha, oracle_beta0, oracle_beta_p,
                      oracle_generalized_kantorovich, oracle_kantorovich,
                      oracle_mond_pecaric_beta)
+from .rng import _count
 from .suite import run_suite
 
 EXIT_OK = 0
@@ -69,8 +70,7 @@ def _resolve_seed(args) -> None:
             args.seed = int(text)
         except ValueError:
             raise ValueError(f"{flag} must be an integer, got {text!r}") from None
-    if args.seed < 0:
-        raise ValueError(f"{flag} must be >= 0, got {args.seed}")
+    _count(args.seed, flag, 0)
 
 
 # float flags that must hold a finite number, by parsed attribute; an
@@ -191,8 +191,8 @@ def _run_suite(args, suite_name, dims, names=None, include_expected_fail=False):
     hypothesis, exact but for rounding, names --tol too."""
     if args.tol <= 0:
         raise ValueError("tol must be > 0")
-    if getattr(args, "dim", None) is not None and args.dim < 1:
-        raise ValueError("dim must be >= 1")
+    if getattr(args, "dim", None) is not None:
+        _count(args.dim, "dim")
     if (args.m is None) != (args.M is None):
         raise ValueError("give both -m and -M or neither")
     kw = dict(seed=args.seed, trials=args.trials, names=names, dims=dims,
@@ -237,8 +237,7 @@ def _cmd_suite(args) -> int:
         dims = tuple(int(d) for d in args.dims.split(","))
     except ValueError:
         raise ValueError(f"bad --dims {args.dims!r}") from None
-    if min(dims) < 1:
-        raise ValueError(f"--dims entries must be >= 1, got {args.dims!r}")
+    dims = tuple(_count(d, "--dims entries") for d in dims)
     report = _run_suite(args, "suite", dims, include_expected_fail=args.include_expected_fail)
     _emit(report.to_record(), args.format, args.output)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
@@ -325,8 +324,8 @@ def _cmd_counterexample(args) -> int:
 def _cmd_falsify(args) -> int:
     if args.name not in registry.names():
         raise ValueError(f"unknown check name {args.name!r}; see `opineq list`")
-    if args.budget is not None and args.budget < 1:
-        raise ValueError(f"--budget must be >= 1, got {args.budget}")
+    if args.budget is not None:
+        _count(args.budget, "--budget")
     if args.budget is None and args.name != CANDIDATE_NAME:
         raise ValueError(f"--budget is required for {args.name}: only {CANDIDATE_NAME} "
                          "has a grid search")

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .checks import _results
-from .hermitian import (BATCH_BYTES, DEFAULT_TOL, adjoint, hermitian_part,
+from .hermitian import (BATCH_BYTES, DEFAULT_TOL, _tolerance, adjoint, hermitian_part,
                         operator_norm, power, within_tolerance)
 from .io import map_to_json, matrix_to_json
 from .maps import _weighted_sum, make_rotation_mixture, require_unitary, rotation
@@ -60,8 +60,7 @@ def _rotation_pairs(alpha, beta) -> np.ndarray:
 def _deficit(x, alpha, beta, tol: float):
     """`counterexample_T`'s T, eigenvalues and psd as arrays over the
     points, and Phi(A^-1) at each point, the LHS's square root."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    _tolerance(tol)
     x, alpha, beta = (np.asarray(v, dtype=float) for v in (x, alpha, beta))
     for name, v in (("x", x), ("alpha", alpha), ("beta", beta)):
         finite = np.isfinite(v)
@@ -142,7 +141,7 @@ def _rerun_witness(report: ViolationReport):
     if report.check_name == CANDIDATE_NAME:
         return candidate_result(wp["x"], wp["alpha"], wp["beta"], report.tolerance)
     from . import registry
-    rng = stream(int(wp["seed"]), wp["label"], int(wp["trial"]))
+    rng = stream(wp["seed"], wp["label"], wp["trial"])
     found = []
     registry.get(wp["label"]).run_trial(
         [rng], report.tolerance, registry.DEFAULT_DIMS, registry.DEFAULT_INTERVALS,
@@ -201,13 +200,13 @@ def search_violations(check_name: str, grid: dict | None = None,
         raise ValueError("give a grid or a budget of random trials, not both")
     if budget is None:
         return _grid_violations(grid or DEFAULT_GRID, tol)
-    budget = _count(budget, "budget")
+    budget, seed = _count(budget, "budget"), _count(seed, "seed", 0)
     out: list[ViolationReport] = []
 
     def fold(trial, results):
         for res in results:
             if not res.holds:
-                witness = {"seed": int(seed), "label": spec.name, "trial": trial}
+                witness = {"seed": seed, "label": spec.name, "trial": trial}
                 witness.update(res.params)
                 # lambda_min is the only spectral datum a generic failure carries
                 out.append(ViolationReport(res.check_name, witness, res.margin,

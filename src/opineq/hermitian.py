@@ -16,6 +16,7 @@ Inside a ``spectral_scope``, A^p for several p comes from one ``eigh`` of A.
 """
 from __future__ import annotations
 
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
@@ -194,6 +195,12 @@ def sqrtm_psd(a: np.ndarray) -> np.ndarray:
     return power(a, 0.5)
 
 
+def _tolerance(tol) -> None:
+    """The one tolerance rule: a finite number >= 0 (inf passes every verdict)."""
+    if not (isinstance(tol, numbers.Real) and 0 <= tol < np.inf):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def within_tolerance(margin, tol: float, lhs_norm, rhs_norm):
     """The verdict rule for LHS <= RHS with signed margin `margin`:
     margin >= -tol * max(1, ||LHS||, ||RHS||). Elementwise over arrays."""
@@ -233,8 +240,7 @@ def loewner_leq_each(pairs, tol: float = DEFAULT_TOL) -> list:
     lhs_norm, rhs_norm) per pair. The spectra come from one `eigvalsh` call
     per group of `stacks`, and an operand shared by several pairs (the same
     object) is decomposed once."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    _tolerance(tol)
     operands: dict = {}
     for a, b in pairs:
         if a.shape != b.shape:

@@ -204,8 +204,6 @@ def compression(v) -> KrausMap:
 
 def scaled(weight: float, dim: int) -> KrausMap:
     """X -> w X: positive but NOT unital; a direct-sum building block."""
-    if weight <= 0:
-        raise ValueError("weight must be positive")
     return KrausMap([np.eye(dim)], [weight])
 
 

@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from .checks import (CheckInstance, CheckResult, _key, _nbytes, _parts, _stack,
+from .checks import (CheckInstance, CheckResult, _key, _nbytes, _parts,
                      _stack_parts, check_additive_sqrt, check_ando,
                      check_ando_connection, check_choi_davis,
                      check_generalized_kantorovich_operator,
@@ -69,7 +69,7 @@ class CheckSpec:
     makes the rng calls of one instance and leaves its linear algebra to
     `batch` (a `generators.DrawBatch`); it returns one record, or a list of
     them, one per entry of `params`. A bucket of records of one record
-    index and key (`_key`), stacked part by part (`_stack`), becomes one
+    index and key (`_key`), stacked part by part (`_stack_parts`), becomes one
     `instance(**fields)`, a validated CheckInstance unless the row says
     otherwise; `check(stack)` runs once, or `check(stack, param)` once per
     entry of `params`, in order (record j of a list runs param j only),

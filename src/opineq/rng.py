@@ -32,19 +32,14 @@ _POOL = 4
 _MASK = 0xFFFFFFFF
 
 
-def _seed(seed) -> int:
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-def _count(value, name: str) -> int:
-    """A count of streams, `trials` or `budget`: an int >= 1, not a bool."""
+def _count(value, name: str, least: int = 1) -> int:
+    """The one rule on a count or a seed: an int >= `least`, not a bool.
+    Counts (`trials`, `budget`, dims) start at 1; a seed and a stream's
+    index at 0."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return int(value)
 
 
@@ -59,7 +54,8 @@ def stream(seed: int, label: str, index: int = 0) -> Generator:
     (check names, generator roles) get provably distinct spawn keys under the
     same master seed.
     """
-    ss = SeedSequence(entropy=_seed(seed), spawn_key=(_label_key(label), int(index)))
+    ss = SeedSequence(entropy=_count(seed, "seed", 0),
+                      spawn_key=(_label_key(label), _count(index, "index", 0)))
     return Generator(Philox(ss))
 
 
@@ -121,7 +117,7 @@ class _Key(ISeedSequence):
 def streams(seed: int, label: str, n: int) -> Iterator[Generator]:
     """The generators stream(seed, label, i) for i < n, each made as it is
     taken; their keys are computed KEY_BLOCK indices at a time."""
-    seed = _seed(seed)
+    seed = _count(seed, "seed", 0)
     blocks = (_keys(seed, label, np.arange(lo, min(lo + KEY_BLOCK, n), dtype=np.uint64))
               for lo in range(0, n, KEY_BLOCK))
     return (Generator(Philox(_Key(key))) for keys in blocks for key in keys)

@@ -77,14 +77,16 @@ def run_suite(seed: int = 42, trials: int = 200,
               include_expected_fail: bool = False,
               suite_name: str = "default",
               timestamp: bool = True) -> SuiteReport:
-    trials = _count(trials, "trials")
+    trials, seed = _count(trials, "trials"), _count(seed, "seed", 0)
+    dims = tuple(_count(d, "dims entries") for d in dims)
+    if not (dims and intervals):
+        raise ValueError(f"{'intervals' if dims else 'dims'} must not be empty")
     if names is None:
         names = registry.names(expected_to_hold=None if include_expected_fail else True)
     specs = [registry.get(n) for n in names]
 
     report = SuiteReport(
-        suite=suite_name, seed=int(seed), trials=int(trials), tolerance=float(tol),
-        dims=[int(d) for d in dims],
+        suite=suite_name, seed=seed, trials=trials, tolerance=float(tol), dims=list(dims),
         intervals=[[float(iv.m), float(iv.M)] for iv in intervals],
         generated_at=datetime.now(timezone.utc).isoformat() if timestamp else None,
     )
@@ -99,8 +101,7 @@ def run_suite(seed: int = 42, trials: int = 200,
                     rec = res.to_record()
                     rec.update(entry=spec.name, trial=trial)
                     report.failures.append(rec)
-        spec.run_trial(streams(seed, spec.name, trials), tol, tuple(dims), tuple(intervals),
-                       fold)
+        spec.run_trial(streams(seed, spec.name, trials), tol, dims, tuple(intervals), fold)
         if not spec.expected_to_hold:
             report.expected_fail_violations[spec.name] = sum(a.fails for a in agg.values())
         for rname in sorted(agg):

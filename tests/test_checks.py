@@ -43,6 +43,12 @@ def test_instance_rejects_interval_missing_spectrum(rng):
         CheckInstance(a=a, phi=identity_map(3), iv=SpectralInterval(2.0, 4.0))
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan], ids=["inf", "nan"])
+def test_instance_needs_a_finite_tolerance(rng, tol):
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        CheckInstance(a=random_spd(3, IV, rng), phi=identity_map(3), tol=tol)
+
+
 # A = diag(lo, hi) against [1, 2] at tol 1e-9: the band is 1e-9 times
 # max(1, ||A||, the interval's end), about 2e-9 on either side
 @pytest.mark.parametrize("lo,hi,inside", [

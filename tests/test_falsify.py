@@ -236,6 +236,15 @@ def test_non_finite_point_anywhere_is_rejected(axis, bad):
         search_violations(CANDIDATE_NAME, grid={**DEFAULT_GRID, axis: [1.0, bad]})
 
 
+# an infinite tolerance called every T psd, and nan none
+@pytest.mark.parametrize("tol", [np.inf, np.nan], ids=["inf", "nan"])
+def test_tolerance_must_be_finite(tol):
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        counterexample_T(2.0, np.pi / 3, np.pi / 4, tol=tol)
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        search_violations(CANDIDATE_NAME, tol=tol)
+
+
 def test_chunked_grid_equals_one_chunk(monkeypatch):
     one = search_violations(CANDIDATE_NAME, tol=1e-18)
     monkeypatch.setattr(falsify, "BATCH_BYTES", 64 * 100)   # 100 points a chunk

@@ -187,6 +187,10 @@ def test_loewner_tolerance_is_relative():
     assert not holds
     # the scale is the larger norm, here the right-hand side's
     assert loewner_leq(np.diag([1.0, 0.0]), np.diag([1 - 5e-8, 100.0]), tol=1e-9)[0]
+    # an infinite tolerance held 2I <= I, and nan held nothing
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            loewner_leq(2 * np.eye(2), np.eye(2), tol)
 
 
 def test_spectral_interval_validation():

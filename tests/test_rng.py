@@ -1,6 +1,8 @@
 """Random streams: `streams` gives the generators `stream` gives, through
 numpy's SeedSequence hash run over a block of indices at once, and the
 suite and the random search draw through it without one SeedSequence."""
+import re
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
@@ -42,11 +44,22 @@ def test_streams_give_the_generators_of_stream(seed, label):
         assert first_draws(got[i]) == first_draws(ref)
 
 
-@pytest.mark.parametrize("make", [lambda: stream(-1, "kantorovich"),
-                                  lambda: streams(-1, "kantorovich", 3)],
-                         ids=["stream", "streams"])
-def test_a_negative_seed_is_rejected(make):
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+# a seed or index that is not an integer was truncated (1.5 and True drew
+# seed 1, index 2.7 drew index 2) or parsed ("3" drew seed 3)
+@pytest.mark.parametrize("make,message", [
+    (lambda: stream(-1, "kantorovich"), "seed must be >= 0, got -1"),
+    (lambda: streams(-1, "kantorovich", 3), "seed must be >= 0, got -1"),
+    (lambda: stream(1.5, "kantorovich"), "seed must be an integer, got 1.5"),
+    (lambda: streams(1.5, "kantorovich", 3), "seed must be an integer, got 1.5"),
+    (lambda: stream(True, "kantorovich"), "seed must be an integer, got True"),
+    (lambda: streams(True, "kantorovich", 3), "seed must be an integer, got True"),
+    (lambda: stream("3", "kantorovich"), "seed must be an integer, got '3'"),
+    (lambda: streams("3", "kantorovich", 3), "seed must be an integer, got '3'"),
+    (lambda: stream(1, "kantorovich", 2.7), "index must be an integer, got 2.7"),
+], ids=["stream", "streams", "stream-float", "streams-float", "stream-bool", "streams-bool",
+        "stream-str", "streams-str", "stream-index-float"])
+def test_a_negative_seed_is_rejected(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         make()
 
 

@@ -100,7 +100,7 @@ def test_every_draw_returns_flat_records(spec):
             if not isinstance(value, (np.ndarray, KrausMap, SpectralInterval)):
                 assert not isinstance(value, (dict, list, tuple, set))
                 hash(value)
-        spec.instance(**registry._stack([record]))
+        spec.instance(**checks._stack([record]))
 
 
 def _fingerprint(per_trial):
@@ -247,7 +247,7 @@ def test_constants_hook_gives_the_results_of_the_check_alone(name):
         record = spec.draw(stream(11, name, t), 1e-9, (2, 3), registry.DEFAULT_INTERVALS, batch)
         buckets.setdefault(registry._key(record), []).append(record)
     batch.finish()
-    stacks = [spec.instance(**registry._stack(records)) for records in buckets.values()]
+    stacks = [spec.instance(**checks._stack(records)) for records in buckets.values()]
     assert len(stacks) > 1
     for param in spec.params:
         kwargs, lo = spec.constants(stacks, param), 0
@@ -290,8 +290,8 @@ def test_bucket_of_mixed_input_sizes_gives_what_its_parts_give_alone(name):
     records = max(buckets.values(), key=lambda rs: len(registry._parts(rs)))
     parts = [[records[i] for i in idx] for idx in registry._parts(records)]
     assert len(parts) > 1
-    whole = spec.instance(**registry._stack(records))
-    alone = [spec.instance(**registry._stack(part)) for part in parts]
+    whole = spec.instance(**checks._stack(records))
+    alone = [spec.instance(**checks._stack(part)) for part in parts]
     calls = [(p,) for p in spec.params] or [()]
     for args in calls[:1] if listed else calls:
         got = _bucket_results(spec, [whole], args)
@@ -384,6 +384,29 @@ def test_suite_needs_a_count_of_trials(trials, message, monkeypatch):
         run_suite(trials=trials, names=["kantorovich"])
 
 
+# seed=True or 1.5 ran and reported seed 1, and "3" seed 3; dims=(2.5,) ran
+# at dim 2, (True,) at dim 1 and ("3",) at dim 3; (0,) and empty dims or
+# intervals stopped inside numpy
+@pytest.mark.parametrize("kw,message", [
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": "3"}, "seed must be an integer, got '3'"),
+    ({"dims": (0,)}, "dims entries must be >= 1, got 0"),
+    ({"dims": (2, -1)}, "dims entries must be >= 1, got -1"),
+    ({"dims": (2.5,)}, "dims entries must be an integer, got 2.5"),
+    ({"dims": (True,)}, "dims entries must be an integer, got True"),
+    ({"dims": ("3",)}, "dims entries must be an integer, got '3'"),
+    ({"dims": ()}, "dims must not be empty"),
+    ({"intervals": []}, "intervals must not be empty"),
+], ids=["seed-negative", "seed-float", "seed-bool", "seed-str", "dims-zero", "dims-negative",
+        "dims-float", "dims-bool", "dims-str", "no-dims", "no-intervals"])
+def test_suite_needs_a_seed_and_dims(kw, message, monkeypatch):
+    monkeypatch.setattr(suite, "streams", lambda *key: pytest.fail("a stream was made"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_suite(names=["kantorovich"], **kw)
+
+
 def test_suite_includes_candidate_only_on_request():
     rep = run_suite(seed=5, trials=4, dims=(2,), timestamp=False)
     assert "inverse_square_candidate" not in {c["entry"] for c in rep.checks}
@@ -415,6 +438,11 @@ def test_suite_records_each_failure(kantorovich_halved):
         assert f["params"]["constant"] == 0.5 and f["lhs_norm"] > 0 and f["rhs_norm"] > 0
     (rec,) = rep.checks
     assert rec["failures"] == 3 and rec["margin"] == min(f["margin"] for f in rep.failures)
+    # an infinite tolerance passed every planted failure, and nan failed
+    # every verdict
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            run_suite(seed=5, trials=3, dims=(2,), names=["kantorovich"], tol=tol)
 
 
 @pytest.mark.parametrize("argv", [

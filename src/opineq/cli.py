@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         seeded_report_flags(sp)
 
     c = sub.add_parser("check", help="run one or more named checks")
-    c.add_argument("--name", action="append", required=True,
+    c.add_argument("--name", action="append", required=True, dest="names",
                    help="check name (repeatable)")
     c.add_argument("--dim", type=int, default=None)
     common(c)
@@ -121,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("suite", help="run every expected-to-hold check")
     s.add_argument("--dims", default="2,4,6", help="comma-separated dimensions")
-    s.add_argument("--include-expected-fail", action="store_true")
+    s.add_argument("--include-expected-fail", action="store_const", dest="names",
+                   const=registry.names())
     common(s)
     s.set_defaults(run=_cmd_suite)
 
@@ -184,25 +185,24 @@ def _cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _run_suite(args, suite_name, dims, names=None, include_expected_fail=False):
-    """run_suite with the options `check` and `suite` share, checked first;
-    an entry that stops on a DomainError or an ArithmeticError on the -m/-M
-    interval names those flags, and one whose drawn instance breaks its
-    hypothesis, exact but for rounding, names --tol too."""
+def _run_suite(args, dims) -> int:
+    """run_suite with the options `check` and `suite` share, checked first,
+    and its report emitted; an entry that stops on a DomainError or an
+    ArithmeticError on the -m/-M interval names those flags, and one whose
+    drawn instance breaks its hypothesis, exact but for rounding, names --tol."""
     if args.tol <= 0:
         raise ValueError("tol must be > 0")
-    if getattr(args, "dim", None) is not None:
-        _count(args.dim, "dim")
     if (args.m is None) != (args.M is None):
         raise ValueError("give both -m and -M or neither")
-    kw = dict(seed=args.seed, trials=args.trials, names=names, dims=dims,
-              tol=args.tol, include_expected_fail=include_expected_fail,
-              suite_name=suite_name, timestamp=not args.no_timestamp)
+    kw = dict(seed=args.seed, trials=args.trials, names=args.names, dims=dims, tol=args.tol,
+              suite_name=args.command, timestamp=not args.no_timestamp)
     at = "" if args.m is None else f" at -m {args.m!r} -M {args.M!r}"
     with _stopped_entry(args, at):
         if args.m is not None:
             kw["intervals"] = [SpectralInterval(args.m, args.M)]
-        return run_suite(**kw)
+        report = run_suite(**kw)
+    _emit(report.to_record(), args.format, args.output)
+    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
 @contextmanager
@@ -221,15 +221,18 @@ def _stopped_entry(args, at: str = ""):
         raise type(exc)(f"{exc.args[-1]}{at}") from None
 
 
+def _entry(name: str) -> registry.CheckSpec:
+    """The registry entry `name`; ValueError (exit 2) for a name not in `opineq list`."""
+    if name not in registry.names():
+        raise ValueError(f"unknown check name {name!r}; see `opineq list`")
+    return registry.get(name)
+
+
 def _cmd_check(args) -> int:
-    names = list(dict.fromkeys(args.name))
-    for n in names:
-        if n not in registry.names():
-            raise ValueError(f"unknown check name {n!r}; see `opineq list`")
-    dims = (args.dim,) if args.dim else (2, 4, 6)
-    report = _run_suite(args, "check", dims, names=names, include_expected_fail=True)
-    _emit(report.to_record(), args.format, args.output)
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
+    for name in args.names:
+        _entry(name)
+    dims = (2, 4, 6) if args.dim is None else (_count(args.dim, "--dim"),)
+    return _run_suite(args, dims)
 
 
 def _cmd_suite(args) -> int:
@@ -238,9 +241,7 @@ def _cmd_suite(args) -> int:
     except ValueError:
         raise ValueError(f"bad --dims {args.dims!r}") from None
     dims = tuple(_count(d, "--dims entries") for d in dims)
-    report = _run_suite(args, "suite", dims, include_expected_fail=args.include_expected_fail)
-    _emit(report.to_record(), args.format, args.output)
-    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
+    return _run_suite(args, dims)
 
 
 # name -> (closed form, grid oracle, flags); both take the flags' values
@@ -322,14 +323,12 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
-    if args.name not in registry.names():
-        raise ValueError(f"unknown check name {args.name!r}; see `opineq list`")
+    spec = _entry(args.name)
     if args.budget is not None:
         _count(args.budget, "--budget")
     if args.budget is None and args.name != CANDIDATE_NAME:
         raise ValueError(f"--budget is required for {args.name}: only {CANDIDATE_NAME} "
                          "has a grid search")
-    spec = registry.get(args.name)
     with _stopped_entry(args):
         reports = search_violations(args.name, budget=args.budget, seed=args.seed, tol=args.tol)
     if args.outdir:

@@ -156,8 +156,11 @@ def _grid_violations(grid: dict, tol: float) -> list[ViolationReport]:
     the norms are computed only for the points whose margin is negative (or
     NaN); they are judged by `within_tolerance`, as `candidate_result` does.
     """
-    axes = [np.asarray(grid[k], dtype=float) for k in ("x", "alpha", "beta")]
-    points = [p.ravel() for p in np.meshgrid(*axes, indexing="ij")]
+    axes = {k: np.asarray(grid.get(k, ()), dtype=float) for k in ("x", "alpha", "beta")}
+    for k, axis in axes.items():
+        if not axis.size:
+            raise ValueError(f"grid needs a non-empty {k} axis")
+    points = [p.ravel() for p in np.meshgrid(*axes.values(), indexing="ij")]
     step = max(1, BATCH_BYTES // 64)   # a point's Kraus operators take 64 bytes
     out = []
     for lo in range(0, points[0].size, step):
@@ -186,10 +189,12 @@ def search_violations(check_name: str, grid: dict | None = None,
     For the rotation-family candidate the default is the exhaustive grid
     (DEFAULT_GRID unless one is given); for everything else, `budget` seeded
     random trials. ValueError when a grid and a budget are both given, for
-    a check without a grid search when `budget` is None, and for a budget
-    that is not an integer >= 1. Deterministic for fixed (seed, grid,
-    budget); reports are ordered by search position, and every witness
-    re-validates.
+    a check without a grid search when `budget` is None, for a grid that
+    lacks an x, alpha or beta axis or has an empty one, for a budget that
+    is not an integer >= 1, and for a tolerance that is not a finite
+    number >= 0; all before any point is evaluated or any stream is made.
+    Deterministic for fixed (seed, grid, budget); reports are ordered by
+    search position, and every witness re-validates.
     """
     from . import registry
     spec = registry.get(check_name)  # raises on unknown names
@@ -198,8 +203,9 @@ def search_violations(check_name: str, grid: dict | None = None,
                          f"trials (only {CANDIDATE_NAME} has a grid)")
     if grid is not None and budget is not None:
         raise ValueError("give a grid or a budget of random trials, not both")
+    _tolerance(tol)
     if budget is None:
-        return _grid_violations(grid or DEFAULT_GRID, tol)
+        return _grid_violations(DEFAULT_GRID if grid is None else grid, tol)
     budget, seed = _count(budget, "budget"), _count(seed, "seed", 0)
     out: list[ViolationReport] = []
 

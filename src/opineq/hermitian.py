@@ -271,13 +271,13 @@ def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class SpectralInterval:
-    """The pair (m, M) with 0 < m <= M housing a sandwich mI <= A <= MI."""
+    """The pair (m, M) with 0 < m <= M < inf housing a sandwich mI <= A <= MI."""
     m: float
     M: float
 
     def __post_init__(self):
-        if not (0 < self.m <= self.M):
-            raise DomainError(f"need 0 < m <= M, got ({self.m}, {self.M})")
+        if not (0 < self.m <= self.M < np.inf):
+            raise DomainError(f"need 0 < m <= M < inf, got ({self.m}, {self.M})")
 
 
 __all__ = [

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import registry
 from .checks import CheckResult
-from .hermitian import DEFAULT_TOL, SpectralInterval
+from .hermitian import DEFAULT_TOL, SpectralInterval, _tolerance
 from .rng import _count, streams
 
 
@@ -74,15 +74,19 @@ def run_suite(seed: int = 42, trials: int = 200,
               dims: Sequence[int] = registry.DEFAULT_DIMS,
               intervals: Sequence[SpectralInterval] = registry.DEFAULT_INTERVALS,
               tol: float = DEFAULT_TOL,
-              include_expected_fail: bool = False,
               suite_name: str = "default",
               timestamp: bool = True) -> SuiteReport:
     trials, seed = _count(trials, "trials"), _count(seed, "seed", 0)
-    dims = tuple(_count(d, "dims entries") for d in dims)
+    _tolerance(tol)
+    dims, intervals = tuple(_count(d, "dims entries") for d in dims), tuple(intervals)
     if not (dims and intervals):
         raise ValueError(f"{'intervals' if dims else 'dims'} must not be empty")
+    if not all(isinstance(iv, SpectralInterval) for iv in intervals):
+        raise ValueError(f"intervals must hold only SpectralIntervals, got {intervals!r}")
     if names is None:
-        names = registry.names(expected_to_hold=None if include_expected_fail else True)
+        names = registry.names(expected_to_hold=True)
+    elif isinstance(names, str) or not (names := list(dict.fromkeys(names))):
+        raise ValueError(f"names must be None or a non-empty list of entry names, got {names!r}")
     specs = [registry.get(n) for n in names]
 
     report = SuiteReport(
@@ -101,7 +105,7 @@ def run_suite(seed: int = 42, trials: int = 200,
                     rec = res.to_record()
                     rec.update(entry=spec.name, trial=trial)
                     report.failures.append(rec)
-        spec.run_trial(streams(seed, spec.name, trials), tol, dims, tuple(intervals), fold)
+        spec.run_trial(streams(seed, spec.name, trials), tol, dims, intervals, fold)
         if not spec.expected_to_hold:
             report.expected_fail_violations[spec.name] = sum(a.fails for a in agg.values())
         for rname in sorted(agg):

@@ -161,8 +161,7 @@ def test_criterion_3_falsifier_sensitivity(monkeypatch):
 
 def test_suite_counts_planted_violations_of_an_expected_fail_entry(monkeypatch):
     monkeypatch.setattr(falsify, "_deficit", _per_point(_unit_constant_deficit))
-    rep = run_suite(names=["inverse_square_candidate"], include_expected_fail=True,
-                    timestamp=False)
+    rep = run_suite(names=["inverse_square_candidate"], timestamp=False)
     assert rep.expected_fail_violations["inverse_square_candidate"] > 0
     assert rep.failures == [] and rep.ok
 

@@ -206,11 +206,6 @@ def test_candidate_row_matches_per_point_reference():
         assert [r.to_record() for r in results] == [ref_candidate_result(x, a, b).to_record()]
 
 
-@pytest.mark.parametrize("axis", ["x", "alpha", "beta"])
-def test_grid_with_an_empty_axis_has_no_violations(axis):
-    assert search_violations(CANDIDATE_NAME, grid={**DEFAULT_GRID, axis: []}) == []
-
-
 @pytest.mark.parametrize("bad", [0.0, -1.0])
 def test_nonpositive_x_anywhere_is_rejected(bad):
     x = np.array([0.5, 1.0, bad, 2.0])
@@ -427,7 +422,9 @@ def test_unknown_check_rejected():
 # a budget below 1, once ran no trial and reported no violation, and the
 # candidate once ignored a grid given with a budget (this grid alone raises
 # on its NaN); a budget of 1.5 or True once ran one trial, and "3" or nan
-# stopped on a TypeError or a failed conversion. No stream is made first
+# stopped on a TypeError or a failed conversion. An empty grid searched the
+# default grid, a grid with an empty axis searched no point, and one without
+# an axis stopped on a KeyError. No stream is made and no point evaluated first
 @pytest.mark.parametrize("name,kwargs,message", [
     ("kantorovich", {}, "kantorovich has no grid search"),
     ("kantorovich", {"grid": DEFAULT_GRID}, "kantorovich has no grid search"),
@@ -441,11 +438,19 @@ def test_unknown_check_rejected():
     ("kantorovich", {"budget": "3"}, "budget must be an integer, got '3'"),
     ("kantorovich", {"budget": float("nan")}, "budget must be an integer, got nan"),
     (CANDIDATE_NAME, {"budget": 1.5}, "budget must be an integer, got 1.5"),
+    (CANDIDATE_NAME, {"grid": {}}, "grid needs a non-empty x axis"),
+    (CANDIDATE_NAME, {"grid": {"x": [1.0]}}, "grid needs a non-empty alpha axis"),
+    (CANDIDATE_NAME, {"grid": {**DEFAULT_GRID, "x": []}}, "grid needs a non-empty x axis"),
+    (CANDIDATE_NAME, {"grid": {**DEFAULT_GRID, "alpha": []}},
+     "grid needs a non-empty alpha axis"),
+    (CANDIDATE_NAME, {"grid": {**DEFAULT_GRID, "beta": []}}, "grid needs a non-empty beta axis"),
 ], ids=["no-budget", "grid", "grid-and-budget", "candidate-grid-and-budget", "budget-0",
         "budget-negative", "budget-float", "budget-bool", "budget-str", "budget-nan",
-        "candidate-budget-float"])
+        "candidate-budget-float", "grid-empty", "grid-without-alpha", "grid-empty-x",
+        "grid-empty-alpha", "grid-empty-beta"])
 def test_random_search_needs_a_budget_and_no_grid(name, kwargs, message, monkeypatch):
     monkeypatch.setattr(falsify, "streams", lambda *key: pytest.fail("a stream was made"))
+    monkeypatch.setattr(falsify, "_deficit", lambda *a: pytest.fail("a point was evaluated"))
     with pytest.raises(ValueError, match=re.escape(message)):
         search_violations(name, **kwargs)
 

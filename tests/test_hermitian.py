@@ -1,4 +1,6 @@
 """Core Hermitian helpers: eigendecomposition, powers, the order check."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,6 +198,10 @@ def test_loewner_tolerance_is_relative():
 def test_spectral_interval_validation():
     with pytest.raises((DomainError, ValueError)):
         SpectralInterval(2.0, 1.0)
+    # an infinite end passed, and a run stopped inside numpy when it drew
+    for m, M in ((1.0, np.inf), (np.inf, np.inf)):
+        with pytest.raises(DomainError, match=re.escape(f"need 0 < m <= M < inf, got ({m}, {M})")):
+            SpectralInterval(m, M)
 
 
 def test_norms(rng):

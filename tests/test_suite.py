@@ -386,7 +386,10 @@ def test_suite_needs_a_count_of_trials(trials, message, monkeypatch):
 
 # seed=True or 1.5 ran and reported seed 1, and "3" seed 3; dims=(2.5,) ran
 # at dim 2, (True,) at dim 1 and ("3",) at dim 3; (0,) and empty dims or
-# intervals stopped inside numpy
+# intervals stopped inside numpy; names=[] reported ok with nothing judged, a
+# bare name was read letter by letter and stopped on the unknown name 'k', a
+# (m, M) pair stopped on an AttributeError, and an infinite tolerance made
+# streams before it stopped
 @pytest.mark.parametrize("kw,message", [
     ({"seed": -1}, "seed must be >= 0, got -1"),
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
@@ -399,19 +402,43 @@ def test_suite_needs_a_count_of_trials(trials, message, monkeypatch):
     ({"dims": ("3",)}, "dims entries must be an integer, got '3'"),
     ({"dims": ()}, "dims must not be empty"),
     ({"intervals": []}, "intervals must not be empty"),
+    ({"intervals": [SpectralInterval(1.0, 2.0), (1.0, 2.0)]},
+     "intervals must hold only SpectralIntervals, "
+     "got (SpectralInterval(m=1.0, M=2.0), (1.0, 2.0))"),
+    ({"names": []}, "names must be None or a non-empty list of entry names, got []"),
+    ({"names": "kantorovich"},
+     "names must be None or a non-empty list of entry names, got 'kantorovich'"),
+    ({"tol": float("inf")}, "tol must be a finite number >= 0, got inf"),
 ], ids=["seed-negative", "seed-float", "seed-bool", "seed-str", "dims-zero", "dims-negative",
-        "dims-float", "dims-bool", "dims-str", "no-dims", "no-intervals"])
+        "dims-float", "dims-bool", "dims-str", "no-dims", "no-intervals", "interval-pair",
+        "no-names", "names-str", "tol-inf"])
 def test_suite_needs_a_seed_and_dims(kw, message, monkeypatch):
     monkeypatch.setattr(suite, "streams", lambda *key: pytest.fail("a stream was made"))
     with pytest.raises(ValueError, match=re.escape(message)):
-        run_suite(names=["kantorovich"], **kw)
+        run_suite(**{"names": ["kantorovich"], **kw})
+
+
+def test_suite_runs_each_name_once_in_order_of_first_appearance():
+    kw = dict(seed=3, trials=2, dims=(2,), timestamp=False)
+    twice = run_suite(names=["ando", "kantorovich", "ando", "kantorovich"], **kw).to_record()
+    assert [c["check_name"] for c in twice["checks"]] == ["ando", "kantorovich"]
+    assert twice == run_suite(names=["ando", "kantorovich"], **kw).to_record()
+
+
+def test_suite_reads_a_generator_of_intervals_once():
+    # a generator was emptied by the report's interval list, and the trials
+    # then drew from no interval
+    kw = dict(seed=3, trials=2, dims=(2, 3), names=["kantorovich"], timestamp=False)
+    ivs = registry.DEFAULT_INTERVALS
+    assert (run_suite(intervals=(iv for iv in ivs), **kw).to_record()
+            == run_suite(intervals=tuple(ivs), **kw).to_record())
 
 
 def test_suite_includes_candidate_only_on_request():
     rep = run_suite(seed=5, trials=4, dims=(2,), timestamp=False)
     assert "inverse_square_candidate" not in {c["entry"] for c in rep.checks}
     rep2 = run_suite(seed=5, trials=4, dims=(2,), timestamp=False,
-                     include_expected_fail=True)
+                     names=registry.names())
     assert "inverse_square_candidate" in {c["entry"] for c in rep2.checks}
     # the 2x2 rotation family never actually violates the candidate bound,
     # so a run that demands a violation reports not-ok (honest sensitivity red)

@@ -180,7 +180,8 @@ def _validated(a, b, ivs, bounds, tol: float) -> list:
     once: it gives the tight interval when ivs is None, and the containment
     margins lambda_min - m and M - lambda_max, judged by `within_tolerance`,
     when it is not. Raises HypothesisError for the first instance that
-    breaks a rule, with the message of the first rule it breaks."""
+    breaks a rule, with the message of the first rule it breaks, and
+    DomainError for a tight interval that is not positive."""
     spectra = each_stacked(np.linalg.eigvalsh, [a] if b is None or bounds is not None else [a, b])
     # per rule, in the order a single instance meets them: which instances
     # break it, and the message for instance i
@@ -188,6 +189,9 @@ def _validated(a, b, ivs, bounds, tol: float) -> list:
     if ivs is None:     # the tight interval; it rejects a lambda_min <= 0
         lo = np.min([w[:, 0] for w in spectra], axis=0).tolist()
         hi = np.max([w[:, -1] for w in spectra], axis=0).tolist()
+        for m, M in zip(lo, hi):
+            if not m > 0:   # a NaN spectrum too
+                raise DomainError(f"not positive definite: computed spectrum [{m}, {M}]")
         ivs = [SpectralInterval(m, M) for m, M in zip(lo, hi)]
         spectra = []    # a tight interval contains every spectrum
     m, M = (np.array([getattr(iv, end) for iv in ivs]) for end in ("m", "M"))

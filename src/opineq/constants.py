@@ -73,27 +73,24 @@ def golden_max(f: Callable[..., np.ndarray], lo, hi, *lane_args):
         a[i], b[i] = xs[max(k - 1, 0)], xs[min(k + 1, SCAN_POINTS - 1)]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = np.array(f(c, *lane_args), dtype=float)    # copies, updated in place
-    fd = np.array(f(d, *lane_args), dtype=float)
+    fc = np.asarray(f(c, *lane_args), dtype=float)
+    fd = np.asarray(f(d, *lane_args), dtype=float)
     width = b - a
     live = width > XTOL
     while live.any():
         # where fc >= fd keep [a, d] and probe a new c, else keep [c, b] and
-        # probe a new d: (c, d) become (probe, c) or (d, probe), in place;
-        # lanes no longer live keep every value as it is
+        # probe a new d; lanes no longer live keep every value as it is
         left = fc >= fd
         go_left, go_right = live & left, live & ~left
-        np.copyto(a, c, where=go_right)
-        np.copyto(b, d, where=go_left)
+        a = np.where(go_right, c, a)
+        b = np.where(go_left, d, b)
         span = b - a
-        step = _INVPHI * span
-        probe = np.where(left, b - step, a + step)
+        probe = np.where(left, b - _INVPHI * span, a + _INVPHI * span)
         fp = np.asarray(f(probe, *lane_args), dtype=float)
-        for near, far, new in ((c, d, probe), (fc, fd, fp)):
-            np.copyto(far, near, where=go_left)
-            np.copyto(near, far, where=go_right)
-            np.copyto(near, new, where=go_left)
-            np.copyto(far, new, where=go_right)
+        c, fc, d, fd = (np.where(go_left, probe, np.where(go_right, d, c)),
+                        np.where(go_left, fp, np.where(go_right, fd, fc)),
+                        np.where(go_left, c, np.where(go_right, probe, d)),
+                        np.where(go_left, fc, np.where(go_right, fp, fd)))
         live = (span > XTOL) & (span < width)
         width = span
     x = (a + b) / 2.0
@@ -138,14 +135,14 @@ def kantorovich_constant(iv) -> float:
 def generalized_kantorovich(p: float, iv) -> float:
     """K(p, m, M), the reversal factor in Phi(A^p) <= K * Phi(A)^p.
 
-    Defined here for p >= 1 or p <= 0 (the range the inequalities use);
-    p in {0, 1} and m = M return the continuity limit 1.
+    Defined here for finite p >= 1 or p <= 0 (the range the inequalities
+    use); p in {0, 1} and m = M return the continuity limit 1.
     """
     iv = _interval(iv)
     m, M = iv.m, iv.M
     p = float(p)
-    if 1e-8 < p < 1 - 1e-8:
-        raise DomainError(f"K(p, m, M) is exposed for p >= 1 or p <= 0, got p={p}")
+    if not np.isfinite(p) or 1e-8 < p < 1 - 1e-8:
+        raise DomainError(f"K(p, m, M) is exposed for finite p >= 1 or p <= 0, got p={p}")
     if abs(p) < 1e-8 or abs(p - 1) < 1e-8 or m == M:
         return 1.0
     gap = m * M ** p - M * m ** p
@@ -212,8 +209,8 @@ def beta_p_constant(p: float, iv) -> float:
     iv = _interval(iv)
     m, M = iv.m, iv.M
     p = float(p)
-    if p < 1:
-        raise DomainError(f"beta_p is defined for p >= 1, got p={p}")
+    if not 1 <= p < np.inf:
+        raise DomainError(f"beta_p is defined for finite p >= 1, got p={p}")
     if m == M or abs(p - 1) < 1e-12:
         return 0.0
     mp, Mp = m ** p, M ** p

@@ -88,12 +88,13 @@ CATALOG: dict[str, ScalarFunction] = {
 
 
 def by_name(name: str) -> ScalarFunction:
-    """Catalog lookup; also accepts any `t^<p>` power spelling."""
+    """Catalog lookup; also accepts any `t^<p>` power spelling, p finite."""
     if name in CATALOG:
         return CATALOG[name]
     if name.startswith("t^"):
         try:
-            return power_function(float(name[2:]))
+            if np.isfinite(p := float(name[2:])):
+                return power_function(p)
         except ValueError:
             pass
     raise KeyError(f"unknown scalar function {name!r}; catalog: {sorted(CATALOG)}")

@@ -10,12 +10,11 @@ draw's arrays and maps already shaped; an array whose value needs linear
 algebra holds its random input until then. The complex Gaussians a Haar
 draw is made from are drawn straight into the draw's own rows, one complex
 array per draw: the real block, then the imaginary block, in each row's own
-floats. The linear-algebra phase, ``DrawBatch.finish``, completes the rows
-of each matrix size once: it gathers the Gaussians into complex matrices,
-runs each step as one stacked call on all of them, and overwrites each
-draw's rows, in place, with their values. A 1x1 sandwiched pair, which no
-algebra waits on, is finished as it is drawn. A pinching is built from one
-block-index vector.
+floats. The linear-algebra phase, ``DrawBatch.finish``, runs each step as
+one stacked call per matrix size, on the rows ``hermitian.stacks`` groups,
+and writes each result back into its row, in place. A 1x1 sandwiched pair,
+which no algebra waits on, is finished as it is drawn. A pinching is built
+from one block-index vector.
 No random number depends on a linear-algebra result, and a stacked call
 gives each matrix the bits it gets alone, so a draw is the same in any
 batch. The functions below are a batch of one.
@@ -24,71 +23,44 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hermitian import SpectralInterval, _from_spectrum, hermitian_part, sqrtm_psd
+from .hermitian import SpectralInterval, _from_spectrum, hermitian_part, sqrtm_psd, stacks
 from .maps import KrausMap, _pinching, mixture_of, require_unitary
 
 
-def _sandwich(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """A^1/2 D A^1/2 for each pair of the stacks a and d."""
+def _sandwich(d: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """A^1/2 D A^1/2 for each pair of the stacks d and a."""
     ah = sqrtm_psd(a)
     return hermitian_part(ah @ d @ ah)
 
 
-class _Pending:
-    """The pending draws of one matrix size n: the complex Gaussians of each
-    draw call, one array per call, and what `finish` makes of each row. A
-    row is known by its index among the rows of every call in order; the
-    lists below hold row indices."""
+def _gaussians(rows: np.ndarray) -> np.ndarray:
+    """The complex Gaussians drawn into a stack of rows, assembled into
+    complex matrices: each row's 2n^2 floats hold the real block, then the
+    imaginary block."""
+    k, n = rows.shape[:2]
+    halves = rows.view(float).reshape(k, 2, n, n)
+    g = np.empty_like(rows)
+    g.real, g.imag = halves[:, 0], halves[:, 1]
+    return g
 
-    def __init__(self, n: int):
-        self.n = n
-        self.draws: list = []        # the (k, n, n) rows of each draw call
-        self.count = 0
-        self.spd: list = []          # Haar unitaries U, to become U diag(w) U*
-        self.spectra: list = []      # the w of each of spd
-        self.slots: list = []        # (spd row, the array it is copied into)
-        self.pairs: list = []        # A rows of sandwiched pairs; D, the row
-                                     # after, to become A^1/2 D A^1/2
-        self.unitaries: list = []    # rows of mixtures and compressions, to check
 
-    def draw(self, k: int, rng: np.random.Generator) -> tuple:
-        """(the index of the first of k new rows, the rows), each row a
-        complex Gaussian drawn in place, all in one rng call: each row's
-        2n^2 floats take the real block, then the imaginary block."""
-        n = self.n
-        rows = np.empty((k, n, n), dtype=complex)
-        rng.standard_normal(out=rows.view(float).reshape(k, 2, n, n))
-        self.draws.append(rows)
-        self.count += k
-        return self.count - k, rows
+def _haar(rows: np.ndarray) -> np.ndarray:
+    """The Haar unitaries of a stack of drawn rows: the QR of their
+    Gaussians with the R-diagonal phases folded into Q."""
+    u, r = np.linalg.qr(_gaussians(rows))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u *= (d / np.abs(d))[..., None, :]
+    return u
 
-    def gaussians(self) -> np.ndarray:
-        """The Gaussians drawn so far, assembled into complex matrices."""
-        n = self.n
-        halves = np.concatenate(self.draws).view(float).reshape(self.count, 2, n, n)
-        g = np.empty((self.count, n, n), dtype=complex)
-        g.real, g.imag = halves[:, 0], halves[:, 1]
-        return g
 
-    def finish(self) -> None:
-        """Each step once on all the rows, then each draw's rows overwritten
-        with their values."""
-        u, r = np.linalg.qr(self.gaussians())
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        u *= (d / np.abs(d))[..., None, :]
-        if self.spd:
-            u[self.spd] = _from_spectrum(np.array(self.spectra), u[self.spd])
-        for i, out in self.slots:
-            out[...] = u[i]
-        if self.pairs:
-            a = np.array(self.pairs)
-            u[a + 1] = _sandwich(u[a], u[a + 1])
-        if self.unitaries:
-            require_unitary(u[self.unitaries])
-        lo = 0
-        for rows in self.draws:
-            rows[...] = u[lo:lo + len(rows)]
-            lo += len(rows)
+def _overwrite(rows: list, fn, *operands: list) -> None:
+    """Each of `rows` overwritten in place with its value of fn, one call
+    per group of `stacks` (one matrix size): fn takes the group's rows,
+    then each of `operands` (lists beside `rows`), stacked."""
+    for idx, stack in stacks(rows):
+        values = fn(stack, *(np.array([o[j] for j in idx]) for o in operands))
+        for i, v in zip(idx, values):
+            rows[i][...] = v
 
 
 class DrawBatch:
@@ -97,27 +69,35 @@ class DrawBatch:
     serves (`spd` for `random_spd`, and so on) and makes the same rng calls;
     the arrays it returns hold their values only after `finish`, except a
     1x1 sandwiched pair, returned finished. A Haar draw's matrix is a view
-    of the one row its call drew (held by the `_Pending` of its size), a
-    mixture's Kraus operators the rows of one call, a compression's operator
-    the first columns of its row; so a held record keeps only its own rows
-    alive. Given `out` (a slot of a larger array, say), `spd` returns it,
-    and `finish` copies the finished row into it."""
+    of the one row its call drew, a mixture's Kraus operators the rows of
+    one call, a compression's operator the first columns of its row; the
+    batch holds only views of those rows, so a held record keeps only its
+    own rows alive. Given `out` (a slot of a larger array, say), `spd`
+    returns it, and `finish` copies the finished row into it."""
 
     def __init__(self):
-        self._pending: dict = {}         # matrix size -> its _Pending
+        self._rows: list = []        # every row drawn, to become a Haar unitary
+        self._spd: list = []         # rows U, to become U diag(w) U*
+        self._spectra: list = []     # the w of each of _spd
+        self._slots: list = []       # (spd row, the array it is copied into)
+        self._pairs: list = []       # (A, D) rows, D to become A^1/2 D A^1/2
+        self._unitaries: list = []   # rows of mixtures and compressions, to check
         # bytes held here that the draws' own arrays do not count
         self.nbytes = 0
 
-    def _buffer(self, n: int) -> _Pending:
+    def _draw(self, n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+        """k new rows of size n, each a complex Gaussian drawn in place, all
+        in one rng call: each row's 2n^2 floats take the real block, then
+        the imaginary block."""
         if n < 1:
             raise ValueError("dim must be >= 1")
-        buf = self._pending.get(n)
-        if buf is None:
-            buf = self._pending[n] = _Pending(n)
-        return buf
+        rows = np.empty((k, n, n), dtype=complex)
+        rng.standard_normal(out=rows.view(float).reshape(k, 2, n, n))
+        self._rows.extend(rows)
+        return rows
 
     def unitary(self, dim: int, rng: np.random.Generator) -> np.ndarray:
-        return self._buffer(dim).draw(1, rng)[1][0]
+        return self._draw(dim, 1, rng)[0]
 
     def spd(self, dim: int, iv: SpectralInterval, rng: np.random.Generator,
             out=None) -> np.ndarray:
@@ -132,21 +112,19 @@ class DrawBatch:
         evals[:2] = m, M
         evals[2:] = rng.uniform(m, M, size=dim - 2)
         rng.shuffle(evals)
-        buf = self._buffer(dim)
-        i, rows = buf.draw(1, rng)
-        buf.spd.append(i)
-        buf.spectra.append(evals)
+        row = self._draw(dim, 1, rng)[0]
+        self._spd.append(row)
+        self._spectra.append(evals)
         self.nbytes += evals.nbytes
         if out is None:
-            return rows[0]
-        buf.slots.append((i, out))
+            return row
+        self._slots.append((row, out))
         return out
 
     def mixture(self, dim: int, rng: np.random.Generator) -> KrausMap:
         terms = 2 + int(rng.integers(3))
-        buf = self._buffer(dim)
-        lo, ops = buf.draw(terms, rng)
-        buf.unitaries += range(lo, lo + terms)
+        ops = self._draw(dim, terms, rng)
+        self._unitaries.extend(ops)
         return mixture_of(ops, random_weights(terms, rng))
 
     def unital_map(self, out_dim: int, rng: np.random.Generator) -> tuple[KrausMap, int]:
@@ -156,9 +134,8 @@ class DrawBatch:
         if kind == 1:
             return random_pinching(out_dim, rng), out_dim
         n_in = out_dim + 1 + int(rng.integers(3))
-        buf = self._buffer(n_in)
-        i, u = buf.draw(1, rng)
-        buf.unitaries.append(i)
+        u = self._draw(n_in, 1, rng)
+        self._unitaries.append(u[0])
         self.nbytes += u[0, :, out_dim:].nbytes     # the columns past the record's operator
         return KrausMap(u[:, :, :out_dim], [1.0]), n_in
 
@@ -167,23 +144,24 @@ class DrawBatch:
         a = self.spd(dim, iv_a, rng)
         d = self.spd(dim, bounds, rng)
         if dim == 1:    # no algebra pending: A and D are already drawn
-            return a, _sandwich(a, d)
-        self._pending[dim].pairs.append(self._pending[dim].count - 2)
+            return a, _sandwich(d, a)
+        self._pairs.append((a, d))
         return a, d
 
     def finish(self) -> None:
-        """The linear-algebra phase of every draw so far, one matrix size
-        at a time (`_Pending.finish`), each step one stacked call on all of
-        that size's rows, after the step it needs: the Gaussians gathered
-        into complex matrices, their QR with the R-diagonal phases folded
-        into Q (the Haar unitaries, which a compression's operator is a
-        view of), the SPD matrices U diag(w) U* with their spectra stacked
-        into one array, the copies into `out` slots, the sandwiched pairs,
-        and the unitarity check of the mixtures' and compressions' whole
-        rows; then each draw's rows are overwritten with their values. Then
-        the batch lets go of the draws and takes the next ones."""
-        for buf in self._pending.values():
-            buf.finish()
+        """The linear-algebra phase of every draw so far, each step after
+        the step it needs: the Haar unitaries (a compression's operator is
+        a view of one), the SPD matrices U diag(w) U*, the copies into `out`
+        slots, the sandwiched pairs, and the unitarity check of the
+        mixtures' and compressions' whole rows. Then the batch lets go of
+        the draws and takes the next ones."""
+        _overwrite(self._rows, _haar)
+        _overwrite(self._spd, lambda u, w: _from_spectrum(w, u), self._spectra)
+        for row, out in self._slots:
+            out[...] = row
+        _overwrite([d for _, d in self._pairs], _sandwich, [a for a, _ in self._pairs])
+        for _, u in stacks(self._unitaries):
+            require_unitary(u)
         self.__init__()
 
 

@@ -43,6 +43,16 @@ def test_instance_rejects_interval_missing_spectrum(rng):
         CheckInstance(a=a, phi=identity_map(3), iv=SpectralInterval(2.0, 4.0))
 
 
+@pytest.mark.parametrize("a", [np.diag([-1.0, 2.0]), np.full((2, 2), np.nan)],
+                         ids=["negative", "nan"])
+def test_instance_without_interval_needs_a_positive_spectrum(a):
+    # the tight interval is read from the computed spectrum, whose ends the
+    # error gives; it is the matrix that is at fault, not an interval rule
+    with pytest.raises(DomainError, match=r"not positive definite: computed spectrum \[") as e:
+        CheckInstance(a=a, phi=identity_map(2))
+    assert not isinstance(e.value, checks.HypothesisError)
+
+
 @pytest.mark.parametrize("tol", [np.inf, np.nan], ids=["inf", "nan"])
 def test_instance_needs_a_finite_tolerance(rng, tol):
     with pytest.raises(ValueError, match="tol must be a finite number >= 0"):

@@ -293,6 +293,8 @@ def _strict_json(text: str):
     (["constants", "--name", "alpha", "-m", "1", "-M", "1", "--f", "t^2"], EXIT_OK, None),
     (["suite", "--dims", "1", "--trials", "1"], EXIT_OK, None),
     (["check", "--name", "kantorovich", "-m", "1", "-M", "1", "--trials", "2"], EXIT_OK, None),
+    (["check", "--name", "kantorovich", "-m", "1", "-M", "1e200", "--trials", "2"], EXIT_USAGE,
+     "not positive definite"),
     (["constants", "--name", "alpha", "-m", "1e4", "-M", "2e4", "--f", "t^2"], EXIT_OK, None),
     (["constants", "--name", "beta0", "-m", "1", "-M", "1e6", "--f", "t^0.5"], EXIT_OK, None),
     (["suite", "-m", "1", "-M", "1e3", "--trials", "5"], EXIT_OK, None),
@@ -351,7 +353,8 @@ def _strict_json(text: str):
         "counterexample-alpha-nan", "counterexample-beta-inf",
         "falsify-grid-tol-negative",
         "generalized-kantorovich-inner-zero", "beta-p-clamped", "alpha-m-equals-M",
-        "suite-dim-1", "check-m-equals-M", "alpha-above-float-spacing",
+        "suite-dim-1", "check-m-equals-M", "check-spectrum-not-positive",
+        "alpha-above-float-spacing",
         "beta0-above-float-spacing", "suite-wide-interval", "alpha-f-overflow",
         "beta0-f-overflow", "mond-pecaric-f-overflow", "suite-domain-error",
         "suite-domain-error-rounded-interval", "kantorovich-zero-division",

@@ -55,6 +55,12 @@ def test_by_name_spells_any_power():
         by_name("t^x")
 
 
+@pytest.mark.parametrize("spelling", ["t^nan", "t^inf", "t^-inf", "t^1e400"])
+def test_by_name_refuses_a_power_that_is_not_finite(spelling):
+    with pytest.raises(KeyError, match="unknown scalar function"):
+        by_name(spelling)
+
+
 def test_kantorovich_hand_values():
     assert abs(kantorovich_constant((1.0, 2.0)) - 9.0 / 8.0) < 1e-15
     assert abs(kantorovich_constant((1.0, 4.0)) - 25.0 / 16.0) < 1e-15
@@ -72,6 +78,15 @@ def test_generalized_kantorovich_special_points():
 def test_generalized_kantorovich_interior_p_rejected():
     with pytest.raises(DomainError):
         generalized_kantorovich(0.5, (1.0, 2.0))
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("constant", [generalized_kantorovich, beta_p_constant])
+def test_power_constants_refuse_an_exponent_that_is_not_finite(constant, p):
+    # not a NaN constant, nor at m = M the limit (1 for K, 0 for beta_p)
+    for iv in ((1.0, 2.0), (2.0, 2.0)):
+        with pytest.raises(DomainError, match="finite p"):
+            constant(p, iv)
 
 
 def test_generalized_kantorovich_cancellation_is_domain_error():

@@ -316,14 +316,15 @@ def test_compression_rows_are_checked_past_their_operator(monkeypatch):
 
 
 def test_one_flush_of_mixed_draws_matches_reference():
-    # unitaries, SPD matrices, mixtures, maps of all three kinds and
-    # sandwiched pairs of dims 2-11 share one linear-algebra phase, so
-    # their matrices meet in the same stacked calls
+    # unitaries, SPD matrices, mixtures, maps of all three kinds,
+    # sandwiched pairs and SPD matrices drawn into slots of a larger array,
+    # of dims 2-11, share one linear-algebra phase, so their matrices meet
+    # in the same stacked calls
     batch, pending, kinds = DrawBatch(), [], set()
     for i in range(120):
         dim = 2 + i % 10
         rng, ref = streams("flush", i)
-        shape = i % 5
+        shape = i % 6
         if shape == 0:
             pending.append((batch.unitary(dim, rng), ref_unitary(dim, ref)))
         elif shape == 1:
@@ -338,9 +339,13 @@ def test_one_flush_of_mixed_draws_matches_reference():
             assert n_in == ref_n_in
             pending += [(phi.ops, ops), (phi.weights, weights)]
             kinds.add(kind)
-        else:
+        elif shape == 4:
             pending += zip(batch.sandwiched_pair(dim, IV, BOUNDS, rng),
                            ref_sandwiched_pair(dim, IV, BOUNDS, ref))
+        else:
+            a = np.zeros((dim + 1, dim + 1), dtype=complex)
+            batch.spd(dim, IV, rng, out=a[1:, 1:])
+            pending += [(a[1:, 1:], ref_spd(dim, IV, ref)), (a[0], np.zeros(dim + 1, complex))]
         assert state(rng) == state(ref)
     batch.finish()
     assert kinds == {0, 1, 2}
@@ -366,7 +371,7 @@ def test_blocks_drawn_in_place_equal_blocks_drawn_alone():
             lo += size
         assert state(rng) == state(ref)
         pending.append((a, want))
-    blocks = [out for buf in batch._pending.values() for _, out in buf.slots]
+    blocks = [out for _, out in batch._slots]
     assert blocks and all(any(np.shares_memory(x, a) for a, _ in pending) for x in blocks)
     batch.finish()
     for a, want in pending:
@@ -410,9 +415,7 @@ def two_draw_state(dim, rng):
 def one_draw_gaussians(dim, rng, terms):
     """Gaussians as a DrawBatch holds them: drawn into their pending rows in
     one rng call, then assembled as `finish` assembles them."""
-    pending = generators._Pending(dim)
-    pending.draw(terms, rng)
-    return pending.gaussians()
+    return generators._gaussians(DrawBatch()._draw(dim, terms, rng))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 11, 32])

@@ -16,6 +16,7 @@ Every reported witness re-validates from its serialized parameters alone.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -156,6 +157,8 @@ def _grid_violations(grid: dict, tol: float) -> list[ViolationReport]:
     the norms are computed only for the points whose margin is negative (or
     NaN); they are judged by `within_tolerance`, as `candidate_result` does.
     """
+    if not isinstance(grid, Mapping):
+        raise ValueError(f"grid must be a mapping of x, alpha and beta axes, got {grid!r}")
     axes = {k: np.asarray(grid.get(k, ()), dtype=float) for k in ("x", "alpha", "beta")}
     for k, axis in axes.items():
         if not axis.size:
@@ -189,10 +192,11 @@ def search_violations(check_name: str, grid: dict | None = None,
     For the rotation-family candidate the default is the exhaustive grid
     (DEFAULT_GRID unless one is given); for everything else, `budget` seeded
     random trials. ValueError when a grid and a budget are both given, for
-    a check without a grid search when `budget` is None, for a grid that
-    lacks an x, alpha or beta axis or has an empty one, for a budget that
-    is not an integer >= 1, and for a tolerance that is not a finite
-    number >= 0; all before any point is evaluated or any stream is made.
+    a check without a grid search when `budget` is None, for a grid that is
+    not a mapping, lacks an x, alpha or beta axis or has an empty one, for
+    a budget that is not an integer >= 1, and for a tolerance that is not
+    a finite number >= 0; all before any point is evaluated or any stream
+    is made.
     Deterministic for fixed (seed, grid, budget); reports are ordered by
     search position, and every witness re-validates.
     """

@@ -9,6 +9,7 @@ folded into the aggregates one by one, in trial order, as they complete.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from typing import Optional, Sequence
@@ -78,6 +79,9 @@ def run_suite(seed: int = 42, trials: int = 200,
               timestamp: bool = True) -> SuiteReport:
     trials, seed = _count(trials, "trials"), _count(seed, "seed", 0)
     _tolerance(tol)
+    for arg, value in (("dims", dims), ("intervals", intervals)):
+        if not isinstance(value, Iterable):
+            raise ValueError(f"{arg} must be iterable, got {value!r}")
     dims, intervals = tuple(_count(d, "dims entries") for d in dims), tuple(intervals)
     if not (dims and intervals):
         raise ValueError(f"{'intervals' if dims else 'dims'} must not be empty")
@@ -85,7 +89,8 @@ def run_suite(seed: int = 42, trials: int = 200,
         raise ValueError(f"intervals must hold only SpectralIntervals, got {intervals!r}")
     if names is None:
         names = registry.names(expected_to_hold=True)
-    elif isinstance(names, str) or not (names := list(dict.fromkeys(names))):
+    elif (isinstance(names, str) or not isinstance(names, Iterable)
+          or not (names := list(dict.fromkeys(names)))):
         raise ValueError(f"names must be None or a non-empty list of entry names, got {names!r}")
     specs = [registry.get(n) for n in names]
 

@@ -26,10 +26,10 @@ TOLS = ([1e-9, 1e-6, 0.0], [-1.0, float("inf"), float("nan"), "1e-9"])
 SUITE_ARGS = {
     "names": ([None, ["kantorovich"], ("ando", "kantorovich", "ando"), [CANDIDATE_NAME],
                lambda: iter(["choi_davis"])],
-              [[], lambda: iter([]), "kantorovich", ["kantorovich", "bogus"]]),
-    "dims": ([(2,), [1, 3], lambda: iter([3])], [(), (0,), (2.5,), (True,), ("3",)]),
+              [[], lambda: iter([]), "kantorovich", ["kantorovich", "bogus"], 3]),
+    "dims": ([(2,), [1, 3], lambda: iter([3])], [(), (0,), (2.5,), (True,), ("3",), 3, None]),
     "intervals": ([IVS, [SpectralInterval(1.0, 1.0)], lambda: (iv for iv in IVS)],
-                  [[], [(1.0, 2.0)], [IVS[0], (1.0, 2.0)], "ab"]),
+                  [[], [(1.0, 2.0)], [IVS[0], (1.0, 2.0)], "ab", 3, None]),
     "trials": COUNTS,
     "seed": SEEDS,
     "tol": TOLS,
@@ -39,7 +39,7 @@ SEARCH_ARGS = {
     "grid": ([None, {"x": [0.5, 2.0], "alpha": [0.0, 1.0], "beta": [0.5]}],
              [{}, {"x": [1.0]}, {"x": [], "alpha": [0.0], "beta": [0.5]},
               {"x": [2.0], "alpha": [0.0], "beta": []},
-              {"x": [-1.0], "alpha": [0.0], "beta": [0.5]}]),
+              {"x": [-1.0], "alpha": [0.0], "beta": [0.5]}, 3, [1, 2]]),
     "budget": ([None, 1, 2], [0, 1.5, True]),
     "seed": SEEDS,
     "tol": TOLS,

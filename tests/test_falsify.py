@@ -424,7 +424,8 @@ def test_unknown_check_rejected():
 # on its NaN); a budget of 1.5 or True once ran one trial, and "3" or nan
 # stopped on a TypeError or a failed conversion. An empty grid searched the
 # default grid, a grid with an empty axis searched no point, and one without
-# an axis stopped on a KeyError. No stream is made and no point evaluated first
+# an axis stopped on a KeyError, and a grid that is not a mapping (3, or a
+# list) on an AttributeError. No stream is made and no point evaluated first
 @pytest.mark.parametrize("name,kwargs,message", [
     ("kantorovich", {}, "kantorovich has no grid search"),
     ("kantorovich", {"grid": DEFAULT_GRID}, "kantorovich has no grid search"),
@@ -444,10 +445,13 @@ def test_unknown_check_rejected():
     (CANDIDATE_NAME, {"grid": {**DEFAULT_GRID, "alpha": []}},
      "grid needs a non-empty alpha axis"),
     (CANDIDATE_NAME, {"grid": {**DEFAULT_GRID, "beta": []}}, "grid needs a non-empty beta axis"),
+    (CANDIDATE_NAME, {"grid": 3}, "grid must be a mapping of x, alpha and beta axes, got 3"),
+    (CANDIDATE_NAME, {"grid": [1, 2]},
+     "grid must be a mapping of x, alpha and beta axes, got [1, 2]"),
 ], ids=["no-budget", "grid", "grid-and-budget", "candidate-grid-and-budget", "budget-0",
         "budget-negative", "budget-float", "budget-bool", "budget-str", "budget-nan",
         "candidate-budget-float", "grid-empty", "grid-without-alpha", "grid-empty-x",
-        "grid-empty-alpha", "grid-empty-beta"])
+        "grid-empty-alpha", "grid-empty-beta", "grid-int", "grid-list"])
 def test_random_search_needs_a_budget_and_no_grid(name, kwargs, message, monkeypatch):
     monkeypatch.setattr(falsify, "streams", lambda *key: pytest.fail("a stream was made"))
     monkeypatch.setattr(falsify, "_deficit", lambda *a: pytest.fail("a point was evaluated"))

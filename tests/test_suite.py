@@ -194,17 +194,18 @@ def test_eviction_keeps_each_trials_order(name, batch_bytes, monkeypatch):
 
 
 # a guard on bucketing and eviction, at the CLI's default of 200 trials
-# over dims 2-8: one bucket per record index and output side (every input
-# size of a map's output dimension), largest first, checks ando in 9
-# stacks and tuple_minkowski in 50; one bucket per input size took 30 and
-# 81, and evaluating every held bucket whenever the budget filled 47 and
-# 186. At the wide dims 16, 24 and 32 a pinching counts its mask against
-# the budget, not a projector stack: kantorovich's 60 trials take 9
-# stacks, 17 when the projectors counted
+# over dims 2-8 with the 768 kB budget: one bucket per record index and
+# output side (every input size of a map's output dimension), largest
+# first, checks ando in 7 stacks and tuple_minkowski in 29. At a 384 kB
+# budget they took 9 and 50, one bucket per input size 30 and 81, and
+# evaluating every held bucket whenever the budget filled 47 and 186. At
+# the wide dims 16, 24 and 32 a pinching counts its mask against the
+# budget, not a projector stack: kantorovich's 60 trials take 6 stacks
+# (at 384 kB, 9, and 17 when the projectors counted)
 @pytest.mark.parametrize("name,dims,trials,calls", [
-    pytest.param("ando", registry.DEFAULT_DIMS, 200, 9, id="ando-9"),
-    pytest.param("tuple_minkowski", registry.DEFAULT_DIMS, 200, 50, id="tuple_minkowski-50"),
-    pytest.param("kantorovich", (16, 24, 32), 60, 9, id="kantorovich-wide-9"),
+    pytest.param("ando", registry.DEFAULT_DIMS, 200, 7, id="ando"),
+    pytest.param("tuple_minkowski", registry.DEFAULT_DIMS, 200, 29, id="tuple_minkowski"),
+    pytest.param("kantorovich", (16, 24, 32), 60, 6, id="kantorovich-wide"),
 ])
 def test_default_sweep_bucket_counts(name, dims, trials, calls):
     spec = registry.get(name)
@@ -218,9 +219,11 @@ def test_default_sweep_bucket_counts(name, dims, trials, calls):
 
 # a guard on the working set, which the peak-RSS bound watches: an entry at
 # the wide dims holds up to the budget of draws and evaluates its largest
-# buckets; the traced peaks read 11.73 (tuple_minkowski) and 11.97
-# (minkowski_general, the largest of the 19) times BATCH_BYTES
-@pytest.mark.parametrize("name,bound", [("tuple_minkowski", 12.5), ("minkowski_general", 12.8)],
+# buckets; the traced peaks read 10.15 (tuple_minkowski, the largest of the
+# 19) and 9.69 (minkowski_general) times BATCH_BYTES. A round's evaluation
+# temporaries grow less than its records: at a 384 kB budget they read
+# 11.70 and 11.98
+@pytest.mark.parametrize("name,bound", [("tuple_minkowski", 10.8), ("minkowski_general", 10.4)],
                          ids=["tuple_minkowski", "minkowski_general"])
 def test_wide_entry_working_set(name, bound):
     spec = registry.get(name)
@@ -388,8 +391,9 @@ def test_suite_needs_a_count_of_trials(trials, message, monkeypatch):
 # at dim 2, (True,) at dim 1 and ("3",) at dim 3; (0,) and empty dims or
 # intervals stopped inside numpy; names=[] reported ok with nothing judged, a
 # bare name was read letter by letter and stopped on the unknown name 'k', a
-# (m, M) pair stopped on an AttributeError, and an infinite tolerance made
-# streams before it stopped
+# (m, M) pair stopped on an AttributeError, dims=3, intervals=None and
+# names=3 on a TypeError, and an infinite tolerance made streams before it
+# stopped
 @pytest.mark.parametrize("kw,message", [
     ({"seed": -1}, "seed must be >= 0, got -1"),
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
@@ -401,6 +405,8 @@ def test_suite_needs_a_count_of_trials(trials, message, monkeypatch):
     ({"dims": (True,)}, "dims entries must be an integer, got True"),
     ({"dims": ("3",)}, "dims entries must be an integer, got '3'"),
     ({"dims": ()}, "dims must not be empty"),
+    ({"dims": 3}, "dims must be iterable, got 3"),
+    ({"intervals": None}, "intervals must be iterable, got None"),
     ({"intervals": []}, "intervals must not be empty"),
     ({"intervals": [SpectralInterval(1.0, 2.0), (1.0, 2.0)]},
      "intervals must hold only SpectralIntervals, "
@@ -408,10 +414,11 @@ def test_suite_needs_a_count_of_trials(trials, message, monkeypatch):
     ({"names": []}, "names must be None or a non-empty list of entry names, got []"),
     ({"names": "kantorovich"},
      "names must be None or a non-empty list of entry names, got 'kantorovich'"),
+    ({"names": 3}, "names must be None or a non-empty list of entry names, got 3"),
     ({"tol": float("inf")}, "tol must be a finite number >= 0, got inf"),
 ], ids=["seed-negative", "seed-float", "seed-bool", "seed-str", "dims-zero", "dims-negative",
-        "dims-float", "dims-bool", "dims-str", "no-dims", "no-intervals", "interval-pair",
-        "no-names", "names-str", "tol-inf"])
+        "dims-float", "dims-bool", "dims-str", "no-dims", "dims-int", "intervals-none",
+        "no-intervals", "interval-pair", "no-names", "names-str", "names-int", "tol-inf"])
 def test_suite_needs_a_seed_and_dims(kw, message, monkeypatch):
     monkeypatch.setattr(suite, "streams", lambda *key: pytest.fail("a stream was made"))
     with pytest.raises(ValueError, match=re.escape(message)):

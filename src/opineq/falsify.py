@@ -40,38 +40,50 @@ DEFAULT_GRID = {
 }
 
 
-def _mixture_image(ops: np.ndarray, d) -> np.ndarray:
-    """Phi(diag(d, 1)) = (U* D U + V* D V)/2 at each point, U and V its ops."""
-    a = np.zeros(np.shape(d) + (2, 2))
-    a[..., 0, 0], a[..., 1, 1] = d, 1.0
-    return hermitian_part(_weighted_sum((0.5, 0.5), adjoint(ops) @ a[..., None, :, :] @ ops))
+def _points(x, alpha, beta):
+    """x, alpha and beta as float arrays of their one broadcast shape."""
+    x, alpha, beta = (np.asarray(v, dtype=float) for v in (x, alpha, beta))
+    try:
+        return np.broadcast_arrays(x, alpha, beta)
+    except ValueError:
+        raise ValueError(f"x, alpha and beta must broadcast to one shape, got shapes "
+                         f"{x.shape}, {alpha.shape} and {beta.shape}") from None
 
 
-def _rotation_pairs(alpha, beta) -> np.ndarray:
-    """rotation(stack([alpha, beta], -1)), built and checked unitary once
-    per distinct angle (by bits: -0.0 is not 0.0), and gathered back to the
-    points by a copy, so each point keeps the bits it gets alone."""
-    angles = np.stack([alpha, beta], axis=-1).astype(float, copy=False)
+def _mixture_images(x, alpha, beta) -> np.ndarray:
+    """Phi(diag(x, 1)) and Phi(diag(1/x, 1)) at each point, stacked on a
+    leading axis of 2, Phi = (U* . U + V* . V)/2 with U = rotation(alpha) and
+    V = rotation(beta). Each distinct angle's rotation is built and checked
+    unitary once, and each distinct term U* D U, keyed by (angle, x), is
+    computed once (by bits: -0.0 is not 0.0) and gathered back to the points
+    by a copy, so each point keeps the bits it gets alone."""
+    angles = np.stack([alpha, beta], axis=-1)
     keys, inverse = np.unique(angles.ravel().view(np.int64), return_inverse=True)
     ops = rotation(keys.view(float))
     require_unitary(ops)
-    return ops[inverse.reshape(angles.shape)]   # its shape varies by numpy release
+    xs, x_inverse = np.unique(x.ravel().view(np.int64), return_inverse=True)
+    pairs = inverse.reshape(angles.shape) * xs.size + x_inverse.reshape(x.shape)[..., None]
+    terms, term_inverse = np.unique(pairs.ravel(), return_inverse=True)
+    u, d = ops[terms // xs.size], xs.view(float)[terms % xs.size]
+    a = np.zeros((2,) + d.shape + (2, 2))
+    a[0, :, 0, 0], a[1, :, 0, 0], a[..., 1, 1] = d, 1.0 / d, 1.0
+    images = (adjoint(u) @ a @ u)[:, term_inverse.reshape(pairs.shape)]
+    return hermitian_part(_weighted_sum((0.5, 0.5), images))
 
 
 def _deficit(x, alpha, beta, tol: float):
     """`counterexample_T`'s T, eigenvalues and psd as arrays over the
     points, and Phi(A^-1) at each point, the LHS's square root."""
     _tolerance(tol)
-    x, alpha, beta = (np.asarray(v, dtype=float) for v in (x, alpha, beta))
+    x, alpha, beta = _points(x, alpha, beta)
     for name, v in (("x", x), ("alpha", alpha), ("beta", beta)):
         finite = np.isfinite(v)
         if not finite.all():
             raise ValueError(f"{name} must be finite, got {v[~finite].flat[0]}")
     if np.any(x <= 0):
         raise ValueError(f"x must be positive, got {x[x <= 0].flat[0]}")
-    ops = _rotation_pairs(alpha, beta)
-    pa_invroot = power(_mixture_image(ops, x), -0.5)
-    pain = _mixture_image(ops, 1.0 / x)
+    pa, pain = _mixture_images(x, alpha, beta)
+    pa_invroot = power(pa, -0.5)
     k = ((1.0 + x) ** 2 / (4.0 * x))[..., None, None]
     t = hermitian_part(k * (pa_invroot @ pain @ pa_invroot) - pain @ pain)
     w = np.linalg.eigvalsh(t)
@@ -88,10 +100,13 @@ def counterexample_T(x, alpha, beta, tol: float = DEFAULT_TOL):
     with Phi(A), and T = Phi(A^-1) (K Phi(A)^-1 - Phi(A^-1)) >= 0 by
     Kantorovich. Only rounding makes lambda_min negative.
 
-    Equal-shape arrays of points give T (..., 2, 2), the eigenvalues
+    Arrays of points, broadcast to one shape (ValueError naming the three
+    shapes when they do not broadcast), give T (..., 2, 2), the eigenvalues
     (..., 2) and psd (...), each point with the bits it gets alone.
     Each distinct angle's rotation is checked once, so a rotation that is
-    not unitary is reported in distinct-angle order, not in point order.
+    not unitary is reported in distinct-angle order, not in point order,
+    and the terms U* diag(x, 1) U and U* diag(1/x, 1) U of Phi(A) and
+    Phi(A^-1) are computed once per distinct (angle, x) pair.
     """
     t, w, psd, _ = _deficit(x, alpha, beta, tol)
     if w.ndim == 1:
@@ -107,10 +122,12 @@ def _norms(t, pain):
 
 def candidate_result(x, alpha, beta, tol: float = DEFAULT_TOL):
     """The candidate statement as a CheckResult (margin = lambda_min(T));
-    for arrays of points, the list of them in point order."""
+    for arrays of points, broadcast to one shape, one per point in point
+    order."""
+    x, alpha, beta = _points(x, alpha, beta)
     t, w, _, pain = _deficit(x, alpha, beta, tol)
     ln, rn = _norms(t, pain)
-    points = zip(*(np.asarray(v, dtype=float).ravel().tolist() for v in (x, alpha, beta)))
+    points = zip(*(v.ravel().tolist() for v in (x, alpha, beta)))
     params = [{"x": xi, "alpha": a, "beta": b, "dim": 2, "out_dim": 2,
                "m": min(1.0, xi), "M": max(1.0, xi)} for xi, a, b in points]
     out = _results(CANDIDATE_NAME, params, tol, within_tolerance(w[..., 0], tol, ln, rn),
@@ -159,12 +176,20 @@ def _grid_violations(grid: dict, tol: float) -> list[ViolationReport]:
     """
     if not isinstance(grid, Mapping):
         raise ValueError(f"grid must be a mapping of x, alpha and beta axes, got {grid!r}")
-    axes = {k: np.asarray(grid.get(k, ()), dtype=float) for k in ("x", "alpha", "beta")}
-    for k, axis in axes.items():
+    axes = []
+    for k in ("x", "alpha", "beta"):
+        values = grid.get(k, ())
+        try:
+            axis = None if isinstance(values, Mapping) else np.asarray(values, float)
+        except (TypeError, ValueError):
+            axis = None
+        if axis is None or axis.ndim != 1:
+            raise ValueError(f"grid's {k} axis must be a flat list of numbers, got {values!r}")
         if not axis.size:
             raise ValueError(f"grid needs a non-empty {k} axis")
-    points = [p.ravel() for p in np.meshgrid(*axes.values(), indexing="ij")]
-    step = max(1, BATCH_BYTES // 64)   # a point's Kraus operators take 64 bytes
+        axes.append(axis)
+    points = [p.ravel() for p in np.meshgrid(*axes, indexing="ij")]
+    step = max(1, BATCH_BYTES // 64)   # a point's Phi(A) and Phi(A^-1) take 64 bytes
     out = []
     for lo in range(0, points[0].size, step):
         chunk = [p[lo:lo + step] for p in points]
@@ -194,6 +219,7 @@ def search_violations(check_name: str, grid: dict | None = None,
     random trials. ValueError when a grid and a budget are both given, for
     a check without a grid search when `budget` is None, for a grid that is
     not a mapping, lacks an x, alpha or beta axis or has an empty one, for
+    an axis that is not a flat list of numbers, for
     a budget that is not an integer >= 1, and for a tolerance that is not
     a finite number >= 0; all before any point is evaluated or any stream
     is made.

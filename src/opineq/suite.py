@@ -90,9 +90,9 @@ def run_suite(seed: int = 42, trials: int = 200,
     if names is None:
         names = registry.names(expected_to_hold=True)
     elif (isinstance(names, str) or not isinstance(names, Iterable)
-          or not (names := list(dict.fromkeys(names)))):
+          or not (names := list(names)) or not all(isinstance(n, str) for n in names)):
         raise ValueError(f"names must be None or a non-empty list of entry names, got {names!r}")
-    specs = [registry.get(n) for n in names]
+    specs = [registry.get(n) for n in dict.fromkeys(names)]
 
     report = SuiteReport(
         suite=suite_name, seed=seed, trials=trials, tolerance=float(tol), dims=list(dims),

@@ -24,7 +24,7 @@ from opineq.cli import main
 from opineq.falsify import (CANDIDATE_NAME, DEFAULT_GRID, ViolationReport,
                             candidate_result, counterexample_T,
                             search_violations)
-from opineq.hermitian import (DEFAULT_TOL, hermitian_part, operator_norm, power,
+from opineq.hermitian import (DEFAULT_TOL, adjoint, hermitian_part, operator_norm, power,
                               within_tolerance)
 from opineq.io import map_to_json, matrix_to_json
 from opineq.maps import make_rotation_mixture, require_unitary, rotation
@@ -104,9 +104,8 @@ def all_norms_grid_violations(grid, tol):
 def unit_constant_deficit(x, alpha, beta, tol=DEFAULT_TOL):
     """`falsify._deficit` for arrays of points with K replaced by 1, a
     planted false statement (acceptance criterion 3's mutant)."""
-    ops = rotation(np.stack([alpha, beta], axis=-1))
-    pa_invroot = power(falsify._mixture_image(ops, x), -0.5)
-    pain = falsify._mixture_image(ops, 1.0 / np.asarray(x))
+    pa, pain = falsify._mixture_images(*falsify._points(x, alpha, beta))
+    pa_invroot = power(pa, -0.5)
     t = hermitian_part(pa_invroot @ pain @ pa_invroot - pain @ pain)
     w = np.linalg.eigvalsh(t)
     return t, w, w[..., 0] >= -tol, pain
@@ -328,6 +327,64 @@ def test_repeated_and_shuffled_angles_keep_per_point_bits(shape):
         assert bool(psd[i]) == ref_psd
 
 
+def test_repeated_angles_and_x_keep_per_point_bits():
+    # with x drawn from a pool as well, (angle, x) terms repeat in no order
+    g = np.random.default_rng(6)
+    pool = np.array([0.0, -0.0, np.pi / 3, -np.pi / 3, 2.0, 1e-300, 7 * np.pi / 12])
+    x = g.choice([0.5, 1.0, 1e-3, 3.7, 20.0], 300)
+    alpha, beta = g.choice(pool, 300), g.choice(pool, 300)
+    t, w, psd = counterexample_T(x, alpha, beta)
+    results = candidate_result(x, alpha, beta)
+    for i, (xi, a, b) in enumerate(zip(x.tolist(), alpha.tolist(), beta.tolist())):
+        ref_t, ref_w, ref_psd = ref_counterexample_T(xi, a, b)
+        assert t[i].tobytes() == ref_t.tobytes() and bits(*w[i]) == bits(*ref_w)
+        assert bool(psd[i]) == ref_psd
+        assert results[i].to_record() == ref_candidate_result(xi, a, b).to_record()
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=["default"] + [f"shifted{i}" for i in range(5)])
+def test_each_term_is_built_once_per_distinct_angle_and_x(grid, monkeypatch):
+    # the terms U* diag(x, 1) U and U* diag(1/x, 1) U were once built at
+    # every (point, rotation) pair: 2,304 of each on the 1,152-point grid
+    built = []
+
+    def counted(u):
+        built.append(int(np.prod(u.shape[:-2])))
+        return adjoint(u)
+    monkeypatch.setattr(falsify, "adjoint", counted)
+    assert search_violations(CANDIDATE_NAME, grid=grid) == []
+    distinct = len(set(grid["alpha"]) | set(grid["beta"])) * len(set(grid["x"]))
+    assert built and sum(built) <= distinct
+
+
+# a scalar beside arrays once gave one result for all the points (the
+# params' zip truncated), a scalar angle beside an array of the other
+# stopped in np.stack, and shapes that do not broadcast stopped in matmul
+@pytest.mark.parametrize("x,alpha,beta", [
+    (1.5, [0.1, 0.2], [0.3, 0.4]),
+    ([1.5, 2.5], 0.1, [0.3, -0.0]),
+    ([1.5, 2.5], [0.1, 0.2], 0.3),
+    ([[1.5], [2.5]], [0.1, 0.2, 7.0], 0.3),
+], ids=["scalar-x", "scalar-alpha", "scalar-beta", "two-axes"])
+def test_scalar_and_array_points_broadcast(x, alpha, beta):
+    points = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, alpha, beta)))
+    t, w, psd = counterexample_T(x, alpha, beta)
+    results = candidate_result(x, alpha, beta)
+    assert t.shape == points[0].shape + (2, 2) and len(results) == points[0].size
+    for i, (xi, a, b) in enumerate(zip(*(p.ravel().tolist() for p in points))):
+        ref_t, ref_w, _ = ref_counterexample_T(xi, a, b)
+        assert t.reshape(-1, 2, 2)[i].tobytes() == ref_t.tobytes()
+        assert bits(*w.reshape(-1, 2)[i]) == bits(*ref_w)
+        assert results[i].to_record() == ref_candidate_result(xi, a, b).to_record()
+
+
+@pytest.mark.parametrize("call", [counterexample_T, candidate_result])
+def test_points_that_do_not_broadcast_are_rejected(call):
+    message = "x, alpha and beta must broadcast to one shape, got shapes (2,), (3,) and ()"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call([1.5, 2.0], [0.1, 0.2, 0.3], 0.4)
+
+
 @pytest.mark.parametrize("argv,digest", [
     (["falsify", "--no-timestamp"],
      "820489b855f45caeb5271401b57126d7b25ca8c1cd8a553e2c3802636b6ae251"),
@@ -425,7 +482,10 @@ def test_unknown_check_rejected():
 # stopped on a TypeError or a failed conversion. An empty grid searched the
 # default grid, a grid with an empty axis searched no point, and one without
 # an axis stopped on a KeyError, and a grid that is not a mapping (3, or a
-# list) on an AttributeError. No stream is made and no point evaluated first
+# list) on an AttributeError. An axis that is a mapping stopped on a
+# TypeError, one with a string on a failed conversion, a nested one was
+# flattened and searched, and a string that reads as a number was searched
+# as a one-point axis. No stream is made and no point evaluated first
 @pytest.mark.parametrize("name,kwargs,message", [
     ("kantorovich", {}, "kantorovich has no grid search"),
     ("kantorovich", {"grid": DEFAULT_GRID}, "kantorovich has no grid search"),
@@ -448,10 +508,19 @@ def test_unknown_check_rejected():
     (CANDIDATE_NAME, {"grid": 3}, "grid must be a mapping of x, alpha and beta axes, got 3"),
     (CANDIDATE_NAME, {"grid": [1, 2]},
      "grid must be a mapping of x, alpha and beta axes, got [1, 2]"),
+    (CANDIDATE_NAME, {"grid": {**DEFAULT_GRID, "alpha": {1: 2}}},
+     "grid's alpha axis must be a flat list of numbers, got {1: 2}"),
+    (CANDIDATE_NAME, {"grid": {**DEFAULT_GRID, "x": [1.0, "a"]}},
+     "grid's x axis must be a flat list of numbers, got [1.0, 'a']"),
+    (CANDIDATE_NAME, {"grid": {**DEFAULT_GRID, "beta": [[0.5, 1.0]]}},
+     "grid's beta axis must be a flat list of numbers, got [[0.5, 1.0]]"),
+    (CANDIDATE_NAME, {"grid": {**DEFAULT_GRID, "x": "1.5"}},
+     "grid's x axis must be a flat list of numbers, got '1.5'"),
 ], ids=["no-budget", "grid", "grid-and-budget", "candidate-grid-and-budget", "budget-0",
         "budget-negative", "budget-float", "budget-bool", "budget-str", "budget-nan",
         "candidate-budget-float", "grid-empty", "grid-without-alpha", "grid-empty-x",
-        "grid-empty-alpha", "grid-empty-beta", "grid-int", "grid-list"])
+        "grid-empty-alpha", "grid-empty-beta", "grid-int", "grid-list", "grid-axis-mapping",
+        "grid-axis-str", "grid-axis-nested", "grid-axis-scalar"])
 def test_random_search_needs_a_budget_and_no_grid(name, kwargs, message, monkeypatch):
     monkeypatch.setattr(falsify, "streams", lambda *key: pytest.fail("a stream was made"))
     monkeypatch.setattr(falsify, "_deficit", lambda *a: pytest.fail("a point was evaluated"))

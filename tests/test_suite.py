@@ -392,7 +392,8 @@ def test_suite_needs_a_count_of_trials(trials, message, monkeypatch):
 # intervals stopped inside numpy; names=[] reported ok with nothing judged, a
 # bare name was read letter by letter and stopped on the unknown name 'k', a
 # (m, M) pair stopped on an AttributeError, dims=3, intervals=None and
-# names=3 on a TypeError, and an infinite tolerance made streams before it
+# names=3 on a TypeError, a list inside names on a TypeError and a number
+# among names on a KeyError, and an infinite tolerance made streams before it
 # stopped
 @pytest.mark.parametrize("kw,message", [
     ({"seed": -1}, "seed must be >= 0, got -1"),
@@ -415,10 +416,14 @@ def test_suite_needs_a_count_of_trials(trials, message, monkeypatch):
     ({"names": "kantorovich"},
      "names must be None or a non-empty list of entry names, got 'kantorovich'"),
     ({"names": 3}, "names must be None or a non-empty list of entry names, got 3"),
+    ({"names": [["a"]]}, "names must be None or a non-empty list of entry names, got [['a']]"),
+    ({"names": ["kantorovich", 3]},
+     "names must be None or a non-empty list of entry names, got ['kantorovich', 3]"),
     ({"tol": float("inf")}, "tol must be a finite number >= 0, got inf"),
 ], ids=["seed-negative", "seed-float", "seed-bool", "seed-str", "dims-zero", "dims-negative",
         "dims-float", "dims-bool", "dims-str", "no-dims", "dims-int", "intervals-none",
-        "no-intervals", "interval-pair", "no-names", "names-str", "names-int", "tol-inf"])
+        "no-intervals", "interval-pair", "no-names", "names-str", "names-int", "names-nested",
+        "names-item-int", "tol-inf"])
 def test_suite_needs_a_seed_and_dims(kw, message, monkeypatch):
     monkeypatch.setattr(suite, "streams", lambda *key: pytest.fail("a stream was made"))
     with pytest.raises(ValueError, match=re.escape(message)):

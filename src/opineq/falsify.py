@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .checks import _results
-from .hermitian import (BATCH_BYTES, DEFAULT_TOL, _tolerance, adjoint, hermitian_part,
-                        operator_norm, power, within_tolerance)
+from .hermitian import (BATCH_BYTES, DEFAULT_TOL, _eigvalsh, _tolerance, adjoint,
+                        hermitian_part, operator_norm, power, within_tolerance)
 from .io import map_to_json, matrix_to_json
 from .maps import _weighted_sum, make_rotation_mixture, require_unitary, rotation
 from .rng import _count, stream, streams
@@ -40,8 +40,18 @@ DEFAULT_GRID = {
 }
 
 
+def _holds_bool(v) -> bool:
+    """Whether v is or holds a bool, which numpy would read as 0 or 1."""
+    if isinstance(v, np.ndarray) and v.dtype != object:
+        return v.dtype == bool
+    return any(isinstance(e, (bool, np.bool_)) for e in np.asarray(v, dtype=object).flat)
+
+
 def _points(x, alpha, beta):
     """x, alpha and beta as float arrays of their one broadcast shape."""
+    for name, v in (("x", x), ("alpha", alpha), ("beta", beta)):
+        if _holds_bool(v):
+            raise ValueError(f"{name} must be numbers, not bools, got {v!r}")
     x, alpha, beta = (np.asarray(v, dtype=float) for v in (x, alpha, beta))
     try:
         return np.broadcast_arrays(x, alpha, beta)
@@ -86,7 +96,7 @@ def _deficit(x, alpha, beta, tol: float):
     pa_invroot = power(pa, -0.5)
     k = ((1.0 + x) ** 2 / (4.0 * x))[..., None, None]
     t = hermitian_part(k * (pa_invroot @ pain @ pa_invroot) - pain @ pain)
-    w = np.linalg.eigvalsh(t)
+    w = _eigvalsh(t)
     return t, w, w[..., 0] >= -tol, pain
 
 
@@ -100,7 +110,8 @@ def counterexample_T(x, alpha, beta, tol: float = DEFAULT_TOL):
     with Phi(A), and T = Phi(A^-1) (K Phi(A)^-1 - Phi(A^-1)) >= 0 by
     Kantorovich. Only rounding makes lambda_min negative.
 
-    Arrays of points, broadcast to one shape (ValueError naming the three
+    x, alpha and beta are numbers, not bools (ValueError naming the one that
+    is). Arrays of points, broadcast to one shape (ValueError naming the three
     shapes when they do not broadcast), give T (..., 2, 2), the eigenvalues
     (..., 2) and psd (...), each point with the bits it gets alone.
     Each distinct angle's rotation is checked once, so a rotation that is
@@ -180,7 +191,8 @@ def _grid_violations(grid: dict, tol: float) -> list[ViolationReport]:
     for k in ("x", "alpha", "beta"):
         values = grid.get(k, ())
         try:
-            axis = None if isinstance(values, Mapping) else np.asarray(values, float)
+            bad = isinstance(values, Mapping) or _holds_bool(values)
+            axis = None if bad else np.asarray(values, float)
         except (TypeError, ValueError):
             axis = None
         if axis is None or axis.ndim != 1:
@@ -219,7 +231,7 @@ def search_violations(check_name: str, grid: dict | None = None,
     random trials. ValueError when a grid and a budget are both given, for
     a check without a grid search when `budget` is None, for a grid that is
     not a mapping, lacks an x, alpha or beta axis or has an empty one, for
-    an axis that is not a flat list of numbers, for
+    an axis that is not a flat list of numbers (a bool is not one), for
     a budget that is not an integer >= 1, and for a tolerance that is not
     a finite number >= 0; all before any point is evaluated or any stream
     is made.

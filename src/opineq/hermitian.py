@@ -13,6 +13,13 @@ over the stack, and as Python scalars for a single matrix. Separate arrays
 share a call only through `stacks` and `each_stacked`, which group them by
 shape and dtype: that is the one stacking rule of the package.
 Inside a ``spectral_scope``, A^p for several p comes from one ``eigh`` of A.
+
+Spectra come from ``_eigh`` and ``_eigvalsh``, which return numpy.linalg's
+``eigh`` and ``eigvalsh`` bit for bit. A real float64 2x2 matrix whose
+entries LAPACK reads (a00, a10, a11) are finite, with the largest |.| 0 or
+in [1e-120, 1e140], takes a closed form that repeats the operations of
+LAPACK's ``dsyevd`` on it, with no per-matrix dispatch; every other matrix,
+which LAPACK would rescale, goes to numpy.linalg.
 """
 from __future__ import annotations
 
@@ -94,7 +101,7 @@ def _spectral_norm(w: np.ndarray):
 
 def operator_norm(a: np.ndarray):
     """Spectral norm max_i |lambda_i| of a Hermitian matrix."""
-    return _spectral_norm(np.linalg.eigvalsh(a))
+    return _spectral_norm(_eigvalsh(a))
 
 
 def _below_floor(w: np.ndarray):
@@ -137,13 +144,106 @@ def spectral_scope():
         _eigh_memo = outer
 
 
+# LAPACK's dlamch('E') and dlamch('S'), as dsteqr and dsterf read them
+_EPS, _SAFMIN = np.finfo(float).eps / 2, np.finfo(float).tiny
+# the largest entry a real 2x2 matrix may have, besides 0, to take the closed
+# form: inside it neither dsyevd (below 1.4e-146, above 7.1e145) nor dsteqr
+# (below 1.2e-122) rescales, so the closed form's operations are theirs
+_CLOSED_RANGE = (1e-120, 1e140)
+
+
+def _dlaev2(a, b, c, vectors: bool):
+    """LAPACK's dlaev2 (dlae2 when not `vectors`) on stacks: the eigenvalues
+    rt1, rt2 of [[a, b], [b, c]], rt1 of larger modulus, and (cs, sn), rt1's
+    eigenvector, by the routine's own operations in its own order."""
+    sm, df, tb = a + c, a - c, b + b
+    adf, ab = np.abs(df), np.abs(tb)
+    larger = np.abs(a) > np.abs(c)
+    acmx, acmn = np.where(larger, a, c), np.where(larger, c, a)
+    q = np.where(adf > ab, ab / adf, adf / ab)
+    rt = np.where(adf == ab, ab * np.sqrt(2.0), np.maximum(adf, ab) * np.sqrt(1.0 + q * q))
+    rt1 = 0.5 * np.where(sm < 0, sm - rt, sm + rt)
+    rt2 = np.where(sm == 0, -0.5 * rt, (acmx / rt1) * acmn - (b / rt1) * b)
+    if not vectors:
+        return rt1, rt2
+    cs = np.where(df >= 0, df + rt, df - rt)
+    ct, tn = -tb / cs, -cs / tb
+    sn_ct = 1.0 / np.sqrt(1.0 + ct * ct)
+    cs_tn = 1.0 / np.sqrt(1.0 + tn * tn)
+    by_ct, flat = np.abs(cs) > ab, ab == 0
+    cs1 = np.where(by_ct, ct * sn_ct, np.where(flat, 1.0, cs_tn))
+    sn1 = np.where(by_ct, sn_ct, np.where(flat, 0.0, tn * cs_tn))
+    turn = (sm >= 0) == (df >= 0)   # dlaev2's sgn1 == sgn2
+    return rt1, rt2, np.where(turn, -sn1, cs1), np.where(turn, cs1, sn1)
+
+
+def _closed_form(a: np.ndarray, vectors: bool) -> tuple:
+    """(w,) or (w, v) of each real 2x2 matrix of a stack, by the operations
+    numpy's dsyevd runs on it: dsytd2 (UPLO 'L') gives d = (a00, a11) and
+    e = a10; dsteqr splits or converges where e is small (the QL or QR test,
+    as |d| orders them) and takes dlaev2 and its rotation of I otherwise;
+    values only, dsterf tests e^2 and takes dlae2 on sqrt(e^2), in QR order
+    when |a11| < |a00|. Ascending by a strict swap, as both routines sort."""
+    d0, e, d1 = a[..., 0, 0], a[..., 1, 0], a[..., 1, 1]
+    ad0, ad1, qr = np.abs(d0), np.abs(d1), np.abs(d1) < np.abs(d0)
+    done = np.abs(e) <= (np.sqrt(ad0) * np.sqrt(ad1)) * _EPS
+    e2, eps2 = e * e, _EPS * _EPS
+    w = np.empty(a.shape[:-1])
+    if vectors:
+        done |= e2 <= np.where(qr, (eps2 * ad1) * ad0, (eps2 * ad0) * ad1) + _SAFMIN
+        rt1, rt2, c, s = _dlaev2(d0, e, d1, True)
+        w[..., 0], w[..., 1] = np.where(done, d0, rt1), np.where(done, d1, rt2)
+        c, s = np.where(done, 1.0, c), np.where(done, 0.0, s)
+        v = np.empty(a.shape)       # dlasr's rotation of I, term by term: signed zeros
+        v[..., 0, 0], v[..., 0, 1] = s * 0.0 + c * 1.0, c * 0.0 - s * 1.0
+        v[..., 1, 0], v[..., 1, 1] = s * 1.0 + c * 0.0, c * 1.0 - s * 0.0
+    else:
+        done |= e2 <= eps2 * np.abs(d0 * d1)
+        rt1, rt2 = _dlaev2(np.where(qr, d1, d0), np.sqrt(e2), np.where(qr, d0, d1), False)
+        w[..., 0] = np.where(done, d0, np.where(qr, rt2, rt1))
+        w[..., 1] = np.where(done, d1, np.where(qr, rt1, rt2))
+    swap = w[..., 1] < w[..., 0]
+    w[swap] = w[swap][:, ::-1]
+    if not vectors:
+        return w,
+    v[swap] = v[swap][..., ::-1]
+    return w, v
+
+
+def _spectra(a: np.ndarray, vectors: bool) -> tuple:
+    """np.linalg.eigh(a), or (eigvalsh(a),) when not `vectors`, bit for bit.
+    A real float64 2x2 matrix takes `_closed_form` when the entries LAPACK
+    reads (a00, a10, a11) are finite and the largest |.| is 0 or inside
+    `_CLOSED_RANGE`; every other matrix goes to numpy.linalg."""
+    def lapack(m):
+        return tuple(np.linalg.eigh(m)) if vectors else (np.linalg.eigvalsh(m),)
+    closed = np.False_
+    if a.dtype == np.float64 and a.shape[-2:] == (2, 2):
+        top = np.abs(a[..., (0, 1, 1), (0, 0, 1)]).max(axis=-1)
+        closed = (top == 0) | ((top >= _CLOSED_RANGE[0]) & (top <= _CLOSED_RANGE[1]))
+    if not closed.any():
+        return lapack(a)
+    with np.errstate(all="ignore"):    # the branches a matrix does not take
+        out = _closed_form(a, vectors)
+    if not closed.all():
+        for o, f in zip(out, lapack(a[~closed])):
+            o[~closed] = f
+    return out
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(a), bit for bit (`_spectra`)."""
+    return _spectra(a, False)[0]
+
+
 def _eigh(a: np.ndarray):
-    """np.linalg.eigh(a), shared read-only by every caller in the open scope."""
+    """np.linalg.eigh(a), bit for bit (`_spectra`), shared read-only by every
+    caller in the open scope."""
     if _eigh_memo is None:
-        return np.linalg.eigh(a)
+        return _spectra(a, True)
     key = (a.shape, a.dtype.str, a.tobytes())
     if key not in _eigh_memo:
-        w, v = np.linalg.eigh(a)
+        w, v = _spectra(a, True)
         w.flags.writeable = v.flags.writeable = False
         _eigh_memo[key] = w, v
     return _eigh_memo[key]

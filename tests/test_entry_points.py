@@ -5,6 +5,7 @@ ValueError (DomainError included) or, for an entry name not registered, a
 KeyError; a call rejected for its arguments has made no stream, and a
 returned suite report holds at least one check record.
 """
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,7 +44,9 @@ SEARCH_ARGS = {
               {"x": [-1.0], "alpha": [0.0], "beta": [0.5]}, 3, [1, 2],
               {"x": {1: 2}, "alpha": [0.0], "beta": [0.5]},
               {"x": [2.0], "alpha": ["a"], "beta": [0.5]},
-              {"x": [2.0], "alpha": [0.0], "beta": [[0.5, 1.0]]}]),
+              {"x": [2.0], "alpha": [0.0], "beta": [[0.5, 1.0]]},
+              {"x": [True, 2.0], "alpha": [0.0], "beta": [0.5]},
+              {"x": [2.0], "alpha": [np.False_], "beta": [0.5]}]),
     "budget": ([None, 1, 2], [0, 1.5, True]),
     "seed": SEEDS,
     "tol": TOLS,
@@ -84,16 +87,40 @@ def _judged(module, call, kw):
             assert not made
 
 
-@settings(max_examples=250, deadline=None, derandomize=True, database=None)
-@given(kw=arguments(SUITE_ARGS))
-def test_run_suite_returns_a_judged_report_or_a_typed_error(kw):
+def _run_suite_case(kw):
     report = _judged(suite, run_suite, {**kw, "timestamp": False})
     if report is not None:
         assert report.checks
 
 
+def _search_case(kw):
+    reports = _judged(falsify, search_violations, kw)
+    assert all(r.revalidate() for r in reports or ())
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(kw=arguments(SUITE_ARGS))
+def test_run_suite_returns_a_judged_report_or_a_typed_error(kw):
+    _run_suite_case(kw)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(kw=arguments(SEARCH_ARGS))
 def test_search_violations_returns_reports_or_a_typed_error(kw):
-    reports = _judged(falsify, search_violations, kw)
-    assert all(r.revalidate() for r in reports or ())
+    _search_case(kw)
+
+
+CASES = {"suite": (SUITE_ARGS, _run_suite_case), "search": (SEARCH_ARGS, _search_case)}
+
+
+# each bad value once, with every other argument at its first good value:
+# the drawn examples above need not reach every one
+@pytest.mark.parametrize("case,arg,i", [
+    pytest.param(case, arg, i, id=f"{case}-{arg}-{i}")
+    for case, (pools, _) in CASES.items() for arg, (_, wrong) in pools.items()
+    for i in range(len(wrong))])
+def test_each_bad_value_is_judged(case, arg, i):
+    pools, judge = CASES[case]
+    kw = {a: good[0] for a, (good, _) in pools.items()}
+    kw[arg] = pools[arg][1][i]
+    judge({a: v() if callable(v) else v for a, v in kw.items()})

@@ -268,3 +268,67 @@ def test_spectral_scope_reuses_eigh_with_the_same_bits(eigh_inputs, rng):
     assert len(eigh_inputs) == 2
     power(a, 0.5)                    # outside a scope: decomposed again
     assert len(eigh_inputs) == 3
+
+
+def _two_by_two(kind: str, rng, n: int) -> np.ndarray:
+    """n real 2x2 matrices of one kind; the closed form must give each the
+    bits np.linalg.eigh and eigvalsh give it."""
+    a = rng.standard_normal((n, 2, 2))
+    sym = (a + a.swapaxes(-1, -2)) / 2
+    d, sign = a[:, 0, 0], rng.choice([-1.0, 1.0], n)
+    if kind == "scaled":
+        sym *= 10.0 ** rng.uniform(-100, 100, (n, 1, 1))
+    elif kind == "near-diagonal":         # e/d in 1e-20..1e-12
+        sym[:, 1, 0] = sym[:, 0, 1] = d * sign * 10.0 ** rng.uniform(-20, -12, n)
+    elif kind == "subnormal-e":           # d near 1, e down to subnormal
+        sym[:, 0, 0], sym[:, 1, 1] = 1.0 + 1e-8 * d, 1.0 + 1e-8 * a[:, 1, 1]
+        sym[:, 1, 0] = sym[:, 0, 1] = sign * 10.0 ** rng.uniform(-323, -300, n)
+    elif kind == "zero-diagonal":         # dsteqr's convergence test adds safmin
+        sym[:, 0, 0] = np.where(sign > 0, 0.0, -0.0)
+        sym[:, 1, 0] = sym[:, 0, 1] = sign * 10.0 ** rng.uniform(-320, -100, n)
+    elif kind == "ties":                  # |a00| = |a11|
+        sym[:, 1, 1] = d * sign
+    elif kind == "small-integers":        # with signed zeros and zero matrices
+        sym = rng.integers(-3, 4, (n, 2, 2)).astype(float)
+        sym[rng.random((n, 2, 2)) < 0.2] = -0.0
+        sym[rng.random(n) < 0.05] = 0.0
+    elif kind == "not-symmetric":         # LAPACK reads a[1, 0], not a[0, 1]
+        sym = a
+    return sym
+
+
+TWO_BY_TWO = ["normal", "scaled", "near-diagonal", "ties", "small-integers", "subnormal-e",
+              "zero-diagonal", "not-symmetric"]
+
+
+# 8 x 150,000 matrices: the tripwire for a numpy or LAPACK that computes
+# its 2x2 spectra otherwise
+@pytest.mark.parametrize("kind", TWO_BY_TWO)
+def test_two_by_two_spectra_are_lapacks_bits(kind):
+    a = _two_by_two(kind, np.random.default_rng(TWO_BY_TWO.index(kind)), 150_000)
+    w, v = np.linalg.eigh(a)
+    assert hermitian._eigvalsh(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+    got = hermitian._eigh(a)
+    assert (got[0].tobytes(), got[1].tobytes()) == (w.tobytes(), v.tobytes())
+    one = a[17]
+    assert hermitian._eigvalsh(one).tobytes() == np.linalg.eigvalsh(one).tobytes()
+    assert [x.tobytes() for x in hermitian._eigh(one)] == [w[17].tobytes(), v[17].tobytes()]
+
+
+def test_two_by_two_out_of_range_falls_back_to_lapack(monkeypatch):
+    a = np.random.default_rng(5).standard_normal((60, 2, 2))
+    a[::6] *= 1e200
+    a[1::6] *= 1e-200
+    a[2::6, 1, 0] = np.nan
+    a[3::6, 0, 0] = np.inf
+    a[4::6, 0, 1] = np.nan     # an entry LAPACK does not read
+    fallback = np.arange(60) % 6 < 4
+    want = [np.linalg.eigvalsh(a)] + list(np.linalg.eigh(a))
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda m, _fn=fn: seen.append(m.tobytes()) or _fn(m))
+    got = [hermitian._eigvalsh(a)] + list(hermitian._eigh(a))
+    assert [g.tobytes() for g in got] == [x.tobytes() for x in want]
+    assert seen == [a[fallback].tobytes()] * 2

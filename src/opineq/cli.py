@@ -27,7 +27,7 @@ from .constants import (alpha_constant, beta0_constant, beta_p_constant,
                         generalized_kantorovich, kantorovich_constant,
                         mond_pecaric_beta)
 from .checks import HypothesisError
-from .falsify import CANDIDATE_NAME, counterexample_T, search_violations
+from .falsify import CANDIDATE_NAME, _OutOfFloatRange, counterexample_T, search_violations
 from .functions import by_name
 from .hermitian import DEFAULT_TOL, DomainError, SpectralInterval
 from .io import dump_json, matrix_to_json
@@ -305,11 +305,15 @@ def _cmd_counterexample(args) -> int:
     _require_finite(args)
     if args.x <= 0:
         raise ValueError("--x must be positive")
-    with np.errstate(all="ignore"):     # a T out of float range is rejected below
+    out_of_range = ValueError(f"T is out of float range at --x {args.x!r}")
+    try:
         t, eigs, psd = counterexample_T(args.x, args.alpha, args.beta, args.tol)
+    except _OutOfFloatRange:
+        raise out_of_range from None
+    with np.errstate(all="ignore"):     # a trace or det out of float range is rejected below
         trace, det = float(np.trace(t).real), float(np.linalg.det(t).real)
-    if not np.all(np.isfinite([*t.ravel(), *eigs, trace, det])):
-        raise ValueError(f"T is out of float range at --x {args.x!r}")
+    if not np.isfinite([trace, det]).all():
+        raise out_of_range
     record = {
         "x": args.x, "alpha": args.alpha, "beta": args.beta,
         "T": matrix_to_json(t),

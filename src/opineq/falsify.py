@@ -16,6 +16,7 @@ Every reported witness re-validates from its serialized parameters alone.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 
@@ -25,7 +26,7 @@ from .checks import _results
 from .hermitian import (BATCH_BYTES, DEFAULT_TOL, _eigvalsh, _tolerance, adjoint,
                         hermitian_part, operator_norm, power, within_tolerance)
 from .io import map_to_json, matrix_to_json
-from .maps import _weighted_sum, make_rotation_mixture, require_unitary, rotation
+from .maps import make_rotation_mixture, require_unitary, rotation
 from .rng import _count, stream, streams
 
 CANDIDATE_NAME = "inverse_square_candidate"
@@ -40,50 +41,72 @@ DEFAULT_GRID = {
 }
 
 
-def _holds_bool(v) -> bool:
-    """Whether v is or holds a bool, which numpy would read as 0 or 1."""
+def _non_numbers(v):
+    """"bools" or "strings" when v is or holds one, which numpy would read as
+    0 or 1 or as the number it spells; else None."""
     if isinstance(v, np.ndarray) and v.dtype != object:
-        return v.dtype == bool
-    return any(isinstance(e, (bool, np.bool_)) for e in np.asarray(v, dtype=object).flat)
+        return {"b": "bools", "U": "strings", "S": "strings"}.get(v.dtype.kind)
+    for e in np.asarray(v, dtype=object).flat:
+        if isinstance(e, (bool, np.bool_)):
+            return "bools"
+        if isinstance(e, (str, bytes)):
+            return "strings"
+    return None
 
 
 def _points(x, alpha, beta):
-    """x, alpha and beta as float arrays of their one broadcast shape."""
+    """x, alpha and beta as float arrays, each in its own shape, which must
+    broadcast to one: points on a grid's axes (an x column beside alpha and
+    beta rows) reach `_mixture_images` as axes, not expanded."""
     for name, v in (("x", x), ("alpha", alpha), ("beta", beta)):
-        if _holds_bool(v):
-            raise ValueError(f"{name} must be numbers, not bools, got {v!r}")
+        kind = _non_numbers(v)
+        if kind:
+            raise ValueError(f"{name} must be numbers, not {kind}, got {v!r}")
     x, alpha, beta = (np.asarray(v, dtype=float) for v in (x, alpha, beta))
     try:
-        return np.broadcast_arrays(x, alpha, beta)
+        np.broadcast_shapes(x.shape, alpha.shape, beta.shape)
     except ValueError:
         raise ValueError(f"x, alpha and beta must broadcast to one shape, got shapes "
                          f"{x.shape}, {alpha.shape} and {beta.shape}") from None
+    return x, alpha, beta
 
 
 def _mixture_images(x, alpha, beta) -> np.ndarray:
-    """Phi(diag(x, 1)) and Phi(diag(1/x, 1)) at each point, stacked on a
-    leading axis of 2, Phi = (U* . U + V* . V)/2 with U = rotation(alpha) and
-    V = rotation(beta). Each distinct angle's rotation is built and checked
-    unitary once, and each distinct term U* D U, keyed by (angle, x), is
-    computed once (by bits: -0.0 is not 0.0) and gathered back to the points
-    by a copy, so each point keeps the bits it gets alone."""
-    angles = np.stack([alpha, beta], axis=-1)
-    keys, inverse = np.unique(angles.ravel().view(np.int64), return_inverse=True)
-    ops = rotation(keys.view(float))
+    """Phi(diag(x, 1)) and Phi(diag(1/x, 1)) at each point of the broadcast
+    shape, stacked on a leading axis of 2, Phi = (U* . U + V* . V)/2 with
+    U = rotation(alpha) and V = rotation(beta). Each distinct angle's
+    rotation is built and checked unitary once, and each distinct term
+    U* D U, keyed by (angle, x) (by bits: -0.0 is not 0.0) at the broadcast
+    shape of x and its own angle, is computed once; the two term tables
+    broadcast to the points, so each point keeps the bits it gets alone. On
+    a grid's axes there are (|alpha| + |beta|) |x| keys, not 2 |alpha| |beta| |x|."""
+    angles, angle_inverse = np.unique(np.concatenate([alpha.ravel(), beta.ravel()])
+                                      .view(np.int64), return_inverse=True)
+    ops = rotation(angles.view(float))
     require_unitary(ops)
     xs, x_inverse = np.unique(x.ravel().view(np.int64), return_inverse=True)
-    pairs = inverse.reshape(angles.shape) * xs.size + x_inverse.reshape(x.shape)[..., None]
-    terms, term_inverse = np.unique(pairs.ravel(), return_inverse=True)
+    x_inverse = x_inverse.reshape(x.shape)
+    ka = angle_inverse[:alpha.size].reshape(alpha.shape) * xs.size + x_inverse
+    kb = angle_inverse[alpha.size:].reshape(beta.shape) * xs.size + x_inverse
+    terms, term_inverse = np.unique(np.concatenate([ka.ravel(), kb.ravel()]),
+                                    return_inverse=True)
     u, d = ops[terms // xs.size], xs.view(float)[terms % xs.size]
     a = np.zeros((2,) + d.shape + (2, 2))
     a[0, :, 0, 0], a[1, :, 0, 0], a[..., 1, 1] = d, 1.0 / d, 1.0
-    images = (adjoint(u) @ a @ u)[:, term_inverse.reshape(pairs.shape)]
-    return hermitian_part(_weighted_sum((0.5, 0.5), images))
+    halves = 0.5 * (adjoint(u) @ a @ u)     # each term with its weight
+    ia, ib = term_inverse[:ka.size].reshape(ka.shape), term_inverse[ka.size:].reshape(kb.shape)
+    return hermitian_part(halves[:, ia] + halves[:, ib])
+
+
+class _OutOfFloatRange(ValueError):
+    """A point whose T or eigenvalues are not finite."""
 
 
 def _deficit(x, alpha, beta, tol: float):
     """`counterexample_T`'s T, eigenvalues and psd as arrays over the
-    points, and Phi(A^-1) at each point, the LHS's square root."""
+    broadcast points, and Phi(A^-1) at each point, the LHS's square root;
+    `_OutOfFloatRange` names the first point whose T or eigenvalues are not
+    finite."""
     _tolerance(tol)
     x, alpha, beta = _points(x, alpha, beta)
     for name, v in (("x", x), ("alpha", alpha), ("beta", beta)):
@@ -92,11 +115,18 @@ def _deficit(x, alpha, beta, tol: float):
             raise ValueError(f"{name} must be finite, got {v[~finite].flat[0]}")
     if np.any(x <= 0):
         raise ValueError(f"x must be positive, got {x[x <= 0].flat[0]}")
-    pa, pain = _mixture_images(x, alpha, beta)
-    pa_invroot = power(pa, -0.5)
-    k = ((1.0 + x) ** 2 / (4.0 * x))[..., None, None]
-    t = hermitian_part(k * (pa_invroot @ pain @ pa_invroot) - pain @ pain)
-    w = _eigvalsh(t)
+    with np.errstate(all="ignore"):     # a point out of float range is named below
+        pa, pain = _mixture_images(x, alpha, beta)
+        pa_invroot = power(pa, -0.5)
+        k = ((1.0 + x) ** 2 / (4.0 * x))[..., None, None]
+        t = hermitian_part(k * (pa_invroot @ pain @ pa_invroot) - pain @ pain)
+        w = _eigvalsh(t)
+    if not (np.isfinite(t).all() and np.isfinite(w).all()):
+        finite = np.isfinite(t).all(axis=(-2, -1)) & np.isfinite(w).all(axis=-1)
+        i = np.unravel_index(np.argmin(finite), finite.shape)
+        x, alpha, beta = (np.broadcast_to(v, finite.shape)[i].item() for v in (x, alpha, beta))
+        raise _OutOfFloatRange(f"T is out of float range at x={x!r}, alpha={alpha!r}, "
+                               f"beta={beta!r}")
     return t, w, w[..., 0] >= -tol, pain
 
 
@@ -110,14 +140,18 @@ def counterexample_T(x, alpha, beta, tol: float = DEFAULT_TOL):
     with Phi(A), and T = Phi(A^-1) (K Phi(A)^-1 - Phi(A^-1)) >= 0 by
     Kantorovich. Only rounding makes lambda_min negative.
 
-    x, alpha and beta are numbers, not bools (ValueError naming the one that
-    is). Arrays of points, broadcast to one shape (ValueError naming the three
-    shapes when they do not broadcast), give T (..., 2, 2), the eigenvalues
-    (..., 2) and psd (...), each point with the bits it gets alone.
+    x, alpha and beta are numbers, not bools or strings (ValueError naming
+    the one that is). Arrays of points, broadcast to one shape (ValueError
+    naming the three shapes when they do not broadcast), give T (..., 2, 2),
+    the eigenvalues (..., 2) and psd (...), each point with the bits it gets
+    alone. A point whose T or eigenvalues are not finite (x near the ends of
+    float range) is a ValueError that names it.
     Each distinct angle's rotation is checked once, so a rotation that is
     not unitary is reported in distinct-angle order, not in point order,
     and the terms U* diag(x, 1) U and U* diag(1/x, 1) U of Phi(A) and
-    Phi(A^-1) are computed once per distinct (angle, x) pair.
+    Phi(A^-1) are computed once per distinct (angle, x) pair: given as axes
+    (x of shape (n, 1, 1), alpha (1, m, 1), beta (1, 1, l)), the points of
+    a grid are never expanded before those terms are built.
     """
     t, w, psd, _ = _deficit(x, alpha, beta, tol)
     if w.ndim == 1:
@@ -134,11 +168,12 @@ def _norms(t, pain):
 def candidate_result(x, alpha, beta, tol: float = DEFAULT_TOL):
     """The candidate statement as a CheckResult (margin = lambda_min(T));
     for arrays of points, broadcast to one shape, one per point in point
-    order."""
+    order. The points are judged as `counterexample_T` takes them: axes
+    build each term once."""
     x, alpha, beta = _points(x, alpha, beta)
     t, w, _, pain = _deficit(x, alpha, beta, tol)
     ln, rn = _norms(t, pain)
-    points = zip(*(v.ravel().tolist() for v in (x, alpha, beta)))
+    points = zip(*(np.broadcast_to(v, w.shape[:-1]).ravel().tolist() for v in (x, alpha, beta)))
     params = [{"x": xi, "alpha": a, "beta": b, "dim": 2, "out_dim": 2,
                "m": min(1.0, xi), "M": max(1.0, xi)} for xi, a, b in points]
     out = _results(CANDIDATE_NAME, params, tol, within_tolerance(w[..., 0], tol, ln, rn),
@@ -178,20 +213,39 @@ def _rerun_witness(report: ViolationReport):
     return found[0] if found else None
 
 
-def _grid_violations(grid: dict, tol: float) -> list[ViolationReport]:
-    """The grid's failing points in search order, evaluated chunk by chunk.
+def _blocks(shape, step: int):
+    """Blocks of a grid of `shape`, one slice per axis, that cover it in
+    ravel (search) order with at most `step` points each: runs of whole x
+    slabs if one slab fits, else one x and runs of whole alpha rows, else
+    one x, one alpha and runs of beta values."""
+    d = next(d for d in range(len(shape)) if math.prod(shape[d + 1:]) <= step)
+    run = step // math.prod(shape[d + 1:])
+    for outer in np.ndindex(*shape[:d]):
+        for lo in range(0, shape[d], run):
+            yield (*(slice(i, i + 1) for i in outer), slice(lo, lo + run),
+                   *[slice(None)] * (len(shape) - d - 1))
 
-    A margin >= 0 holds at any tolerance scale max(1, ||LHS||, ||RHS||), so
-    the norms are computed only for the points whose margin is negative (or
-    NaN); they are judged by `within_tolerance`, as `candidate_result` does.
+
+def _grid_violations(grid: dict, tol: float) -> list[ViolationReport]:
+    """The grid's failing points in search order, evaluated block by block.
+
+    Each block (`_blocks`, at most BATCH_BYTES // 64 points) reaches
+    `_deficit` as its three axes, so the search holds one block's points at
+    a time, never the grid's. A margin >= 0 holds at any tolerance scale
+    max(1, ||LHS||, ||RHS||), so the norms are computed only for the points
+    whose margin is negative (or NaN); they are judged by
+    `within_tolerance`, as `candidate_result` does.
     """
     if not isinstance(grid, Mapping):
         raise ValueError(f"grid must be a mapping of x, alpha and beta axes, got {grid!r}")
+    for k in grid:
+        if k not in ("x", "alpha", "beta"):
+            raise ValueError(f"grid has an unknown axis {k!r}: its axes are x, alpha and beta")
     axes = []
     for k in ("x", "alpha", "beta"):
         values = grid.get(k, ())
         try:
-            bad = isinstance(values, Mapping) or _holds_bool(values)
+            bad = isinstance(values, Mapping) or _non_numbers(values)
             axis = None if bad else np.asarray(values, float)
         except (TypeError, ValueError):
             axis = None
@@ -200,18 +254,19 @@ def _grid_violations(grid: dict, tol: float) -> list[ViolationReport]:
         if not axis.size:
             raise ValueError(f"grid needs a non-empty {k} axis")
         axes.append(axis)
-    points = [p.ravel() for p in np.meshgrid(*axes, indexing="ij")]
     step = max(1, BATCH_BYTES // 64)   # a point's Phi(A) and Phi(A^-1) take 64 bytes
     out = []
-    for lo in range(0, points[0].size, step):
-        chunk = [p[lo:lo + step] for p in points]
-        t, w, _, pain = _deficit(*chunk, tol)
+    for block in _blocks([a.size for a in axes], step):
+        chunk = [a[s] for a, s in zip(axes, block)]
+        t, w, _, pain = _deficit(*np.ix_(*chunk), tol)
+        shape = w.shape[:-1]
+        t, w, pain = t.reshape(-1, 2, 2), w.reshape(-1, 2), pain.reshape(-1, 2, 2)
         low = np.flatnonzero(~(w[:, 0] >= 0))
         if low.size:
             ln, rn = _norms(t[low], pain[low])
             low = low[~within_tolerance(w[low, 0], tol, ln, rn)]
         for i in low.tolist():
-            x, alpha, beta = (p[i].item() for p in chunk)
+            x, alpha, beta = (c[j].item() for c, j in zip(chunk, np.unravel_index(i, shape)))
             witness = {"x": x, "alpha": alpha, "beta": beta,
                        "a": matrix_to_json(np.diag([x, 1.0])),
                        "phi": map_to_json(make_rotation_mixture(alpha, beta)),
@@ -230,8 +285,9 @@ def search_violations(check_name: str, grid: dict | None = None,
     (DEFAULT_GRID unless one is given); for everything else, `budget` seeded
     random trials. ValueError when a grid and a budget are both given, for
     a check without a grid search when `budget` is None, for a grid that is
-    not a mapping, lacks an x, alpha or beta axis or has an empty one, for
-    an axis that is not a flat list of numbers (a bool is not one), for
+    not a mapping, has a key other than x, alpha and beta, lacks one of
+    them or has an empty one, for an axis that is not a flat list of
+    numbers (a bool or a string is not one), for
     a budget that is not an integer >= 1, and for a tolerance that is not
     a finite number >= 0; all before any point is evaluated or any stream
     is made.

@@ -224,7 +224,8 @@ def _spectra(a: np.ndarray, vectors: bool) -> tuple:
     if not closed.any():
         return lapack(a)
     with np.errstate(all="ignore"):    # the branches a matrix does not take
-        out = _closed_form(a, vectors)
+        out = tuple(o.reshape(a.shape[:-2] + o.shape[1:])   # flat: no strided views
+                    for o in _closed_form(a.reshape(-1, 2, 2), vectors))
     if not closed.all():
         for o, f in zip(out, lapack(a[~closed])):
             o[~closed] = f

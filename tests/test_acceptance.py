@@ -89,11 +89,12 @@ def _unit_constant_deficit(x, alpha, beta, tol=DEFAULT_TOL):
 
 def _per_point(deficit):
     """`deficit` with the call shape of `falsify._deficit`: a single point
-    passes through; equal-shape arrays of points are run point by point and
-    their (T, eigenvalues, psd, Phi(A^-1)) come back stacked."""
+    passes through; arrays of points, broadcast to one shape, are run point
+    by point and their (T, eigenvalues, psd, Phi(A^-1)) come back stacked."""
     def stacked(x, alpha, beta, tol=DEFAULT_TOL):
         if np.ndim(x) == 0:
             return deficit(x, alpha, beta, tol)
+        x, alpha, beta = np.broadcast_arrays(x, alpha, beta)
         points = zip(*(np.ravel(v).tolist() for v in (x, alpha, beta)))
         ts, ws, psds, pains = zip(*(deficit(*p, tol) for p in points))
         shape = np.shape(x)

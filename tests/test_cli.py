@@ -192,6 +192,14 @@ def test_bad_flag_value_is_usage_error(capsys, argv, message):
     assert captured.err.count("\n") == 1 and message in captured.err
 
 
+# counterexample_T names a point out of float range by its parameters; the
+# subcommand keeps its own line, which names the flag
+@pytest.mark.parametrize("x", ["1e-300", "1e300", "5e-324"])
+def test_counterexample_out_of_float_range_names_the_flag(capsys, x):
+    assert main(["counterexample", "--x", x]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: T is out of float range at --x {float(x)!r}\n"
+
+
 def test_counterexample_subcommand(capsys):
     code, out = run_cli(capsys, "counterexample", "--x", "2",
                         "--alpha", "pi/3", "--beta", "pi/4")

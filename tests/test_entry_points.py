@@ -46,7 +46,9 @@ SEARCH_ARGS = {
               {"x": [2.0], "alpha": ["a"], "beta": [0.5]},
               {"x": [2.0], "alpha": [0.0], "beta": [[0.5, 1.0]]},
               {"x": [True, 2.0], "alpha": [0.0], "beta": [0.5]},
-              {"x": [2.0], "alpha": [np.False_], "beta": [0.5]}]),
+              {"x": [2.0], "alpha": [np.False_], "beta": [0.5]},
+              {"x": ["2"], "alpha": [0.0], "beta": [0.5]},
+              {"x": [2.0], "alpha": [0.0], "beta": [0.5], "gamma": [1.0]}]),
     "budget": ([None, 1, 2], [0, 1.5, True]),
     "seed": SEEDS,
     "tol": TOLS,

@@ -245,6 +245,34 @@ def test_chunked_grid_equals_one_chunk(monkeypatch):
     assert records(search_violations(CANDIDATE_NAME, tol=1e-18)) == records(one)
 
 
+# a chunk is a block of the grid's axes in search order: 432 points take 3
+# whole x slabs, 40 one x and 3 whole alpha rows, 5 one x, one alpha and a
+# run of 5 betas, and 1 a single point; at tol 1e-18 witnesses exist (on
+# the shifted grid, where alpha = beta), so their order is compared too
+@pytest.mark.parametrize("points", [432, 40, 5, 1],
+                         ids=["x-slabs", "inside-x-slab", "inside-alpha-row", "one-point"])
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, {**GRIDS[1], "beta": GRIDS[1]["alpha"]}],
+                         ids=["default", "shifted0-equal-angles"])
+def test_chunks_report_in_search_order(grid, points, monkeypatch):
+    one = search_violations(CANDIDATE_NAME, grid=grid, tol=1e-18)
+    assert one
+    monkeypatch.setattr(falsify, "BATCH_BYTES", 64 * points)
+    assert records(search_violations(CANDIDATE_NAME, grid=grid, tol=1e-18)) == records(one)
+
+
+def test_grid_chunks_are_blocks_of_the_axes(monkeypatch):
+    seen = []
+    deficit = falsify._deficit
+
+    def recorded(x, alpha, beta, tol):
+        seen.append((x.shape, alpha.shape, beta.shape))
+        return deficit(x, alpha, beta, tol)
+    monkeypatch.setattr(falsify, "_deficit", recorded)
+    monkeypatch.setattr(falsify, "BATCH_BYTES", 64 * 40)
+    assert search_violations(CANDIDATE_NAME) == []
+    assert seen == [((1, 1, 1), (1, 3, 1), (1, 1, 12))] * 32
+
+
 def test_grid_search_makes_a_constant_number_of_linalg_calls_per_chunk(monkeypatch):
     # the per-point search made 6 LAPACK calls per point, 6,912 on the grid;
     # a chunk makes one norm, for the rotations' unitarity: its 2x2 spectra
@@ -264,7 +292,7 @@ def test_grid_search_makes_a_constant_number_of_linalg_calls_per_chunk(monkeypat
     def counted_deficit(*args):
         negative.append(None)
         out = deficit(*args)
-        negative[-1] = bool(np.any(out[1][:, 0] < 0))
+        negative[-1] = bool(np.any(out[1][..., 0] < 0))
         return out
     monkeypatch.setattr(falsify, "_deficit", counted_deficit)
 
@@ -386,18 +414,37 @@ def test_points_that_do_not_broadcast_are_rejected(call):
         call([1.5, 2.0], [0.1, 0.2, 0.3], 0.4)
 
 
-# a bool once read as 0 or 1: x = True evaluated the point x = 1.0
+# a bool once read as 0 or 1: x = True evaluated the point x = 1.0; and a
+# numeric string as its number: x = "2" evaluated the point x = 2.0
 @pytest.mark.parametrize("x,alpha,beta,message", [
     (True, 0.3, 0.5, "x must be numbers, not bools, got True"),
     (2.0, [0.1, np.True_], 0.5, "alpha must be numbers, not bools, got [0.1, np.True_]"),
     ([1.5, 2.0], 0.1, np.array([False, True]),
      "beta must be numbers, not bools, got array([False,  True])"),
-], ids=["bool", "numpy-bool-item", "bool-array"])
+    ("2", 0.1, 0.2, "x must be numbers, not strings, got '2'"),
+    (2.0, [0.1, "0.2"], 0.5, "alpha must be numbers, not strings, got [0.1, '0.2']"),
+    ([1.5, 2.0], 0.1, np.array(["0.3", "0.4"]),
+     "beta must be numbers, not strings, got array(['0.3', '0.4']"),
+], ids=["bool", "numpy-bool-item", "bool-array", "str", "str-item", "str-array"])
 @pytest.mark.parametrize("call", [counterexample_T, candidate_result])
 def test_bool_points_are_rejected(call, x, alpha, beta, message, monkeypatch):
     monkeypatch.setattr(falsify, "_mixture_images", lambda *a: pytest.fail("a point was evaluated"))
     with pytest.raises(ValueError, match=re.escape(message)):
         call(x, alpha, beta)
+
+
+# near the ends of float range T overflows: the grid search once reported
+# such points as witnesses with margin nan that did not re-validate, and
+# counterexample_T and candidate_result returned nan
+@pytest.mark.parametrize("x", [1e200, 1e300, 1e-300, 5e-324])
+def test_a_point_out_of_float_range_is_named(x):
+    message = f"T is out of float range at x={x!r}, alpha=0.1, beta=0.2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        search_violations(CANDIDATE_NAME, grid={"x": [x], "alpha": [0.1, 1.0], "beta": [0.2]})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        counterexample_T(x, 0.1, 0.2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        candidate_result([2.0, x], [0.3, 0.1], 0.2)     # the first point is in range
 
 
 @pytest.mark.parametrize("argv,digest", [
@@ -535,12 +582,16 @@ def test_unknown_check_rejected():
      "grid's x axis must be a flat list of numbers, got [True, 2.0]"),
     (CANDIDATE_NAME, {"grid": {**DEFAULT_GRID, "beta": [0.5, np.True_]}},
      "grid's beta axis must be a flat list of numbers, got [0.5, np.True_]"),
+    (CANDIDATE_NAME, {"grid": {**DEFAULT_GRID, "x": ["2"]}},
+     "grid's x axis must be a flat list of numbers, got ['2']"),
+    (CANDIDATE_NAME, {"grid": {**DEFAULT_GRID, "gamma": [0.5]}},
+     "grid has an unknown axis 'gamma': its axes are x, alpha and beta"),
 ], ids=["no-budget", "grid", "grid-and-budget", "candidate-grid-and-budget", "budget-0",
         "budget-negative", "budget-float", "budget-bool", "budget-str", "budget-nan",
         "candidate-budget-float", "grid-empty", "grid-without-alpha", "grid-empty-x",
         "grid-empty-alpha", "grid-empty-beta", "grid-int", "grid-list", "grid-axis-mapping",
         "grid-axis-str", "grid-axis-nested", "grid-axis-scalar", "grid-axis-bool",
-        "grid-axis-numpy-bool"])
+        "grid-axis-numpy-bool", "grid-axis-numeric-str", "grid-unknown-axis"])
 def test_random_search_needs_a_budget_and_no_grid(name, kwargs, message, monkeypatch):
     monkeypatch.setattr(falsify, "streams", lambda *key: pytest.fail("a stream was made"))
     monkeypatch.setattr(falsify, "_deficit", lambda *a: pytest.fail("a point was evaluated"))
@@ -578,6 +629,25 @@ def test_random_search_memory_does_not_grow_with_the_budget(monkeypatch):
         tracemalloc.start()
         try:
             assert search_violations("kantorovich", budget=budget, seed=1) == []
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+# the grid search once expanded its axes into every point before the first
+# chunk, so its memory grew with the grid: with one x slab a chunk, the
+# traced peak on a grid with 4x the x values read 1.73x the base grid's
+def test_grid_search_memory_does_not_grow_with_the_grid(monkeypatch):
+    monkeypatch.setattr(falsify, "BATCH_BYTES", 64 * 144)
+    base = shifted_grid(0)
+    large = {**base, "x": [0.125 * (i + 1.3) for i in range(32)]}
+    search_violations(CANDIDATE_NAME, grid=base)     # caches filled outside the traced runs
+    peaks = []
+    for grid in (base, large):
+        tracemalloc.start()
+        try:
+            assert search_violations(CANDIDATE_NAME, grid=grid) == []
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -27,7 +27,7 @@ from .constants import (alpha_constant, beta0_constant, beta_p_constant,
                         generalized_kantorovich, kantorovich_constant,
                         mond_pecaric_beta)
 from .checks import HypothesisError
-from .falsify import CANDIDATE_NAME, _OutOfFloatRange, counterexample_T, search_violations
+from .falsify import CANDIDATE_NAME, _PointError, counterexample_T, search_violations
 from .functions import by_name
 from .hermitian import DEFAULT_TOL, DomainError, SpectralInterval
 from .io import dump_json, matrix_to_json
@@ -308,8 +308,8 @@ def _cmd_counterexample(args) -> int:
     out_of_range = ValueError(f"T is out of float range at --x {args.x!r}")
     try:
         t, eigs, psd = counterexample_T(args.x, args.alpha, args.beta, args.tol)
-    except _OutOfFloatRange:
-        raise out_of_range from None
+    except _PointError as exc:     # named by the flag, not by the point
+        raise ValueError(f"{exc.what} at --x {args.x!r}{exc.why}") from None
     with np.errstate(all="ignore"):     # a trace or det out of float range is rejected below
         trace, det = float(np.trace(t).real), float(np.linalg.det(t).real)
     if not np.isfinite([trace, det]).all():

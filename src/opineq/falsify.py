@@ -23,8 +23,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .checks import _results
-from .hermitian import (BATCH_BYTES, DEFAULT_TOL, _eigvalsh, _tolerance, adjoint,
-                        hermitian_part, operator_norm, power, within_tolerance)
+from .hermitian import (BATCH_BYTES, DEFAULT_TOL, DomainError, _below_floor, _eigh, _eigvalsh,
+                        _floor_text, _tolerance, adjoint, hermitian_part, operator_norm, power,
+                        within_tolerance)
 from .io import map_to_json, matrix_to_json
 from .maps import make_rotation_mixture, require_unitary, rotation
 from .rng import _count, stream, streams
@@ -98,15 +99,28 @@ def _mixture_images(x, alpha, beta) -> np.ndarray:
     return hermitian_part(halves[:, ia] + halves[:, ib])
 
 
-class _OutOfFloatRange(ValueError):
-    """A point whose T or eigenvalues are not finite."""
+class _PointError(ValueError):
+    """A point that `_deficit` cannot evaluate: `what` happens at the point
+    named, and `why`, if any, follows the name."""
+
+    def __init__(self, what: str, point: str, why: str = ""):
+        super().__init__(f"{what} at {point}{why}")
+        self.what, self.why = what, why
+
+
+def _point(i, shape, x, alpha, beta) -> str:
+    """The point at flat index i of the broadcast shape, as x=…, alpha=…, beta=…."""
+    i = np.unravel_index(i, shape)
+    return ", ".join(f"{name}={np.broadcast_to(v, shape)[i].item()!r}"
+                     for name, v in (("x", x), ("alpha", alpha), ("beta", beta)))
 
 
 def _deficit(x, alpha, beta, tol: float):
     """`counterexample_T`'s T, eigenvalues and psd as arrays over the
-    broadcast points, and Phi(A^-1) at each point, the LHS's square root;
-    `_OutOfFloatRange` names the first point whose T or eigenvalues are not
-    finite."""
+    broadcast points, and Phi(A^-1) at each point, the LHS's square root.
+    A `_PointError` names the first point whose Phi(A) the positivity floor
+    of Phi(A)^-1/2 refuses (x <= 1e-12 or x >= 1e12 when alpha = beta, for
+    one), or else the first whose T or eigenvalues are not finite."""
     _tolerance(tol)
     x, alpha, beta = _points(x, alpha, beta)
     for name, v in (("x", x), ("alpha", alpha), ("beta", beta)):
@@ -117,16 +131,21 @@ def _deficit(x, alpha, beta, tol: float):
         raise ValueError(f"x must be positive, got {x[x <= 0].flat[0]}")
     with np.errstate(all="ignore"):     # a point out of float range is named below
         pa, pain = _mixture_images(x, alpha, beta)
-        pa_invroot = power(pa, -0.5)
+        try:
+            pa_invroot = power(pa, -0.5)
+        except DomainError:     # the same floor, spectrum by spectrum, finds the point
+            w = _eigh(pa)[0].reshape(-1, 2)
+            i, found = next((i, f) for i, f in enumerate(map(_below_floor, w)) if f)
+            raise _PointError("Phi(A) is too close to singular for Phi(A)^-1/2",
+                              _point(i, pa.shape[:-2], x, alpha, beta),
+                              f"; {_floor_text(found)}") from None
         k = ((1.0 + x) ** 2 / (4.0 * x))[..., None, None]
         t = hermitian_part(k * (pa_invroot @ pain @ pa_invroot) - pain @ pain)
         w = _eigvalsh(t)
     if not (np.isfinite(t).all() and np.isfinite(w).all()):
         finite = np.isfinite(t).all(axis=(-2, -1)) & np.isfinite(w).all(axis=-1)
-        i = np.unravel_index(np.argmin(finite), finite.shape)
-        x, alpha, beta = (np.broadcast_to(v, finite.shape)[i].item() for v in (x, alpha, beta))
-        raise _OutOfFloatRange(f"T is out of float range at x={x!r}, alpha={alpha!r}, "
-                               f"beta={beta!r}")
+        raise _PointError("T is out of float range",
+                          _point(np.argmin(finite), finite.shape, x, alpha, beta))
     return t, w, w[..., 0] >= -tol, pain
 
 
@@ -145,7 +164,9 @@ def counterexample_T(x, alpha, beta, tol: float = DEFAULT_TOL):
     naming the three shapes when they do not broadcast), give T (..., 2, 2),
     the eigenvalues (..., 2) and psd (...), each point with the bits it gets
     alone. A point whose T or eigenvalues are not finite (x near the ends of
-    float range) is a ValueError that names it.
+    float range), or whose Phi(A) is too close to singular for the
+    positivity floor of Phi(A)^-1/2 (x <= 1e-12 or x >= 1e12 when alpha =
+    beta, for one), is a ValueError that names it.
     Each distinct angle's rotation is checked once, so a rotation that is
     not unitary is reported in distinct-angle order, not in point order,
     and the terms U* diag(x, 1) U and U* diag(1/x, 1) U of Phi(A) and

@@ -18,8 +18,10 @@ Spectra come from ``_eigh`` and ``_eigvalsh``, which return numpy.linalg's
 ``eigh`` and ``eigvalsh`` bit for bit. A real float64 2x2 matrix whose
 entries LAPACK reads (a00, a10, a11) are finite, with the largest |.| 0 or
 in [1e-120, 1e140], takes a closed form that repeats the operations of
-LAPACK's ``dsyevd`` on it, with no per-matrix dispatch; every other matrix,
-which LAPACK would rescale, goes to numpy.linalg.
+LAPACK's ``dsyevd`` on it, with no per-matrix dispatch, in passes over
+those entries gathered once as flat arrays; every other matrix, which
+LAPACK would rescale, goes to numpy.linalg. ``adjoint`` of a real stack
+is its transposed view, read-only, and ``hermitian_part`` a new array.
 """
 from __future__ import annotations
 
@@ -51,13 +53,23 @@ class DomainError(ValueError):
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of each matrix of a stack."""
-    return a.conj().swapaxes(-1, -2)
+    """Each matrix's conjugate transpose; of a real, integer or bool stack a read-only view."""
+    if a.dtype.kind not in "biuf":
+        return a.conj().swapaxes(-1, -2)
+    view = a.swapaxes(-1, -2)
+    view.flags.writeable = False
+    return view
+
+
+def _half_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a + b) / 2 in a new array; a float or complex sum is halved in place."""
+    s = a + b
+    return np.divide(s, 2, out=s if s.dtype.kind in "fc" else None)
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A*)/2 for each matrix of a stack."""
-    return (a + adjoint(a)) / 2
+    """(A + A*)/2 for each matrix of a stack, in a new array."""
+    return _half_sum(a, adjoint(a))
 
 
 def as_hermitian(a) -> np.ndarray:
@@ -83,11 +95,12 @@ def as_hermitian(a) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    dev = np.abs(a - adjoint(a)).max() if a.size else 0.0
+    adj = adjoint(a)
+    dev = np.abs(a - adj).max() if a.size else 0.0
     if dev > HERMITIAN_ATOL:
         raise DomainError(f"matrix is not Hermitian: max |A - A*| = {dev:.3e} "
                           f"> {HERMITIAN_ATOL:.1e}")
-    return hermitian_part(a)
+    return _half_sum(a, adj)
 
 
 def _per_matrix(v):
@@ -177,59 +190,58 @@ def _dlaev2(a, b, c, vectors: bool):
     return rt1, rt2, np.where(turn, -sn1, cs1), np.where(turn, cs1, sn1)
 
 
-def _closed_form(a: np.ndarray, vectors: bool) -> tuple:
-    """(w,) or (w, v) of each real 2x2 matrix of a stack, by the operations
-    numpy's dsyevd runs on it: dsytd2 (UPLO 'L') gives d = (a00, a11) and
-    e = a10; dsteqr splits or converges where e is small (the QL or QR test,
-    as |d| orders them) and takes dlaev2 and its rotation of I otherwise;
-    values only, dsterf tests e^2 and takes dlae2 on sqrt(e^2), in QR order
-    when |a11| < |a00|. Ascending by a strict swap, as both routines sort."""
-    d0, e, d1 = a[..., 0, 0], a[..., 1, 0], a[..., 1, 1]
-    ad0, ad1, qr = np.abs(d0), np.abs(d1), np.abs(d1) < np.abs(d0)
+def _closed_form(d0, e, d1, vectors: bool) -> tuple:
+    """(w,) or (w, v) of the real 2x2 matrices whose entries LAPACK reads are
+    the flat arrays d0 = a00, e = a10 and d1 = a11, by the operations numpy's
+    dsyevd runs on each: dsytd2 (UPLO 'L') gives d = (d0, d1) and e; dsteqr
+    splits or converges where e is small (the QL or QR test, as |d| orders
+    them) and takes dlaev2 and its rotation of I otherwise; values only,
+    dsterf tests e^2 and takes dlae2 on sqrt(e^2), in QR order when |d1| <
+    |d0|. Ascending by a strict swap, as both routines sort; w and v are each
+    stacked once from flat intermediates."""
+    ad0, ad1 = np.abs(d0), np.abs(d1)
+    qr, e2, eps2 = ad1 < ad0, e * e, _EPS * _EPS
     done = np.abs(e) <= (np.sqrt(ad0) * np.sqrt(ad1)) * _EPS
-    e2, eps2 = e * e, _EPS * _EPS
-    w = np.empty(a.shape[:-1])
     if vectors:
         done |= e2 <= np.where(qr, (eps2 * ad1) * ad0, (eps2 * ad0) * ad1) + _SAFMIN
         rt1, rt2, c, s = _dlaev2(d0, e, d1, True)
-        w[..., 0], w[..., 1] = np.where(done, d0, rt1), np.where(done, d1, rt2)
+        w = [np.where(done, d0, rt1), np.where(done, d1, rt2)]
         c, s = np.where(done, 1.0, c), np.where(done, 0.0, s)
-        v = np.empty(a.shape)       # dlasr's rotation of I, term by term: signed zeros
-        v[..., 0, 0], v[..., 0, 1] = s * 0.0 + c * 1.0, c * 0.0 - s * 1.0
-        v[..., 1, 0], v[..., 1, 1] = s * 1.0 + c * 0.0, c * 1.0 - s * 0.0
+        v = [s * 0.0 + c * 1.0, c * 0.0 - s * 1.0,     # dlasr's rotation of I, term
+             s * 1.0 + c * 0.0, c * 1.0 - s * 0.0]     # by term: signed zeros
     else:
         done |= e2 <= eps2 * np.abs(d0 * d1)
         rt1, rt2 = _dlaev2(np.where(qr, d1, d0), np.sqrt(e2), np.where(qr, d0, d1), False)
-        w[..., 0] = np.where(done, d0, np.where(qr, rt2, rt1))
-        w[..., 1] = np.where(done, d1, np.where(qr, rt1, rt2))
-    swap = w[..., 1] < w[..., 0]
-    w[swap] = w[swap][:, ::-1]
-    if not vectors:
-        return w,
-    v[swap] = v[swap][..., ::-1]
-    return w, v
+        w = [np.where(done, d0, np.where(qr, rt2, rt1)), np.where(done, d1, np.where(qr, rt1, rt2))]
+        v = []
+    swap = w[1] < w[0]
+    if swap.any():      # swaps w's two values and v's two columns
+        w, v = ([np.where(swap, x[i ^ 1], x[i]) for i in range(len(x))] for x in (w, v))
+    w = np.stack(w, axis=-1)
+    return (w, np.stack(v, axis=-1).reshape(-1, 2, 2)) if vectors else (w,)
 
 
 def _spectra(a: np.ndarray, vectors: bool) -> tuple:
     """np.linalg.eigh(a), or (eigvalsh(a),) when not `vectors`, bit for bit.
-    A real float64 2x2 matrix takes `_closed_form` when the entries LAPACK
-    reads (a00, a10, a11) are finite and the largest |.| is 0 or inside
-    `_CLOSED_RANGE`; every other matrix goes to numpy.linalg."""
+    A real float64 2x2 stack's entries that LAPACK reads are gathered once,
+    in any layout, as flat contiguous arrays (a00, a10, a11: columns 0, 2, 3
+    of a.reshape(-1, 4)); a matrix takes `_closed_form` when they are finite
+    and the largest |.| is 0 or inside `_CLOSED_RANGE`, else numpy.linalg."""
     def lapack(m):
         return tuple(np.linalg.eigh(m)) if vectors else (np.linalg.eigvalsh(m),)
-    closed = np.False_
-    if a.dtype == np.float64 and a.shape[-2:] == (2, 2):
-        top = np.abs(a[..., (0, 1, 1), (0, 0, 1)]).max(axis=-1)
-        closed = (top == 0) | ((top >= _CLOSED_RANGE[0]) & (top <= _CLOSED_RANGE[1]))
+    if a.dtype != np.float64 or a.shape[-2:] != (2, 2):
+        return lapack(a)
+    d0, e, d1 = a.reshape(-1, 4).T[[0, 2, 3]]
+    top = np.maximum(np.maximum(np.abs(d0), np.abs(e)), np.abs(d1))
+    closed = (top == 0) | ((top >= _CLOSED_RANGE[0]) & (top <= _CLOSED_RANGE[1]))
     if not closed.any():
         return lapack(a)
     with np.errstate(all="ignore"):    # the branches a matrix does not take
-        out = tuple(o.reshape(a.shape[:-2] + o.shape[1:])   # flat: no strided views
-                    for o in _closed_form(a.reshape(-1, 2, 2), vectors))
+        out = _closed_form(d0, e, d1, vectors)
     if not closed.all():
-        for o, f in zip(out, lapack(a[~closed])):
+        for o, f in zip(out, lapack(a.reshape(-1, 2, 2)[~closed])):
             o[~closed] = f
-    return out
+    return tuple(o.reshape(a.shape[:-2] + o.shape[1:]) for o in out)
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:

@@ -200,6 +200,18 @@ def test_counterexample_out_of_float_range_names_the_flag(capsys, x):
     assert capsys.readouterr().err == f"error: T is out of float range at --x {float(x)!r}\n"
 
 
+# a point whose Phi(A) the positivity floor of Phi(A)^-1/2 refuses is named
+# by the flag too, with the floor it broke
+@pytest.mark.parametrize("x,floor", [
+    ("1e-17", "lambda_min = 1.000e-17 is at or below 1e-12 * max(1, lambda_max) = 1.000e-12"),
+    ("1e13", "lambda_min = 1.000e+00 is at or below 1e-12 * max(1, lambda_max) = 1.000e+01"),
+], ids=["1e-17", "1e13"])
+def test_counterexample_below_the_positivity_floor_names_the_flag(capsys, x, floor):
+    assert main(["counterexample", "--x", x, "--alpha", "0", "--beta", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == ("error: Phi(A) is too close to singular for Phi(A)^-1/2 "
+                                       f"at --x {float(x)!r}; {floor}\n")
+
+
 def test_counterexample_subcommand(capsys):
     code, out = run_cli(capsys, "counterexample", "--x", "2",
                         "--alpha", "pi/3", "--beta", "pi/4")

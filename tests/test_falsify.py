@@ -447,6 +447,23 @@ def test_a_point_out_of_float_range_is_named(x):
         candidate_result([2.0, x], [0.3, 0.1], 0.2)     # the first point is in range
 
 
+# the positivity floor of Phi(A)^-1/2 refuses Phi(A) = diag(x, 1) for x <= 1e-12
+# or x >= 1e12: the grid search once stopped there on a DomainError naming no point
+@pytest.mark.parametrize("x,floor", [
+    (1e-17, "lambda_min = 1.000e-17 is at or below 1e-12 * max(1, lambda_max) = 1.000e-12"),
+    (1e13, "lambda_min = 1.000e+00 is at or below 1e-12 * max(1, lambda_max) = 1.000e+01"),
+], ids=["1e-17", "1e13"])
+def test_a_point_below_the_positivity_floor_is_named(x, floor):
+    message = (f"Phi(A) is too close to singular for Phi(A)^-1/2 at x={x!r}, alpha=0.0, "
+               f"beta=0.0; {floor}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        search_violations(CANDIDATE_NAME, grid={"x": [2.0, x], "alpha": [0.0], "beta": [0.0]})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        counterexample_T(x, 0.0, 0.0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        candidate_result([2.0, x], [0.3, 0.0], 0.0)     # the first point is above the floor
+
+
 @pytest.mark.parametrize("argv,digest", [
     (["falsify", "--no-timestamp"],
      "820489b855f45caeb5271401b57126d7b25ca8c1cd8a553e2c3802636b6ae251"),

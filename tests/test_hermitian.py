@@ -29,6 +29,56 @@ def test_as_hermitian_symmetrizes_within_atol():
     np.testing.assert_array_equal(h, h.conj().T)
 
 
+# signed zeros, subnormals, infinities and NaN, as real and imaginary parts
+SPECIAL = np.array([0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, 1.5, -3.0, 7.0])
+
+
+def _stack(dtype, shape, rng) -> np.ndarray:
+    if dtype is bool:
+        return rng.random(shape) < 0.5
+    if np.dtype(dtype).kind in "iu":
+        return rng.integers(0 if np.dtype(dtype).kind == "u" else -5, 6, shape).astype(dtype)
+    a = rng.choice(SPECIAL, shape).astype(dtype)
+    if a.dtype.kind == "c":
+        a.imag = rng.choice(SPECIAL, shape)
+    return a
+
+
+def _same(got: np.ndarray, want: np.ndarray) -> bool:
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+# adjoint, hermitian_part and as_hermitian give the bits and dtypes numpy
+# gives A* and (A + A*)/2, floats for an integer or bool stack (halving such
+# a sum in place would fail); a real stack's adjoint is a read-only view of
+# it, and neither the input nor a view of it is ever returned as the result
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, np.int64,
+                                   np.uint8, bool])
+@pytest.mark.parametrize("shape", [(7, 3, 3), (2, 4, 2, 2), (5, 1, 1), (0, 2, 2), (3, 3)])
+def test_adjoint_and_hermitian_part_keep_values_and_dtypes(dtype, shape):
+    a = _stack(dtype, shape, np.random.default_rng(len(shape)))
+    before = a.tobytes()
+    with np.errstate(all="ignore"):     # inf - inf and the like
+        want_adj = a.conj().swapaxes(-1, -2)
+        want = (a + want_adj) / 2
+        h = a + want_adj                # Hermitian, up to the NaNs its infinities make
+        want_h = (h + h.conj().swapaxes(-1, -2)) / 2
+        adj, got = hermitian.adjoint(a), hermitian.hermitian_part(a)
+        if dtype is bool and a.size:    # numpy has no boolean subtract for the deviation
+            with pytest.raises(TypeError):
+                as_hermitian(h)
+        else:
+            got_h = as_hermitian(h)
+            assert _same(got_h, want_h) and not np.shares_memory(got_h, h)
+    assert _same(adj, want_adj) and _same(got, want)
+    assert got.flags.writeable and not np.shares_memory(got, a)
+    if a.dtype.kind != "c":     # a real stack's adjoint is its view, read-only
+        assert not adj.flags.writeable and a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            adj[...] = 0
+    assert a.tobytes() == before
+
+
 def test_as_hermitian_rejects_skew():
     with pytest.raises(DomainError):
         as_hermitian(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -313,6 +363,46 @@ def test_two_by_two_spectra_are_lapacks_bits(kind):
     one = a[17]
     assert hermitian._eigvalsh(one).tobytes() == np.linalg.eigvalsh(one).tobytes()
     assert [x.tobytes() for x in hermitian._eigh(one)] == [w[17].tobytes(), v[17].tobytes()]
+
+
+# the closed form reads a00, a10 and a11 as flat arrays gathered from the
+# stack, so every layout and shape of stack must keep LAPACK's bits
+def _layout(name: str) -> np.ndarray:
+    rng = np.random.default_rng(LAYOUTS.index(name))
+    grid = _two_by_two("normal", rng, 8 * 12 * 12).reshape(8, 12, 12, 2, 2)
+    skew = _two_by_two("not-symmetric", rng, 3000)
+    if name == "grid":
+        return grid
+    if name == "fortran":
+        return np.asfortranarray(grid)
+    if name == "every-third":
+        return skew[::3]
+    if name == "transposed":
+        return skew.swapaxes(-1, -2)
+    mixed = grid[:6, :10, 0].copy()     # in-range and fallback matrices, interleaved
+    mixed[::2, ::3] *= 1e200
+    mixed[1::2, 1::4, 1, 0] = np.nan
+    return mixed
+
+
+LAYOUTS = ["grid", "fortran", "every-third", "transposed", "mixed"]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_two_by_two_spectra_keep_lapacks_bits_in_every_layout(layout, monkeypatch):
+    a = _layout(layout)
+    want = [np.linalg.eigvalsh(a)] + list(np.linalg.eigh(a))
+    fallback = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda m, _fn=fn: fallback.append(len(m)) or _fn(m))
+    got = [hermitian._eigvalsh(a)] + list(hermitian._eigh(a))
+    assert [g.shape for g in got] == [x.shape for x in want]
+    assert [g.tobytes() for g in got] == [x.tobytes() for x in want]
+    # the mixed stack sends its 12 + 9 fallback matrices to numpy.linalg, once
+    # per call; the other stacks take the closed form alone
+    assert fallback == ([21, 21] if layout == "mixed" else [])
 
 
 def test_two_by_two_out_of_range_falls_back_to_lapack(monkeypatch):
